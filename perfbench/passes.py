@@ -7,10 +7,14 @@ A pass runs one workload against the run cache and golden-trace store
 under ``--cache`` (cold when the directory is empty, warm when an
 earlier pass filled it) and prints one JSON object on its last stdout
 line: set-up time (``--t0`` is the launcher's ``time.monotonic()`` just
-before it started this interpreter), wall time of the workload, peak
-RSS, job counts, the records digest and the simulated outcome counts.
+before it started this interpreter) and wall time of the workload, both
+also scaled to an idle host (:mod:`hostclock`), peak RSS,
+job counts, the records digest and the simulated outcome counts.  The
+workload's steps end at the returns of the calls in
+``STEP_BOUNDARIES`` (a golden trace fetched, a job run, a cache read or
+write, a faulty suffix executed, a chunk of rows timed).
 ``--trace`` adds the per-layer metrics of :mod:`tracing` and writes the
-spans to ``--spans``.
+spans to ``--spans``; its scaled time has a single step.
 
 ``--reference`` instead re-runs a seeded sample of the cached jobs of a
 coverage workload through ``execute_job`` and compares the records with
@@ -35,13 +39,19 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from repro.__main__ import FIGURE_COMMANDS  # noqa: E402
 from repro.common.records import canonical_json  # noqa: E402
+from repro.core.inorder_core import InOrderCoreModel  # noqa: E402
+from repro.core.ooo_core import OoOCore  # noqa: E402
+from repro.harness import campaign  # noqa: E402
 from repro.harness.campaign import (  # noqa: E402
     TRACE_STORE_DIRNAME, CampaignEngine, JobSpec, RunCache, execute_job)
 from repro.harness.experiment import ExperimentRunner  # noqa: E402
+from repro.schemes import base as schemes_base  # noqa: E402
 from repro.service.wire import build_grid  # noqa: E402
 from repro.workloads.suite import configure_trace_store  # noqa: E402
 
 READY = time.monotonic()
+
+from hostclock import StepClock, idle_factor, speed_probe  # noqa: E402
 
 SCALE = "small"
 
@@ -62,6 +72,15 @@ WORKLOADS = ("figures",) + tuple(COVERAGE)
 #: faults per benchmark the reference check re-runs, per outcome class
 #: (activated / not activated)
 REFERENCE_PER_CLASS = 2
+
+#: (owner, attribute) of the calls whose returns end a step of a pass:
+#: a step lasts a few milliseconds, rarely more than a tenth of a second
+STEP_BOUNDARIES = ((campaign, "benchmark_trace"), (campaign, "execute_job"),
+                   (RunCache, "get"), (RunCache, "put"),
+                   (schemes_base, "execute_forked"), (OoOCore, "run_rows"),
+                   (InOrderCoreModel, "run_segment"))
+#: speed probes timed right after set-up, to scale the set-up time
+SETUP_PROBES = 20
 
 
 class CollectingEngine(CampaignEngine):
@@ -148,18 +167,24 @@ def timed_pass(args) -> dict:
     if args.trace:
         from tracing import ROOT as ROOT_SPAN, Tracer
         tracer = Tracer()
-    installed = tracer.installed() if tracer else nullcontext()
+    setup_s = READY - args.t0
+    setup_factor = idle_factor([speed_probe() for _ in range(SETUP_PROBES)])
+    clock = StepClock()
+    installed = tracer.installed() if tracer else \
+        clock.installed(STEP_BOUNDARIES)
     with installed:
         root = tracer.span(ROOT_SPAN) if tracer else nullcontext()
-        start = time.perf_counter()
+        clock.start()
         with root:
             engine, texts = run_workload(args.workload, args.seed,
                                          args.cache, tracer)
-        wall = time.perf_counter() - start
+        clock.finish()
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     result = {
-        "setup_s": READY - args.t0,
-        "wall_s": wall,
+        "setup_s": setup_s,
+        "setup_idle_s": setup_s * setup_factor,
+        "wall_s": sum(clock.steps),
+        "idle_s": clock.idle_seconds(),
         "peak_rss_mb": peak_kb / 1024.0,
         "jobs": len(engine.collected),
         "executed": engine.executed,

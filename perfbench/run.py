@@ -12,19 +12,23 @@ be steady on a shared host.  Every pass runs in a fresh interpreter
 (``passes.py``) on the serial campaign engine, so no per-process memo
 carries over from one pass into the next.
 
-``--trace 0`` repeats rounds of one cold pass over a new cache directory
-and warm passes over the filled one (for a third of the cold pass's
-time, at least one) for about ``--seconds``.  It reports the median
-cold pass, the fastest warm pass and the fastest set-up (printing the
-pass counts, medians and minima of all three), and the median peak RSS
-of the cold passes.
+``--trace 0`` runs one round per ``ROUND_SECONDS`` of ``--seconds``
+(at least two): a cold pass over a new cache directory, then
+``WARM_PASSES`` warm passes over the filled one.  The pass count depends
+on ``--seconds`` alone, so two commits measure the same passes over the
+same fault sets however fast each one is.  It reports the median cold
+pass, the median warm pass, the median set-up of all passes and the
+median peak RSS of the cold passes.  Times are wall times scaled to an
+idle host (``hostclock.py``): other tenants of a shared host slow a
+pass down by up to 1.8x for minutes at a time, more than any median
+over one run irons out.  The plain wall times are printed beside them.
 ``--trace 1`` runs one untraced cold pass, then one traced cold and one
 traced warm pass, and reports the per-layer metrics.
 
-Round ``r`` of a coverage run uses campaign seed
-``rotation[(N + r) % len(rotation)]`` of ``expected.json`` for
-``--seed N`` (``vet.py`` chose those seeds and recorded their digests),
-so a run's median covers several fault sets; ``--campaign-seed`` pins
+Round ``r`` of a coverage run uses campaign seed ``(N + r) % seeds`` for
+``--seed N``, where ``expected.json`` records the digests of campaign
+seeds ``0 .. seeds - 1`` and of one held-out seed (``vet.py`` writes
+them), so a run covers several fault sets; ``--campaign-seed`` pins
 every round to one campaign seed, such as the held-out one.  The
 figures have no random inputs and ignore the seed.
 
@@ -61,9 +65,10 @@ WORK = ROOT / ".perfbench"
 WORKLOADS = ("figures", "coverage-detection", "coverage-lockstep")
 COVERAGE = WORKLOADS[1:]
 
-#: warm passes of a round run for this share of its cold pass's time (a
-#: warm pass is short, so a round takes several)
-WARM_SHARE = 1 / 3
+#: a run holds one round per this many seconds of ``--seconds`` (a
+#: coverage round takes 6-10 s on a shared 2-core host)
+ROUND_SECONDS = 9
+WARM_PASSES = 2
 MIN_ROUNDS = 2
 #: no pass may still run this long after the benchmark started
 HARD_LIMIT_S = 170.0
@@ -151,8 +156,9 @@ class Run:
         except PassFailed as error:
             self.fail(f"{label} pass: {error}", self.jobs)
             return None
-        print(f"{label} (seed {seed}): wall {result['wall_s']:.3f} s, "
-              f"set-up {result['setup_s']:.3f} s, peak RSS "
+        print(f"{label} (seed {seed}): wall {result['wall_s']:.3f} s "
+              f"({result['idle_s']:.3f} s idle), set-up "
+              f"{result['setup_s']:.3f} s, peak RSS "
               f"{result['peak_rss_mb']:.1f} MB, {result['jobs']} jobs "
               f"({result['executed']} executed), digest "
               f"{result['digest'][:16]}, outcomes {result['outcomes']}")
@@ -205,56 +211,41 @@ class Run:
                       "expected.json")
 
 
-def run_untraced(run: Run, seconds: int, seed_of) -> dict:
-    """Rounds of (cold, warm...) for about ``seconds``; round ``r`` runs
-    campaign seed ``seed_of(r)``."""
+def run_untraced(run: Run, rounds: int, seed_of) -> dict:
+    """``rounds`` rounds of one cold and ``WARM_PASSES`` warm passes;
+    round ``r`` runs campaign seed ``seed_of(r)``."""
     colds, warms = [], []
-    started = time.monotonic()
     cache = None
-    while True:
-        elapsed = time.monotonic() - started
-        per_round = elapsed / len(colds) if colds else 0.0
-        if len(colds) >= MIN_ROUNDS and elapsed + per_round > seconds:
-            break
-        index = len(colds)
-        if cache is not None:
-            shutil.rmtree(cache)
-        cache = run.cache_dir(f"round{index}")
-        round_start = time.monotonic()
+    for index in range(rounds):
+        cache = run.cache_dir("round")
         cold = run.timed(f"cold {index}", seed_of(index), cache)
         if cold is None:
-            break
+            return {}
         colds.append(cold)
-        cold_time = time.monotonic() - round_start
-        warm_start = time.monotonic()
-        while True:
-            warm = run.timed(f"warm {index}.{len(warms)}", seed_of(index),
-                             cache)
+        for number in range(WARM_PASSES):
+            warm = run.timed(f"warm {index}.{number}", seed_of(index), cache)
             if warm is None:
-                break
+                return {}
             warms.append(warm)
-            if time.monotonic() - warm_start >= WARM_SHARE * cold_time:
-                break
-    if colds:
-        run.reference(seed_of(len(colds) - 1), cache)
-    if not colds or not warms:
-        return {}
-    samples = {"setup_s": [r["setup_s"] for r in colds + warms],
-               "cold_s": [r["wall_s"] for r in colds],
-               "warm_s": [r["wall_s"] for r in warms]}
+    run.reference(seed_of(rounds - 1), cache)
+
+    samples = {"setup_s": [r["setup_idle_s"] for r in colds + warms],
+               "cold_s": [r["idle_s"] for r in colds],
+               "warm_s": [r["idle_s"] for r in warms]}
+    walls = {"setup_s": [r["setup_s"] for r in colds + warms],
+             "cold_s": [r["wall_s"] for r in colds],
+             "warm_s": [r["wall_s"] for r in warms]}
     for name, values in samples.items():
+        quartiles = statistics.quantiles(values, n=4)
         print(f"{name}: {len(values)} passes, median "
-              f"{statistics.median(values):.4f} s, fastest "
-              f"{min(values):.4f} s")
-    # Other tenants of a shared host slow passes down in bursts of a few
-    # seconds.  A warm pass or a set-up lasts well under a second, so
-    # each lands inside one burst or between two, and the fastest is
-    # the steady measure of the program; a cold pass spans several
-    # bursts (and the rounds several fault sets), so its median is.
+              f"{statistics.median(values):.4f} s, quartiles "
+              f"{quartiles[0]:.4f} .. {quartiles[2]:.4f} s scaled to an "
+              f"idle host (wall median {statistics.median(walls[name]):.4f}"
+              " s)")
     return {
-        "setup_s": (min(samples["setup_s"]), "s"),
+        "setup_s": (statistics.median(samples["setup_s"]), "s"),
         "cold_s": (statistics.median(samples["cold_s"]), "s"),
-        "warm_s": (min(samples["warm_s"]), "s"),
+        "warm_s": (statistics.median(samples["warm_s"]), "s"),
         "peak_rss_mb": (statistics.median(r["peak_rss_mb"] for r in colds),
                         "MB"),
     }
@@ -291,6 +282,10 @@ def run_traced(run: Run, seed: int) -> dict:
     layers = dict(cold["layers"])
     for name in WARM_LAYER_METRICS:
         layers[name] = warm["layers"][name]
+    if run.workload != "figures":
+        del layers["harness.figure_self_s"]
+    # self times partition the traced window; what the framing spans
+    # (the pass, execute_job) keep for themselves no layer accounts for
     self_sum = sum(value for name, value in cold["layers"].items()
                    if name.endswith("_s") and name != "trace.unattributed_s")
     faults = sum(run.outcomes.values()) if run.workload in COVERAGE else 0
@@ -313,9 +308,9 @@ def run_traced(run: Run, seed: int) -> dict:
           f"overhead {layers['trace.overhead_s']:+.3f} s")
 
     # each workload must exercise the layers it was chosen for
-    if abs(layers["trace.self_sum_ratio"] - 1.0) > 0.05:
-        run.fail("layer self times are not within 5% of traced cold_s", 0,
-                 attempted=False)
+    if layers["trace.self_sum_ratio"] < 0.95:
+        run.fail("layer self times cover less than 95% of traced cold_s",
+                 0, attempted=False)
     if run.workload in COVERAGE and layers["isa.full_calls"]:
         run.fail(f"{layers['isa.full_calls']} fault runs fell back to full "
                  "execution", 0, attempted=False)
@@ -342,20 +337,21 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     work = WORK / f"run-{os.getpid()}"
     run = Run(args.workload, work)
-    rotation = run.expected["rotation"]
+    seeds = run.expected["seeds"]
 
     def seed_of(round_index: int) -> int:
         if args.campaign_seed is not None:
             return args.campaign_seed
-        return rotation[(args.seed + round_index) % len(rotation)]
+        return (args.seed + round_index) % seeds
 
     try:
         # compile the sources once, outside every measured pass
         subprocess.run([sys.executable, "-c", "import repro.__main__"],
                        cwd=ROOT, env=dict(run.env, PYTHONPATH="src"),
                        check=True, timeout=120)
+        rounds = max(MIN_ROUNDS, args.seconds // ROUND_SECONDS)
         metrics = run_traced(run, seed_of(0)) if args.trace else \
-            run_untraced(run, args.seconds, seed_of)
+            run_untraced(run, rounds, seed_of)
     finally:
         shutil.rmtree(work, ignore_errors=True)
     run.check_digests()

@@ -10,7 +10,11 @@ segment, a job, a cache read...).
 Span names are ``<layer>.<what>``, where the layer is the ``src/repro``
 package whose code runs under the span.  Self time of a span is its
 duration minus the time its direct children cover, so the self times of
-all spans partition the traced window exactly.
+all spans partition the traced window exactly.  Two spans only frame the
+others: the root span of the pass and ``harness.job`` (``execute_job``,
+which dispatches a job to its layers).  Their self time is work that no
+layer span covers, reported as ``trace.unattributed_s``; a layer that
+runs unwrapped inside a job shows up there, not in a layer's self time.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from repro.core.inorder_core import InOrderCoreModel
 from repro.core.ooo_core import OoOCore
 from repro.detection.checker import SegmentChecker
 from repro.harness import campaign
-from repro.harness.campaign import RunCache
+from repro.harness.campaign import JobSpec, RunCache
 from repro.isa.blocks import STATS as BLOCK_STATS
 from repro.schemes import base as schemes_base
 from repro.schemes import detection as schemes_detection
@@ -53,7 +57,9 @@ SELF_TIME_METRICS = {
     "harness.figure": "harness.figure_self_s",
     "harness.grid_build": "harness.grid_build_s",
     "harness.engine": "harness.engine_self_s",
-    "harness.job": "harness.job_self_s",
+    "harness.job_key": "harness.job_key_s",
+    "harness.config_key": "harness.config_key_s",
+    "harness.record": "harness.record_s",
     "harness.cache_get": "harness.cache_get_s",
     "harness.cache_put": "harness.cache_put_s",
     "workloads.trace": "workloads.trace_self_s",
@@ -61,6 +67,7 @@ SELF_TIME_METRICS = {
     "workloads.store_get": "workloads.store_get_s",
     "workloads.store_put": "workloads.store_put_s",
     ROOT: "trace.unattributed_s",
+    "harness.job": "trace.unattributed_s",
 }
 
 #: counts every traced pass reports, zero when the layer never ran
@@ -234,6 +241,9 @@ class Tracer:
 
         self._patch(campaign, "execute_job", "harness.job",
                     job_before, job_after)
+        self._patch(JobSpec, "key", "harness.job_key")
+        self._patch(campaign, "config_fingerprint", "harness.config_key")
+        self._patch(campaign, "record_to_dict", "harness.record")
 
         def cache_get_after(_token, _args, _kwargs, record):
             count["harness.cache_hits" if record is not None

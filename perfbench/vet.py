@@ -1,19 +1,13 @@
-"""Choose the campaign seeds of the benchmark and record their digests.
+"""Record the digests and outcome counts of the benchmark's campaign seeds.
 
-    python3 perfbench/vet.py [--seeds 16] [--first 0]
+    python3 perfbench/vet.py [--seeds 16]
 
-Walks campaign seeds upward from ``--first``.  A seed is excluded when
-one of its coverage faults makes the faulty run longer than
-``RUNAWAY_FACTOR`` times its golden trace: such a run executes (and,
-under detection, is timed row by row) up to the executor's absolute
-instruction cap, which takes minutes and would swamp the simulator's
-typical cost.  The first ``--seeds`` accepted seeds become the rotation
-``run.py`` maps ``--seed`` onto; the next accepted one is the held-out
-seed, kept out of the rotation for checking claims later.
-
-For every accepted seed (and once for the seed-independent figures) a
-cold pass runs in this process and its records digest and outcome counts
-are written into ``expected.json``; the file's other entries are kept.
+``run.py`` maps ``--seed`` onto campaign seeds ``0 .. seeds - 1``; seed
+``seeds`` is the held-out seed, kept out of every run for checking
+claims later.  For each of them (and once for the seed-independent
+figures) a cold pass runs in this process, and its records digest and
+outcome counts are written into ``expected.json``; the file's other
+entries are kept.
 """
 
 from __future__ import annotations
@@ -28,32 +22,9 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
-import passes  # noqa: E402  (puts the sources on the path)
-from repro.detection.faults import FaultInjector  # noqa: E402
-from repro.isa.executor import execute_forked  # noqa: E402
-from repro.service.wire import build_grid  # noqa: E402
-from repro.workloads.suite import benchmark_trace  # noqa: E402
+import passes  # noqa: E402
 
 EXPECTED = HERE / "expected.json"
-RUNAWAY_FACTOR = 4
-
-
-def runaway(seed: int) -> str | None:
-    """The first runaway fault of ``seed``'s detection coverage grid,
-    described.  (Lockstep classification stops executing at the fault,
-    so a runaway costs it nothing.)"""
-    grid, _meta = build_grid(passes.description("coverage-detection", seed))
-    for spec in grid:
-        clean = benchmark_trace(spec.benchmark, spec.scale)
-        cap = RUNAWAY_FACTOR * len(clean)
-        for fault in spec.faults:
-            faulty = execute_forked(clean, FaultInjector([fault]),
-                                    stop_seq=cap)
-            if len(faulty) >= cap:
-                return (f"{spec.benchmark}: {fault.site.value} fault at "
-                        f"seq {fault.seq} bit {fault.bit} runs past "
-                        f"{RUNAWAY_FACTOR}x the golden length")
-    return None
 
 
 def cold_pass(workload: str, seed: int) -> tuple[str, dict]:
@@ -69,21 +40,8 @@ def cold_pass(workload: str, seed: int) -> tuple[str, dict]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=16)
-    parser.add_argument("--first", type=int, default=0)
     args = parser.parse_args(argv)
     (HERE.parent / ".perfbench").mkdir(exist_ok=True)
-
-    accepted: list[int] = []
-    excluded: dict[str, str] = {}
-    seed = args.first
-    while len(accepted) <= args.seeds:
-        reason = runaway(seed)
-        print(f"seed {seed}: {reason or 'accepted'}", flush=True)
-        if reason:
-            excluded[str(seed)] = reason
-        else:
-            accepted.append(seed)
-        seed += 1
 
     digests: dict[str, dict] = {}
     outcomes: dict[str, dict] = {}
@@ -92,7 +50,7 @@ def main(argv: list[str] | None = None) -> int:
     outcomes["figures"] = {"any": counts}
     for workload in passes.COVERAGE:
         digests[workload], outcomes[workload] = {}, {}
-        for seed in accepted:
+        for seed in range(args.seeds + 1):
             digest, counts = cold_pass(workload, seed)
             print(f"{workload} seed {seed}: {digest[:16]} {counts}",
                   flush=True)
@@ -101,9 +59,8 @@ def main(argv: list[str] | None = None) -> int:
 
     data = json.loads(EXPECTED.read_text()) if EXPECTED.exists() else {}
     data.update({
-        "rotation": accepted[:-1],
-        "held_out": accepted[-1],
-        "excluded": excluded,
+        "seeds": args.seeds,
+        "held_out": args.seeds,
         "digests": digests,
         "outcomes": outcomes,
     })
