@@ -21,6 +21,7 @@ from repro.detection.system import (
     DetectionEvent,
     DetectionReport,
     DetectionRunResult,
+    DetectionVerdict,
     ParallelErrorDetection,
     run_unprotected,
     run_with_detection,
@@ -34,6 +35,7 @@ __all__ = [
     "DetectionEvent",
     "DetectionReport",
     "DetectionRunResult",
+    "DetectionVerdict",
     "ErrorKind",
     "EXECUTION_SITES",
     "FaultInjector",

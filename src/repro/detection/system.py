@@ -475,6 +475,28 @@ class DetectionRunResult:
         return self.core.system_cycles
 
 
+@dataclass(frozen=True)
+class DetectionVerdict:
+    """What a fault verdict reads from a detection run, and nothing more.
+
+    ``run_with_detection(..., verdict_only=True)`` returns this instead
+    of a :class:`DetectionRunResult`: its timing may stop before the end
+    of the trace, so it carries no cycle counts or delay statistics that
+    could pass for a complete run's.
+    """
+
+    first_event: DetectionEvent | None
+    first_error_position: tuple[int, int | None] | None
+
+    @property
+    def detected(self) -> bool:
+        return self.first_event is not None
+
+    @classmethod
+    def of(cls, report: DetectionReport) -> "DetectionVerdict":
+        return cls(report.first_event, report.first_error_position())
+
+
 def run_unprotected(trace: Trace, config: SystemConfig) -> CoreResult:
     """Time ``trace`` on a bare main core (the normalisation baseline).
 
@@ -658,15 +680,17 @@ def _splice_cursor(golden: Trace,
 
 def prime_splice_cursor(golden: Trace, config: SystemConfig,
                         fork_seqs) -> None:
-    """Pre-register a batch cell's fork seqs on the cell's shared cursor.
+    """Pre-register batch fork seqs on the cell's shared cursor.
 
-    Called by the detection scheme before draining a fault batch, so the
-    cursor snapshots at each fault's exact fork seq while walking the
+    Called by the detection scheme right before it classifies each
+    spliced run of a batch cell (only those: a fault that never fired is
+    never re-timed), so the cursor snapshots at that run's exact fork
+    seq; the cell is sorted by fork seq, so the cursor still walks the
     golden prefix once.  Seqs the resident cursor has already passed (a
     previous cell drove it further) cost at most one short detached
-    re-timing from the retained interval snapshot below — shared across
-    every fault planned in the same stretch.  Byte-identity is
-    unaffected — any snapshot resumes the same loop from the same state.
+    re-timing from the retained snapshot below — which each later fault
+    in the same stretch resumes from.  Byte-identity is unaffected — any
+    snapshot resumes the same loop from the same state.
     """
     seqs = sorted(fork_seqs)
     if not seqs:
@@ -674,17 +698,56 @@ def prime_splice_cursor(golden: Trace, config: SystemConfig,
     _splice_cursor(golden, config).plan(seqs)
 
 
+#: Rows per ``run_rows`` call while a verdict-only run watches for the
+#: point its verdict is final: the most it can time past that point.
+VERDICT_CHUNK_ROWS = 64
+
+
+def splices(trace: Trace,
+            checkpoint_faults: list[TransientFault] | None = None,
+            checker_faults: list[TransientFault] | None = None,
+            interrupt_seqs: list[int] | None = None) -> bool:
+    """Whether :func:`run_with_detection` times ``trace`` (with these
+    detection-side faults and interrupts) by resuming a golden timing
+    snapshot rather than from row zero."""
+    return (trace.fork_of is not None
+            and timing_splice_enabled()
+            and resolve_timing_mode() != "interval"
+            and not checkpoint_faults
+            and not checker_faults
+            and not interrupt_seqs)
+
+
 def _spliced_detection_run(trace: Trace, config: SystemConfig,
-                           ) -> DetectionRunResult:
+                           verdict_only: bool = False,
+                           ) -> DetectionRunResult | DetectionVerdict:
     """Re-time only the post-fork suffix of a forked faulty trace."""
     cursor = _splice_cursor(trace.fork_of, config)
     core, state, hook = cursor.bundle(trace.fork_seq)
     # rebinding is all ``begin`` does: column refs plus the checker's
     # fork binding (now golden vs faulty, from the faulty trace's seam)
     hook.begin(trace)
-    core.run_rows(trace, hook, state, len(trace))
-    return DetectionRunResult(core=core.finish_run(trace, hook, state),
-                              report=hook.report)
+    total = len(trace)
+    if not verdict_only:
+        core.run_rows(trace, hook, state, total)
+        return DetectionRunResult(core=core.finish_run(trace, hook, state),
+                                  report=hook.report)
+    # Stop once the main core commits at or past the earliest detection
+    # tick recorded so far.  Every later segment closes at or after the
+    # current commit tick, so its checks finish no earlier (and a tie
+    # keeps the event already recorded), and it has a higher index:
+    # neither the first event nor the first error position can change.
+    report = hook.report
+    period = hook.main_period
+    while state.next_row < total:
+        core.run_rows(trace, hook, state,
+                      min(state.next_row + VERDICT_CHUNK_ROWS, total))
+        if (report.events and state.last_commit_cycle * period
+                >= report.first_event.detect_tick):
+            return DetectionVerdict.of(report)
+    # the termination segment can still detect: close the run
+    core.finish_run(trace, hook, state)
+    return DetectionVerdict.of(report)
 
 
 def run_with_detection(
@@ -694,7 +757,8 @@ def run_with_detection(
     checker_faults: list[TransientFault] | None = None,
     interrupt_seqs: list[int] | None = None,
     golden: Trace | None = None,
-) -> DetectionRunResult:
+    verdict_only: bool = False,
+) -> DetectionRunResult | DetectionVerdict:
     """Time ``trace`` on a main core with parallel error detection attached.
 
     Fault injection into the *main core's execution* happens earlier, when
@@ -708,33 +772,33 @@ def run_with_detection(
       golden timing record (``golden``, or the trace's fork parent, or
       the trace itself when it is clean);
     * in cycle mode, a forked faulty trace with no detection-side faults
-      or interrupts resumes a golden timing snapshot at the last splice
-      boundary before its fork seq and re-times only the suffix —
-      byte-identical to the full re-timing below, which remains the path
-      for everything else (and the whole story under
-      ``REPRO_TIMING_SPLICE=0``).
+      or interrupts (see :func:`splices`) resumes a golden timing
+      snapshot at the last splice boundary before its fork seq and
+      re-times only the suffix — byte-identical to the full re-timing
+      below, which remains the path for everything else (and the whole
+      story under ``REPRO_TIMING_SPLICE=0``).
+
+    ``verdict_only=True`` returns a :class:`DetectionVerdict` instead of
+    the full result.  On the spliced path its timing then stops as soon
+    as the main core's commit tick reaches the earliest detection tick
+    recorded, where the verdict is final; an undetected run is timed to
+    the end.  Every other path runs in full and reads its verdict off
+    the complete report, so ``REPRO_TIMING_SPLICE=0`` also turns the
+    early stop off.
     """
-    if resolve_timing_mode() == "interval":
-        hook = ParallelErrorDetection(
-            config, trace.program,
-            checkpoint_faults=checkpoint_faults,
-            checker_faults=checker_faults,
-            interrupt_seqs=interrupt_seqs,
-        )
-        base = timing_record(golden or trace.fork_of or trace, config)
-        core_result = timing_model("interval").drive(trace, config, hook, base)
-        return DetectionRunResult(core=core_result, report=hook.report)
-    if (trace.fork_of is not None
-            and timing_splice_enabled()
-            and not checkpoint_faults
-            and not checker_faults
-            and not interrupt_seqs):
-        return _spliced_detection_run(trace, config)
+    if splices(trace, checkpoint_faults, checker_faults, interrupt_seqs):
+        return _spliced_detection_run(trace, config, verdict_only)
     hook = ParallelErrorDetection(
         config, trace.program,
         checkpoint_faults=checkpoint_faults,
         checker_faults=checker_faults,
         interrupt_seqs=interrupt_seqs,
     )
-    core_result = OoOCore(config).run(trace, hook=hook)
+    if resolve_timing_mode() == "interval":
+        base = timing_record(golden or trace.fork_of or trace, config)
+        core_result = timing_model("interval").drive(trace, config, hook, base)
+    else:
+        core_result = OoOCore(config).run(trace, hook=hook)
+    if verdict_only:
+        return DetectionVerdict.of(hook.report)
     return DetectionRunResult(core=core_result, report=hook.report)

@@ -956,7 +956,10 @@ def _commit_loop(machine: Machine, fault_injector, max_instructions: int,
 
     ``stop_seq`` ends commitment (without halting or crashing) once
     ``seq`` reaches it — for callers like activation-only fault
-    verdicts that provably never read the trace past that point.
+    verdicts that provably never read the trace past that point, and
+    for :func:`execute_forked`, which pauses at the injector's inert
+    point and then either splices the golden tail or calls the loop
+    again to resume from the same ``seq`` and counters.
 
     When the block-compiled fast path is enabled (see
     :mod:`repro.isa.blocks`), whole basic blocks commit through one
@@ -1477,6 +1480,25 @@ def _column_slice(col, stop: int, typecode: str) -> array:
     return out
 
 
+def _extend_golden_tail(golden: Trace, seq: int, columns: tuple) -> None:
+    """Append ``golden``'s rows ``[seq, end)`` to a faulty run's columns,
+    whose first ``seq`` rows equal the golden ones.  Each numeric column
+    is one bulk copy, from an ``array`` or a memory-mapped view alike;
+    writeback rows are immutable tuples and are shared."""
+    pcs, dsts_col, takens, mem_off, mem_kind, mem_addr, mem_value, \
+        mem_used = columns
+    entry = golden.mem_off[seq]
+    for out, col, start in ((pcs, golden.pcs, seq),
+                            (takens, golden.takens, seq),
+                            (mem_off, golden.mem_off, seq + 1),
+                            (mem_kind, golden.mem_kind, entry),
+                            (mem_addr, golden.mem_addr, entry),
+                            (mem_value, golden.mem_value, entry),
+                            (mem_used, golden.mem_used, entry)):
+        out.frombytes(memoryview(col)[start:].cast("B"))
+    dsts_col.extend(golden.dsts[seq:])
+
+
 def execute_forked(
     golden: Trace,
     fault_injector=None,
@@ -1502,9 +1524,18 @@ def execute_forked(
     a batch job's shared :class:`ForkCursor` — and must be semantically
     identical to it; the default is :func:`fork_state` itself.
 
+    Live execution runs only up to the injector's inert point, the seq
+    after :meth:`~repro.detection.faults.FaultInjector.last_execution_seq`.
+    If no fault has fired by then, the machine is in the golden state
+    there, so the rest of the run is the golden tail: its columns, final
+    registers, a copy of its final memory image and its counts are
+    spliced instead of executed.  Otherwise execution resumes to the
+    end.  Either way the trace is the one a full execution commits.
+
     ``stop_seq`` ends live execution once that seq commits, for callers
     whose verdict provably never reads the trace past it (activation-only
-    schemes); the returned trace is then truncated and un-halted.
+    schemes, which stop at the inert point themselves); the returned
+    trace is then truncated and un-halted, and no tail is spliced.
     """
     if not golden.halted or golden.crashed:
         raise ExecutionError(
@@ -1515,6 +1546,11 @@ def execute_forked(
         fork_seq = (fault_injector.fork_seq(total)
                     if fault_injector is not None else total)
     fork_seq = min(max(fork_seq, 0), total)
+    inert = None
+    if fault_injector is not None and stop_seq is None:
+        last = fault_injector.last_execution_seq()
+        if last is not None:
+            inert = max(last + 1, fork_seq)
 
     state = (state_source if state_source is not None
              else fork_state)(golden, fork_seq)
@@ -1535,13 +1571,38 @@ def execute_forked(
     mem_addr = _column_slice(golden.mem_addr, entries, "Q")
     mem_value = _column_slice(golden.mem_value, entries, "Q")
     mem_used = _column_slice(golden.mem_used, entries, "Q")
+    columns = (pcs, dsts_col, takens,
+               mem_off, mem_kind, mem_addr, mem_value, mem_used)
 
-    uops, loads, stores, crashed = _commit_loop(
-        machine, fault_injector, max_instructions,
-        pcs, dsts_col, takens,
-        mem_off, mem_kind, mem_addr, mem_value, mem_used,
-        seq=fork_seq, uops=state.uops, loads=state.loads,
-        stores=state.stores, stop_seq=stop_seq)
+    uops, loads, stores = state.uops, state.loads, state.stores
+    crashed = golden_tail = False
+    if inert is not None:
+        uops, loads, stores, crashed = _commit_loop(
+            machine, fault_injector, max_instructions, *columns,
+            seq=fork_seq, uops=uops, loads=loads, stores=stores,
+            stop_seq=inert)
+        # still running, the loop stopped at the inert point; a run the
+        # injector left unperturbed up to there is in the golden state
+        # (and a full run under the same instruction cap would complete
+        # like the golden one did)
+        golden_tail = (not machine.halted and not crashed
+                       and not fault_injector.activations
+                       and total <= max_instructions)
+    if golden_tail:
+        _extend_golden_tail(golden, inert, columns)
+        final_pc = golden.final_next_pc
+        xregs, fregs = golden.final_xregs, golden.final_fregs
+        memory, halted = golden.memory.copy(), True
+        uops, loads, stores = (golden.uop_count, golden.load_count,
+                               golden.store_count)
+    else:
+        if not crashed:
+            uops, loads, stores, crashed = _commit_loop(
+                machine, fault_injector, max_instructions, *columns,
+                seq=len(pcs), uops=uops, loads=loads, stores=stores,
+                stop_seq=stop_seq)
+        final_pc, xregs, fregs = machine.pc, machine.xregs, machine.fregs
+        memory, halted = state.memory, machine.halted
 
     trace = Trace(
         program,
@@ -1553,11 +1614,11 @@ def execute_forked(
         mem_addr=mem_addr,
         mem_value=mem_value,
         mem_used=mem_used,
-        final_next_pc=machine.pc,
-        final_xregs=list(machine.xregs),
-        final_fregs=list(machine.fregs),
-        memory=state.memory,
-        halted=machine.halted,
+        final_next_pc=final_pc,
+        final_xregs=list(xregs),
+        final_fregs=list(fregs),
+        memory=memory,
+        halted=halted,
         uop_count=uops,
         load_count=loads,
         store_count=stores,

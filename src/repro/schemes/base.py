@@ -165,7 +165,9 @@ class ProtectionScheme(abc.ABC):
     #: divergence at the comparator, long before the program ends — set
     #: this False, and injection stops executing once the last fault has
     #: had its chance to strike: the discarded suffix cannot change the
-    #: verdict, so the records stay byte-identical.
+    #: verdict, so the records stay byte-identical.  Schemes that keep
+    #: it True still skip the suffix of a fault that never fired: the
+    #: fork path splices the golden tail there (see ``execute_forked``).
     verdict_needs_outcome: bool = True
 
     def _stop_seq(self, injector: FaultInjector) -> int | None:
@@ -182,13 +184,15 @@ class ProtectionScheme(abc.ABC):
         """Produce the faulty committed trace for one injection trial.
 
         Uses the fork-point path — state reconstructed at the earliest
-        fault, golden prefix spliced, live execution only from there —
-        when the scheme supports it and :data:`FORK_INJECTION_ENV` does
-        not veto it; otherwise a full re-execution.  Both paths return
-        byte-identical traces and activation lists, so which one ran is
-        unobservable in any record.  Schemes whose verdict never reads
-        the outcome additionally stop right after the last fault seq
-        (again on both paths, so the identity between them holds).
+        fault, golden prefix spliced, live execution only from there,
+        and the golden tail spliced too when no fault fired before the
+        injector went inert — when the scheme supports it and
+        :data:`FORK_INJECTION_ENV` does not veto it; otherwise a full
+        re-execution.  Both paths return byte-identical traces and
+        activation lists, so which one ran is unobservable in any
+        record.  Schemes whose verdict never reads the outcome
+        additionally stop right after the last fault seq (again on both
+        paths, so the identity between them holds).
         """
         injector = FaultInjector([fault])
         stop_seq = self._stop_seq(injector)
@@ -219,13 +223,16 @@ class ProtectionScheme(abc.ABC):
         """Classify a whole grid cell of faults against one golden trace.
 
         The batch path amortises fork-state reconstruction: faults are
-        evaluated in fork-seq order through one :class:`ForkCursor`, so
+        executed in fork-seq order through one :class:`ForkCursor`, so
         the golden columns are replayed once *total* (each row at most
-        once across the whole cell) instead of once per fault.  Verdicts
-        come back in the caller's fault order and are byte-identical to
-        ``[self.inject(trace, ...) for each fault]`` — the cursor is the
-        same pure function of (golden, fork_seq) that ``fork_state``
-        computes, and classification is shared code.
+        once across the whole cell) instead of once per fault.  Each
+        fault is classified as soon as it has executed, after
+        :meth:`plan_retiming` has seen it, and its trace dropped, so a
+        cell holds one faulty trace at a time whatever its size.
+        Verdicts come back in the caller's fault order and are
+        byte-identical to ``[self.inject(trace, ...) for each fault]`` —
+        the cursor is the same pure function of (golden, fork_seq) that
+        ``fork_state`` computes, and classification is shared code.
         """
         faults = list(faults)
         if not (self.supports_fork_injection and fork_injection_enabled()):
@@ -242,9 +249,20 @@ class ProtectionScheme(abc.ABC):
             faulty = execute_forked(trace, injector,
                                     state_source=cursor.state,
                                     stop_seq=self._stop_seq(injector))
+            self.plan_retiming(trace, config, faults[i], injector, faulty,
+                               interrupt_seqs)
             verdicts[i] = self.classify(trace, config, faults[i], injector,
                                         faulty, interrupt_seqs)
         return verdicts
+
+    def plan_retiming(self, clean: Trace, config: SystemConfig,
+                      fault: TransientFault, injector: FaultInjector,
+                      faulty: Trace,
+                      interrupt_seqs: tuple[int, ...] = ()) -> None:
+        """Called by :meth:`inject_batch` with each executed fault, in
+        fork-seq order, right before :meth:`classify` sees it: a scheme
+        that re-times faulty runs may schedule that timing here.  Pure
+        scheduling: the verdicts must not depend on it."""
 
     @abc.abstractmethod
     def classify(self, clean: Trace, config: SystemConfig,

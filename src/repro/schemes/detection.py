@@ -14,10 +14,9 @@ from repro.analysis.area import area_model
 from repro.analysis.power import energy_overhead_per_run, power_model
 from repro.common.config import SystemConfig
 from repro.common.time import ticks_to_us
-from repro.core.timing import resolve_timing_mode, timing_splice_enabled
 from repro.detection.faults import (
+    EXECUTION_SITES,
     FaultInjector,
-    FaultSite,
     TransientFault,
     system_faults,
 )
@@ -25,6 +24,7 @@ from repro.detection.system import (
     prime_splice_cursor,
     run_unprotected,
     run_with_detection,
+    splices,
 )
 from repro.isa.executor import Trace
 from repro.schemes.base import (
@@ -33,9 +33,24 @@ from repro.schemes.base import (
     SchemeSummary,
     SchemeTiming,
     architecturally_masked,
-    fork_injection_enabled,
 )
 from repro.schemes.registry import register_scheme
+
+
+def _hook_faults(fault: TransientFault,
+                 interrupt_seqs: tuple[int, ...]) -> dict:
+    """The detection-side arguments of one trial's detection run."""
+    side = system_faults([fault])
+    return {"checkpoint_faults": side["checkpoint"] or None,
+            "checker_faults": side["checker"] or None,
+            "interrupt_seqs": list(interrupt_seqs) or None}
+
+
+def _activated(fault: TransientFault, injector: FaultInjector) -> bool:
+    """Whether a trial must go through the detection pipeline: its fault
+    fired, or sits on the detection side (a checkpoint or checker fault
+    never touches the main core's execution, so never fires there)."""
+    return bool(injector.activations) or fault.site not in EXECUTION_SITES
 
 
 @register_scheme("detection")
@@ -65,56 +80,38 @@ class ParallelDetectionScheme(ProtectionScheme):
             detection_latency_ns=result.report.mean_delay_ns(),
         )
 
-    def inject_batch(self, trace: Trace, config: SystemConfig,
-                     faults: tuple[TransientFault, ...],
-                     interrupt_seqs: tuple[int, ...] = (),
-                     ) -> list[FaultVerdict]:
-        """Drain a cell with the timing-splice cursor pre-scheduled.
-
-        The base batch path already sorts faults by fork seq; telling the
-        cell's shared cursor those seqs up front lets it snapshot the
-        golden timed prefix at each fault's *exact* boundary during its
-        single monotone walk, so classification resumes each faulty run
-        with zero golden re-timing.  Pure scheduling — every verdict and
-        record stays byte-identical to per-fault injection.
-        """
-        if (self.supports_fork_injection and fork_injection_enabled()
-                and timing_splice_enabled()
-                and resolve_timing_mode() != "interval"
-                and not interrupt_seqs):
-            total = len(trace)
-            seqs = [
-                FaultInjector([fault]).fork_seq(total) for fault in faults
-                if fault.site not in (FaultSite.CHECKPOINT,
-                                      FaultSite.CHECKER)
-            ]
-            if seqs:
-                prime_splice_cursor(trace, config, seqs)
-        return super().inject_batch(trace, config, faults, interrupt_seqs)
+    def plan_retiming(self, clean: Trace, config: SystemConfig,
+                      fault: TransientFault, injector: FaultInjector,
+                      faulty: Trace,
+                      interrupt_seqs: tuple[int, ...] = ()) -> None:
+        """Pre-register a spliced run's fork seq on the cell's shared
+        timing-splice cursor, so the cursor's one monotone walk over the
+        fork-seq-sorted cell snapshots the golden timed prefix at that
+        *exact* seq and classification resumes the faulty run with zero
+        golden re-timing.  A fault that never fired is never re-timed
+        and plans no snapshot.  Pure scheduling: every verdict and
+        record stays byte-identical to per-fault injection."""
+        if (_activated(fault, injector)
+                and splices(faulty, **_hook_faults(fault, interrupt_seqs))):
+            prime_splice_cursor(clean, config, [faulty.fork_seq])
 
     def classify(self, clean: Trace, config: SystemConfig,
                  fault: TransientFault, injector, faulty: Trace,
                  interrupt_seqs: tuple[int, ...] = ()) -> FaultVerdict:
-        detection_side = fault.site in (FaultSite.CHECKPOINT,
-                                        FaultSite.CHECKER)
-        activated = bool(injector.activations) or detection_side
-        if not activated:
+        if not _activated(fault, injector):
             return FaultVerdict(activated=False, outcome="not_activated")
 
-        side = system_faults([fault])
         # `golden=clean` anchors the interval model's base timing curve to
         # the clean trace, so interval verdicts are identical whether the
         # faulty trace came from the fork path (fork_of set) or a full
-        # re-execution (fork_of None)
-        run = run_with_detection(
-            faulty, config,
-            checkpoint_faults=side["checkpoint"] or None,
-            checker_faults=side["checker"] or None,
-            interrupt_seqs=list(interrupt_seqs) or None,
-            golden=clean)
-        if run.report.detected:
-            event = run.report.first_event
-            segment, entry = run.report.first_error_position()
+        # re-execution (fork_of None); `verdict_only` lets the timing
+        # stop once the verdict can no longer change
+        detection = run_with_detection(
+            faulty, config, golden=clean, verdict_only=True,
+            **_hook_faults(fault, interrupt_seqs))
+        if detection.detected:
+            event = detection.first_event
+            segment, entry = detection.first_error_position
             return FaultVerdict(
                 activated=True, outcome="detected",
                 detect_latency_us=ticks_to_us(

@@ -311,6 +311,7 @@ class CampaignService:
     async def _run_campaign(self, entry: CampaignEntry) -> None:
         entry.state = "running"
         entry.started_seq = next(self._start_seq)
+        entry.drain = None
         try:
             entry.drain = await asyncio.to_thread(self._drain_entry, entry)
         except Exception as err:  # noqa: BLE001 — one bad campaign must
@@ -354,7 +355,14 @@ class CampaignService:
 
     @staticmethod
     def _refresh_state(entry: CampaignEntry, status: dict) -> None:
-        """Fold live manifest truth back into the service state."""
+        """Fold live manifest truth back into the service state.
+
+        A campaign stays ``running`` while its drain is in flight, even
+        once the manifest reads complete: the drain loop settles it when
+        the drain returns, so no status shows it complete without the
+        drain's stats."""
+        if entry.state == "running" and entry.drain is None:
+            return
         states = status["states"]
         if status["complete"]:
             entry.state = "complete"

@@ -5,9 +5,19 @@ from __future__ import annotations
 import pytest
 
 from repro.common.config import default_config
-from repro.isa.executor import execute_program
+from repro.common.records import canonical_json
+from repro.core.timing import TIMING_SPLICE_ENV
+from repro.detection.faults import FaultSite, TransientFault
+from repro.isa.blocks import BLOCK_EXEC_ENV
+from repro.isa.executor import LOAD, Trace, execute_program
 from repro.isa.instructions import Opcode
 from repro.isa.program import Program, ProgramBuilder
+from repro.schemes.base import FORK_INJECTION_ENV
+from repro.workloads.suite import benchmark_trace
+
+#: Every fast-path kill switch set: the reference path.
+REFERENCE_PATH_ENV = {FORK_INJECTION_ENV: "0", TIMING_SPLICE_ENV: "0",
+                      BLOCK_EXEC_ENV: "0"}
 
 
 def build_rmw_loop(iterations: int = 400, array_words: int = 64,
@@ -80,3 +90,47 @@ def alu_program():
 @pytest.fixture(scope="session")
 def alu_trace(alu_program):
     return execute_program(alu_program)
+
+
+#: An activated fault (workload, fault) the detection scheme classifies
+#: as masked: nothing it changed is architecturally visible at the end.
+MASKED_FAULT = ("bitcount", TransientFault(FaultSite.RESULT, seq=7482,
+                                           bit=37))
+
+
+def mid_trace_faults(benchmark: str) -> tuple[TransientFault, ...]:
+    """Faults in the middle of a suite workload's small-scale trace, at
+    sites that mostly fire: a detected one leaves many rows after the
+    point where its verdict is final."""
+    n = len(benchmark_trace(benchmark, "small"))
+    return (TransientFault(FaultSite.RESULT, seq=n // 2, bit=4),
+            TransientFault(FaultSite.STORE_VALUE, seq=n // 3, bit=9),
+            TransientFault(FaultSite.BRANCH, seq=(2 * n) // 3))
+
+
+def never_firing_faults(golden: Trace, start: int) -> list[TransientFault]:
+    """A LOAD_ADDR fault on a row without a load and a BRANCH fault on a
+    row that is no conditional branch, both at or after ``start``."""
+    off, kinds = golden.mem_off, golden.mem_kind
+    non_load = next(i for i in range(start, len(golden))
+                    if LOAD not in kinds[off[i]:off[i + 1]])
+    non_branch = next(i for i in range(start, len(golden))
+                      if golden.takens[i] == -1)
+    return [TransientFault(FaultSite.LOAD_ADDR, seq=non_load, bit=5),
+            TransientFault(FaultSite.BRANCH, seq=non_branch)]
+
+
+@pytest.fixture()
+def verdict_paths(monkeypatch):
+    """runner(fn) -> canonical JSON of ``fn()`` on three paths: every
+    fast path on, the timing splice off, and the reference path."""
+    def runner(fn):
+        results = []
+        for env in ({}, {TIMING_SPLICE_ENV: "0"}, REFERENCE_PATH_ENV):
+            for name in REFERENCE_PATH_ENV:
+                monkeypatch.delenv(name, raising=False)
+            for name, value in env.items():
+                monkeypatch.setenv(name, value)
+            results.append(canonical_json(fn()))
+        return results
+    return runner

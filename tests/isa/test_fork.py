@@ -8,16 +8,21 @@ must produce exactly the trace a full faulty execution produces.
 
 from __future__ import annotations
 
+from array import array
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.common.errors import ExecutionError
 from repro.detection.faults import (
+    EXECUTION_SITES,
     FaultInjector,
     FaultSite,
     HardFault,
     TransientFault,
     earliest_fault_seq,
 )
+from repro.isa.blocks import STATS
 from repro.isa.executor import (
     Keyframes,
     Machine,
@@ -30,9 +35,17 @@ from repro.isa.executor import (
 from repro.isa.instructions import Opcode
 from repro.isa.memory_image import float_to_bits
 from repro.isa.program import ProgramBuilder
-from repro.workloads.suite import BENCHMARK_ORDER, benchmark_trace
+from repro.workloads.suite import (
+    BENCHMARK_ORDER,
+    benchmark_trace,
+    build_benchmark,
+)
+from repro.workloads.trace_store import TraceStore
 
-from tests.conftest import build_rmw_loop
+from tests.conftest import build_rmw_loop, never_firing_faults
+from tests.isa.test_block_property import build_program, program_draw
+
+FAULT_SITES = sorted(EXECUTION_SITES, key=lambda site: site.value)
 
 
 def machine_after(program, steps: int) -> Machine:
@@ -140,6 +153,19 @@ class TestForkSeq:
         assert FaultInjector(faults).fork_seq(100) == 100
 
 
+#: Trace fields holding mutable containers (columns, final registers,
+#: the memory image): a forked trace must own every one of them.
+MUTABLE_TRACE_FIELDS = ("pcs", "dsts", "takens", "mem_off", "mem_kind",
+                        "mem_addr", "mem_value", "mem_used", "final_xregs",
+                        "final_fregs", "memory")
+
+
+def assert_owns_its_state(faulty: Trace, golden: Trace) -> None:
+    for name in MUTABLE_TRACE_FIELDS:
+        assert getattr(faulty, name) is not getattr(golden, name), name
+    assert faulty.memory._words is not golden.memory._words
+
+
 class TestExecuteForked:
     def _assert_identical(self, program_or_trace, faults, **kwargs):
         golden = (program_or_trace if isinstance(program_or_trace, Trace)
@@ -152,7 +178,80 @@ class TestExecuteForked:
         assert full.to_payload() == forked.to_payload()
         assert full_inj.activations == fork_inj.activations
         assert forked.fork_of is golden
+        assert_owns_its_state(forked, golden)
         return forked
+
+    @pytest.mark.parametrize("name", BENCHMARK_ORDER)
+    def test_byte_identical_every_site_uniform_seqs(self, name):
+        """Faults that never fire take the golden-tail splice, the rest
+        resume execution: both must match a full faulty execution."""
+        golden = benchmark_trace(name, "small")
+        n = len(golden)
+        fired = 0
+        for site in FAULT_SITES:
+            for seq in (n // 3, (2 * n) // 3):
+                forked = self._assert_identical(
+                    golden, [TransientFault(site, seq=seq, bit=5)])
+                fired += forked.dsts != golden.dsts
+        assert fired, "some sweep fault must change the trace"
+
+    def test_never_fired_faults_splice_golden_tail(self):
+        golden = benchmark_trace("stream", "small")
+        for fault in never_firing_faults(golden, len(golden) // 2):
+            forked = self._assert_identical(golden, [fault])
+            assert forked.to_payload() == golden.to_payload()
+            assert forked.fork_seq == fault.seq
+
+    def test_never_fired_fault_executes_only_its_own_row(self):
+        """The engage pin: live execution stops at the inert point."""
+        golden = benchmark_trace("freqmine", "small")
+        for fault in never_firing_faults(golden, len(golden) // 3):
+            injector = FaultInjector([fault])
+            before = STATS.total_instrs
+            forked = execute_forked(golden, injector)
+            assert STATS.total_instrs - before == 1
+            assert not injector.activations
+            assert len(forked) == len(golden) and forked.halted
+
+    def test_last_row_and_past_the_end(self):
+        golden = benchmark_trace("randacc", "small")
+        n = len(golden)
+        for site in FAULT_SITES:
+            for seq in (n - 1, n + 5):
+                self._assert_identical(golden,
+                                       [TransientFault(site, seq=seq, bit=2)])
+
+    def test_store_loaded_golden_with_memoryview_columns(self, tmp_path):
+        store = TraceStore(tmp_path)
+        program = build_benchmark("blackscholes", "small")
+        key = store.key("blackscholes", "small", program)
+        store.put(key, execute_program(program))
+        golden = store.get(key, program)
+        assert isinstance(golden.pcs, memoryview)
+        n = len(golden)
+        faults = never_firing_faults(golden, n // 2) + [
+            TransientFault(FaultSite.RESULT, seq=n // 2, bit=7),
+            TransientFault(FaultSite.STORE_VALUE, seq=n // 4, bit=3)]
+        for fault in faults:
+            forked = self._assert_identical(golden, [fault])
+            assert isinstance(forked.pcs, array)
+            assert isinstance(forked.mem_addr, array)
+
+    @settings(max_examples=60, deadline=None)
+    @given(program_draw, st.sampled_from(FAULT_SITES),
+           st.floats(min_value=0.0, max_value=1.2),
+           st.integers(min_value=0, max_value=63))
+    def test_byte_identical_on_random_programs(self, draw, site, where, bit):
+        """Random programs (loops, traps, nondet, FP): whichever way a
+        fault ends — never fired, fired and resumed, trapped or ran
+        away — the forked run matches the full one."""
+        try:
+            golden = execute_program(build_program(draw),
+                                     max_instructions=2000)
+        except ExecutionError:
+            assume(False)  # the clean program itself traps: no golden
+        fault = TransientFault(site, seq=int(where * len(golden)), bit=bit)
+        self._assert_identical(golden, [fault], max_instructions=2000)
 
     @pytest.mark.parametrize("name", BENCHMARK_ORDER)
     def test_byte_identical_late_result_fault_all_workloads(self, name):

@@ -6,9 +6,11 @@ Three contracts pinned here:
   run-state, hook) bundle through explicit ``snapshot()/restore()``
   methods instead of ``copy.deepcopy``; a fork resumed to completion
   must match the deepcopy fork field for field, report for report.
-* **Batch scheduling** — a detection fault-batch cell pre-registers its
-  sorted fork seqs on the cell's shared timing-splice cursor
-  (:func:`prime_splice_cursor`), which snapshots at each *exact* seq;
+* **Batch scheduling** — a detection fault-batch cell classifies each
+  fault, in fork-seq order, as soon as it has executed; a fault that
+  fired first has its fork seq pre-registered on the cell's shared
+  timing-splice cursor (:func:`prime_splice_cursor`), which snapshots
+  at that *exact* seq;
   the cursor registry is a capped LRU (``REPRO_SPLICE_CURSORS``) and
   retained planned snapshots are bounded.  None of it may be visible in
   records: batch equals per-job under every kill-switch combination,
@@ -20,6 +22,7 @@ Three contracts pinned here:
 from __future__ import annotations
 
 import copy
+import json
 
 import pytest
 
@@ -27,13 +30,19 @@ from repro.common.config import default_config
 from repro.common.records import canonical_json
 from repro.core.ooo_core import OoOCore
 from repro.core.timing import TIMING_SPLICE_ENV
-from repro.detection.faults import FaultSite, TransientFault
+from repro.detection.faults import (
+    EXECUTION_SITES,
+    FaultInjector,
+    FaultSite,
+    TransientFault,
+)
 from repro.detection.system import (
     _SPLICE_CURSORS,
     SPLICE_CURSOR_ENV,
     SPLICE_PLANNED_SNAPSHOT_CAP,
     ParallelErrorDetection,
     _splice_cursor,
+    _TimingSpliceCursor,
     prime_splice_cursor,
     splice_cursor_cap,
 )
@@ -41,6 +50,7 @@ from repro.harness.campaign import JobSpec, execute_job, fault_batch_grid
 from repro.harness.manifest import CampaignManifest
 from repro.harness.orchestrator import CampaignWorker, collect
 from repro.isa.blocks import BLOCK_EXEC_ENV
+from repro.schemes import base as schemes_base
 from repro.schemes import get_scheme, scheme_names
 from repro.schemes.base import FORK_INJECTION_ENV
 from repro.schemes.detection import ParallelDetectionScheme
@@ -49,6 +59,12 @@ from repro.workloads.suite import (
     BENCHMARK_ORDER,
     benchmark_trace,
     configure_trace_store,
+)
+
+from tests.conftest import (
+    MASKED_FAULT,
+    mid_trace_faults,
+    never_firing_faults,
 )
 
 
@@ -291,6 +307,74 @@ class TestDetectionBatchKillSwitches:
             configure_trace_store(None)
         assert stats.executed == 1 and stats.failed == 0
         assert merged.records_json() == canonical_json([serial])
+
+
+class TestBatchVerdictIdentity:
+    """Batch cells classify never-fired faults as they execute and stop
+    timing detected ones early: records stay byte-identical."""
+
+    @pytest.mark.parametrize("workload", BENCHMARK_ORDER)
+    def test_mid_trace_cell_byte_identical(self, workload, verdict_paths):
+        golden = benchmark_trace(workload, "small")
+        faults = mid_trace_faults(workload) + tuple(
+            never_firing_faults(golden, len(golden) // 4))
+        spec = JobSpec("fault-batch", workload, "small", faults=faults,
+                       scheme="detection")
+        fast, unspliced, reference = verdict_paths(lambda: execute_job(spec))
+        assert fast == unspliced == reference
+        outcomes = [r["outcome"] for r in json.loads(fast)["records"]]
+        assert "detected" in outcomes and "not_activated" in outcomes
+
+    def test_masked_and_detected_cell_matches_per_job(self, monkeypatch):
+        monkeypatch.setenv(FORK_INJECTION_ENV, "1")
+        workload, masked = MASKED_FAULT
+        faults = (masked, mid_trace_faults(workload)[0])
+        spec = JobSpec("fault-batch", workload, "small", faults=faults,
+                       scheme="detection")
+        records = execute_job(spec)["records"]
+        assert [r["outcome"] for r in records] == ["masked", "detected"]
+        assert canonical_json(list(records)) == canonical_json(
+            TestDetectionBatchKillSwitches.per_job_records(spec))
+
+    def test_plans_snapshots_only_for_spliced_faults(self, cursor_registry,
+                                                    monkeypatch):
+        """Only faults that fired (and so are re-timed through the
+        splice) get an exact snapshot, each planned right before its own
+        classification; never-fired and checker-side faults plan none.
+        Every fault is classified before the next one executes."""
+        monkeypatch.setenv(FORK_INJECTION_ENV, "1")
+        monkeypatch.setenv(TIMING_SPLICE_ENV, "1")
+        golden = benchmark_trace("stream", "small")
+        faults = (detection_cell().faults + mid_trace_faults("stream")
+                  + tuple(never_firing_faults(golden, len(golden) // 3)))
+        scheme = get_scheme("detection")
+        events = []
+
+        def spy(owner, name, event):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                events.append(event(*args))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        spy(_TimingSpliceCursor, "plan", lambda _, seqs: ("plan", list(seqs)))
+        spy(scheme, "classify", lambda *args: ("classify", args[2]))
+        spy(schemes_base, "execute_forked",
+            lambda _, injector: ("execute", injector.faults[0]))
+        verdicts = scheme.inject_batch(golden, default_config(), faults)
+        fired = {fault for fault, verdict in zip(faults, verdicts)
+                 if verdict.activated and fault.site in EXECUTION_SITES}
+        expected = []
+        for fault in sorted(faults, key=lambda f: FaultInjector(
+                [f]).fork_seq(len(golden))):
+            expected.append(("execute", fault))
+            if fault in fired:
+                expected.append(("plan", [fault.seq]))
+            expected.append(("classify", fault))
+        assert events == expected
+        assert 0 < len(fired) < len(faults)
 
 
 class TestBatchCapability:

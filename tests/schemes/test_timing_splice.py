@@ -5,7 +5,10 @@ that splices the golden prefix's timing and re-times only the post-fork
 suffix must produce records byte-identical to re-timing the whole
 faulty trace — cycles, delay statistics, and coverage verdicts alike —
 over the serial and manifest-worker paths, mirroring the fork/full
-execution identity pins of ``test_fork_injection``.
+execution identity pins of ``test_fork_injection``.  Fault
+classification may also stop timing once its verdict is final
+(``verdict_only``); its verdicts must equal the splice-off and
+reference paths', and it must really stop early.
 
 Interval mode is *not* an identity: it is a calibrated estimator.  Its
 contract is weaker and pinned here too: functional verdicts match the
@@ -14,10 +17,13 @@ cycle model exactly, and detection-latency *orderings* agree.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.common.config import default_config
 from repro.common.records import canonical_json
+from repro.core.ooo_core import OoOCore
 from repro.core.timing import (
     TIMING_MODE_ENV,
     TIMING_SPLICE_ENV,
@@ -25,11 +31,15 @@ from repro.core.timing import (
     timing_splice_enabled,
 )
 from repro.detection.faults import FaultInjector, FaultSite, TransientFault
-from repro.detection.system import _TimingSpliceCursor, run_with_detection
+from repro.detection.system import (
+    DetectionVerdict,
+    _TimingSpliceCursor,
+    run_with_detection,
+)
 from repro.harness.campaign import JobSpec, execute_job, fault_grid
 from repro.harness.manifest import CampaignManifest
 from repro.harness.orchestrator import CampaignWorker, collect
-from repro.isa.executor import execute_forked
+from repro.isa.executor import execute_forked, execute_program
 from repro.schemes import get_scheme, scheme_names
 from repro.schemes.base import FORK_INJECTION_ENV
 from repro.workloads.suite import (
@@ -38,7 +48,14 @@ from repro.workloads.suite import (
     configure_trace_store,
 )
 
+from tests.conftest import MASKED_FAULT, mid_trace_faults
+
 SUITE = tuple(BENCHMARK_ORDER)
+
+#: Two faults in neighbouring segments of ``stream``: both segments
+#: report an error, and the later segment's check finishes first.
+REORDERED_FAULTS = (TransientFault(FaultSite.LOAD_ADDR, seq=2149, bit=24),
+                    TransientFault(FaultSite.RESULT, seq=2179, bit=53))
 
 
 @pytest.fixture()
@@ -231,6 +248,97 @@ class TestSpliceReportIdentity:
                                     checkpoint_faults=[fault],
                                     golden=golden)
         assert result.report.detected
+
+
+def timed_spans(monkeypatch, trace) -> list[tuple[int, int]]:
+    """The ``(first row, stop)`` of every later ``OoOCore.run_rows`` call
+    over ``trace`` (a splice cursor's golden walk is not recorded)."""
+    spans = []
+    original = OoOCore.run_rows
+
+    def spy(self, timed, hook, state, stop, record=None):
+        if timed is trace:
+            spans.append((state.next_row, stop))
+        return original(self, timed, hook, state, stop, record)
+
+    monkeypatch.setattr(OoOCore, "run_rows", spy)
+    return spans
+
+
+class TestVerdictOnlyTiming:
+    """Classification stops timing once its verdict is final: records
+    stay byte-identical to the splice-off and reference paths."""
+
+    @pytest.mark.parametrize("workload", SUITE)
+    def test_mid_trace_fault_jobs_byte_identical(self, workload,
+                                                 verdict_paths):
+        specs = [JobSpec("fault", workload, "small", fault=fault,
+                         scheme="detection")
+                 for fault in mid_trace_faults(workload)]
+        fast, unspliced, reference = verdict_paths(
+            lambda: [execute_job(spec) for spec in specs])
+        assert fast == unspliced == reference
+        assert "detected" in [r["outcome"] for r in json.loads(fast)]
+
+    def test_masked_fault_job_byte_identical(self, verdict_paths):
+        workload, fault = MASKED_FAULT
+        spec = JobSpec("fault", workload, "small", fault=fault,
+                       scheme="detection")
+        fast, unspliced, reference = verdict_paths(lambda: execute_job(spec))
+        assert fast == unspliced == reference
+        assert json.loads(fast)["outcome"] == "masked"
+
+    def test_several_events_later_segment_checked_first(self, splice_modes):
+        """The first error found by tick comes from a segment that closes
+        after another error was recorded: the run must time on until the
+        main core passes the earliest detection tick, not stop at the
+        first event it sees."""
+        golden = benchmark_trace("stream", "small")
+        config = default_config()
+        faulty = execute_forked(golden, FaultInjector(list(REORDERED_FAULTS)))
+        report = run_with_detection(faulty, config, golden=golden).report
+        assert len(report.events) > 1
+        assert report.events[0] is not report.first_event
+        unspliced, spliced = splice_modes(lambda: run_with_detection(
+            faulty, config, golden=golden, verdict_only=True))
+        full = execute_program(golden.program, fault_injector=FaultInjector(
+            list(REORDERED_FAULTS)))
+        reference = run_with_detection(full, config, golden=golden,
+                                       verdict_only=True)
+        assert spliced == unspliced == reference == \
+            DetectionVerdict.of(report)
+
+    def test_detected_fault_stops_timing_early(self, monkeypatch):
+        golden = benchmark_trace("stream", "small")
+        fault = TransientFault(FaultSite.RESULT, seq=len(golden) // 2, bit=4)
+        faulty = execute_forked(golden, FaultInjector([fault]))
+        spans = timed_spans(monkeypatch, faulty)
+        monkeypatch.setenv(TIMING_SPLICE_ENV, "1")
+        verdict = run_with_detection(faulty, default_config(),
+                                     golden=golden, verdict_only=True)
+        assert isinstance(verdict, DetectionVerdict) and verdict.detected
+        # chunks run back to back from the resumed snapshot and stop
+        # well short of the end: fewer rows than the post-fork suffix
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        timed = sum(stop - start for start, stop in spans)
+        assert 0 < timed < len(faulty) - faulty.fork_seq
+        # a run asked for its full result still times to the end
+        spans.clear()
+        result = run_with_detection(faulty, default_config(), golden=golden)
+        assert spans[-1][1] == len(faulty)
+        assert DetectionVerdict.of(result.report) == verdict
+
+    def test_undetected_fault_times_to_the_end(self, monkeypatch):
+        workload, fault = MASKED_FAULT
+        golden = benchmark_trace(workload, "small")
+        faulty = execute_forked(golden, FaultInjector([fault]))
+        spans = timed_spans(monkeypatch, faulty)
+        monkeypatch.setenv(TIMING_SPLICE_ENV, "1")
+        verdict = run_with_detection(faulty, default_config(),
+                                     golden=golden, verdict_only=True)
+        assert not verdict.detected
+        assert spans[0][0] <= faulty.fork_seq
+        assert spans[-1][1] == len(faulty)
 
 
 class TestIntervalMode:

@@ -67,8 +67,7 @@ class LiveService:
         while time.monotonic() < deadline:
             _status, payload, _headers = self.get_json(
                 f"/campaigns/{cid}/status")
-            if payload.get("complete") or \
-                    payload["service"]["state"] == "failed":
+            if payload["service"]["state"] in ("complete", "failed"):
                 return payload
             time.sleep(0.05)
         raise AssertionError(f"campaign {cid[:12]} did not settle "

@@ -7,9 +7,12 @@ of HTTP-served records with on-disk envelopes from a serial run.
 """
 
 import json
+import threading
+import time
 from pathlib import Path
 
 from repro.harness.campaign import CACHE_SCHEMA_VERSION, RunCache
+from repro.harness.orchestrator import CampaignWorker
 from repro.service.server import DIR_PREFIX, SIDECAR_FILE
 
 
@@ -49,6 +52,39 @@ class TestRoundTrip:
         assert envelope["schema"] == CACHE_SCHEMA_VERSION
         assert isinstance(envelope["record"], dict)
         assert headers["ETag"] == RunCache.etag(records[0]["key"])
+
+    def test_stays_running_until_drain_returns(self, live_service,
+                                              monkeypatch):
+        """The manifest reads complete as soon as the last record is
+        written, while the drain is still returning: the campaign must
+        not read complete before its drain stats are in."""
+        release = threading.Event()
+        original = CampaignWorker.run
+
+        def held_run(self, *args, **kwargs):
+            stats = original(self, *args, **kwargs)
+            release.wait(60)
+            return stats
+
+        monkeypatch.setattr(CampaignWorker, "run", held_run)
+        _st, payload = live_service.submit(tiny_desc("bitcount"))
+        cid = payload["campaign"]
+        try:
+            deadline = time.monotonic() + 120
+            while time.monotonic() < deadline:
+                _st, status, _h = live_service.get_json(
+                    f"/campaigns/{cid}/status")
+                if status["complete"]:
+                    break
+                time.sleep(0.02)
+            assert status["complete"]
+            assert status["service"]["state"] == "running"
+            assert status["service"]["drain"] is None
+        finally:
+            release.set()
+        final = live_service.wait_complete(cid)
+        assert final["service"]["state"] == "complete"
+        assert final["service"]["drain"]["executed"] == 1
 
     def test_campaign_listing_and_prefix_resolution(self, live_service):
         _st, payload = live_service.submit(tiny_desc("bitcount"))
