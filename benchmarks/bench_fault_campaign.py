@@ -1,15 +1,18 @@
 """Fault-campaign microbenchmark: fork-point injection throughput.
 
 Measures **fault jobs per second** through the real campaign execution
-entry point (:func:`repro.harness.campaign.execute_job`) for the two
-ways a fault job can produce its faulty trace:
+entry point (:func:`repro.harness.campaign.execute_job`).  Every fault
+runs down one path, ``ProtectionScheme.inject_batch``: a ``fault`` job
+is a cell of one fault.  Three ways of running the same faults are
+timed:
 
 * ``full`` — the pre-fork-path behaviour: re-execute the whole program
   with the fault injector attached (``REPRO_FORK_INJECTION=0``);
-* ``forked`` — the fork-point path: reconstruct state at the earliest
-  fault from the golden trace's keyframes, splice the golden columnar
-  prefix, execute only from the fork seq, and let the checker verify
-  pre-fork segments by column comparison;
+* ``forked`` — the fork-point path, one ``fault`` job (a one-fault
+  cell) per fault: reconstruct state at the fault from the golden
+  trace's keyframes, splice the golden columnar prefix, execute only
+  from the fork seq, and let the checker verify pre-fork segments by
+  column comparison;
 * ``batch`` — the fork-point path amortised: the whole fault cell as a
   single ``fault-batch`` job sharing one fork cursor over one golden
   trace, so the golden columns are replayed once per cell instead of
@@ -26,8 +29,9 @@ For the ``detection`` scheme the fork path is measured twice more:
 with the **pre-fork timing splice** disabled (``REPRO_TIMING_SPLICE=0``
 — every fault job re-times the whole faulty trace through the OoO
 model, the pre-splice behaviour) and enabled (the golden prefix's
-timing is spliced from a shared cursor and only the post-fork suffix is
-re-timed).  ``splice_speedup`` is the ratio of the two, and the
+timing is spliced from a shared cursor, resumed at exactly the fault's
+fork seq, and only the post-fork suffix is re-timed).
+``splice_speedup`` is the ratio of the two, and the
 ``mean_detection_*`` headline metrics gate the full detection pipeline
 the way ``mean_forked_fps`` gates pure execution.
 

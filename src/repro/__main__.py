@@ -365,17 +365,12 @@ def cmd_list(args: argparse.Namespace) -> int:
     if getattr(args, "schemes", False):
         from repro.schemes import iter_schemes
         print(f"{'scheme':<13}{'detects':>9}{'hard faults':>13}"
-              f"{'recovery':>10}{'fork':>6}{'splice':>8}{'batch':>7}"
-              f"  description")
+              f"{'recovery':>10}  description")
         for scheme in iter_schemes():
-            caps = scheme.capabilities()
             print(f"{scheme.name:<13}"
-                  f"{'yes' if caps['detects_faults'] else 'no':>9}"
-                  f"{'yes' if caps['covers_hard_faults'] else 'no':>13}"
-                  f"{'yes' if caps['supports_recovery'] else 'no':>10}"
-                  f"{'yes' if caps['supports_fork_injection'] else 'no':>6}"
-                  f"{'yes' if caps['supports_timing_splice'] else 'no':>8}"
-                  f"{'yes' if caps['supports_fault_batch'] else 'no':>7}"
+                  f"{'yes' if scheme.detects_faults else 'no':>9}"
+                  f"{'yes' if scheme.covers_hard_faults else 'no':>13}"
+                  f"{'yes' if scheme.supports_recovery else 'no':>10}"
                   f"  {scheme.description}")
         return 0
     from repro.workloads.suite import BENCHMARK_ORDER, BENCHMARKS

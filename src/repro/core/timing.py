@@ -17,8 +17,8 @@ fault jobs; this module does the same for *timing*.  Two mechanisms:
   cache schema v6):
 
   - ``cycle`` — the exact OoO model.  With a forked faulty trace, the
-    detection system additionally splices golden timing state at a
-    pre-fork snapshot and re-times only the suffix (see
+    detection system additionally splices golden timing state at the
+    fork seq and re-times only the suffix (see
     ``repro.detection.system``); records stay byte-identical because the
     same loop resumes from the same state.
   - ``interval`` — a calibrated analytical model: per-row commit

@@ -26,8 +26,6 @@ hardware comparisons, and the report records when each check completed.
 
 from __future__ import annotations
 
-import os
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from repro.common.config import SystemConfig
@@ -506,58 +504,36 @@ def run_unprotected(trace: Trace, config: SystemConfig) -> CoreResult:
     return time_bare(trace, config)
 
 
-#: Snapshot spacing floor for timing-splice cursors, in trace rows: the
-#: per-fault re-timed prefix is bounded by the spacing, the snapshot
-#: count by ``len(trace) / spacing``.
+#: Snapshot spacing floor for timing-splice cursors, in trace rows.  A
+#: cursor snapshots every spacing boundary (at most 17: the spacing
+#: grows to ``len(trace) / 16`` on long traces), and a seq behind its
+#: live run re-times fewer golden rows than the spacing.
 SPLICE_SNAPSHOT_MIN_INTERVAL = 1024
 
-#: Environment override for the cursor-registry capacity (each resident
-#: cursor pins its golden trace and up to ~16 state snapshots).
-SPLICE_CURSOR_ENV = "REPRO_SPLICE_CURSORS"
-
-#: Default timing-splice cursors kept alive per process when
-#: :data:`SPLICE_CURSOR_ENV` is unset.
-_SPLICE_CURSOR_CAP = 4
-
-#: Planned (exact fork-seq) snapshots retained per cursor beyond the
-#: always-kept interval snapshots; covers default campaign batch sizes
-#: while bounding resident state for pathological cells.
-SPLICE_PLANNED_SNAPSHOT_CAP = 128
-
-
-def splice_cursor_cap() -> int:
-    """The cursor-registry capacity, from the environment or the default."""
-    raw = os.environ.get(SPLICE_CURSOR_ENV)
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            return _SPLICE_CURSOR_CAP
-        if cap >= 1:
-            return cap
-    return _SPLICE_CURSOR_CAP
+#: Timing-splice cursors kept alive per process (each resident cursor
+#: pins its golden trace and its snapshots).
+SPLICE_CURSOR_CAP = 4
 
 
 class _TimingSpliceCursor:
     """A resumable timed run of one golden trace under detection.
 
     Walks the golden trace through a fresh :class:`ParallelErrorDetection`
-    hook exactly once, monotonically, snapshotting the full (core,
-    run-state, hook) bundle via :meth:`OoOCore.fork` at interval
-    boundaries — plus, for batch cells, at the exact fork seqs
-    pre-registered through :meth:`plan`.  A fault job then clones the
-    snapshot at the nearest boundary before its fork seq and re-times
-    only the rows from there — byte-identical to a full re-timing
-    because it is the same loop resumed from the same state:
+    hook monotonically, snapshotting the full (core, run-state, hook)
+    bundle via :meth:`OoOCore.fork` at interval boundaries.  A fault job
+    gets a clone timed to *exactly* its fork seq and re-times only the
+    faulty suffix — byte-identical to a full re-timing because it is the
+    same loop resumed from the same state:
 
     * pre-fork rows of a forked trace are splices of the golden columns,
-      so re-timing them from a boundary reproduces the golden timing;
+      so timing them on the golden trace reproduces the faulty run's
+      timing;
     * the cursor binds the checker's columnar fast path against the
       golden trace itself, which takes exactly the code path (and yields
       exactly the per-segment check results and checker-core timings)
       that pre-fork segments of a forked run take;
     * ``run_rows`` chunk boundaries are timing-transparent, so stopping
-      at an extra planned boundary perturbs nothing.
+      at a fork seq perturbs nothing.
     """
 
     def __init__(self, golden: Trace, config: SystemConfig) -> None:
@@ -575,87 +551,40 @@ class _TimingSpliceCursor:
         # this cursor shares the memo by reference
         self.hook.segment_checker.enable_prefix_memo()
         self.state = self.core.start_state()
-        #: batch-planned exact boundaries not yet consumed, sorted
-        self._planned: list[int] = []
         self._snapshots = {0: self.core.fork(self.state, self.hook)}
 
-    def plan(self, fork_seqs) -> None:
-        """Register a batch cell's fork seqs as exact snapshot boundaries.
-
-        Interval multiples are skipped (snapshotted natively), as are
-        seqs whose snapshot already exists.  Seqs the live run has
-        already passed are planned too: :meth:`bundle` serves them by
-        re-timing the short stretch from the retained snapshot below,
-        so a sorted batch resumes each fault at its own fork seq.
-        """
-        total = len(self.golden)
-        merged = set(self._planned)
-        for seq in fork_seqs:
-            seq = min(seq, total)
-            if seq % self.interval and seq not in self._snapshots:
-                merged.add(seq)
-        self._planned = sorted(merged)
-
     def bundle(self, fork_seq: int):
-        """An isolated (core, state, hook) clone timed to the nearest
-        snapshot boundary at or before ``fork_seq``, ready to resume.
-        Planned (batch) boundaries are exact; anything else rounds down
-        to the last interval multiple."""
+        """An isolated (core, state, hook) clone timed to exactly
+        ``min(fork_seq, len(golden))``, ready to resume.
+
+        A seq at or ahead of the live run advances it (the common path on
+        a fork-seq-sorted cell); a seq behind it re-times a detached clone
+        of the interval snapshot below — at most one interval of golden
+        rows.  Only interval snapshots are kept, so a cursor's resident
+        state stays bounded whatever order the seqs arrive in."""
         boundary = min(fork_seq, len(self.golden))
-        if (boundary not in self._snapshots
-                and boundary not in self._planned):
-            boundary -= boundary % self.interval
-        snapshot = self._snapshots.get(boundary)
-        if snapshot is None:
-            planned = self._planned
-            if boundary < self.state.next_row:
-                # the live run is already past a planned boundary: walk a
-                # detached clone of the nearest retained snapshot up to
-                # it — at most one interval of golden re-timing, shared
-                # by every later fault planned in the same stretch
-                base = max(b for b in self._snapshots if b <= boundary)
-                core, state, hook = self._snapshots[base]
-                core, state, hook = core.fork(state, hook)
-            else:
-                # advance the live run monotonically (the common path)
-                core, state, hook = self.core, self.state, self.hook
-            # either walk snapshots every interval and planned boundary
-            # it crosses, so later faults reuse them
-            while state.next_row < boundary:
-                row = state.next_row
-                target = min(row - row % self.interval + self.interval,
-                             boundary)
-                i = bisect_right(planned, row)
-                if i < len(planned) and planned[i] < target:
-                    target = planned[i]
-                core.run_rows(self.golden, hook, state, target)
+        if boundary < self.state.next_row:
+            core, state, hook = self._snapshots[
+                boundary - boundary % self.interval]
+            core, state, hook = core.fork(state, hook)
+            if state.next_row < boundary:
+                core.run_rows(self.golden, hook, state, boundary)
+            return core, state, hook
+        core, state, hook = self.core, self.state, self.hook
+        # snapshot every interval boundary the walk crosses, so later
+        # seqs behind the live run rewind from close by
+        while state.next_row < boundary:
+            row = state.next_row
+            target = min(row - row % self.interval + self.interval,
+                         boundary)
+            core.run_rows(self.golden, hook, state, target)
+            if target % self.interval == 0:
                 self._snapshots[target] = core.fork(state, hook)
-            snapshot = self._snapshots[boundary]
-        self._retire_planned(boundary)
-        core, state, hook = snapshot
         return core.fork(state, hook)
-
-    def _retire_planned(self, boundary: int) -> None:
-        """Bound the planned snapshots retained beyond the cap.
-
-        Batches drain in fork-seq order, so when the cap bites the
-        lowest already-passed boundaries are the dead ones.  Below the
-        cap nothing is dropped: a repeated cell (same seeds, benchmark
-        repeats) replays entirely from retained snapshots, exactly like
-        the per-job path replays from its interval snapshots."""
-        excess = len(self._planned) - SPLICE_PLANNED_SNAPSHOT_CAP
-        if excess <= 0:
-            return
-        drop = min(excess, bisect_left(self._planned, boundary))
-        if not drop:
-            return
-        for seq in self._planned[:drop]:
-            self._snapshots.pop(seq, None)
-        del self._planned[:drop]
 
 
 #: (config key → cursor entries) in LRU order — lookups move an entry to
-#: the back, insertions evict from the front past :func:`splice_cursor_cap`;
+#: the back, insertions evict from the front past :data:`SPLICE_CURSOR_CAP`;
 #: entries verify golden identity on lookup.
 _SPLICE_CURSORS: dict = {}
 
@@ -672,50 +601,14 @@ def _splice_cursor(golden: Trace,
     cursor = _TimingSpliceCursor(golden, config)
     _SPLICE_CURSORS.pop(key, None)
     _SPLICE_CURSORS[key] = cursor
-    cap = splice_cursor_cap()
-    while len(_SPLICE_CURSORS) > cap:
+    while len(_SPLICE_CURSORS) > SPLICE_CURSOR_CAP:
         _SPLICE_CURSORS.pop(next(iter(_SPLICE_CURSORS)))
     return cursor
-
-
-def prime_splice_cursor(golden: Trace, config: SystemConfig,
-                        fork_seqs) -> None:
-    """Pre-register batch fork seqs on the cell's shared cursor.
-
-    Called by the detection scheme right before it classifies each
-    spliced run of a batch cell (only those: a fault that never fired is
-    never re-timed), so the cursor snapshots at that run's exact fork
-    seq; the cell is sorted by fork seq, so the cursor still walks the
-    golden prefix once.  Seqs the resident cursor has already passed (a
-    previous cell drove it further) cost at most one short detached
-    re-timing from the retained snapshot below — which each later fault
-    in the same stretch resumes from.  Byte-identity is unaffected — any
-    snapshot resumes the same loop from the same state.
-    """
-    seqs = sorted(fork_seqs)
-    if not seqs:
-        return
-    _splice_cursor(golden, config).plan(seqs)
 
 
 #: Rows per ``run_rows`` call while a verdict-only run watches for the
 #: point its verdict is final: the most it can time past that point.
 VERDICT_CHUNK_ROWS = 64
-
-
-def splices(trace: Trace,
-            checkpoint_faults: list[TransientFault] | None = None,
-            checker_faults: list[TransientFault] | None = None,
-            interrupt_seqs: list[int] | None = None) -> bool:
-    """Whether :func:`run_with_detection` times ``trace`` (with these
-    detection-side faults and interrupts) by resuming a golden timing
-    snapshot rather than from row zero."""
-    return (trace.fork_of is not None
-            and timing_splice_enabled()
-            and resolve_timing_mode() != "interval"
-            and not checkpoint_faults
-            and not checker_faults
-            and not interrupt_seqs)
 
 
 def _spliced_detection_run(trace: Trace, config: SystemConfig,
@@ -772,11 +665,10 @@ def run_with_detection(
       golden timing record (``golden``, or the trace's fork parent, or
       the trace itself when it is clean);
     * in cycle mode, a forked faulty trace with no detection-side faults
-      or interrupts (see :func:`splices`) resumes a golden timing
-      snapshot at the last splice boundary before its fork seq and
-      re-times only the suffix — byte-identical to the full re-timing
-      below, which remains the path for everything else (and the whole
-      story under ``REPRO_TIMING_SPLICE=0``).
+      or interrupts resumes a golden timing snapshot taken at exactly
+      its fork seq and re-times only the suffix — byte-identical to the
+      full re-timing below, which remains the path for everything else
+      (and the whole story under ``REPRO_TIMING_SPLICE=0``).
 
     ``verdict_only=True`` returns a :class:`DetectionVerdict` instead of
     the full result.  On the spliced path its timing then stops as soon
@@ -786,7 +678,12 @@ def run_with_detection(
     the complete report, so ``REPRO_TIMING_SPLICE=0`` also turns the
     early stop off.
     """
-    if splices(trace, checkpoint_faults, checker_faults, interrupt_seqs):
+    if (trace.fork_of is not None
+            and timing_splice_enabled()
+            and resolve_timing_mode() != "interval"
+            and not checkpoint_faults
+            and not checker_faults
+            and not interrupt_seqs):
         return _spliced_detection_run(trace, config, verdict_only)
     hook = ParallelErrorDetection(
         config, trace.program,

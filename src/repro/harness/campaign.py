@@ -282,10 +282,13 @@ def _coverage_record(spec: JobSpec, scheme: ProtectionScheme,
 
 def _fault_record(spec: JobSpec, scheme: ProtectionScheme,
                   config_key: str) -> CoverageRecord:
+    """A ``fault`` job: a cell of one fault through the batch path, so
+    its record is byte-identical to that fault's in any ``fault-batch``
+    cell."""
     fault = spec.fault
     clean = benchmark_trace(spec.benchmark, spec.scale)
-    verdict = scheme.inject(clean, spec.config, fault,
-                            interrupt_seqs=spec.interrupt_seqs)
+    verdict, = scheme.inject_batch(clean, spec.config, (fault,),
+                                   interrupt_seqs=spec.interrupt_seqs)
     return _coverage_record(spec, scheme, config_key, fault, verdict)
 
 
@@ -300,11 +303,6 @@ def _fault_batch_record(spec: JobSpec, scheme: ProtectionScheme,
     """
     if not spec.faults:
         raise ValueError("fault-batch job carries an empty fault cell")
-    if not scheme.supports_fault_batch:
-        # grids validate this at build time; manifest-delivered specs are
-        # re-checked here, in whichever worker the job lands in
-        raise ValueError(
-            f"scheme {scheme.name!r} does not support fault-batch jobs")
     clean = benchmark_trace(spec.benchmark, spec.scale)
     verdicts = scheme.inject_batch(clean, spec.config, spec.faults,
                                    interrupt_seqs=spec.interrupt_seqs)
@@ -327,9 +325,9 @@ def _recovery_record(spec: JobSpec, scheme: ProtectionScheme,
             f"scheme {scheme.name!r} does not support recovery campaigns")
     fault = spec.fault
     clean = benchmark_trace(spec.benchmark, spec.scale)
-    # the helper takes the fork-point path when the scheme supports it:
-    # byte-identical to a full re-execution, minus the clean prefix
-    injector, faulty = scheme.faulty_trace(clean, fault)
+    # the fault path every fault job shares: the fork-point path unless
+    # vetoed, byte-identical to a full re-execution minus the clean prefix
+    _, injector, faulty = next(scheme.faulty_runs(clean, (fault,)))
     if not injector.activations:
         return RecoveryRecord(
             benchmark=spec.benchmark, scale=spec.scale, config_key=config_key,
@@ -627,9 +625,7 @@ def fault_batch_grid(benchmarks: Sequence[str],
     if batch_size < 1:
         raise ValueError(f"batch size must be positive, got {batch_size}")
     cfg = config if config is not None else default_config()
-    if not get_scheme(scheme).supports_fault_batch:
-        raise ValueError(
-            f"scheme {scheme!r} does not support fault-batch jobs")
+    get_scheme(scheme)
     jobs = []
     for name in benchmarks:
         clean_len = len(benchmark_trace(name, scale))

@@ -8,8 +8,11 @@ one :class:`ProtectionScheme` interface —
 * :meth:`~ProtectionScheme.time`: a fault-free timing run of a committed
   trace, returning a :class:`SchemeTiming` (protected and unprotected
   cycle counts plus the scheme's characteristic detection latency);
-* :meth:`~ProtectionScheme.inject`: one fault-injection trial, returning
-  a :class:`FaultVerdict` classified into the §IV-I coverage buckets;
+* :meth:`~ProtectionScheme.inject_batch`: a cell of fault-injection
+  trials against one clean trace — a single ``fault`` job is a cell of
+  one — returning one :class:`FaultVerdict` per fault;
+* :meth:`~ProtectionScheme.classify`: the per-scheme half of a trial,
+  sorting one executed faulty run into the §IV-I coverage buckets;
 * :meth:`~ProtectionScheme.overheads`: the Figure 1(d) comparison row
   (:class:`SchemeSummary`), derived from a *measured* timing run rather
   than hand-assembled constants;
@@ -28,6 +31,7 @@ from __future__ import annotations
 import abc
 import os
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from repro.common.config import SystemConfig
 from repro.detection.faults import FaultInjector, HardFault, TransientFault
@@ -50,7 +54,7 @@ def fork_injection_enabled() -> bool:
     """Whether fault jobs may use the fork-point execution path."""
     return os.environ.get(FORK_INJECTION_ENV, "1") != "0"
 
-#: Classification buckets shared by every scheme's ``inject`` verdict
+#: Classification buckets shared by every scheme's verdict
 #: (mirrors ``repro.common.records.FAULT_OUTCOMES``).
 VERDICT_OUTCOMES = ("not_activated", "masked", "detected", "escaped")
 
@@ -128,9 +132,12 @@ def architecturally_masked(clean: Trace, faulty: Trace) -> bool:
 class ProtectionScheme(abc.ABC):
     """One error-detection scheme, pluggable into campaigns and figures.
 
-    Subclasses set the class attributes and implement the three methods;
-    instances are stateless, so one shared instance per registry entry
-    serves every worker process.
+    Subclasses set the class attributes and implement :meth:`time`,
+    :meth:`classify` and :meth:`overheads`; fault execution is shared
+    (:meth:`faulty_runs`, driven by :meth:`inject_batch`), so every
+    scheme runs its faults down the same fork-or-full path.  Instances
+    are stateless, so one shared instance per registry entry serves
+    every worker process.
     """
 
     #: registry name (set by :func:`~repro.schemes.registry.register_scheme`)
@@ -144,21 +151,6 @@ class ProtectionScheme(abc.ABC):
     covers_hard_faults: bool = False
     #: the scheme can drive detect→rollback→re-execute recovery
     supports_recovery: bool = False
-    #: fault jobs may fork the stored golden trace at the earliest fault
-    #: instead of re-executing the clean prefix (any scheme whose
-    #: ``inject`` produces the faulty run with :meth:`faulty_trace`)
-    supports_fork_injection: bool = False
-    #: the scheme's ``classify`` re-*times* forked faulty traces through
-    #: the detection pipeline, so it benefits from the pre-fork timing
-    #: splice (``repro.detection.system``); schemes that classify from
-    #: activations alone never time a faulty trace, and the splice (and
-    #: ``REPRO_TIMING_SPLICE``) is vacuously unobservable for them
-    supports_timing_splice: bool = False
-    #: fault cells may run as one ``fault-batch`` job (``inject_batch``
-    #: drains a whole cell against one golden trace); schemes whose
-    #: classification pipeline is batch-safe — verdicts byte-identical
-    #: to per-fault ``inject`` calls in any order — set this True
-    supports_fault_batch: bool = False
     #: ``classify`` reads the faulty trace's architectural outcome
     #: (final state, length, crash flag).  Schemes that classify from
     #: the activation list alone — lockstep and RMT detect any committed
@@ -178,91 +170,78 @@ class ProtectionScheme(abc.ABC):
         last = injector.last_execution_seq()
         return None if last is None else last + 1
 
-    def faulty_trace(
-        self, clean: Trace, fault: TransientFault | HardFault,
-    ) -> tuple[FaultInjector, Trace]:
-        """Produce the faulty committed trace for one injection trial.
+    def faulty_runs(
+        self, clean: Trace, faults: Sequence[TransientFault | HardFault],
+    ) -> Iterator[tuple[int, FaultInjector, Trace]]:
+        """Execute each of ``faults`` against ``clean``'s program, one at
+        a time in fork-seq order, yielding ``(index into faults,
+        injector, faulty committed trace)``.
 
-        Uses the fork-point path — state reconstructed at the earliest
-        fault, golden prefix spliced, live execution only from there,
-        and the golden tail spliced too when no fault fired before the
-        injector went inert — when the scheme supports it and
-        :data:`FORK_INJECTION_ENV` does not veto it; otherwise a full
-        re-execution.  Both paths return byte-identical traces and
-        activation lists, so which one ran is unobservable in any
-        record.  Schemes whose verdict never reads the outcome
-        additionally stop right after the last fault seq (again on both
-        paths, so the identity between them holds).
+        The fork-point path — one :class:`ForkCursor` reconstructs the
+        state at each fault's fork seq, replaying each golden row at
+        most once across a cell of several faults; the golden prefix is
+        spliced, and the golden tail too when no fault fired before the
+        injector went inert — runs unless :data:`FORK_INJECTION_ENV`
+        vetoes it; otherwise every fault re-executes the whole program.
+        Both paths yield byte-identical traces and activation lists, so
+        which one ran is unobservable in any record.  Schemes whose
+        verdict never reads the outcome additionally stop right after
+        the last fault seq (again on both paths, so the identity between
+        them holds).  Each injector is built just before its run: an
+        attached injector keeps its machine and memory image alive.
         """
-        injector = FaultInjector([fault])
-        stop_seq = self._stop_seq(injector)
-        if self.supports_fork_injection and fork_injection_enabled():
-            faulty = execute_forked(clean, injector, stop_seq=stop_seq)
-        else:
-            faulty = execute_program(clean.program, fault_injector=injector,
-                                     stop_seq=stop_seq)
-        return injector, faulty
+        forked = fork_injection_enabled()
+        order = range(len(faults))
+        cursor = None
+        # a lone fault needs no ordering, and rebuilds its fork state
+        # directly (``fork_state``), sparing the cursor's copy of its
+        # memory image
+        if len(faults) > 1:
+            total = len(clean)
+            order = sorted(order, key=lambda i: FaultInjector(
+                [faults[i]]).fork_seq(total))
+            if forked:
+                cursor = ForkCursor(clean)
+        for i in order:
+            injector = FaultInjector([faults[i]])
+            stop_seq = self._stop_seq(injector)
+            if forked:
+                faulty = execute_forked(
+                    clean, injector, stop_seq=stop_seq,
+                    state_source=cursor.state if cursor else None)
+            else:
+                faulty = execute_program(clean.program,
+                                         fault_injector=injector,
+                                         stop_seq=stop_seq)
+            yield i, injector, faulty
 
     @abc.abstractmethod
     def time(self, trace: Trace, config: SystemConfig) -> SchemeTiming:
         """Time ``trace`` under this scheme (fault-free)."""
 
-    def inject(self, trace: Trace, config: SystemConfig,
-               fault: TransientFault,
-               interrupt_seqs: tuple[int, ...] = ()) -> FaultVerdict:
-        """Inject ``fault`` into a run of ``trace``'s program and classify
-        the outcome.  ``trace`` is the *clean* reference execution."""
-        injector, faulty = self.faulty_trace(trace, fault)
-        return self.classify(trace, config, fault, injector, faulty,
-                             interrupt_seqs)
-
     def inject_batch(self, trace: Trace, config: SystemConfig,
                      faults: tuple[TransientFault, ...],
                      interrupt_seqs: tuple[int, ...] = (),
                      ) -> list[FaultVerdict]:
-        """Classify a whole grid cell of faults against one golden trace.
+        """Inject each of ``faults`` into a run of ``trace``'s program
+        and classify the outcome; ``trace`` is the *clean* reference
+        execution.  The only way a fault is executed and classified: a
+        ``fault`` job is a cell of one, a ``fault-batch`` job a whole
+        grid cell against the same golden trace.
 
-        The batch path amortises fork-state reconstruction: faults are
-        executed in fork-seq order through one :class:`ForkCursor`, so
-        the golden columns are replayed once *total* (each row at most
-        once across the whole cell) instead of once per fault.  Each
-        fault is classified as soon as it has executed, after
-        :meth:`plan_retiming` has seen it, and its trace dropped, so a
-        cell holds one faulty trace at a time whatever its size.
-        Verdicts come back in the caller's fault order and are
-        byte-identical to ``[self.inject(trace, ...) for each fault]`` —
-        the cursor is the same pure function of (golden, fork_seq) that
-        ``fork_state`` computes, and classification is shared code.
+        Each fault is classified as soon as :meth:`faulty_runs` has
+        executed it, and its trace dropped, so a cell of any size holds
+        one faulty trace at a time.  Verdicts come back in the caller's
+        fault order and do not depend on the cell around a fault: the
+        fork cursor is the same pure function of (golden, fork seq)
+        that ``fork_state`` computes, and classification reads only its
+        own trial.
         """
-        faults = list(faults)
-        if not (self.supports_fork_injection and fork_injection_enabled()):
-            return [self.inject(trace, config, fault, interrupt_seqs)
-                    for fault in faults]
-        total = len(trace)
-        order = sorted(
-            range(len(faults)),
-            key=lambda i: FaultInjector([faults[i]]).fork_seq(total))
-        cursor = ForkCursor(trace)
         verdicts: list[FaultVerdict | None] = [None] * len(faults)
-        for i in order:
-            injector = FaultInjector([faults[i]])
-            faulty = execute_forked(trace, injector,
-                                    state_source=cursor.state,
-                                    stop_seq=self._stop_seq(injector))
-            self.plan_retiming(trace, config, faults[i], injector, faulty,
-                               interrupt_seqs)
+        for i, injector, faulty in self.faulty_runs(trace, faults):
             verdicts[i] = self.classify(trace, config, faults[i], injector,
                                         faulty, interrupt_seqs)
         return verdicts
-
-    def plan_retiming(self, clean: Trace, config: SystemConfig,
-                      fault: TransientFault, injector: FaultInjector,
-                      faulty: Trace,
-                      interrupt_seqs: tuple[int, ...] = ()) -> None:
-        """Called by :meth:`inject_batch` with each executed fault, in
-        fork-seq order, right before :meth:`classify` sees it: a scheme
-        that re-times faulty runs may schedule that timing here.  Pure
-        scheduling: the verdicts must not depend on it."""
 
     @abc.abstractmethod
     def classify(self, clean: Trace, config: SystemConfig,
@@ -270,7 +249,7 @@ class ProtectionScheme(abc.ABC):
                  faulty: Trace,
                  interrupt_seqs: tuple[int, ...] = ()) -> FaultVerdict:
         """Classify one injection trial given its committed faulty trace
-        (produced by :meth:`faulty_trace` or the batch cursor path)."""
+        (produced by :meth:`faulty_runs`)."""
 
     @abc.abstractmethod
     def overheads(self, timing: SchemeTiming,
@@ -282,14 +261,3 @@ class ProtectionScheme(abc.ABC):
         ``supports_recovery`` only)."""
         raise ValueError(
             f"scheme {self.name!r} does not support recovery campaigns")
-
-    def capabilities(self) -> dict[str, bool]:
-        """The capability matrix row, keyed by flag name."""
-        return {
-            "detects_faults": self.detects_faults,
-            "covers_hard_faults": self.covers_hard_faults,
-            "supports_recovery": self.supports_recovery,
-            "supports_fork_injection": self.supports_fork_injection,
-            "supports_timing_splice": self.supports_timing_splice,
-            "supports_fault_batch": self.supports_fault_batch,
-        }

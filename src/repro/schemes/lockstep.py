@@ -37,8 +37,6 @@ class LockstepScheme(ProtectionScheme):
     detects_faults = True
     covers_hard_faults = True
     supports_recovery = False
-    supports_fork_injection = True
-    supports_fault_batch = True
     # the comparator verdict is pure activation: any committed divergence
     # is detected at constant latency, so injection stops at the fault
     verdict_needs_outcome = False

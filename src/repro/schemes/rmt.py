@@ -33,8 +33,6 @@ class RMTScheme(ProtectionScheme):
     detects_faults = True
     covers_hard_faults = False
     supports_recovery = False
-    supports_fork_injection = True
-    supports_fault_batch = True
     # the trailing-thread verdict is pure activation: any committed
     # divergence is caught one instruction window later, so injection
     # stops at the fault

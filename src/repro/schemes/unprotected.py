@@ -30,8 +30,6 @@ class UnprotectedScheme(ProtectionScheme):
     detects_faults = False
     covers_hard_faults = False
     supports_recovery = False
-    supports_fork_injection = True
-    supports_fault_batch = True
 
     def time(self, trace: Trace, config: SystemConfig) -> SchemeTiming:
         core = run_baseline(trace, config)

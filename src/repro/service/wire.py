@@ -183,11 +183,6 @@ def build_grid(desc: dict) -> tuple[CampaignGrid, dict]:
     if timing != "cycle" and kind not in ("fault", "fault-batch"):
         raise WireError(f"'timing': {timing!r} applies to fault grids "
                         f"only; kind {kind!r} always uses the cycle model")
-    if kind == "fault-batch":
-        from repro.schemes import get_scheme
-        if not get_scheme(scheme).supports_fault_batch:
-            raise WireError(
-                f"scheme {scheme!r} does not support fault-batch jobs")
 
     if kind == "fault":
         grid = fault_grid(names, trials=trials, scale=scale, seed=seed,

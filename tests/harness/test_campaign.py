@@ -18,6 +18,7 @@ from repro.harness.campaign import (
     fault_grid,
     recovery_grid,
 )
+from repro.schemes import scheme_names
 
 
 @pytest.fixture(scope="module")
@@ -146,16 +147,20 @@ class TestGrids:
             assert job.kind == "recovery"
             assert job.fault.site is FaultSite.STORE_VALUE
 
-    def test_fault_batch_grid_draws_same_fault_stream(self):
-        """Batching must not change which faults a campaign injects:
-        the batched grid's cells concatenate to exactly the unbatched
-        grid's faults, same seed, fault for fault."""
-        grid = fault_grid(["stream", "bitcount"], trials=7, seed=3)
+    @pytest.mark.parametrize("scheme", scheme_names())
+    def test_fault_batch_grid_draws_same_fault_stream(self, scheme):
+        """Batching must not change which faults a campaign injects, and
+        no scheme flag gates it: under every registered scheme the
+        batched grid's cells concatenate to exactly the unbatched grid's
+        faults, same seed, fault for fault."""
+        grid = fault_grid(["stream", "bitcount"], trials=7, seed=3,
+                          scheme=scheme)
         batched = fault_batch_grid(["stream", "bitcount"], trials=7,
-                                   batch_size=3, seed=3)
+                                   batch_size=3, seed=3, scheme=scheme)
         assert [f for job in batched for f in job.faults] == \
             [job.fault for job in grid]
-        assert all(job.kind == "fault-batch" for job in batched)
+        assert all(job.kind == "fault-batch" and job.scheme == scheme
+                   for job in batched)
         assert [len(job.faults) for job in batched] == [3, 3, 1, 3, 3, 1]
 
     def test_fault_batch_grid_rejects_bad_batch_size(self):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import FIGURE_COMMANDS, main, make_parser
+from repro.schemes import iter_schemes
 
 
 class TestParser:
@@ -61,12 +62,23 @@ class TestCommands:
         assert "activated" in out
 
     def test_list_schemes(self, capsys):
-        """Acceptance: all four registered schemes enumerate with flags."""
+        """Acceptance: all four registered schemes enumerate, one row
+        each in registration order, with exactly the three flags that
+        gate something: fault detection, hard-fault coverage and
+        recovery campaigns."""
         assert main(["list", "--schemes"]) == 0
-        out = capsys.readouterr().out
-        for name in ("unprotected", "lockstep", "rmt", "detection"):
-            assert name in out
-        assert "hard faults" in out and "recovery" in out
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header.split() == ["scheme", "detects", "hard", "faults",
+                                  "recovery", "description"]
+        schemes = list(iter_schemes())
+        assert [scheme.name for scheme in schemes] == [
+            "unprotected", "lockstep", "rmt", "detection"]
+        assert len(rows) == len(schemes)
+        for row, scheme in zip(rows, schemes):
+            flags = (scheme.detects_faults, scheme.covers_hard_faults,
+                     scheme.supports_recovery)
+            assert row.split()[:4] == [
+                scheme.name, *("yes" if flag else "no" for flag in flags)]
 
     def test_campaign_baseline_kind_any_scheme(self, capsys):
         assert main(["campaign", "--kind", "baseline", "--scheme",

@@ -1,22 +1,21 @@
-"""Detection-scheme fault batches: snapshots, scheduling, capability.
+"""Detection-scheme fault cells: snapshots and scheduling.
 
-Three contracts pinned here:
+Two contracts pinned here:
 
 * **Snapshot identity** — :meth:`OoOCore.fork` now clones the (core,
   run-state, hook) bundle through explicit ``snapshot()/restore()``
   methods instead of ``copy.deepcopy``; a fork resumed to completion
   must match the deepcopy fork field for field, report for report.
-* **Batch scheduling** — a detection fault-batch cell classifies each
-  fault, in fork-seq order, as soon as it has executed; a fault that
-  fired first has its fork seq pre-registered on the cell's shared
-  timing-splice cursor (:func:`prime_splice_cursor`), which snapshots
-  at that *exact* seq;
-  the cursor registry is a capped LRU (``REPRO_SPLICE_CURSORS``) and
-  retained planned snapshots are bounded.  None of it may be visible in
-  records: batch equals per-job under every kill-switch combination,
-  serially and through a manifest worker.
-* **Capability gating** — ``supports_fault_batch`` governs
-  ``fault-batch`` grids end to end (grid builder, wire, executor, CLI).
+* **Cell scheduling** — a detection fault cell classifies each fault,
+  in fork-seq order, as soon as it has executed; a fault that fired is
+  re-timed from the shared timing-splice cursor's snapshot at *exactly*
+  its fork seq, which ``bundle`` takes on demand — ahead of the live
+  walk or behind it.  The cursor registry is a capped LRU
+  (``SPLICE_CURSOR_CAP``) and a cursor keeps only its interval
+  snapshots, in any arrival order.  None of it may be visible in
+  records: a cell
+  equals its faults run as ``fault`` jobs under every kill-switch
+  combination, serially and through a manifest worker.
 """
 
 from __future__ import annotations
@@ -36,25 +35,20 @@ from repro.detection.faults import (
     FaultSite,
     TransientFault,
 )
+from repro.detection import system as detection_system
 from repro.detection.system import (
     _SPLICE_CURSORS,
-    SPLICE_CURSOR_ENV,
-    SPLICE_PLANNED_SNAPSHOT_CAP,
     ParallelErrorDetection,
     _splice_cursor,
     _TimingSpliceCursor,
-    prime_splice_cursor,
-    splice_cursor_cap,
 )
-from repro.harness.campaign import JobSpec, execute_job, fault_batch_grid
+from repro.harness.campaign import JobSpec, execute_job
 from repro.harness.manifest import CampaignManifest
 from repro.harness.orchestrator import CampaignWorker, collect
 from repro.isa.blocks import BLOCK_EXEC_ENV
 from repro.schemes import base as schemes_base
-from repro.schemes import get_scheme, scheme_names
+from repro.schemes import get_scheme
 from repro.schemes.base import FORK_INJECTION_ENV
-from repro.schemes.detection import ParallelDetectionScheme
-from repro.service.wire import WireError, build_grid
 from repro.workloads.suite import (
     BENCHMARK_ORDER,
     benchmark_trace,
@@ -164,22 +158,11 @@ class TestSnapshotForkIdentity:
 
 
 class TestCursorRegistry:
-    """The splice-cursor registry is a capped LRU with planned bounds."""
-
-    def test_default_cap(self, monkeypatch):
-        monkeypatch.delenv(SPLICE_CURSOR_ENV, raising=False)
-        assert splice_cursor_cap() == 4
-
-    def test_env_overrides_cap(self, monkeypatch):
-        monkeypatch.setenv(SPLICE_CURSOR_ENV, "2")
-        assert splice_cursor_cap() == 2
-        monkeypatch.setenv(SPLICE_CURSOR_ENV, "nonsense")
-        assert splice_cursor_cap() == 4
-        monkeypatch.setenv(SPLICE_CURSOR_ENV, "0")
-        assert splice_cursor_cap() == 4
+    """The splice-cursor registry is a capped LRU; every bundle is exact
+    and a cursor keeps only its interval snapshots."""
 
     def test_lru_eviction_past_cap(self, cursor_registry, monkeypatch):
-        monkeypatch.delenv(SPLICE_CURSOR_ENV, raising=False)
+        monkeypatch.setattr(detection_system, "SPLICE_CURSOR_CAP", 4)
         config = default_config()
         goldens = [benchmark_trace(name, "small")
                    for name in BENCHMARK_ORDER[:5]]
@@ -197,7 +180,7 @@ class TestCursorRegistry:
 
     def test_smaller_cap_evicts_immediately(self, cursor_registry,
                                             monkeypatch):
-        monkeypatch.setenv(SPLICE_CURSOR_ENV, "1")
+        monkeypatch.setattr(detection_system, "SPLICE_CURSOR_CAP", 1)
         config = default_config()
         a = benchmark_trace("stream", "small")
         b = benchmark_trace("bitcount", "small")
@@ -206,67 +189,71 @@ class TestCursorRegistry:
         assert len(cursor_registry) == 1
         assert _splice_cursor(a, config) is not first
 
-    def test_planned_boundaries_are_exact(self, cursor_registry):
+    def test_seqs_ahead_of_frontier_are_exact(self, cursor_registry):
         golden = benchmark_trace("stream", "small")
-        config = default_config()
-        seqs = [len(golden) - 37, len(golden) - 11]
-        prime_splice_cursor(golden, config, seqs)
-        cursor = _splice_cursor(golden, config)
-        for seq in sorted(seqs):
+        cursor = _splice_cursor(golden, default_config())
+        for seq in (len(golden) - 37, len(golden) - 11):
+            assert seq % cursor.interval
             _, state, _ = cursor.bundle(seq)
             assert state.next_row == seq
-        # an unplanned seq still rounds down to the interval boundary
-        unplanned = len(golden) - 23
-        _, state, _ = cursor.bundle(unplanned)
-        assert state.next_row == unplanned - unplanned % cursor.interval
+            assert cursor.state.next_row == seq
+        # a seq past the end resumes at the end
+        _, state, _ = cursor.bundle(len(golden) + 5)
+        assert state.next_row == len(golden)
 
-    def test_rewind_serves_already_passed_seqs(self, cursor_registry):
-        """Planning seqs the live walk has passed re-times only the
-        stretch from the retained snapshot below — still exact."""
+    def test_seq_behind_frontier_is_exact(self, cursor_registry):
+        """A seq the live walk has passed re-times a detached clone from
+        the retained snapshot below — exact, unkept, and the live run
+        stays where it is."""
         golden = benchmark_trace("bitcount", "small")
-        config = default_config()
-        cursor = _splice_cursor(golden, config)
+        cursor = _splice_cursor(golden, default_config())
         cursor.bundle(len(golden))  # drive the frontier to the end
         seq = len(golden) - 77
-        prime_splice_cursor(golden, config, [seq])
+        assert seq % cursor.interval
+        kept = dict(cursor._snapshots)
         _, state, _ = cursor.bundle(seq)
         assert state.next_row == seq
+        assert cursor.state.next_row == len(golden)
+        assert cursor._snapshots == kept
 
-    def test_repeated_cell_replays_from_snapshots(self, cursor_registry,
-                                                  monkeypatch):
-        """Re-planning an already-drained cell is pure cache: no golden
-        row is re-timed (the warm path campaign repeats rely on)."""
+    def test_repeated_seqs_retime_nothing(self, cursor_registry,
+                                          monkeypatch):
+        """Bundling the live run's seq again, or an interval boundary it
+        has passed, is pure cache: no golden row is re-timed."""
         golden = benchmark_trace("stream", "small")
-        config = default_config()
-        seqs = [len(golden) - off for off in (19, 63, 141)]
-        prime_splice_cursor(golden, config, seqs)
-        cursor = _splice_cursor(golden, config)
-        for seq in sorted(seqs):
-            cursor.bundle(seq)
+        cursor = _splice_cursor(golden, default_config())
+        seq = len(golden) - 19
+        cursor.bundle(seq)
 
         def bomb(*args, **kwargs):
-            raise AssertionError("golden rows re-timed on a warm cell")
+            raise AssertionError("golden rows re-timed for a repeated seq")
 
         monkeypatch.setattr(OoOCore, "run_rows", bomb)
-        prime_splice_cursor(golden, config, seqs)
-        for seq in sorted(seqs):
+        for again in (seq, seq, cursor.interval, 0):
+            _, state, _ = cursor.bundle(again)
+            assert state.next_row == again
+        assert cursor.state.next_row == seq
+
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_keeps_interval_snapshots_only(self, cursor_registry,
+                                           descending):
+        """Whatever order seqs arrive in, every bundle is exact and the
+        cursor retains one snapshot per interval boundary it has passed,
+        nothing more: resident state is bounded by the trace length."""
+        golden = benchmark_trace("stream", "small")
+        cursor = _splice_cursor(golden, default_config())
+        interval = cursor.interval
+        seqs = [s for s in range(1, len(golden), 37) if s % interval]
+        assert len(seqs) > 100 and seqs[-1] > 3 * interval
+        if descending:
+            seqs.reverse()
+        for seq in seqs:
             _, state, _ = cursor.bundle(seq)
             assert state.next_row == seq
-
-    def test_planned_snapshots_bounded(self, cursor_registry):
-        golden = benchmark_trace("stream", "small")
-        config = default_config()
-        interval = _splice_cursor(golden, config).interval
-        seqs = [s for s in range(1, len(golden))
-                if s % interval][:SPLICE_PLANNED_SNAPSHOT_CAP + 40]
-        assert len(seqs) > SPLICE_PLANNED_SNAPSHOT_CAP
-        prime_splice_cursor(golden, config, seqs)
-        cursor = _splice_cursor(golden, config)
-        for seq in seqs:
-            cursor.bundle(seq)
-        assert len(cursor._planned) <= SPLICE_PLANNED_SNAPSHOT_CAP + 1
-        planned_live = [b for b in cursor._snapshots if b % interval]
-        assert len(planned_live) <= SPLICE_PLANNED_SNAPSHOT_CAP + 1
+            assert all(b % interval == 0 for b in cursor._snapshots)
+        assert cursor.state.next_row == max(seqs)
+        assert sorted(cursor._snapshots) == list(
+            range(0, max(seqs) + 1, interval))
 
 
 class TestDetectionBatchKillSwitches:
@@ -336,12 +323,13 @@ class TestBatchVerdictIdentity:
         assert canonical_json(list(records)) == canonical_json(
             TestDetectionBatchKillSwitches.per_job_records(spec))
 
-    def test_plans_snapshots_only_for_spliced_faults(self, cursor_registry,
-                                                    monkeypatch):
+    def test_bundles_only_spliced_faults(self, cursor_registry,
+                                         monkeypatch):
         """Only faults that fired (and so are re-timed through the
-        splice) get an exact snapshot, each planned right before its own
-        classification; never-fired and checker-side faults plan none.
-        Every fault is classified before the next one executes."""
+        splice) take a cursor bundle, once each, at their own fork seq,
+        during their own classification; never-fired and checker-side
+        faults take none.  Every fault is classified before the next one
+        executes."""
         monkeypatch.setenv(FORK_INJECTION_ENV, "1")
         monkeypatch.setenv(TIMING_SPLICE_ENV, "1")
         golden = benchmark_trace("stream", "small")
@@ -359,7 +347,7 @@ class TestBatchVerdictIdentity:
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        spy(_TimingSpliceCursor, "plan", lambda _, seqs: ("plan", list(seqs)))
+        spy(_TimingSpliceCursor, "bundle", lambda _, seq: ("bundle", seq))
         spy(scheme, "classify", lambda *args: ("classify", args[2]))
         spy(schemes_base, "execute_forked",
             lambda _, injector: ("execute", injector.faults[0]))
@@ -370,58 +358,43 @@ class TestBatchVerdictIdentity:
         for fault in sorted(faults, key=lambda f: FaultInjector(
                 [f]).fork_seq(len(golden))):
             expected.append(("execute", fault))
-            if fault in fired:
-                expected.append(("plan", [fault.seq]))
             expected.append(("classify", fault))
+            if fault in fired:
+                expected.append(("bundle", fault.seq))
         assert events == expected
         assert 0 < len(fired) < len(faults)
 
+    def test_fault_job_resumes_at_exact_fork_seq(self, cursor_registry,
+                                                 monkeypatch):
+        """A per-fault detection ``fault`` job times its faulty trace
+        from exactly its fork seq: no faulty row before it is re-timed,
+        whatever the cursor's interval boundaries."""
+        monkeypatch.setenv(FORK_INJECTION_ENV, "1")
+        monkeypatch.setenv(TIMING_SPLICE_ENV, "1")
+        fault = mid_trace_faults("stream")[0]
+        assert fault.seq % _splice_cursor(
+            benchmark_trace("stream", "small"), default_config()).interval
+        faulty_traces = []
+        original_forked = schemes_base.execute_forked
 
-class TestBatchCapability:
-    def test_every_scheme_declares_batch_support(self):
-        for name in scheme_names():
-            caps = get_scheme(name).capabilities()
-            assert "supports_fault_batch" in caps
-        assert get_scheme("detection").supports_fault_batch
+        def forked(*args, **kwargs):
+            faulty_traces.append(original_forked(*args, **kwargs))
+            return faulty_traces[-1]
 
-    def test_grid_builder_rejects_unsupported_scheme(self, monkeypatch):
-        monkeypatch.setattr(ParallelDetectionScheme,
-                            "supports_fault_batch", False)
-        with pytest.raises(ValueError,
-                           match="does not support fault-batch"):
-            fault_batch_grid(["stream"], trials=2, batch_size=2,
-                             scheme="detection")
+        monkeypatch.setattr(schemes_base, "execute_forked", forked)
+        spans = []
+        original_rows = OoOCore.run_rows
 
-    def test_wire_rejects_unsupported_scheme(self, monkeypatch):
-        monkeypatch.setattr(ParallelDetectionScheme,
-                            "supports_fault_batch", False)
-        with pytest.raises(WireError, match="does not support fault-batch"):
-            build_grid({"kind": "fault-batch", "scheme": "detection",
-                        "benchmarks": ["stream"], "trials": 2})
+        def run_rows(self, timed, hook, state, stop, record=None):
+            spans.append((timed, state.next_row, stop))
+            return original_rows(self, timed, hook, state, stop, record)
 
-    def test_executor_rejects_unsupported_scheme(self, monkeypatch):
-        """A manifest-delivered spec re-checks the capability at
-        execution time, not only at grid construction."""
-        monkeypatch.setattr(ParallelDetectionScheme,
-                            "supports_fault_batch", False)
-        clean_len = len(benchmark_trace("stream", "small"))
-        spec = JobSpec(
-            "fault-batch", "stream", "small",
-            faults=(TransientFault(FaultSite.RESULT, seq=clean_len - 33,
-                                   bit=1),),
-            scheme="detection")
-        with pytest.raises(ValueError,
-                           match="does not support fault-batch"):
-            execute_job(spec)
+        monkeypatch.setattr(OoOCore, "run_rows", run_rows)
+        record = execute_job(JobSpec("fault", "stream", "small", fault=fault,
+                                     scheme="detection"))
+        assert record["outcome"] == "detected"
+        faulty, = faulty_traces
+        first_row = next(row for timed, row, _ in spans if timed is faulty)
+        assert first_row == faulty.fork_seq == fault.seq
 
-    def test_cli_lists_batch_column(self, capsys):
-        from repro.__main__ import main
 
-        assert main(["list", "--schemes"]) == 0
-        out = capsys.readouterr().out
-        header = next(line for line in out.splitlines() if "batch" in line)
-        assert "batch" in header
-        for name in ("detection", "lockstep", "rmt", "unprotected"):
-            row = next(line for line in out.splitlines()
-                       if line.strip().startswith(name))
-            assert " yes" in row

@@ -19,7 +19,7 @@ from repro.harness.campaign import JobSpec, execute_job
 from repro.harness.manifest import CampaignManifest
 from repro.harness.orchestrator import CampaignWorker, collect
 from repro.isa.executor import execute_forked, execute_program
-from repro.schemes import get_scheme, scheme_names
+from repro.schemes import get_scheme
 from repro.schemes.base import FORK_INJECTION_ENV, fork_injection_enabled
 from repro.workloads.suite import benchmark_trace, configure_trace_store
 
@@ -51,21 +51,19 @@ class TestEnvironmentSwitch:
         monkeypatch.setenv(FORK_INJECTION_ENV, "0")
         assert not fork_injection_enabled()
 
-    def test_every_scheme_declares_fork_support(self):
-        for name in scheme_names():
-            caps = get_scheme(name).capabilities()
-            assert "supports_fork_injection" in caps
-
-    def test_helper_obeys_flag_and_env(self, monkeypatch):
+    def test_faulty_runs_obey_env(self, monkeypatch):
         clean = benchmark_trace("stream", "small")
-        fault = TransientFault(FaultSite.RESULT, seq=len(clean) - 50, bit=2)
+        faults = (TransientFault(FaultSite.RESULT, seq=len(clean) - 50, bit=2),
+                  TransientFault(FaultSite.BRANCH, seq=len(clean) - 300))
         scheme = get_scheme("lockstep")
         monkeypatch.setenv(FORK_INJECTION_ENV, "1")
-        _, forked = scheme.faulty_trace(clean, fault)
-        assert forked.fork_of is clean
+        forked = [faulty for _, _, faulty in scheme.faulty_runs(clean, faults)]
+        assert len(forked) == 2
+        assert all(faulty.fork_of is clean for faulty in forked)
         monkeypatch.setenv(FORK_INJECTION_ENV, "0")
-        _, full = scheme.faulty_trace(clean, fault)
-        assert full.fork_of is None
+        full = [faulty for _, _, faulty in scheme.faulty_runs(clean, faults)]
+        assert len(full) == 2
+        assert all(faulty.fork_of is None for faulty in full)
 
 
 class TestCoverageRecordIdentity:
@@ -116,15 +114,33 @@ class TestFaultBatchIdentity:
                        scheme=scheme)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_inject_batch_equals_per_fault_inject(self, scheme, monkeypatch):
+    def test_cell_equals_one_fault_cells(self, scheme, monkeypatch):
         monkeypatch.setenv(FORK_INJECTION_ENV, "1")
         spec = self.cell(scheme)
         obj = get_scheme(scheme)
         clean = benchmark_trace("stream", "small")
         config = default_config()
         batch = obj.inject_batch(clean, config, spec.faults)
-        assert batch == [obj.inject(clean, config, fault)
+        assert batch == [obj.inject_batch(clean, config, (fault,))[0]
                          for fault in spec.faults]
+
+    @pytest.mark.parametrize("fork", ["1", "0"])
+    def test_faulty_runs_in_fork_seq_order(self, fork, monkeypatch):
+        """The one fault loop runs every fault of a cell exactly once,
+        in fork-seq order with ties in the caller's order, each under an
+        injector holding that fault alone — on either path."""
+        monkeypatch.setenv(FORK_INJECTION_ENV, fork)
+        clean = benchmark_trace("stream", "small")
+        faults = self.cell("lockstep").faults
+        runs = list(get_scheme("lockstep").faulty_runs(clean, faults))
+        order = [(FaultInjector([faults[i]]).fork_seq(len(clean)), i)
+                 for i, _, _ in runs]
+        assert order == sorted(order)
+        assert sorted(i for _, i in order) == list(range(len(faults)))
+        assert all(injector.faults == [faults[i]]
+                   for i, injector, _ in runs)
+        assert all((faulty.fork_of is clean) == (fork == "1")
+                   for _, _, faulty in runs)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_batch_records_byte_identical_to_fault_jobs(self, scheme,
@@ -153,9 +169,11 @@ class TestFaultBatchIdentity:
         config = default_config()
         obj = get_scheme("lockstep")
         faults = self.cell("lockstep").faults
-        truncated = [obj.inject(clean, config, fault) for fault in faults]
+        truncated = [obj.inject_batch(clean, config, (fault,))
+                     for fault in faults]
         monkeypatch.setattr(type(obj), "verdict_needs_outcome", True)
-        complete = [obj.inject(clean, config, fault) for fault in faults]
+        complete = [obj.inject_batch(clean, config, (fault,))
+                    for fault in faults]
         assert truncated == complete
 
     def test_batch_job_survives_manifest_worker(self, tmp_path, monkeypatch):
@@ -199,9 +217,9 @@ class TestNaNStateMasking:
         config = default_config()
 
         monkeypatch.setenv(FORK_INJECTION_ENV, "0")
-        full = scheme.inject(golden, config, fault)
+        full, = scheme.inject_batch(golden, config, (fault,))
         monkeypatch.setenv(FORK_INJECTION_ENV, "1")
-        forked = scheme.inject(golden, config, fault)
+        forked, = scheme.inject_batch(golden, config, (fault,))
         assert full == forked
         # identical NaN bit patterns are architecturally invisible
         assert full.outcome == "masked"

@@ -14,6 +14,7 @@ from repro.harness.campaign import (
     CampaignEngine,
     JobSpec,
     execute_job,
+    fault_batch_grid,
     fault_grid,
     recovery_grid,
     scheme_grid,
@@ -52,6 +53,8 @@ class TestRegistry:
             scheme_grid(["stream"], ["nope"])
         with pytest.raises(ValueError, match="unknown scheme"):
             fault_grid(["stream"], trials=2, scale="small", scheme="nope")
+        with pytest.raises(ValueError, match="unknown scheme"):
+            fault_batch_grid(["stream"], trials=2, scheme="nope")
 
     def test_lookup_matches_iteration(self):
         for scheme in iter_schemes():
@@ -66,7 +69,8 @@ class TestRegistry:
             def time(self, trace, config):
                 raise NotImplementedError
 
-            def inject(self, trace, config, fault, interrupt_seqs=()):
+            def classify(self, clean, config, fault, injector, faulty,
+                         interrupt_seqs=()):
                 raise NotImplementedError
 
             def overheads(self, timing, config):

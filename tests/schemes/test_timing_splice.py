@@ -40,7 +40,6 @@ from repro.harness.campaign import JobSpec, execute_job, fault_grid
 from repro.harness.manifest import CampaignManifest
 from repro.harness.orchestrator import CampaignWorker, collect
 from repro.isa.executor import execute_forked, execute_program
-from repro.schemes import get_scheme, scheme_names
 from repro.schemes.base import FORK_INJECTION_ENV
 from repro.workloads.suite import (
     BENCHMARK_ORDER,
@@ -89,22 +88,12 @@ class TestEnvironmentSwitches:
 
     def test_mode_env_overrides_job_mode(self, monkeypatch):
         """REPRO_TIMING_MODE wins over the spec's timing field, exactly
-        as REPRO_FORK_INJECTION=0 vetoes fork-capable schemes: one env
+        as REPRO_FORK_INJECTION=0 vetoes the fork path: one env
         setting forces a whole campaign onto the cycle model."""
         monkeypatch.delenv(TIMING_MODE_ENV, raising=False)
         assert resolve_timing_mode() == "cycle"
         monkeypatch.setenv(TIMING_MODE_ENV, "interval")
         assert resolve_timing_mode() == "interval"
-
-    def test_every_scheme_declares_splice_support(self):
-        for name in scheme_names():
-            caps = get_scheme(name).capabilities()
-            assert "supports_timing_splice" in caps
-        # only the detection scheme re-times faulty traces; the others
-        # classify from activations and the splice is vacuous for them
-        assert get_scheme("detection").supports_timing_splice
-        assert not get_scheme("lockstep").supports_timing_splice
-        assert not get_scheme("rmt").supports_timing_splice
 
 
 class TestSpliceRecordIdentity:

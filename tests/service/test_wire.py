@@ -3,8 +3,9 @@ construction parity with the CLI, ETag matching."""
 
 import pytest
 
-from repro.harness.campaign import fault_grid, scheme_grid
+from repro.harness.campaign import fault_batch_grid, fault_grid, scheme_grid
 from repro.harness.manifest import campaign_id
+from repro.schemes import scheme_names
 from repro.service.wire import (
     WireError,
     build_grid,
@@ -36,6 +37,18 @@ class TestBuildGrid:
                             scheme="detection")
         assert [s.key() for s in grid] == [s.key() for s in direct]
         assert meta["kind"] == "fault" and meta["benchmarks"] == ["stream"]
+
+    @pytest.mark.parametrize("scheme", scheme_names())
+    def test_fault_batch_grid_matches_cli_constructor(self, scheme):
+        """Every registered scheme takes fault-batch grids over the
+        wire, cell for cell as the CLI builds them."""
+        grid, meta = build_grid({"kind": "fault-batch", "scheme": scheme,
+                                 "benchmarks": ["stream"], "trials": 5,
+                                 "seed": 1, "batch_size": 2})
+        direct = fault_batch_grid(["stream"], trials=5, batch_size=2,
+                                  scale="small", seed=1, scheme=scheme)
+        assert [s.key() for s in grid] == [s.key() for s in direct]
+        assert meta["kind"] == "fault-batch" and meta["scheme"] == scheme
 
     def test_baseline_grid_matches_cli_constructor(self):
         grid, _meta = build_grid({"kind": "baseline",
