@@ -49,7 +49,7 @@ from repro.detection.checker import SegmentChecker
 from repro.detection.checkpoint import ArchStateTracker
 from repro.detection.lslog import CloseReason, LogEntry, Segment
 from repro.isa.blocks import BLOCK_EXEC_ENV, STATS
-from repro.isa.executor import LOAD, NONDET, STORE, execute_program
+from repro.isa.executor import execute_program
 from repro.workloads.suite import build_benchmark
 
 #: Default measurement workloads: memory-bound, compute-bound, and
@@ -85,27 +85,24 @@ def block_mode(value: str):
 
 def build_segments(trace) -> list[Segment]:
     """Cut the committed trace into closed segments every
-    :data:`SEGMENT_INSTRUCTIONS` commits (one pass, outside the timed
-    region), mirroring what the detection system's log builder produces."""
+    :data:`SEGMENT_INSTRUCTIONS` commits (one pass over the columns,
+    outside the timed region), mirroring what the detection system's log
+    builder produces."""
     tracker = ArchStateTracker()
     segments: list[Segment] = []
-    rows = trace.instructions
-    total = len(rows)
+    total = len(trace)
+    mem_off = trace.mem_off
     start_seq = 0
-    start = tracker.snapshot(rows[0].pc if total else trace.program.entry)
-    entries: list[LogEntry] = []
+    start = tracker.snapshot(trace.pcs[0] if total else trace.program.entry)
     for i in range(total):
-        dyn = rows[i]
-        for memop in dyn.mem:
-            if memop.kind == LOAD:
-                entries.append(LogEntry(LOAD, memop.addr, memop.value, 0))
-            elif memop.kind == STORE:
-                entries.append(LogEntry(STORE, memop.addr, memop.value, 0))
-            else:
-                entries.append(LogEntry(NONDET, 0, memop.value, 0))
-        tracker.apply(dyn)
+        tracker.apply_dsts(trace.dsts[i])
         if (i - start_seq + 1) >= SEGMENT_INSTRUCTIONS or i == total - 1:
-            end = tracker.snapshot(dyn.next_pc)
+            end = tracker.snapshot(trace.next_pc_of(i))
+            # LOAD and STORE log address + value; NONDET logs the value
+            # at address 0 — exactly the column contents
+            entries = [LogEntry(trace.mem_kind[j], trace.mem_addr[j],
+                                trace.mem_value[j], 0)
+                       for j in range(mem_off[start_seq], mem_off[i + 1])]
             segment = Segment(index=len(segments), slot=0,
                               start_checkpoint=start, start_seq=start_seq,
                               entries=entries)
@@ -115,7 +112,6 @@ def build_segments(trace) -> list[Segment]:
             segments.append(segment)
             start = end
             start_seq = i + 1
-            entries = []
     return segments
 
 

@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.config import CheckerConfig
-from repro.core.latencies import NON_PIPELINED, execute_latency
-from repro.isa.instructions import pc_to_byte_address
+from repro.isa.instructions import NUM_FP_REGS, NUM_INT_REGS
 from repro.isa.meta import ProgramMeta
 from repro.memory.hierarchy import CheckerICaches
 
@@ -75,55 +74,46 @@ class InOrderCoreModel:
         """
         icaches = self.icaches
         core_id = self.core_id
-        int_ready = [0] * 32
-        fp_ready = [0] * 32
+        rows = metas.inorder
+        reg_ready = [0] * (NUM_INT_REGS + NUM_FP_REGS)
         cycle = start_cycle
-        line_shift = 6
         current_line = -1
         fetch_ready = start_cycle
         entry_checks: list[int] = []
 
         for pc, taken in steps:
-            meta = metas[pc]
-            byte_addr = pc_to_byte_address(pc)
-            line = byte_addr >> line_shift
+            (fetch_addr, line, srcs, dsts, mem, uops, latency,
+             non_pipelined, nondet, control) = rows[pc]
             if line != current_line:
-                fetch_ready = icaches.access(core_id, byte_addr, cycle)
+                fetch_ready = icaches.access(core_id, fetch_addr, cycle)
                 current_line = line
             if fetch_ready > cycle:
                 cycle = fetch_ready
 
             # operand interlock
-            ready = cycle
-            for is_fp, idx in meta.srcs:
-                t = fp_ready[idx] if is_fp else int_ready[idx]
-                if t > ready:
-                    ready = t
-            cycle = ready
+            for reg in srcs:
+                if reg_ready[reg] > cycle:
+                    cycle = reg_ready[reg]
 
-            if meta.is_load or meta.is_store:
+            if mem:
                 # log segment read + hardware compare, per micro-op
-                done = cycle + LOG_READ_LATENCY * meta.uops
-                for _ in range(meta.uops):
+                done = cycle + LOG_READ_LATENCY * uops
+                for _ in range(uops):
                     entry_checks.append(done - start_cycle)
             else:
-                latency = execute_latency(meta.op)
                 done = cycle + latency
-                if meta.op.value in ("RDRAND", "RDCYCLE"):
+                if nondet:
                     # non-deterministic results consumed from the log
                     entry_checks.append(done - start_cycle)
 
-            for is_fp, idx in meta.dsts:
-                if is_fp:
-                    fp_ready[idx] = done
-                else:
-                    int_ready[idx] = done
+            for reg in dsts:
+                reg_ready[reg] = done
 
-            if meta.op in NON_PIPELINED:
+            if non_pipelined:
                 cycle = done  # unit blocks the scalar pipe
             else:
                 cycle += 1
-            if taken and (meta.is_branch or meta.is_jump):
+            if taken and control:
                 cycle += TAKEN_BRANCH_PENALTY
                 current_line = -1
 

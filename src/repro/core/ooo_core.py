@@ -19,6 +19,11 @@ pipeline: it reproduces the IPC contrast between memory-bound and
 compute-bound codes and the stall behaviour the detection scheme interacts
 with, at a speed that allows the full parameter sweeps of §VI-A.
 
+The loop reads each static instruction as the flat tuple
+``program_meta(program).ooo[pc]`` (see :mod:`repro.isa.meta`): latency,
+FU-pool index, pool occupancy, fetch address and line, register indices,
+memory kind and control flags, all resolved once per program.
+
 The detection system attaches through :class:`CommitHook`:
 
 * ``pre_commit`` lets it hold an instruction's commit back (main core
@@ -26,6 +31,11 @@ The detection system attaches through :class:`CommitHook`:
 * ``post_commit`` lets it pause commit afterwards (the 16-cycle register
   checkpoint at the end of a segment — paper §VI "Register Checkpoint
   Overhead").
+
+A hook may name the next row it needs to see; the core then skips the
+callbacks on the rows before it and hands the hook their commit cycles
+instead (the detection hook needs to see only the rows where a log
+segment can close or the commit gate applies).
 
 The run loop is *resumable*: all mutable run state lives in a
 :class:`CoreRunState` capsule, ``run_rows`` advances it over a half-open
@@ -46,10 +56,9 @@ from dataclasses import dataclass
 
 from repro.common.config import SystemConfig
 from repro.core.branch import TournamentPredictor
-from repro.core.latencies import NON_PIPELINED, execute_latency
 from repro.isa.executor import LOAD, STORE, Trace
-from repro.isa.instructions import FuClass, Opcode, pc_to_byte_address
-from repro.isa.meta import program_meta
+from repro.isa.instructions import NUM_FP_REGS, NUM_INT_REGS, FuClass
+from repro.isa.meta import FU_POOLS, MEM_LOAD, MEM_STORE, program_meta
 from repro.memory.hierarchy import MemoryHierarchy
 
 
@@ -57,24 +66,44 @@ class CommitHook:
     """Interface by which the detection system observes/stalls commit.
 
     The hook walks the trace's columns alongside the core: ``begin``
-    hands it the columnar trace once, and the per-instruction callbacks
-    identify the committing instruction by its row index (== commit
-    ``seq``), so no per-instruction record objects are materialised on
-    the timing path.  The base implementation is a no-op (unprotected
-    core).
+    hands it the columnar trace once, and the commit callbacks identify
+    the committing instruction by its row index (== commit ``seq``), so
+    no per-instruction record objects are materialised on the timing
+    path.  The base implementation is a no-op (unprotected core).
+
+    Which rows the core calls ``pre_commit``/``post_commit`` on:
+
+    * a hook whose :attr:`skipped_commits` is None (the default) sees
+      every row, in commit order;
+    * a hook that sets it to a list sees only row :attr:`next_row`,
+      which the core reads when ``run_rows`` starts and after every
+      ``post_commit``; the commit cycle of every row before it is
+      appended to ``skipped_commits``, in commit order.  The hook
+      applies those rows itself (when it next runs, and before it is
+      snapshotted, rebound by ``begin`` or finished), empties the list
+      in place, and promises that a skipped row would have left the
+      commit cycle alone and returned no pause.
     """
+
+    #: Commit cycles of the rows the core did not call this hook on
+    #: (None: the hook sees every row).
+    skipped_commits: list[int] | None = None
+    #: With :attr:`skipped_commits` set: the next row the hook must see.
+    next_row: int = 0
 
     def begin(self, trace: Trace) -> None:
         """Called once before the first commit with the trace being run."""
 
     def pre_commit(self, seq: int, earliest_cycle: int) -> int:
         """Return the earliest cycle at which row ``seq`` may commit (>= the
-        argument).  Called once per instruction, in commit order."""
+        argument).  Called in commit order, on the rows the class
+        docstring names."""
         return earliest_cycle
 
     def post_commit(self, seq: int, commit_cycle: int) -> int:
-        """Called after row ``seq`` commits at ``commit_cycle``.  Returns the
-        number of cycles to pause commit afterwards (0 for none)."""
+        """Called after row ``seq`` commits at ``commit_cycle`` (on every
+        row ``pre_commit`` saw).  Returns the number of cycles to pause
+        commit afterwards (0 for none)."""
         return 0
 
     def finish(self, last_commit_cycle: int) -> int:
@@ -138,7 +167,7 @@ class CoreRunState:
 
     __slots__ = (
         "next_row",
-        "int_ready", "fp_ready", "fu_pools",
+        "reg_ready", "fu_pools",
         "rob_ring", "rob_head", "iq_ring", "iq_head",
         "lq_ring", "lq_head", "sq_ring", "sq_head",
         "store_forward",
@@ -154,9 +183,8 @@ class CoreRunState:
         lists, and int-valued dicts), so no recursion is needed.
         """
         self.next_row = src.next_row
-        self.int_ready = src.int_ready[:]
-        self.fp_ready = src.fp_ready[:]
-        self.fu_pools = {fu: pool[:] for fu, pool in src.fu_pools.items()}
+        self.reg_ready = src.reg_ready[:]
+        self.fu_pools = [pool[:] for pool in src.fu_pools]
         self.rob_ring = src.rob_ring[:]
         self.rob_head = src.rob_head
         self.iq_ring = src.iq_ring[:]
@@ -199,17 +227,19 @@ class OoOCore:
         core = self.core
         s = CoreRunState()
         s.next_row = 0
-        # register ready times: int and fp files
-        s.int_ready = [0] * 32
-        s.fp_ready = [0] * 32
-        # functional units: next-free cycle per unit instance
-        s.fu_pools = {
-            FuClass.INT_ALU: [0] * core.int_alus,
-            FuClass.FP_ALU: [0] * core.fp_alus,
-            FuClass.MULDIV: [0] * core.muldiv_alus,
-            FuClass.MEM: [0] * 2,       # one load port + one store port
-            FuClass.BRANCH: [0] * core.int_alus,  # branches use int ALUs
+        # register ready times, int then fp registers (ProgramMeta's
+        # register index space)
+        s.reg_ready = [0] * (NUM_INT_REGS + NUM_FP_REGS)
+        # functional units: next-free cycle per unit instance, one pool
+        # per FU_POOLS entry
+        units = {
+            FuClass.INT_ALU: core.int_alus,
+            FuClass.FP_ALU: core.fp_alus,
+            FuClass.MULDIV: core.muldiv_alus,
+            FuClass.MEM: 2,                 # one load port + one store port
+            FuClass.BRANCH: core.int_alus,  # branches use int ALUs
         }
+        s.fu_pools = [[0] * units[fu] for fu in FU_POOLS]
         # occupancy rings: cycle at which the slot is released
         s.rob_ring = [0] * core.rob_entries
         s.rob_head = 0
@@ -269,7 +299,9 @@ class OoOCore:
 
         Does not call ``hook.begin``/``hook.finish`` — callers sequence
         those (``run`` does both; the timing splice calls ``begin`` once
-        per binding and resumes ``run_rows`` from a forked state).
+        per binding and resumes ``run_rows`` from a forked state).  Which
+        rows reach ``hook.pre_commit``/``post_commit`` is the
+        :class:`CommitHook` contract.
 
         If ``record`` is given it must expose five append-able columns
         (``issue``, ``commit``, ``branch``, ``l1d``, ``l2``); one entry
@@ -278,10 +310,11 @@ class OoOCore:
         deltas.  Recording does not perturb timing.
         """
         core = self.core
-        meta_table = program_meta(trace.program)
-        metas = meta_table.metas
+        rows = program_meta(trace.program).ooo
         hierarchy = self.hierarchy
-        predictor = self.predictor
+        access_instr = hierarchy.access_instr
+        access_data = hierarchy.access_data
+        mispredicted = self.predictor.mispredicted
         mispredict_penalty = core.mispredict_penalty_cycles
 
         fetch_width = core.fetch_width
@@ -292,8 +325,7 @@ class OoOCore:
         sq_size = core.sq_entries
 
         # unbox the capsule into locals for the hot loop
-        int_ready = state.int_ready
-        fp_ready = state.fp_ready
+        reg_ready = state.reg_ready
         fu_pools = state.fu_pools
         rob_ring = state.rob_ring
         rob_head = state.rob_head
@@ -306,7 +338,6 @@ class OoOCore:
         store_forward = state.store_forward
         fetch_cycle = state.fetch_cycle
         fetch_slots = state.fetch_slots
-        line_shift = 6           # 64-byte I-cache lines
         current_fetch_line = state.current_fetch_line
         icache_ready = state.icache_ready
         last_commit_cycle = state.last_commit_cycle
@@ -314,6 +345,17 @@ class OoOCore:
         commit_floor = state.commit_floor
         stall_cycles_total = state.stall_cycles_total
         total_uops = state.total_uops
+
+        # the next row the hook sees (-1: never); rows it skips have their
+        # commit cycles appended through ``skip``
+        skip = None
+        if hook is None:
+            hook_row = -1
+        elif hook.skipped_commits is None:
+            hook_row = state.next_row
+        else:
+            hook_row = hook.next_row
+            skip = hook.skipped_commits.append
 
         # trace columns (structure of arrays: no row objects on this path)
         pcs = trace.pcs
@@ -335,9 +377,8 @@ class OoOCore:
 
         for i in range(state.next_row, stop):
             pc = pcs[i]
-            meta = metas[pc]
-            op = meta.op
-            uops = meta.uops
+            (fetch_addr, line, uops, mem, srcs, fu, occupancy, latency,
+             ctrl, dsts) = rows[pc]
             total_uops += uops
             if record is not None:
                 l1d_before = l1d_cache.misses
@@ -345,15 +386,14 @@ class OoOCore:
                 branch_outcome = -1
 
             # ---- fetch -----------------------------------------------------
-            line = pc_to_byte_address(pc) >> line_shift
             if line != current_fetch_line:
-                icache_ready = hierarchy.access_instr(
-                    pc_to_byte_address(pc), fetch_cycle)
+                icache_ready = access_instr(fetch_addr, fetch_cycle)
                 current_fetch_line = line
-            this_fetch = max(fetch_cycle, icache_ready)
-            if this_fetch > fetch_cycle:
-                fetch_cycle = this_fetch
+            if icache_ready > fetch_cycle:
+                this_fetch = fetch_cycle = icache_ready
                 fetch_slots = 0
+            else:
+                this_fetch = fetch_cycle
             fetch_slots += 1
             if fetch_slots >= fetch_width:
                 fetch_cycle += 1
@@ -361,51 +401,42 @@ class OoOCore:
 
             # ---- dispatch ---------------------------------------------------
             dispatch = this_fetch + FRONTEND_DEPTH
-            # ROB occupancy (µop-granular): note the slots this instruction
-            # claims; their release times are written at commit below.
-            rob_slots = []
+            # ROB occupancy (µop-granular): the instruction claims ``uops``
+            # consecutive slots from ``rob_slot``; their release times are
+            # written at commit below
+            rob_slot = rob_head
             for _ in range(uops):
                 if rob_ring[rob_head] > dispatch:
                     dispatch = rob_ring[rob_head]
-                rob_slots.append(rob_head)
                 rob_head = rob_head + 1 if rob_head + 1 < rob_size else 0
             # IQ occupancy
             if iq_ring[iq_head] > dispatch:
                 dispatch = iq_ring[iq_head]
             # LQ/SQ occupancy
-            if meta.is_load:
+            if mem == MEM_LOAD:
                 if lq_ring[lq_head] > dispatch:
                     dispatch = lq_ring[lq_head]
-            elif meta.is_store:
+            elif mem == MEM_STORE:
                 if sq_ring[sq_head] > dispatch:
                     dispatch = sq_ring[sq_head]
 
             # ---- issue ------------------------------------------------------
             ready = dispatch + 1
-            for is_fp, idx in meta.srcs:
-                t = fp_ready[idx] if is_fp else int_ready[idx]
-                if t > ready:
-                    ready = t
-            pool = fu_pools.get(meta.fu)
-            if pool is not None and meta.fu is not FuClass.NONE:
-                best = 0
-                best_t = pool[0]
-                for k in range(1, len(pool)):
-                    if pool[k] < best_t:
-                        best_t = pool[k]
-                        best = k
+            for reg in srcs:
+                if reg_ready[reg] > ready:
+                    ready = reg_ready[reg]
+            if fu >= 0:
+                pool = fu_pools[fu]
+                best_t = min(pool)
                 issue = ready if ready >= best_t else best_t
-                latency = execute_latency(op)
-                pool[best] = issue + (latency if op in NON_PIPELINED else 1)
+                pool[pool.index(best_t)] = issue + occupancy
             else:
                 issue = ready
-                latency = 1
 
             # ---- execute ----------------------------------------------------
-            m_lo, m_hi = mem_off[i], mem_off[i + 1]
-            if meta.is_load:
+            if mem == MEM_LOAD:
                 done = issue
-                for j in range(m_lo, m_hi):
+                for j in range(mem_off[i], mem_off[i + 1]):
                     if mem_kind[j] != LOAD:
                         continue
                     addr = mem_addr[j]
@@ -413,12 +444,12 @@ class OoOCore:
                     if fwd is not None:
                         access_done = max(issue + 1, fwd)
                     else:
-                        access_done = hierarchy.access_data(
-                            addr, False, pc, issue + 1)
+                        access_done = access_data(addr, False, pc, issue + 1)
                     if access_done > done:
                         done = access_done
-            elif meta.is_store:
+            elif mem == MEM_STORE:
                 done = issue + 1
+                m_lo, m_hi = mem_off[i], mem_off[i + 1]
                 for j in range(m_lo, m_hi):
                     if mem_kind[j] == STORE:
                         store_forward[mem_addr[j]] = done
@@ -430,19 +461,16 @@ class OoOCore:
                 done = issue + latency
 
             # ---- branch resolution -------------------------------------------
-            if meta.is_branch or meta.is_jump:
-                mispredicted = predictor.mispredicted(
-                    pc,
-                    meta.is_branch,
-                    meta.is_jump,
-                    op is Opcode.JALR,
-                    op is Opcode.JAL,
+            if ctrl is not None:
+                is_branch, is_jump, is_jalr, is_jal = ctrl
+                miss = mispredicted(
+                    pc, is_branch, is_jump, is_jalr, is_jal,
                     takens[i] == 1,
                     pcs[i + 1] if i + 1 < total else final_next_pc,
                 )
                 if record is not None:
-                    branch_outcome = 1 if mispredicted else 0
-                if mispredicted:
+                    branch_outcome = 1 if miss else 0
+                if miss:
                     redirect = done + mispredict_penalty
                     if redirect > fetch_cycle:
                         fetch_cycle = redirect
@@ -455,7 +483,7 @@ class OoOCore:
                 earliest = last_commit_cycle
             if earliest < commit_floor:
                 earliest = commit_floor
-            if hook is not None:
+            if i == hook_row:
                 held = hook.pre_commit(i, earliest)
                 if held > earliest:
                     stall_cycles_total += held - earliest
@@ -467,35 +495,32 @@ class OoOCore:
                     commit_slots = 1
             else:
                 commit_slots = 1
-            commit_cycle = earliest
-            last_commit_cycle = commit_cycle
+            commit_cycle = last_commit_cycle = earliest
 
             # release resources: write release times into the slots claimed
             # at dispatch
-            for slot in rob_slots:
-                rob_ring[slot] = commit_cycle + 1
+            released = commit_cycle + 1
+            for _ in range(uops):
+                rob_ring[rob_slot] = released
+                rob_slot = rob_slot + 1 if rob_slot + 1 < rob_size else 0
             iq_ring[iq_head] = issue + 1
             iq_head = iq_head + 1 if iq_head + 1 < iq_size else 0
-            if meta.is_load:
-                lq_ring[lq_head] = commit_cycle + 1
+            if mem == MEM_LOAD:
+                lq_ring[lq_head] = released
                 lq_head = lq_head + 1 if lq_head + 1 < lq_size else 0
-            elif meta.is_store:
-                sq_ring[sq_head] = commit_cycle + 1
+            elif mem == MEM_STORE:
+                sq_ring[sq_head] = released
                 sq_head = sq_head + 1 if sq_head + 1 < sq_size else 0
                 # drain the store to the cache hierarchy post-commit
                 for j in range(m_lo, m_hi):
                     if mem_kind[j] == STORE:
-                        hierarchy.access_data(mem_addr[j], True, pc,
-                                              commit_cycle + 1)
+                        access_data(mem_addr[j], True, pc, released)
 
             # writeback ready times
-            for is_fp, idx in meta.dsts:
-                if is_fp:
-                    fp_ready[idx] = done
-                else:
-                    int_ready[idx] = done
+            for reg in dsts:
+                reg_ready[reg] = done
 
-            if hook is not None:
+            if i == hook_row:
                 pause = hook.post_commit(i, commit_cycle)
                 if pause:
                     stall_cycles_total += pause
@@ -507,6 +532,9 @@ class OoOCore:
                         fetch_cycle = commit_floor
                         fetch_slots = 0
                         current_fetch_line = -1
+                hook_row = i + 1 if skip is None else hook.next_row
+            elif skip is not None:
+                skip(commit_cycle)
 
             if record is not None:
                 rec_issue.append(issue)
@@ -563,9 +591,9 @@ class OoOCore:
     ) -> CoreResult:
         """Simulate the committed ``trace``; returns timing totals.
 
-        If ``hook`` is given, its pre/post-commit methods are invoked for
-        every instruction in commit order (this is how the parallel error
-        detection attaches to the core).
+        If ``hook`` is given, its pre/post-commit methods are invoked in
+        commit order as :class:`CommitHook` describes (this is how the
+        parallel error detection attaches to the core).
         """
         if hook is not None:
             hook.begin(trace)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.isa.executor import DynInstr
 from repro.isa.instructions import NUM_FP_REGS, NUM_INT_REGS
 from repro.isa.memory_image import float_to_bits
 
@@ -90,18 +89,25 @@ class ArchStateTracker:
         twin._next_index = self._next_index
         return twin
 
-    def apply(self, dyn: DynInstr) -> None:
-        """Apply one committed instruction's register writebacks."""
-        self.apply_dsts(dyn.dsts)
-
     def apply_dsts(self, dsts: tuple) -> None:
-        """Apply one writeback tuple straight from the trace's column
-        (the hot path: no row view needed)."""
+        """Apply one committed instruction's register writebacks: one
+        entry of a trace's ``dsts`` column."""
         for is_fp, idx, value in dsts:
             if is_fp:
                 self.fregs[idx] = value
             else:
                 self.xregs[idx] = value
+
+    def apply_rows(self, dsts_column, start: int, stop: int) -> None:
+        """Apply the writebacks of rows ``[start, stop)`` of a trace's
+        ``dsts`` column."""
+        xregs, fregs = self.xregs, self.fregs
+        for row in range(start, stop):
+            for is_fp, idx, value in dsts_column[row]:
+                if is_fp:
+                    fregs[idx] = value
+                else:
+                    xregs[idx] = value
 
     def snapshot(self, pc: int) -> RegisterCheckpoint:
         """Take the checkpoint for a segment boundary at ``pc``."""

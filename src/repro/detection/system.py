@@ -26,6 +26,7 @@ hardware comparisons, and the report records when each check completed.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro.common.config import SystemConfig
@@ -189,6 +190,11 @@ class ParallelErrorDetection(CommitHook):
         self._interrupts = sorted(interrupt_seqs or [])
         self._next_interrupt = 0
         self._last_next_pc = program.entry
+        # rows the core skipped (see CommitHook): their commit cycles,
+        # and the first row whose commit this hook has not applied yet
+        self.skipped_commits = []
+        self.next_row = 0
+        self._synced = 0
 
         self.report = DetectionReport(
             closes_by_reason={r.value: 0 for r in CloseReason},
@@ -209,7 +215,9 @@ class ParallelErrorDetection(CommitHook):
 
     def begin(self, trace: Trace) -> None:
         """Bind to the trace being timed: cache its column references so
-        the per-commit callbacks below are pure column reads."""
+        the per-commit callbacks below are pure column reads.  Rows
+        skipped under the previous binding are applied first."""
+        self._catch_up()
         if trace.fork_of is not None and not self._checkpoint_faults:
             # fork-point run: segments entirely before the fork seq are
             # clean golden splices — let the checker verify them by
@@ -229,6 +237,7 @@ class ParallelErrorDetection(CommitHook):
         self._mem_used = trace.mem_used
         self._total = len(trace)
         self._final_next_pc = trace.final_next_pc
+        self._schedule(self._synced)
 
     def clone_shared(self) -> tuple:
         """Immutable structure :meth:`OoOCore.fork` aliases into timing
@@ -256,7 +265,9 @@ class ParallelErrorDetection(CommitHook):
         the checker's handler table and bindings) is aliased — exactly
         the set :meth:`clone_shared` declares; every mutable co-simulated
         structure is copied via its own flat ``snapshot``/``clone``.
+        ``src`` first applies the rows it skipped.
         """
+        src._catch_up()
         self.config = src.config
         self.program = src.program
         self.metas = src.metas
@@ -284,6 +295,9 @@ class ParallelErrorDetection(CommitHook):
         self._interrupts = list(src._interrupts)
         self._next_interrupt = src._next_interrupt
         self._last_next_pc = src._last_next_pc
+        self.skipped_commits = []
+        self.next_row = src.next_row
+        self._synced = src._synced
         self.report = src.report.snapshot()
         for name in ("_pcs", "_dsts", "_mem_off", "_mem_kind", "_mem_addr",
                      "_mem_value", "_mem_used", "_total", "_final_next_pc"):
@@ -302,7 +316,55 @@ class ParallelErrorDetection(CommitHook):
         return (self._pcs[seq + 1] if seq + 1 < self._total
                 else self._final_next_pc)
 
+    def _catch_up(self) -> None:
+        """Apply the commits of the rows the core skipped: register
+        writebacks, log entries and instruction counts.  None of them can
+        close a segment (see :meth:`_schedule`)."""
+        cycles = self.skipped_commits
+        if not cycles:
+            return
+        start = self._synced
+        stop = self._synced = start + len(cycles)
+        self.arch.apply_rows(self._dsts, start, stop)
+        mem_off = self._mem_off
+        period = self.main_period
+        entries = []
+        for seq in range(start, stop):
+            if mem_off[seq + 1] != mem_off[seq]:
+                entries.extend(self._log_entries(
+                    seq, cycles[seq - start] * period))
+        self.builder.append(entries)
+        self.builder.current.instr_count += stop - start
+        self._last_next_pc = self._next_pc_of(stop - 1)
+        del cycles[:]
+
+    def _schedule(self, row: int) -> None:
+        """Set :attr:`next_row`: the first row from ``row`` on whose
+        commit a segment can close or the commit gate applies.  Neither
+        depends on timing: the segment fills (FULL) or a macro-op
+        overflows it on the first row whose entries reach its capacity
+        (a bisect over ``mem_off``), the timeout on its ``timeout``-th
+        instruction, an interrupt on the first row at or past its seq,
+        and an armed gate on the very next row."""
+        if self._commit_gate_tick:
+            self.next_row = row
+            return
+        builder = self.builder
+        current = builder.current
+        room = builder.capacity - len(current.entries)
+        mem_off = self._mem_off
+        # first k > row with mem_off[k] - mem_off[row] >= room; the row
+        # that reaches it is k - 1
+        nxt = bisect_left(mem_off, mem_off[row] + room, row + 1,
+                          self._total + 1) - 1
+        if builder.timeout is not None:
+            nxt = min(nxt, current.start_seq + builder.timeout - 1)
+        if self._next_interrupt < len(self._interrupts):
+            nxt = min(nxt, max(row, self._interrupts[self._next_interrupt]))
+        self.next_row = nxt
+
     def pre_commit(self, seq: int, earliest_cycle: int) -> int:
+        self._catch_up()
         builder = self.builder
         entry_count = self._mem_off[seq + 1] - self._mem_off[seq]
 
@@ -335,6 +397,7 @@ class ParallelErrorDetection(CommitHook):
         self.arch.apply_dsts(self._dsts[seq])
         next_pc = self._next_pc_of(seq)
         self._last_next_pc = next_pc
+        self._synced = seq + 1
 
         if self._mem_off[seq + 1] - self._mem_off[seq]:
             builder.append(self._log_entries(seq, commit_tick))
@@ -351,6 +414,8 @@ class ParallelErrorDetection(CommitHook):
             reason = CloseReason.INTERRUPT
 
         if reason is None:
+            if seq >= self.next_row:
+                self._schedule(seq + 1)
             return 0
 
         closed = builder.close(
@@ -359,9 +424,11 @@ class ParallelErrorDetection(CommitHook):
         self._dispatch(closed, commit_tick)
         self.report.checkpoint_stall_cycles += self.ckpt_cycles
         self._arm_commit_gate()
+        self._schedule(seq + 1)
         return self.ckpt_cycles
 
     def finish(self, last_commit_cycle: int) -> int:
+        self._catch_up()
         builder = self.builder
         final_tick = last_commit_cycle * self.main_period
         current = builder.current

@@ -62,7 +62,7 @@ from repro.isa.executor import (
     _rem,
     _uops_by_pc,
 )
-from repro.isa.instructions import BRANCH_OPS, MASK64, Opcode, to_signed
+from repro.isa.instructions import BRANCH_OPS, MASK64, NONDET_OPS, Opcode, to_signed
 from repro.isa.program import HANDLER_OPS, Program, predecode
 
 #: Kill switch: ``REPRO_BLOCK_EXEC=0`` forces the per-instruction path.
@@ -79,11 +79,10 @@ def block_exec_enabled() -> bool:
 #: Cap on fused instructions per block (bounds generated-source size).
 MAX_BLOCK_LEN = 256
 
-_NONDET_OPS = frozenset({Opcode.RDRAND, Opcode.RDCYCLE})
 #: Ops that end a block (control flow, halt, exact-count nondet reads).
 _TERMINATORS = (frozenset(BRANCH_OPS)
                 | frozenset({Opcode.J, Opcode.JAL, Opcode.JALR, Opcode.HALT})
-                | _NONDET_OPS)
+                | NONDET_OPS)
 _MEM_OPS = frozenset({Opcode.LD, Opcode.ST, Opcode.LDP, Opcode.STP,
                       Opcode.FLD, Opcode.FST})
 
@@ -283,7 +282,7 @@ def _compile_block(program: Program, decoded, leader: int, uops_table) -> Block:
     consts: dict[str, object] = {}
 
     for i, (op, d) in enumerate(zip(ops, rows)):
-        if op in _NONDET_OPS and i == n - 1:
+        if op in NONDET_OPS and i == n - 1:
             # the port must observe this row's exact dynamic seq
             gen.line(f"m.instr_count = seq + {n - 1}", mode="exec")
         dst = _emit_row(gen, consts, i, op, d, mem_entries)
@@ -500,7 +499,7 @@ def _row_writes(op: Opcode, d) -> list[tuple[bool, int]]:
             writes.append((False, d.rd))
         if d.rd2:
             writes.append((False, d.rd2))
-    elif (op in _INT_RR or op in _FCMP or op in _NONDET_OPS
+    elif (op in _INT_RR or op in _FCMP or op in NONDET_OPS
           or op in (Opcode.ADDI, Opcode.ANDI, Opcode.ORI, Opcode.XORI,
                     Opcode.SLLI, Opcode.SRLI, Opcode.SRAI, Opcode.SLTI,
                     Opcode.MOVI, Opcode.LD, Opcode.FCVT_F2I,
@@ -828,7 +827,7 @@ def _emit_row(gen: _Emitter, consts: dict, i: int, op: Opcode, d,
         expr = _FCMP[op].format(a=gen.read_f(d.rs1), b=gen.read_f(d.rs2))
         name = gen.write_x(i, rd, expr)
         return f"((False, {rd}, {name}),)"
-    if op in _NONDET_OPS:
+    if op in NONDET_OPS:
         gen.needs.add("np")
         opname = f"_op{i}"
         consts[opname] = op

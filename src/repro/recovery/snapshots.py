@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.detection.checkpoint import RegisterCheckpoint
-from repro.isa.executor import DynInstr, STORE
 from repro.isa.memory_image import MemoryImage
 
 
@@ -56,15 +55,9 @@ class SnapshotStore:
             seq=0, checkpoint=start_checkpoint,
             memory=initial_memory.copy(), verified=True)
 
-    def apply_commit(self, dyn: DynInstr) -> None:
-        """Track one committed instruction's stores (undo-logged)."""
-        for memop in dyn.mem:
-            if memop.kind == STORE:
-                self.apply_store(memop.addr, memop.value)
-
     def apply_store(self, addr: int, value: int) -> None:
-        """Undo-log and apply one committed store (the column-iteration
-        entry point: callers walk the trace's mem columns directly)."""
+        """Undo-log and apply one committed store (callers walk the
+        trace's mem columns)."""
         self._current_undo.append((addr, self.memory.load(addr)))
         self.memory.store(addr, value)
 

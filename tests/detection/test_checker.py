@@ -10,26 +10,22 @@ import pytest
 from repro.detection.checker import ErrorKind, SegmentChecker
 from repro.detection.checkpoint import ArchStateTracker
 from repro.detection.lslog import CloseReason, LogEntry, Segment
-from repro.isa.executor import LOAD, NONDET, STORE
+from repro.isa.executor import LOAD, STORE
 
 
 def build_segment(trace, start_seq, end_seq, index=0, slot=0):
     """Construct a closed segment covering trace[start_seq:end_seq]."""
     tracker = ArchStateTracker()
-    for dyn in trace.instructions[:start_seq]:
-        tracker.apply(dyn)
-    start = tracker.snapshot(trace.instructions[start_seq].pc)
-    entries = []
-    for dyn in trace.instructions[start_seq:end_seq]:
-        for memop in dyn.mem:
-            if memop.kind == LOAD:
-                entries.append(LogEntry(LOAD, memop.addr, memop.value, 0))
-            elif memop.kind == STORE:
-                entries.append(LogEntry(STORE, memop.addr, memop.value, 0))
-            else:
-                entries.append(LogEntry(NONDET, 0, memop.value, 0))
-        tracker.apply(dyn)
-    end = tracker.snapshot(trace.instructions[end_seq - 1].next_pc)
+    tracker.apply_rows(trace.dsts, 0, start_seq)
+    start = tracker.snapshot(trace.pcs[start_seq])
+    # LOAD and STORE log address + value; NONDET logs the value at
+    # address 0 — exactly the column contents
+    entries = [LogEntry(trace.mem_kind[j], trace.mem_addr[j],
+                        trace.mem_value[j], 0)
+               for j in range(trace.mem_off[start_seq],
+                              trace.mem_off[end_seq])]
+    tracker.apply_rows(trace.dsts, start_seq, end_seq)
+    end = tracker.snapshot(trace.next_pc_of(end_seq - 1))
     segment = Segment(index=index, slot=slot, start_checkpoint=start,
                       start_seq=start_seq, entries=entries)
     segment.close_reason = CloseReason.FULL

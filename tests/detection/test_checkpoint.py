@@ -7,8 +7,8 @@ from repro.isa.instructions import NUM_FP_REGS, NUM_INT_REGS
 class TestTracker:
     def test_reconstructs_final_state(self, rmw_program, rmw_trace):
         tracker = ArchStateTracker()
-        for dyn in rmw_trace.instructions:
-            tracker.apply(dyn)
+        for dsts in rmw_trace.dsts:
+            tracker.apply_dsts(dsts)
         assert tracker.xregs == rmw_trace.final_xregs
         assert tracker.fregs == rmw_trace.final_fregs
 
@@ -31,9 +31,8 @@ class TestTracker:
         from repro.isa.executor import Machine
         n = 57
         tracker = ArchStateTracker()
-        for dyn in rmw_trace.instructions[:n]:
-            tracker.apply(dyn)
-        ckpt = tracker.snapshot(rmw_trace.instructions[n - 1].next_pc)
+        tracker.apply_rows(rmw_trace.dsts, 0, n)
+        ckpt = tracker.snapshot(rmw_trace.pcs[n])
         machine = Machine(rmw_trace.program)
         for _ in range(n):
             machine.step()

@@ -5,7 +5,7 @@ import pytest
 from repro.common.config import default_config
 from repro.detection.checkpoint import ArchStateTracker
 from repro.detection.faults import FaultInjector, FaultSite, TransientFault
-from repro.isa.executor import execute_program
+from repro.isa.executor import STORE, execute_program
 from repro.recovery.rollback import (
     build_snapshots,
     detect_and_recover,
@@ -27,13 +27,19 @@ def clean(program):
     return execute_program(program)
 
 
+def apply_stores(store, trace, start, stop):
+    """Feed rows ``[start, stop)`` of ``trace``'s stores to ``store``."""
+    for j in range(trace.mem_off[start], trace.mem_off[stop]):
+        if trace.mem_kind[j] == STORE:
+            store.apply_store(trace.mem_addr[j], trace.mem_value[j])
+
+
 class TestSnapshotStore:
     def test_undo_logged_memory_evolves(self, clean):
         tracker = ArchStateTracker()
         store = SnapshotStore(clean.program.initial_memory(),
                               tracker.snapshot(0))
-        for dyn in clean.instructions:
-            store.apply_commit(dyn)
+        apply_stores(store, clean, 0, len(clean))
         # the evolving image equals the final architectural memory
         for addr, value in clean.memory.items():
             assert store.memory.load(addr) == value
@@ -43,14 +49,12 @@ class TestSnapshotStore:
         store = SnapshotStore(clean.program.initial_memory(),
                               tracker.snapshot(0))
         n = 120
-        for dyn in clean.instructions[:n]:
-            store.apply_commit(dyn)
-            tracker.apply(dyn)
-        snap = store.take_snapshot(n, tracker.snapshot(
-            clean.instructions[n - 1].next_pc))
+        apply_stores(store, clean, 0, n)
+        for i in range(n):
+            tracker.apply_dsts(clean.dsts[i])
+        snap = store.take_snapshot(n, tracker.snapshot(clean.pcs[n]))
         frozen = {a: v for a, v in snap.memory.items()}
-        for dyn in clean.instructions[n:]:
-            store.apply_commit(dyn)
+        apply_stores(store, clean, n, len(clean))
         assert {a: v for a, v in snap.memory.items()} == frozen
 
     def test_verification_ordering(self, clean):
@@ -75,8 +79,7 @@ class TestSnapshotStore:
         tracker = ArchStateTracker()
         store = SnapshotStore(clean.program.initial_memory(),
                               tracker.snapshot(0))
-        for dyn in clean.instructions:
-            store.apply_commit(dyn)
+        apply_stores(store, clean, 0, len(clean))
         assert store.undo_cost_entries() == clean.store_count
 
 
