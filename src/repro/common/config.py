@@ -8,9 +8,12 @@ parameter-sensitivity figures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import hashlib
+from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 
 from repro.common.errors import ConfigError
+from repro.common.records import canonical_json
 from repro.common.time import CHECKER_CLOCK_MHZ, MAIN_CLOCK_MHZ, Clock
 
 #: Bytes occupied by one load-store log entry: a 64-bit address plus a
@@ -245,6 +248,21 @@ class SystemConfig:
         self.checker.validate()
         self.detection.validate(self.checker.num_cores)
         return self
+
+    # Memos in the instance ``__dict__`` (a frozen dataclass allows it):
+    # per object, never per value, since ``with_checker_freq(1000)``
+    # equals the default ``1000.0`` config but serialises differently.
+
+    @cached_property
+    def description(self) -> dict:
+        """``asdict(self)``, computed once and shared: treat it read-only."""
+        return asdict(self)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """SHA-256 of the canonical JSON of :attr:`description`."""
+        return hashlib.sha256(
+            canonical_json(self.description).encode()).hexdigest()
 
     # -- convenience constructors used by the sweep harness ---------------
 

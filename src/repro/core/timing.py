@@ -44,13 +44,10 @@ Environment overrides (validation kill-switches, mirroring
 from __future__ import annotations
 
 import copy
-import hashlib
 import os
 from contextlib import contextmanager
-from dataclasses import asdict
 
 from repro.common.config import SystemConfig
-from repro.common.records import canonical_json
 from repro.core.ooo_core import CommitHook, CoreResult, OoOCore
 from repro.isa.executor import Trace
 
@@ -107,10 +104,10 @@ def config_key(config: SystemConfig) -> str:
 
     Keys golden timing records both in-process (``trace.timings``) and in
     trace-store v4 envelopes; also the campaign layer's config
-    fingerprint, so the two can never disagree.
+    fingerprint, so the two can never disagree.  Computed once per
+    config object (:attr:`SystemConfig.fingerprint`).
     """
-    payload = canonical_json(asdict(config))
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return config.fingerprint
 
 
 class TimingColumns:

@@ -169,7 +169,8 @@ class JobSpec:
                              f"one of {TIMING_MODES} expected")
 
     def describe(self) -> dict:
-        """The canonical description hashed into the cache key."""
+        """The canonical description hashed into the cache key (its
+        ``config`` is the config's shared memo: serialise, never mutate)."""
         def describe_fault(fault: TransientFault) -> dict:
             payload = asdict(fault)
             payload["site"] = fault.site.value
@@ -181,7 +182,7 @@ class JobSpec:
             "scheme": self.scheme,
             "benchmark": self.benchmark,
             "scale": self.scale,
-            "config": asdict(self.config),
+            "config": self.config.description,
             "fault": (describe_fault(self.fault)
                       if self.fault is not None else None),
             "faults": [describe_fault(fault) for fault in self.faults],

@@ -18,6 +18,7 @@ optional operand field again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from repro.common.errors import AssemblyError
@@ -138,9 +139,15 @@ class Program:
     def __len__(self) -> int:
         return len(self.instructions)
 
-    def initial_memory(self) -> MemoryImage:
-        """A fresh memory image holding the program's data segment."""
+    @cached_property
+    def _data_image(self) -> MemoryImage:
+        # built, and each address checked, once per program object
         return MemoryImage(self.data)
+
+    def initial_memory(self) -> MemoryImage:
+        """A fresh memory image holding the program's data segment (an
+        independent copy of one image built per program)."""
+        return self._data_image.copy()
 
     def fetch(self, pc: int) -> Instruction:
         """The static instruction at instruction index ``pc``."""

@@ -1,5 +1,9 @@
 """Tests for the Table I configuration dataclasses."""
 
+import hashlib
+import pickle
+from dataclasses import asdict, replace
+
 import pytest
 
 from repro.common.config import (
@@ -8,10 +12,13 @@ from repro.common.config import (
     DRAMConfig,
     LOG_ENTRY_BYTES,
     MainCoreConfig,
+    config_from_dict,
     default_config,
     table1_rows,
 )
 from repro.common.errors import ConfigError
+from repro.common.records import canonical_json
+from repro.core.timing import config_key
 
 
 class TestDefaults:
@@ -119,3 +126,38 @@ class TestTable1Rendering:
         assert "12x in-order" in rows["Checker cores"]
         assert "36KiB" in rows["Log size"]
         assert "5000 instruction timeout" in rows["Log size"]
+
+
+def fresh_fingerprint(cfg) -> str:
+    """The fingerprint computed from scratch, bypassing every memo."""
+    return hashlib.sha256(canonical_json(asdict(cfg)).encode()).hexdigest()
+
+
+class TestFingerprintMemo:
+    """Description and fingerprint are memoised per config object."""
+
+    def test_memos_match_a_fresh_computation(self):
+        cfg = default_config().with_checker_cores(6)
+        assert cfg.description == asdict(cfg)
+        assert cfg.description is cfg.description
+        assert cfg.fingerprint == config_key(cfg) == fresh_fingerprint(cfg)
+
+    def test_derived_configs_fingerprint_afresh(self):
+        base = default_config()
+        warm = default_config().with_checker_freq(1000)
+        config_key(base), config_key(warm)  # fill both memos first
+        derived = [
+            replace(base, checker=replace(base.checker, freq_mhz=500.0)),
+            replace(warm, checker=replace(warm.checker, num_cores=6)),
+            base.with_log(360 * 1024, None),
+            config_from_dict(asdict(base)),
+            config_from_dict(asdict(warm)),
+            pickle.loads(pickle.dumps(base)),
+            pickle.loads(pickle.dumps(warm)),
+            pickle.loads(pickle.dumps(default_config().with_checker_cores(6))),
+        ]
+        for cfg in derived:
+            assert config_key(cfg) == fresh_fingerprint(cfg)
+        # the int frequency survives both round trips
+        assert config_key(derived[4]) == config_key(warm)
+        assert config_key(derived[6]) == config_key(warm)

@@ -1,10 +1,12 @@
 """Tests for the parallel campaign engine and its on-disk run cache."""
 
+import dataclasses
 import json
+import sys
 
 import pytest
 
-from repro.common.config import default_config
+from repro.common.config import SystemConfig, default_config
 from repro.detection.faults import FaultSite, TransientFault
 from repro.harness.campaign import (
     CACHE_SCHEMA_VERSION,
@@ -61,6 +63,39 @@ class TestKeys:
         spec = JobSpec("fault", "stream", "small", cfg, fault=fault,
                        interrupt_seqs=(10, 20))
         json.dumps(spec.describe())  # must not raise
+
+
+@pytest.fixture
+def config_walks(monkeypatch):
+    """Every ``dataclasses.asdict`` walk of a :class:`SystemConfig`, seen
+    through every module that bound the function at import."""
+    walks = []
+    real = dataclasses.asdict
+
+    def spy(obj, *args, **kwargs):
+        if isinstance(obj, SystemConfig):
+            walks.append(obj)
+        return real(obj, *args, **kwargs)
+
+    monkeypatch.setattr(dataclasses, "asdict", spy)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "asdict", None) is real:
+            monkeypatch.setattr(module, "asdict", spy)
+    return walks
+
+
+class TestKeyMemo:
+    def test_config_tree_walked_once_per_object(self, config_walks):
+        cfg = default_config().with_checker_freq(500.0)
+        fault = TransientFault(FaultSite.RESULT, seq=9)
+        spec = JobSpec("fault", "stream", "small", cfg, fault=fault)
+        first = (config_fingerprint(cfg), spec.key())
+        assert config_walks == [cfg]
+        # a second fingerprint or key, or another spec over the same
+        # config object, reuses the walk
+        assert (config_fingerprint(cfg), spec.key()) == first
+        JobSpec("fault-batch", "stream", "small", cfg, faults=(fault,)).key()
+        assert config_walks == [cfg]
 
 
 class TestRunCache:

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.common.errors import AssemblyError
-from repro.isa.instructions import Opcode
-from repro.isa.memory_image import float_to_bits
-from repro.isa.program import ProgramBuilder, signature
+from repro.common.errors import AssemblyError, MemoryAccessError
+from repro.isa.instructions import Instruction, Opcode
+from repro.isa.memory_image import MemoryImage, float_to_bits
+from repro.isa.program import Program, ProgramBuilder, signature
 
 
 class TestBuilder:
@@ -110,6 +110,51 @@ class TestDataSegment:
         b.emit(Opcode.HALT)
         mem = b.build().initial_memory()
         assert mem.load(0x100) == 5
+
+
+def data_program(data: dict) -> Program:
+    return Program("data", (Instruction(Opcode.HALT),), data=data)
+
+
+class TestInitialMemory:
+    """The data image is built once per program; each call gets a copy."""
+
+    def test_second_call_makes_no_store(self, monkeypatch):
+        stores = []
+        real = MemoryImage.store
+
+        def spy(self, addr, value):
+            stores.append(addr)
+            real(self, addr, value)
+
+        monkeypatch.setattr(MemoryImage, "store", spy)
+        program = data_program({0x100: 1, 0x108: 2, 0x200: 3})
+        first = program.initial_memory()
+        assert sorted(stores) == [0x100, 0x108, 0x200]
+        stores.clear()
+        second = program.initial_memory()
+        assert stores == []
+        assert dict(second.items()) == dict(first.items()) == program.data
+
+    def test_calls_return_independent_images(self):
+        program = data_program({0x100: 1, 0x108: 2})
+        first = program.initial_memory()
+        first.store(0x100, 99)
+        first.store(0x300, 7)
+        second = program.initial_memory()
+        assert second is not first
+        assert second.load(0x100) == 1 and 0x300 not in second
+        assert program.data == {0x100: 1, 0x108: 2}
+        second.store(0x108, 55)
+        assert first.load(0x108) == 2
+        assert program.initial_memory().load(0x108) == 2
+
+    @pytest.mark.parametrize("addr", [0x101, -8])
+    def test_bad_address_raises_on_every_call(self, addr):
+        program = data_program({0x100: 1, addr: 2})
+        for _ in range(3):
+            with pytest.raises(MemoryAccessError):
+                program.initial_memory()
 
 
 class TestProgram:

@@ -1,8 +1,8 @@
-"""Tests for the comparison baselines."""
+"""Tests for the comparison schemes' timing models."""
 
-from repro.baselines.lockstep import run_lockstep
-from repro.baselines.rmt import rmt_config, run_rmt
-from repro.baselines.unprotected import run_baseline
+from repro.schemes.lockstep import run_lockstep
+from repro.schemes.rmt import rmt_config, run_rmt
+from repro.schemes.unprotected import run_baseline
 
 
 class TestLockstep:
