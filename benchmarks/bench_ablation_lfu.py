@@ -24,8 +24,9 @@ from repro.workloads.suite import build_benchmark
 
 def _load_seqs(trace, count, seed_salt):
     """Pick dynamic indices of load instructions, deterministically."""
-    loads = [d.seq for d in trace.instructions
-             if any(m.kind == LOAD for m in d.mem)]
+    kinds, off = trace.mem_kind, trace.mem_off
+    loads = [seq for seq in range(len(trace))
+             if LOAD in kinds[off[seq]:off[seq + 1]]]
     rng = derive(0, seed_salt)
     rng.shuffle(loads)
     return loads[:count]

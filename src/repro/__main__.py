@@ -9,8 +9,7 @@ Commands:
     underlying runs through the campaign engine.
 ``campaign [--kind baseline|detection|fault|fault-batch|recovery]
 [--scheme NAME] [--benchmark NAMES] [--trials N] [--batch-size N]
-[--timing cycle|interval] [--workers N] [--cache-dir DIR] [--shard K/N]
-[--manifest DIR] [--json]``
+[--workers N] [--cache-dir DIR] [--shard K/N] [--manifest DIR] [--json]``
     Run a campaign grid through the parallel engine under any registered
     protection scheme (``unprotected``, ``lockstep``, ``rmt``,
     ``detection``).  Identical grids are incremental: a warm cache
@@ -112,7 +111,7 @@ def _build_grid(args: argparse.Namespace, names: list[str]):
     grid, _meta = build_grid({
         "kind": args.kind, "scheme": args.scheme, "scale": args.scale,
         "benchmarks": names, "trials": args.trials, "seed": args.seed,
-        "batch_size": args.batch_size, "timing": args.timing,
+        "batch_size": args.batch_size,
     })
     return grid
 
@@ -433,11 +432,6 @@ def make_parser() -> argparse.ArgumentParser:
                         help="protection scheme to run the campaign under")
     p_camp.add_argument("--trials", type=int, default=30,
                         help="jobs per benchmark (fault sites cycle)")
-    p_camp.add_argument("--timing", default="cycle",
-                        choices=["cycle", "interval"],
-                        help="timing model for fault grids: cycle = the "
-                             "exact OoO model; interval = calibrated "
-                             "estimate from the golden timing record")
     p_camp.add_argument("--seed", type=int, default=0)
     p_camp.add_argument("--scale", default="small",
                         choices=["small", "default"])

@@ -34,14 +34,7 @@ from repro.common.stats import Samples
 from repro.common.time import ticks_to_ns
 from repro.core.inorder_core import InOrderCoreModel
 from repro.core.ooo_core import CommitHook, CoreResult, OoOCore
-from repro.core.timing import (
-    config_key,
-    resolve_timing_mode,
-    time_bare,
-    timing_model,
-    timing_record,
-    timing_splice_enabled,
-)
+from repro.core.timing import config_key, time_bare, timing_splice_enabled
 from repro.detection.checker import CheckError, SegmentChecker
 from repro.detection.checkpoint import ArchStateTracker, RegisterCheckpoint
 from repro.detection.faults import FaultSite, TransientFault
@@ -716,7 +709,6 @@ def run_with_detection(
     checkpoint_faults: list[TransientFault] | None = None,
     checker_faults: list[TransientFault] | None = None,
     interrupt_seqs: list[int] | None = None,
-    golden: Trace | None = None,
     verdict_only: bool = False,
 ) -> DetectionRunResult | DetectionVerdict:
     """Time ``trace`` on a main core with parallel error detection attached.
@@ -725,17 +717,12 @@ def run_with_detection(
     the trace is produced (``execute_program(program, fault_injector=...)``);
     checkpoint/checker faults and interrupt arrivals are modelled here.
 
-    Timing path selection (see :mod:`repro.core.timing`):
-
-    * interval mode (per JobSpec, or ``REPRO_TIMING_MODE=interval``)
-      drives the hook from analytical commit estimates calibrated on the
-      golden timing record (``golden``, or the trace's fork parent, or
-      the trace itself when it is clean);
-    * in cycle mode, a forked faulty trace with no detection-side faults
-      or interrupts resumes a golden timing snapshot taken at exactly
-      its fork seq and re-times only the suffix — byte-identical to the
-      full re-timing below, which remains the path for everything else
-      (and the whole story under ``REPRO_TIMING_SPLICE=0``).
+    Timing is the exact OoO cycle model.  A forked faulty trace with no
+    detection-side faults or interrupts resumes a golden timing snapshot
+    taken at exactly its fork seq and re-times only the suffix —
+    byte-identical to the full re-timing below, which remains the path
+    for everything else (and the whole story under
+    ``REPRO_TIMING_SPLICE=0``; see :mod:`repro.core.timing`).
 
     ``verdict_only=True`` returns a :class:`DetectionVerdict` instead of
     the full result.  On the spliced path its timing then stops as soon
@@ -747,7 +734,6 @@ def run_with_detection(
     """
     if (trace.fork_of is not None
             and timing_splice_enabled()
-            and resolve_timing_mode() != "interval"
             and not checkpoint_faults
             and not checker_faults
             and not interrupt_seqs):
@@ -758,11 +744,7 @@ def run_with_detection(
         checker_faults=checker_faults,
         interrupt_seqs=interrupt_seqs,
     )
-    if resolve_timing_mode() == "interval":
-        base = timing_record(golden or trace.fork_of or trace, config)
-        core_result = timing_model("interval").drive(trace, config, hook, base)
-    else:
-        core_result = OoOCore(config).run(trace, hook=hook)
+    core_result = OoOCore(config).run(trace, hook=hook)
     if verdict_only:
         return DetectionVerdict.of(hook.report)
     return DetectionRunResult(core=core_result, report=hook.report)

@@ -59,7 +59,6 @@ from repro.common.records import (
     record_to_dict,
 )
 from repro.common.rng import derive
-from repro.core.timing import TIMING_MODES, timing_mode
 from repro.core.timing import config_key as timing_config_key
 from repro.detection.faults import FaultSite, TransientFault
 from repro.detection.system import run_with_detection
@@ -171,18 +170,17 @@ class JobSpec:
     #: default (:data:`DEFAULT_SCHEMES`) so pre-registry call sites keep
     #: naming the same jobs
     scheme: str = ""
-    #: timing model the job runs under: ``cycle`` (the OoO model, exact)
-    #: or ``interval`` (calibrated estimate from the golden timing
-    #: record; see :mod:`repro.core.timing`)
+    #: the timing model, always ``cycle`` (the exact OoO model); kept
+    #: because every cache key hashes it
     timing: str = "cycle"
 
     def __post_init__(self) -> None:
         if not self.scheme:
             object.__setattr__(
                 self, "scheme", DEFAULT_SCHEMES.get(self.kind, "detection"))
-        if self.timing not in TIMING_MODES:
+        if self.timing != "cycle":
             raise ValueError(f"unknown timing mode {self.timing!r}; "
-                             f"one of {TIMING_MODES} expected")
+                             f"only 'cycle' is supported")
 
     def describe(self) -> dict:
         """The canonical description hashed into the cache key (its
@@ -390,11 +388,7 @@ def execute_job(spec: JobSpec) -> dict:
                          f"one of {JOB_KINDS} expected") from None
     scheme = get_scheme(spec.scheme)
     config_key = config_fingerprint(spec.config)
-    # the spec's timing mode governs the whole job; the env override
-    # (REPRO_TIMING_MODE) still wins inside resolve_timing_mode, so one
-    # setting can force a whole campaign back to the cycle model
-    with timing_mode(spec.timing):
-        return record_to_dict(executor(spec, scheme, config_key))
+    return record_to_dict(executor(spec, scheme, config_key))
 
 
 def _execute_shard(payload: tuple[str | None, list[tuple[int, JobSpec]]],
@@ -738,8 +732,7 @@ def fault_grid(benchmarks: Sequence[str],
                config: SystemConfig | None = None,
                seed: int = 0,
                kind: str = "fault",
-               scheme: str = "detection",
-               timing: str = "cycle") -> CampaignGrid:
+               scheme: str = "detection") -> CampaignGrid:
     """A fault-injection grid: ``trials`` jobs per benchmark, cycling
     through ``sites``, with fault positions drawn from a per-benchmark
     deterministic stream (so the grid is a pure function of its
@@ -767,7 +760,7 @@ def fault_grid(benchmarks: Sequence[str],
                 seq=rng.randrange(10, clean_len - 10),
                 bit=rng.randrange(0, 48))
             jobs.append(JobSpec(kind, name, scale, cfg, fault=fault,
-                                scheme=scheme, timing=timing))
+                                scheme=scheme))
     return CampaignGrid(tuple(jobs))
 
 
@@ -778,8 +771,7 @@ def fault_batch_grid(benchmarks: Sequence[str],
                      scale: str = "small",
                      config: SystemConfig | None = None,
                      seed: int = 0,
-                     scheme: str = "detection",
-                     timing: str = "cycle") -> CampaignGrid:
+                     scheme: str = "detection") -> CampaignGrid:
     """The batched counterpart of :func:`fault_grid`: the *same* fault
     stream (same seed → the identical fault set, fault for fault, as a
     ``kind="fault"`` grid), chunked into ``fault-batch`` jobs of up to
@@ -809,8 +801,7 @@ def fault_batch_grid(benchmarks: Sequence[str],
         for lo in range(0, len(faults), batch_size):
             jobs.append(JobSpec(
                 "fault-batch", name, scale, cfg,
-                faults=tuple(faults[lo:lo + batch_size]), scheme=scheme,
-                timing=timing))
+                faults=tuple(faults[lo:lo + batch_size]), scheme=scheme))
     return CampaignGrid(tuple(jobs))
 
 

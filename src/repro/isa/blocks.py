@@ -53,6 +53,7 @@ import struct
 
 from repro.common.errors import ReproError
 from repro.isa.executor import (
+    DEFAULT_NAN,
     LOAD,
     STORE,
     _div,
@@ -148,6 +149,7 @@ _HELPERS = {
     "_pd": struct.Struct("<d").pack,
     "_uq": struct.Struct("<Q").unpack,
     "isnan": math.isnan,
+    "_nan": DEFAULT_NAN,
     "float": float,
     "abs": abs,
     "_E": (),
@@ -637,6 +639,12 @@ def _addr_expr(gen: _Emitter, rs1: int, imm: int) -> str:
     return base if imm == 0 else f"({base} + {imm}) & {_M}"
 
 
+def _default_nan(expr: str) -> str:
+    """Render ``expr`` with a NaN result replaced by
+    :data:`~repro.isa.executor.DEFAULT_NAN`, as the handlers do."""
+    return f"_n if (_n := ({expr})) == _n else _nan"
+
+
 def _int_ri_expr(gen: _Emitter, op: Opcode, rs1: int, imm: int) -> str:
     a = gen.read_x(rs1)
     if op is Opcode.ADDI:
@@ -795,12 +803,12 @@ def _emit_row(gen: _Emitter, consts: dict, i: int, op: Opcode, d,
         return "_E"
     if op in _FP_RR:
         expr = _FP_RR[op].format(a=gen.read_f(d.rs1), b=gen.read_f(d.rs2))
-        name = gen.write_f(i, rd, expr)
+        name = gen.write_f(i, rd, _default_nan(expr))
         return f"((True, {rd}, {name}),)"
     if op is Opcode.FMADD:
         expr = (f"{gen.read_f(d.rs1)} * {gen.read_f(d.rs2)}"
                 f" + {gen.read_f(d.rs3)}")
-        name = gen.write_f(i, rd, expr)
+        name = gen.write_f(i, rd, _default_nan(expr))
         return f"((True, {rd}, {name}),)"
     if op in _FP_UN:
         name = gen.write_f(i, rd, _FP_UN[op].format(a=gen.read_f(d.rs1)))

@@ -18,9 +18,8 @@ inspection, no operand-field tests.
 
 The committed trace is **columnar** (structure of arrays): parallel
 columns for pc, writebacks, branch outcome, and a CSR-indexed block of
-memory-operation columns (kind/addr/value/used_value), behind a thin
-row-view accessor (:attr:`Trace.instructions`) for callers that want the
-classic one-object-per-instruction shape.
+memory-operation columns (kind/addr/value/used_value).  Consumers read
+the columns directly.
 
 Integer registers hold 64-bit unsigned bit patterns; FP registers hold
 Python floats (IEEE-754 doubles).  All memory traffic is in 64-bit bit
@@ -52,34 +51,10 @@ try:  # the vectorised column paths are optional accelerations
 except ImportError:  # pragma: no cover - numpy ships with the toolchain
     _np = None
 
-# MemOp kinds
+# mem_kind codes
 LOAD = 0
 STORE = 1
 NONDET = 2
-
-
-class MemOp:
-    """One committed memory (or non-deterministic) operation.
-
-    For loads, ``value`` is what the ECC-protected memory returned at
-    ``addr`` — exactly what the load forwarding unit duplicates — while
-    ``used_value`` is what actually reached the main core's register file
-    (different only under an injected load-value fault).  For stores both
-    fields equal the committed data.  For NONDET entries ``addr`` is zero
-    and ``value`` is the forwarded result.
-    """
-
-    __slots__ = ("kind", "addr", "value", "used_value")
-
-    def __init__(self, kind: int, addr: int, value: int, used_value: int | None = None):
-        self.kind = kind
-        self.addr = addr
-        self.value = value
-        self.used_value = value if used_value is None else used_value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = {LOAD: "LOAD", STORE: "STORE", NONDET: "NONDET"}[self.kind]
-        return f"MemOp({kind}, addr={self.addr:#x}, value={self.value:#x})"
 
 
 def _div(a: int, b: int) -> int:
@@ -106,6 +81,14 @@ def _rem(a: int, b: int) -> int:
     if sa < 0:
         remainder = -remainder
     return remainder & MASK64
+
+
+#: The one NaN that FADD, FSUB, FMUL, FDIV, FMIN, FMAX and FMADD write
+#: (AArch64's default-NaN mode does the same).  CPython's float
+#: arithmetic returns either operand's NaN payload depending on how warm
+#: the code object is, so propagated payloads would make result bits
+#: depend on how often a process has already run the code.
+DEFAULT_NAN = math.nan
 
 
 def _fdiv(a: float, b: float) -> float:
@@ -136,7 +119,7 @@ def _f2i(a: float) -> int:
 # ``run(machine) -> (dsts, mem, taken)`` with every operand (and the
 # fall-through pc) captured as a local.  ``mem`` entries are plain
 # ``(kind, addr, value, used_value)`` tuples — the executor's raw wire
-# format; :class:`MemOp` objects exist only in the row-view layer.
+# format.
 #
 # x0 semantics are specialised at bind time: an integer destination of
 # x0 is neither written nor recorded (architecturally invisible), which
@@ -425,6 +408,8 @@ def _make_fp_bin(fn, d: DecodedInstr):
     def run(m):
         f = m.fregs
         value = fn(f[rs1], f[rs2])
+        if value != value:
+            value = DEFAULT_NAN
         f[rd] = value
         m.pc = nxt
         return ((True, rd, value),), (), None
@@ -437,6 +422,8 @@ def _make_fmadd(d: DecodedInstr):
     def run(m):
         f = m.fregs
         value = f[rs1] * f[rs2] + f[rs3]
+        if value != value:
+            value = DEFAULT_NAN
         f[rd] = value
         m.pc = nxt
         return ((True, rd, value),), (), None
@@ -604,84 +591,6 @@ def _uops_by_pc(program: Program) -> tuple[int, ...]:
 
 # -- the columnar trace -------------------------------------------------------
 
-class DynInstr:
-    """Row view over one committed instruction of a columnar :class:`Trace`.
-
-    Materialises the classic per-instruction record shape (``seq``, ``pc``,
-    ``op``, ``dsts``, ``mem``, ``taken``, ``next_pc``) on demand from the
-    trace's columns; hot-path consumers iterate the columns directly and
-    never build these.
-    """
-
-    __slots__ = ("_trace", "seq")
-
-    def __init__(self, trace: "Trace", seq: int) -> None:
-        self._trace = trace
-        self.seq = seq
-
-    @property
-    def pc(self) -> int:
-        return self._trace.pcs[self.seq]
-
-    @property
-    def op(self) -> Opcode:
-        trace = self._trace
-        return trace.program.instructions[trace.pcs[self.seq]].op
-
-    @property
-    def dsts(self) -> tuple:
-        return self._trace.dsts[self.seq]
-
-    @property
-    def mem(self) -> tuple:
-        trace = self._trace
-        lo, hi = trace.mem_off[self.seq], trace.mem_off[self.seq + 1]
-        return tuple(
-            MemOp(trace.mem_kind[j], trace.mem_addr[j], trace.mem_value[j],
-                  trace.mem_used[j])
-            for j in range(lo, hi))
-
-    @property
-    def taken(self) -> bool | None:
-        code = self._trace.takens[self.seq]
-        return None if code < 0 else bool(code)
-
-    @property
-    def next_pc(self) -> int:
-        return self._trace.next_pc_of(self.seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"DynInstr(seq={self.seq}, pc={self.pc}, op={self.op.value})"
-
-
-class _RowSeq:
-    """Sequence facade over a trace's rows (supports index, slice, iter)."""
-
-    __slots__ = ("_trace",)
-
-    def __init__(self, trace: "Trace") -> None:
-        self._trace = trace
-
-    def __len__(self) -> int:
-        return len(self._trace.pcs)
-
-    def __getitem__(self, index):
-        trace = self._trace
-        n = len(trace.pcs)
-        if isinstance(index, slice):
-            return [DynInstr(trace, i) for i in range(*index.indices(n))]
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError(f"trace row {index} out of range 0..{n - 1}")
-        return DynInstr(trace, index)
-
-    def __iter__(self):
-        trace = self._trace
-        for seq in range(len(trace.pcs)):
-            yield DynInstr(trace, seq)
-
-
 class Trace:
     """The committed execution of a program, stored as columns.
 
@@ -689,17 +598,22 @@ class Trace:
     ``takens``) are parallel and dense in commit order (``seq`` is the row
     index); memory operations live in flat CSR-indexed columns — row *i*'s
     entries are ``mem_kind/addr/value/used[mem_off[i]:mem_off[i + 1]]``.
+    For a load, ``mem_value`` is what the ECC-protected memory returned
+    at ``mem_addr`` — exactly what the load forwarding unit duplicates —
+    while ``mem_used`` is what reached the main core's register file
+    (different only under an injected load-value fault).  For a store
+    both equal the committed data; for a ``NONDET`` entry the address is
+    zero and the value is the forwarded result.
     ``takens`` encodes -1 = not a control instruction, 0/1 = branch
     outcome; ``next_pc`` is derived (``pcs[i + 1]``, or ``final_next_pc``
-    for the last row).  :attr:`instructions` is the thin row-view accessor
-    for consumers that want per-instruction objects.
+    for the last row).
     """
 
     __slots__ = (
         "program", "pcs", "dsts", "takens",
         "mem_off", "mem_kind", "mem_addr", "mem_value", "mem_used",
         "final_next_pc", "final_xregs", "final_fregs", "memory", "halted",
-        "uop_count", "load_count", "store_count", "crashed", "_rows",
+        "uop_count", "load_count", "store_count", "crashed",
         "fork_of", "fork_seq", "_keyframes", "timings", "store_ref",
     )
 
@@ -744,18 +658,9 @@ class Trace:
         #: (store, key) binding when this trace came from / was put into a
         #: trace store — lets timing records publish into the envelope
         self.store_ref: tuple | None = None
-        self._rows: _RowSeq | None = None
 
     def __len__(self) -> int:
         return len(self.pcs)
-
-    @property
-    def instructions(self) -> _RowSeq:
-        """Row-view accessor: ``trace.instructions[i]`` is a
-        :class:`DynInstr` over row *i* (columns stay the ground truth)."""
-        if self._rows is None:
-            self._rows = _RowSeq(self)
-        return self._rows
 
     def next_pc_of(self, seq: int) -> int:
         """The committed successor pc of row ``seq``."""

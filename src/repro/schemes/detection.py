@@ -64,14 +64,11 @@ class ParallelDetectionScheme(ProtectionScheme):
         if not injector.activations and fault.site in EXECUTION_SITES:
             return FaultVerdict(activated=False, outcome="not_activated")
 
-        # `golden=clean` anchors the interval model's base timing curve to
-        # the clean trace, so interval verdicts are identical whether the
-        # faulty trace came from the fork path (fork_of set) or a full
-        # re-execution (fork_of None); `verdict_only` lets the timing
-        # stop once the verdict can no longer change
+        # `verdict_only` lets the timing stop once the verdict can no
+        # longer change
         side = system_faults([fault])
         detection = run_with_detection(
-            faulty, config, golden=clean, verdict_only=True,
+            faulty, config, verdict_only=True,
             checkpoint_faults=side["checkpoint"] or None,
             checker_faults=side["checker"] or None,
             interrupt_seqs=list(interrupt_seqs) or None)

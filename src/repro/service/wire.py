@@ -15,9 +15,11 @@ A description is a JSON object with either
 
 * a **declarative grid**: ``kind`` (one of the engine's job kinds),
   ``benchmarks`` (list of suite names, or ``"all"``), ``scheme``,
-  ``trials``, ``scale``, ``seed``, ``timing`` (``cycle``/``interval``,
-  fault grids only), and ``batch_size`` (fault-batch only) — mirroring
-  the ``campaign`` CLI flags one for one; or
+  ``trials``, ``scale``, ``seed`` and ``batch_size`` (fault-batch
+  only) — mirroring the ``campaign`` CLI flags one for one — plus an
+  optional ``timing``, which must be ``cycle`` (the one timing model;
+  accepted so older clients and persisted descriptions still rebuild);
+  or
 * **explicit jobs**: ``jobs``, a list of canonical
   :meth:`~repro.harness.campaign.JobSpec.describe` dicts, reconstructed
   through the same :func:`~repro.harness.manifest.spec_from_description`
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.timing import TIMING_MODES
 from repro.harness.campaign import JOB_KINDS, CampaignGrid
 
 #: Validation bounds: generous next to any real sweep, small enough
@@ -177,20 +178,16 @@ def build_grid(desc: dict) -> tuple[CampaignGrid, dict]:
     seed = _require_int(desc, "seed", 0, -(2 ** 63), 2 ** 63 - 1)
     batch_size = _require_int(desc, "batch_size", 50, 1, MAX_BATCH_SIZE)
     timing = desc.get("timing", "cycle")
-    if timing not in TIMING_MODES:
-        raise WireError(f"'timing' must be one of {list(TIMING_MODES)}, "
-                        f"got {timing!r}")
-    if timing != "cycle" and kind not in ("fault", "fault-batch"):
-        raise WireError(f"'timing': {timing!r} applies to fault grids "
-                        f"only; kind {kind!r} always uses the cycle model")
+    if timing != "cycle":
+        raise WireError(f"'timing' must be 'cycle', got {timing!r}")
 
     if kind == "fault":
         grid = fault_grid(names, trials=trials, scale=scale, seed=seed,
-                          scheme=scheme, timing=timing)
+                          scheme=scheme)
     elif kind == "fault-batch":
         grid = fault_batch_grid(names, trials=trials,
                                 batch_size=batch_size, scale=scale,
-                                seed=seed, scheme=scheme, timing=timing)
+                                seed=seed, scheme=scheme)
     elif kind == "recovery":
         grid = recovery_grid(names, trials=trials, scale=scale, seed=seed,
                              scheme=scheme)
@@ -252,5 +249,4 @@ def normalise_description(desc: dict,
         "trials": desc.get("trials", 30),
         "seed": desc.get("seed", 0),
         "batch_size": desc.get("batch_size", 50),
-        "timing": desc.get("timing", "cycle"),
     }

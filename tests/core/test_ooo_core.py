@@ -99,8 +99,8 @@ class TestMemoryBehaviour:
 class TestBranches:
     def test_predictable_loop_few_mispredicts(self):
         result, trace = time_program(build_alu_loop(iterations=800))
-        branches = sum(1 for d in trace.instructions
-                       if d.op is Opcode.BLT)
+        static = trace.program.instructions
+        branches = sum(1 for pc in trace.pcs if static[pc].op is Opcode.BLT)
         assert result.branch_mispredicts < 0.05 * branches
 
     def test_random_branches_mispredict(self):
@@ -144,7 +144,7 @@ class TestCommitHook:
         stalled = OoOCore(config).run(rmw_trace, hook=Delay())
         # commits are now spaced >= 2 cycles apart (stalls overlap with
         # whatever latency the instruction already had)
-        assert stalled.cycles >= 2 * len(rmw_trace.instructions)
+        assert stalled.cycles >= 2 * len(rmw_trace)
         assert stalled.cycles > base.cycles
         assert stalled.commit_stall_cycles > 0
 
@@ -177,7 +177,7 @@ class TestCommitHook:
 class TestResultFields:
     def test_counts(self, rmw_trace, config):
         result = OoOCore(config).run(rmw_trace)
-        assert result.instructions == len(rmw_trace.instructions)
+        assert result.instructions == len(rmw_trace)
         assert result.uops >= result.instructions
         assert result.cycles > 0
         assert 0 < result.ipc <= 3.0

@@ -69,8 +69,8 @@ class TestFaultFreeReplay:
     def test_steps_match_trace(self, rmw_program, rmw_trace):
         checker = SegmentChecker(rmw_program)
         result = checker.check(build_segment(rmw_trace, 10, 60))
-        expected = [(d.pc, bool(d.taken))
-                    for d in rmw_trace.instructions[10:60]]
+        expected = [(rmw_trace.pcs[i], rmw_trace.takens[i] == 1)
+                    for i in range(10, 60)]
         assert result.steps == expected
 
 

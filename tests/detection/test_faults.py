@@ -33,14 +33,28 @@ def inject(program, fault):
     return injector, trace
 
 
+def ops(trace):
+    """The opcode of every row of ``trace``."""
+    static = trace.program.instructions
+    return [static[pc].op for pc in trace.pcs]
+
+
 def find_seq(clean, op, skip=20):
     found = 0
-    for dyn in clean.instructions:
-        if dyn.op is op:
+    for seq, row_op in enumerate(ops(clean)):
+        if row_op is op:
             found += 1
             if found > skip:
-                return dyn.seq
+                return seq
     raise AssertionError(f"no {op} in trace")
+
+
+def first_mem(trace, seq):
+    """``(kind, addr, value, used)`` of row ``seq``'s first memory
+    operation."""
+    j = trace.mem_off[seq]
+    return (trace.mem_kind[j], trace.mem_addr[j], trace.mem_value[j],
+            trace.mem_used[j])
 
 
 class TestSpecValidation:
@@ -73,9 +87,7 @@ class TestTransientInjection:
         injector, trace = inject(
             program, TransientFault(FaultSite.RESULT, seq=seq, bit=4))
         assert injector.activations
-        dyn_clean = clean.instructions[seq]
-        dyn_faulty = trace.instructions[seq]
-        assert dyn_clean.dsts[0][2] ^ (1 << 4) == dyn_faulty.dsts[0][2]
+        assert clean.dsts[seq][0][2] ^ (1 << 4) == trace.dsts[seq][0][2]
 
     def test_result_on_store_does_not_activate(self, program, clean):
         seq = find_seq(clean, Opcode.ST)
@@ -87,11 +99,11 @@ class TestTransientInjection:
         seq = find_seq(clean, Opcode.LD)
         injector, trace = inject(
             program, TransientFault(FaultSite.LOAD_VALUE, seq=seq, bit=2))
-        memop = trace.instructions[seq].mem[0]
-        assert memop.kind == LOAD
+        kind, _addr, value, used = first_mem(trace, seq)
+        assert kind == LOAD
         # the memory value (what the LFU captured) is clean; the value the
         # core actually used is corrupted
-        assert memop.used_value == memop.value ^ (1 << 2)
+        assert used == value ^ (1 << 2)
 
     def test_load_value_only_strikes_loads(self, program, clean):
         seq = find_seq(clean, Opcode.ADDI)
@@ -106,10 +118,10 @@ class TestTransientInjection:
         injector, trace = inject(
             program, TransientFault(FaultSite.STORE_VALUE, seq=seq, bit=5))
         assert injector.activations
-        clean_memop = clean.instructions[seq].mem[0]
-        memop = trace.instructions[seq].mem[0]
-        assert memop.value == clean_memop.value ^ (1 << 5)
-        assert trace.memory.load(memop.addr) == memop.value
+        _kind, _addr, clean_value, _used = first_mem(clean, seq)
+        _kind, addr, value, _used = first_mem(trace, seq)
+        assert value == clean_value ^ (1 << 5)
+        assert trace.memory.load(addr) == value
 
     def test_store_addr_corrupts_destination(self, program, clean):
         # bit 9 pushes the address 512 B away — outside the 64-word array,
@@ -117,39 +129,37 @@ class TestTransientInjection:
         seq = find_seq(clean, Opcode.ST, skip=50)
         injector, trace = inject(
             program, TransientFault(FaultSite.STORE_ADDR, seq=seq, bit=9))
-        clean_memop = clean.instructions[seq].mem[0]
-        memop = trace.instructions[seq].mem[0]
-        assert memop.addr == clean_memop.addr ^ (1 << 9)
-        assert trace.memory.load(memop.addr) == memop.value
+        _kind, clean_addr, _value, _used = first_mem(clean, seq)
+        _kind, addr, value, _used = first_mem(trace, seq)
+        assert addr == clean_addr ^ (1 << 9)
+        assert trace.memory.load(addr) == value
 
     def test_store_addr_stays_aligned(self, program, clean):
         seq = find_seq(clean, Opcode.ST)
         _, trace = inject(
             program, TransientFault(FaultSite.STORE_ADDR, seq=seq, bit=0))
-        assert trace.instructions[seq].mem[0].addr % 8 == 0
+        assert first_mem(trace, seq)[1] % 8 == 0
 
     def test_load_addr_corrupts_access(self, program, clean):
         seq = find_seq(clean, Opcode.LD)
         injector, trace = inject(
             program, TransientFault(FaultSite.LOAD_ADDR, seq=seq, bit=7))
-        clean_memop = clean.instructions[seq].mem[0]
-        memop = trace.instructions[seq].mem[0]
-        assert memop.addr == clean_memop.addr ^ (1 << 7)
+        assert first_mem(trace, seq)[1] == first_mem(clean, seq)[1] ^ (1 << 7)
 
     def test_branch_flips_direction(self, program, clean):
         seq = find_seq(clean, Opcode.BLT, skip=5)
         injector, trace = inject(
             program, TransientFault(FaultSite.BRANCH, seq=seq))
         assert injector.activations
-        assert trace.instructions[seq].taken != clean.instructions[seq].taken
+        assert trace.takens[seq] != clean.takens[seq]
         assert len(trace) != len(clean) or \
-            trace.instructions[seq].next_pc != clean.instructions[seq].next_pc
+            trace.next_pc_of(seq) != clean.next_pc_of(seq)
 
     def test_pc_fault_diverts_control(self, program, clean):
         injector, trace = inject(
             program, TransientFault(FaultSite.PC, seq=50, bit=1))
         assert injector.activations
-        assert trace.instructions[51].pc != clean.instructions[51].pc
+        assert trace.pcs[51] != clean.pcs[51]
 
     def test_beyond_trace_never_activates(self, program, clean):
         injector, _ = inject(
@@ -178,7 +188,7 @@ class TestHardFaults:
     def test_repeats_every_execution(self, program, clean):
         injector = FaultInjector([HardFault(Opcode.ADD, mask=1 << 3)])
         trace = execute_program(program, fault_injector=injector)
-        adds = sum(1 for d in clean.instructions if d.op is Opcode.ADD)
+        adds = ops(clean).count(Opcode.ADD)
         assert len(injector.activations) == adds
         assert adds > 50
 

@@ -70,6 +70,17 @@ class TestKeys:
                        interrupt_seqs=(10, 20))
         json.dumps(spec.describe())  # must not raise
 
+    def test_timing_is_cycle_only(self, cfg):
+        """The cycle model is the one timing model; the field stays in
+        every key as ``"cycle"`` and any other value is refused."""
+        assert JobSpec("fault", "stream").describe()["timing"] == "cycle"
+        with pytest.raises(ValueError, match="unknown timing mode"):
+            JobSpec("fault", "stream", "small", cfg, timing="interval")
+
+    def test_unknown_timing_rejected(self):
+        with pytest.raises(ValueError, match="unknown timing mode"):
+            JobSpec("fault", "stream", timing="approximate")
+
 
 @pytest.fixture
 def config_walks(monkeypatch):

@@ -34,6 +34,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             make_parser().parse_args(["campaign", "--scheme", "mystery"])
 
+    def test_campaign_has_no_timing_option(self):
+        """The cycle model is the only timing model: a script that still
+        asks for another one fails instead of silently running cycle."""
+        with pytest.raises(SystemExit):
+            make_parser().parse_args(["campaign", "--timing", "interval"])
+
 
 class TestCommands:
     def test_list(self, capsys):

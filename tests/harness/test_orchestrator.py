@@ -1,6 +1,7 @@
 """Tests for manifest-driven campaign orchestration: atomic leases,
 work-stealing workers, crash resumption, and status reporting."""
 
+import hashlib
 import json
 import threading
 from dataclasses import asdict
@@ -99,6 +100,22 @@ class TestManifestLifecycle:
     def test_load_missing_raises(self, tmp_path):
         with pytest.raises(ManifestError, match="no campaign manifest"):
             CampaignManifest.load(tmp_path / "absent")
+
+    def test_load_rejects_non_cycle_timing(self, tmp_path, grid):
+        """A manifest whose job asks for another timing model — self-
+        consistent keys and campaign id included — is malformed."""
+        CampaignManifest.create(tmp_path / "m", grid)
+        path = tmp_path / "m" / "manifest.json"
+        payload = json.loads(path.read_text())
+        entry = payload["jobs"][0]
+        entry["spec"]["timing"] = "interval"
+        entry["key"] = hashlib.sha256(
+            canonical_json(entry["spec"]).encode()).hexdigest()
+        payload["campaign_id"] = campaign_id(
+            job["key"] for job in payload["jobs"])
+        path.write_text(canonical_json(payload))
+        with pytest.raises(ManifestError, match="unknown timing mode"):
+            CampaignManifest.load(tmp_path / "m")
 
     def test_load_reconstructs_specs(self, tmp_path, grid):
         CampaignManifest.create(tmp_path / "m", grid)

@@ -5,10 +5,14 @@ import math
 import pytest
 
 from repro.common.errors import ExecutionError
+from repro.isa.blocks import BLOCK_EXEC_ENV
 from repro.isa.executor import LOAD, NONDET, STORE, Machine, execute_program
-from repro.isa.instructions import MASK64, Opcode
+from repro.isa.instructions import MASK64, Opcode, uop_count
 from repro.isa.memory_image import float_to_bits
 from repro.isa.program import ProgramBuilder
+
+#: a quiet NaN carrying payload 1 (the default NaN's payload is 0)
+_NAN_PAYLOAD = 0x7FF8000000000001
 
 
 def run_ops(emit_fn, data=None):
@@ -223,6 +227,68 @@ class TestFloatingPoint:
         assert m.xregs[2] == 1
         assert m.xregs[3] == 0
 
+    def test_nan_results_independent_of_warm_up(self, monkeypatch):
+        """Two NaN operands with different payloads: every FP result is
+        the one default NaN, on the first run and once CPython has
+        specialised the arithmetic (after ~8 runs of a code object), on
+        the handler path and in compiled blocks alike."""
+        b = ProgramBuilder("nan-payloads")
+        base = b.alloc_words(2, [0x7FF8000000000001, 0x7FF8000000000002])
+        b.emit(Opcode.MOVI, rd=1, imm=base)
+        b.emit(Opcode.FLD, rd=0, rs1=1, imm=0)
+        b.emit(Opcode.FLD, rd=1, rs1=1, imm=8)
+        for rd, op in enumerate((Opcode.FADD, Opcode.FSUB, Opcode.FMUL,
+                                 Opcode.FDIV, Opcode.FMIN, Opcode.FMAX),
+                                start=2):
+            b.emit(op, rd=rd, rs1=0, rs2=1)
+        b.emit(Opcode.FMADD, rd=8, rs1=0, rs2=1, rs3=0)
+        b.emit(Opcode.HALT)
+        program = b.build()
+        results = set()
+        for mode in ("0", "1"):
+            monkeypatch.setenv(BLOCK_EXEC_ENV, mode)
+            for _ in range(12):
+                fregs = execute_program(program).final_fregs
+                results.add(tuple(float_to_bits(v) for v in fregs[2:9]))
+        assert results == {(float_to_bits(math.nan),) * 7}
+
+    @pytest.mark.parametrize("mode", ["0", "1"], ids=["handlers", "blocks"])
+    @pytest.mark.parametrize("op, operands", [
+        (Opcode.FADD, (_NAN_PAYLOAD, 1.0)),
+        (Opcode.FSUB, (1.0, _NAN_PAYLOAD)),
+        (Opcode.FMUL, (_NAN_PAYLOAD, 2.0)),
+        (Opcode.FDIV, (2.0, _NAN_PAYLOAD)),
+        (Opcode.FMADD, (1.0, 2.0, _NAN_PAYLOAD)),
+        (Opcode.FADD, (math.inf, -math.inf)),
+        (Opcode.FMUL, (0.0, math.inf)),
+        (Opcode.FDIV, (math.inf, math.inf)),
+        (Opcode.FMADD, (0.0, math.inf, 1.0)),
+    ], ids=["fadd-nan-operand", "fsub-nan-operand", "fmul-nan-operand",
+            "fdiv-nan-operand", "fmadd-nan-addend", "fadd-inf-minus-inf",
+            "fmul-zero-times-inf", "fdiv-inf-over-inf",
+            "fmadd-zero-times-inf"])
+    def test_nan_result_is_default_nan(self, op, operands, mode,
+                                       monkeypatch):
+        """A NaN propagated from one operand keeps no payload, and an
+        invalid operation (which x86 answers with a negative NaN) writes
+        the same positive default NaN, in the register file and in the
+        trace's writeback column."""
+        b = ProgramBuilder("nan-result")
+        words = [v if isinstance(v, int) else float_to_bits(v)
+                 for v in operands]
+        base = b.alloc_words(len(words), words)
+        b.emit(Opcode.MOVI, rd=1, imm=base)
+        for rd in range(len(words)):
+            b.emit(Opcode.FLD, rd=rd, rs1=1, imm=8 * rd)
+        b.emit(op, rd=4, rs1=0, rs2=1, rs3=2 if op is Opcode.FMADD else None)
+        b.emit(Opcode.HALT)
+        monkeypatch.setenv(BLOCK_EXEC_ENV, mode)
+        trace = execute_program(b.build())
+        ((is_fp, rd, value),) = trace.dsts[-2]
+        assert (is_fp, rd) == (True, 4)
+        assert float_to_bits(value) == float_to_bits(math.nan)
+        assert float_to_bits(trace.final_fregs[4]) == float_to_bits(math.nan)
+
 
 class TestMemoryOps:
     def test_ld_st(self):
@@ -352,25 +418,39 @@ class TestTraceRecords:
         assert rmw_trace.load_count == 400
         assert rmw_trace.store_count == 400
         # every record is consistent
-        for dyn in rmw_trace.instructions[:100]:
-            for memop in dyn.mem:
-                assert memop.kind in (LOAD, STORE, NONDET)
+        assert set(rmw_trace.mem_kind) <= {LOAD, STORE, NONDET}
 
     def test_seq_is_dense(self, rmw_trace):
-        for i, dyn in enumerate(rmw_trace.instructions):
-            assert dyn.seq == i
+        """``seq`` is the row index: each per-row column holds exactly
+        one entry per committed instruction (3 setup, 8 per iteration,
+        and the halt)."""
+        rows = len(rmw_trace)
+        assert rows == 3 + 8 * 400 + 1
+        assert len(rmw_trace.dsts) == len(rmw_trace.takens) == rows
+        assert len(rmw_trace.mem_off) == rows + 1
+        static = rmw_trace.program.instructions
+        assert rmw_trace.uop_count == sum(uop_count(static[pc].op)
+                                          for pc in rmw_trace.pcs)
 
     def test_next_pc_chains(self, rmw_trace):
-        instrs = rmw_trace.instructions
-        for prev, cur in zip(instrs, instrs[1:]):
-            assert prev.next_pc == cur.pc
+        """Each row's successor is its fall-through pc unless a taken
+        branch redirects it to the branch target; the last row's
+        successor is ``final_next_pc``."""
+        static = rmw_trace.program.instructions
+        last = len(rmw_trace) - 1
+        for seq in range(last):
+            pc = rmw_trace.pcs[seq]
+            expected = (static[pc].target if rmw_trace.takens[seq] == 1
+                        else pc + 1)
+            assert rmw_trace.next_pc_of(seq) == expected
+        assert rmw_trace.next_pc_of(last) == rmw_trace.final_next_pc
 
     def test_x0_writes_not_recorded(self):
         b = ProgramBuilder("t")
         b.emit(Opcode.MOVI, rd=0, imm=5)
         b.emit(Opcode.HALT)
         trace = execute_program(b.build())
-        assert trace.instructions[0].dsts == ()
+        assert trace.dsts[0] == ()
 
     def test_uop_count(self):
         b = ProgramBuilder("t")

@@ -14,7 +14,7 @@ from repro.isa.executor import (
     Trace,
     execute_program,
 )
-from repro.isa.instructions import MASK64, Opcode
+from repro.isa.instructions import CONTROL_OPS, MASK64, Opcode
 from repro.isa.memory_image import float_to_bits
 from repro.isa.program import HANDLER_INDEX, ProgramBuilder, predecode
 from repro.workloads.suite import BENCHMARK_ORDER, benchmark_trace
@@ -51,44 +51,20 @@ class TestColumnarLayout:
         assert (len(rmw_trace.mem_kind) == len(rmw_trace.mem_addr)
                 == len(rmw_trace.mem_value) == len(rmw_trace.mem_used))
 
-    def test_row_view_matches_columns(self, rmw_trace):
-        for i in (0, 1, 5, len(rmw_trace) - 1):
-            row = rmw_trace.instructions[i]
-            assert row.seq == i
-            assert row.pc == rmw_trace.pcs[i]
-            assert row.dsts is rmw_trace.dsts[i]
-            lo, hi = rmw_trace.mem_off[i], rmw_trace.mem_off[i + 1]
-            assert len(row.mem) == hi - lo
-            for memop, j in zip(row.mem, range(lo, hi)):
-                assert memop.kind == rmw_trace.mem_kind[j]
-                assert memop.addr == rmw_trace.mem_addr[j]
-                assert memop.value == rmw_trace.mem_value[j]
-                assert memop.used_value == rmw_trace.mem_used[j]
-
     def test_taken_encoding(self, rmw_trace):
         assert set(rmw_trace.takens) <= {-1, 0, 1}
-        for i, row in enumerate(rmw_trace.instructions):
-            if rmw_trace.takens[i] < 0:
-                assert row.taken is None
-            else:
-                assert row.taken is bool(rmw_trace.takens[i])
+        static = rmw_trace.program.instructions
+        for pc, taken in zip(rmw_trace.pcs, rmw_trace.takens):
+            assert (taken >= 0) == (static[pc].op in CONTROL_OPS)
 
     def test_counts_match_columns(self, rmw_trace):
         kinds = list(rmw_trace.mem_kind)
         assert rmw_trace.load_count == kinds.count(LOAD)
         assert rmw_trace.store_count == kinds.count(STORE)
 
-    def test_row_slicing_and_negative_index(self, rmw_trace):
-        rows = rmw_trace.instructions
-        assert [r.seq for r in rows[:3]] == [0, 1, 2]
-        assert rows[-1].seq == len(rmw_trace) - 1
-        with pytest.raises(IndexError):
-            rows[len(rmw_trace)]
-
 
 def assert_traces_identical(a: Trace, b: Trace) -> None:
-    """Row-by-row equivalence in the seed (one-record-per-instruction)
-    representation, plus bit-exact final state."""
+    """Column-by-column equivalence plus bit-exact final state."""
     assert len(a) == len(b)
     assert list(a.pcs) == list(b.pcs)
     assert list(a.takens) == list(b.takens)
@@ -98,12 +74,6 @@ def assert_traces_identical(a: Trace, b: Trace) -> None:
     assert list(a.mem_addr) == list(b.mem_addr)
     assert list(a.mem_value) == list(b.mem_value)
     assert list(a.mem_used) == list(b.mem_used)
-    for ra, rb in zip(a.instructions, b.instructions):
-        assert (ra.seq, ra.pc, ra.op, ra.taken, ra.next_pc) == \
-            (rb.seq, rb.pc, rb.op, rb.taken, rb.next_pc)
-        assert ra.dsts == rb.dsts
-        assert [(m.kind, m.addr, m.value, m.used_value) for m in ra.mem] == \
-            [(m.kind, m.addr, m.value, m.used_value) for m in rb.mem]
     assert a.final_xregs == b.final_xregs
     assert ([float_to_bits(v) for v in a.final_fregs]
             == [float_to_bits(v) for v in b.final_fregs])

@@ -1,4 +1,4 @@
-"""Timing-identity pins for the pre-fork timing splice and interval mode.
+"""Timing-identity pins for the pre-fork timing splice.
 
 The timing splice is a pure optimisation: a detection-scheme fault job
 that splices the golden prefix's timing and re-times only the post-fork
@@ -9,10 +9,6 @@ execution identity pins of ``test_fork_injection``.  Fault
 classification may also stop timing once its verdict is final
 (``verdict_only``); its verdicts must equal the splice-off and
 reference paths', and it must really stop early.
-
-Interval mode is *not* an identity: it is a calibrated estimator.  Its
-contract is weaker and pinned here too: functional verdicts match the
-cycle model exactly, and detection-latency *orderings* agree.
 """
 
 from __future__ import annotations
@@ -24,19 +20,14 @@ import pytest
 from repro.common.config import default_config
 from repro.common.records import canonical_json
 from repro.core.ooo_core import OoOCore
-from repro.core.timing import (
-    TIMING_MODE_ENV,
-    TIMING_SPLICE_ENV,
-    resolve_timing_mode,
-    timing_splice_enabled,
-)
+from repro.core.timing import TIMING_SPLICE_ENV, timing_splice_enabled
 from repro.detection.faults import FaultInjector, FaultSite, TransientFault
 from repro.detection.system import (
     DetectionVerdict,
     _TimingSpliceCursor,
     run_with_detection,
 )
-from repro.harness.campaign import JobSpec, execute_job, fault_grid
+from repro.harness.campaign import JobSpec, execute_job
 from repro.harness.manifest import CampaignManifest
 from repro.harness.orchestrator import CampaignWorker, collect
 from repro.isa.executor import execute_forked, execute_program
@@ -72,11 +63,10 @@ def splice_modes(monkeypatch):
 
 
 def late_spec(scheme: str, benchmark: str, offset: int = 120,
-              site=FaultSite.RESULT, timing: str = "cycle") -> JobSpec:
+              site=FaultSite.RESULT) -> JobSpec:
     clean_len = len(benchmark_trace(benchmark, "small"))
     fault = TransientFault(site, seq=clean_len - offset, bit=4)
-    return JobSpec("fault", benchmark, "small", fault=fault, scheme=scheme,
-                   timing=timing)
+    return JobSpec("fault", benchmark, "small", fault=fault, scheme=scheme)
 
 
 class TestEnvironmentSwitches:
@@ -86,14 +76,14 @@ class TestEnvironmentSwitches:
         monkeypatch.setenv(TIMING_SPLICE_ENV, "0")
         assert not timing_splice_enabled()
 
-    def test_mode_env_overrides_job_mode(self, monkeypatch):
-        """REPRO_TIMING_MODE wins over the spec's timing field, exactly
-        as REPRO_FORK_INJECTION=0 vetoes the fork path: one env
-        setting forces a whole campaign onto the cycle model."""
-        monkeypatch.delenv(TIMING_MODE_ENV, raising=False)
-        assert resolve_timing_mode() == "cycle"
-        monkeypatch.setenv(TIMING_MODE_ENV, "interval")
-        assert resolve_timing_mode() == "interval"
+    def test_stale_mode_env_is_inert(self, monkeypatch):
+        """``REPRO_TIMING_MODE`` selected the removed interval model; a
+        shell that still exports it must not change any record."""
+        spec = late_spec("detection", "stream")
+        monkeypatch.delenv("REPRO_TIMING_MODE", raising=False)
+        reference = execute_job(spec)
+        monkeypatch.setenv("REPRO_TIMING_MODE", "interval")
+        assert canonical_json(execute_job(spec)) == canonical_json(reference)
 
 
 class TestSpliceRecordIdentity:
@@ -171,14 +161,14 @@ class TestSpliceRecordIdentity:
 class TestSpliceReportIdentity:
     """Beyond records: the raw detection report is identical too."""
 
-    def _run(self, faulty, golden):
-        return run_with_detection(faulty, default_config(), golden=golden)
+    def _run(self, faulty):
+        return run_with_detection(faulty, default_config())
 
     def test_full_report_identical(self, splice_modes):
         golden = benchmark_trace("bitcount", "small")
         fault = TransientFault(FaultSite.RESULT, seq=len(golden) - 90, bit=7)
         faulty = execute_forked(golden, FaultInjector([fault]))
-        unspliced, spliced = splice_modes(lambda: self._run(faulty, golden))
+        unspliced, spliced = splice_modes(lambda: self._run(faulty))
         assert unspliced.main_cycles == spliced.main_cycles
         assert unspliced.system_cycles == spliced.system_cycles
         a, b = unspliced.report, spliced.report
@@ -206,7 +196,7 @@ class TestSpliceReportIdentity:
 
         monkeypatch.setattr(_TimingSpliceCursor, "bundle", spy)
         monkeypatch.setenv(TIMING_SPLICE_ENV, "1")
-        self._run(faulty, golden)
+        self._run(faulty)
         assert hits == [faulty.fork_seq]
 
     def test_splice_veto_bypasses_cursor(self, monkeypatch):
@@ -219,7 +209,7 @@ class TestSpliceReportIdentity:
 
         monkeypatch.setattr(_TimingSpliceCursor, "bundle", bomb)
         monkeypatch.setenv(TIMING_SPLICE_ENV, "0")
-        self._run(faulty, golden)
+        self._run(faulty)
 
     def test_side_channel_faults_disable_splice(self, monkeypatch):
         """Checkpoint/checker faults perturb the hook itself, so those
@@ -234,8 +224,7 @@ class TestSpliceReportIdentity:
         monkeypatch.setenv(TIMING_SPLICE_ENV, "1")
         forked = execute_forked(golden, FaultInjector([fault]))
         result = run_with_detection(forked, default_config(),
-                                    checkpoint_faults=[fault],
-                                    golden=golden)
+                                    checkpoint_faults=[fault])
         assert result.report.detected
 
 
@@ -285,15 +274,14 @@ class TestVerdictOnlyTiming:
         golden = benchmark_trace("stream", "small")
         config = default_config()
         faulty = execute_forked(golden, FaultInjector(list(REORDERED_FAULTS)))
-        report = run_with_detection(faulty, config, golden=golden).report
+        report = run_with_detection(faulty, config).report
         assert len(report.events) > 1
         assert report.events[0] is not report.first_event
         unspliced, spliced = splice_modes(lambda: run_with_detection(
-            faulty, config, golden=golden, verdict_only=True))
+            faulty, config, verdict_only=True))
         full = execute_program(golden.program, fault_injector=FaultInjector(
             list(REORDERED_FAULTS)))
-        reference = run_with_detection(full, config, golden=golden,
-                                       verdict_only=True)
+        reference = run_with_detection(full, config, verdict_only=True)
         assert spliced == unspliced == reference == \
             DetectionVerdict.of(report)
 
@@ -304,7 +292,7 @@ class TestVerdictOnlyTiming:
         spans = timed_spans(monkeypatch, faulty)
         monkeypatch.setenv(TIMING_SPLICE_ENV, "1")
         verdict = run_with_detection(faulty, default_config(),
-                                     golden=golden, verdict_only=True)
+                                     verdict_only=True)
         assert isinstance(verdict, DetectionVerdict) and verdict.detected
         # chunks run back to back from the resumed snapshot and stop
         # well short of the end: fewer rows than the post-fork suffix
@@ -313,7 +301,7 @@ class TestVerdictOnlyTiming:
         assert 0 < timed < len(faulty) - faulty.fork_seq
         # a run asked for its full result still times to the end
         spans.clear()
-        result = run_with_detection(faulty, default_config(), golden=golden)
+        result = run_with_detection(faulty, default_config())
         assert spans[-1][1] == len(faulty)
         assert DetectionVerdict.of(result.report) == verdict
 
@@ -324,91 +312,7 @@ class TestVerdictOnlyTiming:
         spans = timed_spans(monkeypatch, faulty)
         monkeypatch.setenv(TIMING_SPLICE_ENV, "1")
         verdict = run_with_detection(faulty, default_config(),
-                                     golden=golden, verdict_only=True)
+                                     verdict_only=True)
         assert not verdict.detected
         assert spans[0][0] <= faulty.fork_seq
         assert spans[-1][1] == len(faulty)
-
-
-class TestIntervalMode:
-    """The interval estimator's contract: exact functional verdicts,
-    concordant detection-latency orderings."""
-
-    @staticmethod
-    def records_for(benchmark: str, timing: str) -> list[dict]:
-        grid = fault_grid([benchmark], trials=6, seed=7, timing=timing)
-        return [execute_job(spec) for spec in grid.jobs]
-
-    @pytest.mark.parametrize("workload", SUITE)
-    def test_verdicts_match_cycle_model(self, workload, monkeypatch):
-        monkeypatch.delenv(TIMING_MODE_ENV, raising=False)
-        cycle = self.records_for(workload, "cycle")
-        interval = self.records_for(workload, "interval")
-        assert [r["outcome"] for r in cycle] == \
-            [r["outcome"] for r in interval]
-        assert [r["activated"] for r in cycle] == \
-            [r["activated"] for r in interval]
-        assert [(r["site"], r["seq"], r["bit"]) for r in cycle] == \
-            [(r["site"], r["seq"], r["bit"]) for r in interval]
-
-    @pytest.mark.parametrize("workload", SUITE)
-    def test_latency_orderings_concordant(self, workload, monkeypatch):
-        """For every pair of detected faults whose cycle-model latencies
-        clearly differ (>10%), the interval model must order them the
-        same way."""
-        monkeypatch.delenv(TIMING_MODE_ENV, raising=False)
-        cycle = self.records_for(workload, "cycle")
-        interval = self.records_for(workload, "interval")
-        pairs = [(c["detect_latency_us"], i["detect_latency_us"])
-                 for c, i in zip(cycle, interval)
-                 if c["outcome"] == "detected"]
-        assert all(i is not None for _, i in pairs)
-        discordant = [
-            (a, b)
-            for idx, (ac, ai) in enumerate(pairs)
-            for (bc, bi) in pairs[idx + 1:]
-            for a, b in [((ac, ai), (bc, bi))]
-            if abs(ac - bc) > 0.10 * max(ac, bc) and (ac < bc) != (ai < bi)
-        ]
-        assert discordant == []
-
-    def test_env_forces_cycle_model(self, monkeypatch):
-        """REPRO_TIMING_MODE=cycle makes an interval-mode job produce
-        the cycle model's exact record, mirroring REPRO_FORK_INJECTION=0
-        — the cache key still carries the requested mode, the physics
-        obeys the environment."""
-        cycle_spec = late_spec("detection", "stream", timing="cycle")
-        interval_spec = late_spec("detection", "stream", timing="interval")
-        assert cycle_spec.key() != interval_spec.key()
-        monkeypatch.delenv(TIMING_MODE_ENV, raising=False)
-        reference = execute_job(cycle_spec)
-        monkeypatch.setenv(TIMING_MODE_ENV, "cycle")
-        forced = execute_job(interval_spec)
-        assert canonical_json(forced) == canonical_json(reference)
-
-    def test_interval_identical_across_fork_modes(self, monkeypatch):
-        """Interval estimates anchor on the clean golden timing curve,
-        so the verdict cannot depend on which execution path produced
-        the faulty trace."""
-        spec = late_spec("detection", "bitcount", timing="interval")
-        monkeypatch.setenv(FORK_INJECTION_ENV, "0")
-        full = execute_job(spec)
-        monkeypatch.setenv(FORK_INJECTION_ENV, "1")
-        forked = execute_job(spec)
-        assert canonical_json(full) == canonical_json(forked)
-
-    def test_activation_only_schemes_mode_invariant(self, monkeypatch):
-        monkeypatch.delenv(TIMING_MODE_ENV, raising=False)
-        for timing in ("cycle", "interval"):
-            spec = late_spec("lockstep", "stream", timing=timing)
-            record = execute_job(spec)
-            assert record["outcome"] in ("detected", "masked",
-                                         "not_activated", "escaped")
-        cycle = execute_job(late_spec("lockstep", "stream", timing="cycle"))
-        interval = execute_job(
-            late_spec("lockstep", "stream", timing="interval"))
-        assert canonical_json(cycle) == canonical_json(interval)
-
-    def test_unknown_timing_rejected(self):
-        with pytest.raises(ValueError, match="unknown timing mode"):
-            JobSpec("fault", "stream", timing="approximate")

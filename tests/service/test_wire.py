@@ -3,7 +3,12 @@ construction parity with the CLI, ETag matching."""
 
 import pytest
 
-from repro.harness.campaign import fault_batch_grid, fault_grid, scheme_grid
+from repro.harness.campaign import (
+    JobSpec,
+    fault_batch_grid,
+    fault_grid,
+    scheme_grid,
+)
 from repro.harness.manifest import campaign_id
 from repro.schemes import scheme_names
 from repro.service.wire import (
@@ -80,11 +85,23 @@ class TestBuildGrid:
         ({"trials": True}, "trials"),
         ({"jobs": []}, "jobs"),
         ({"jobs": [{"bogus": 1}]}, r"jobs\[0\]"),
+        ({"timing": "interval"}, "timing"),
+        ({"jobs": [dict(JobSpec("baseline", "stream").describe(),
+                        timing="interval")]}, r"jobs\[0\]"),
         ("not a dict", "object"),
     ])
     def test_rejections_name_the_field(self, desc, fragment):
         with pytest.raises(WireError, match=fragment):
             build_grid(desc)
+
+    @pytest.mark.parametrize("kind", ["fault", "fault-batch", "baseline"])
+    def test_cycle_timing_same_grid_as_missing(self, kind):
+        """Older clients and persisted service descriptions name the one
+        timing model explicitly; they must rebuild the identical jobs."""
+        desc = {"kind": kind, "benchmarks": ["stream"], "trials": 4}
+        grid, _ = build_grid(desc)
+        explicit, _ = build_grid(dict(desc, timing="cycle"))
+        assert [s.key() for s in explicit] == [s.key() for s in grid]
 
     def test_wire_error_is_value_error(self):
         # the CLI catches ValueError around grid construction; the wire

@@ -85,29 +85,29 @@ class TestCharacters:
         results (paper §IV-D)."""
         trace = benchmark_trace("swaptions", "small")
         from repro.isa.executor import NONDET
-        nondet = sum(1 for d in trace.instructions
-                     for m in d.mem if m.kind == NONDET)
+        nondet = list(trace.mem_kind).count(NONDET)
         assert nondet > 100
 
     def test_bodytrack_branchy(self):
         """bodytrack's accept/reject split must exercise both paths."""
         trace = benchmark_trace("bodytrack", "small")
         from repro.isa.instructions import Opcode
-        outcomes = {d.taken for d in trace.instructions
-                    if d.op is Opcode.BNE}
-        assert outcomes == {True, False}
+        static = trace.program.instructions
+        outcomes = {taken for pc, taken in zip(trace.pcs, trace.takens)
+                    if static[pc].op is Opcode.BNE}
+        assert outcomes == {0, 1}
 
     def test_randacc_irregular_addresses(self):
         trace = benchmark_trace("randacc", "small")
-        addrs = [m.addr for d in trace.instructions for m in d.mem][:64]
+        addrs = list(trace.mem_addr[:64])
         strides = {b - a for a, b in zip(addrs, addrs[1:])}
         assert len(strides) > 16  # no dominant stride
 
     def test_stream_regular_addresses(self):
         trace = benchmark_trace("stream", "small")
         from repro.isa.executor import LOAD
-        loads = [m.addr for d in trace.instructions
-                 for m in d.mem if m.kind == LOAD]
+        loads = [addr for kind, addr in zip(trace.mem_kind, trace.mem_addr)
+                 if kind == LOAD]
         strides = [b - a for a, b in zip(loads[:40], loads[1:41])]
         # one dominant stride (the sweep)
         assert max(strides.count(s) for s in set(strides)) > len(strides) // 2
