@@ -1,8 +1,10 @@
-"""Legacy setup shim.
+"""Package metadata for ``repro`` (the sources under ``src/``).
 
-The canonical metadata lives in pyproject.toml; this file exists so that
-``pip install -e .`` works in offline environments whose setuptools cannot
-build PEP-517 editable wheels (no ``wheel`` package available).
+This is the project's only packaging file: ``pip install -e .`` installs
+the ``repro`` package from it, including in offline environments whose
+setuptools cannot build PEP-517 editable wheels.  Running from a
+checkout needs no install (``PYTHONPATH=src``).  The runtime needs only
+the standard library; the tests also use pytest, hypothesis and numpy.
 """
 
 from setuptools import find_packages, setup

@@ -259,10 +259,14 @@ class SystemConfig:
         return asdict(self)
 
     @cached_property
+    def description_json(self) -> str:
+        """The canonical JSON of :attr:`description`."""
+        return canonical_json(self.description)
+
+    @cached_property
     def fingerprint(self) -> str:
-        """SHA-256 of the canonical JSON of :attr:`description`."""
-        return hashlib.sha256(
-            canonical_json(self.description).encode()).hexdigest()
+        """SHA-256 of :attr:`description_json`."""
+        return hashlib.sha256(self.description_json.encode()).hexdigest()
 
     # -- convenience constructors used by the sweep harness ---------------
 

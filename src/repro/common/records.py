@@ -11,7 +11,7 @@ produce identical bytes for identical jobs.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 
 def canonical_json(payload: object) -> str:
@@ -226,15 +226,26 @@ _RECORD_TYPES = {
 _TUPLE_FIELDS = {"delays_ns", "checker_busy_ticks", "records"}
 
 
+#: Field names per record type, in declaration order.
+_FIELD_NAMES = {cls: tuple(f.name for f in fields(cls))
+                for cls in _RECORD_TYPES.values()}
+
+
 def record_to_dict(record) -> dict:
-    """Record → plain dict tagged with its type, ready for JSON."""
-    payload = asdict(record)
+    """Record → plain dict tagged with its type, ready for JSON.
+
+    Built from the fields directly: record fields are scalars, tuples of
+    scalars, or (a batch's ``records``) dicts shared with the record, so
+    the canonical JSON equals ``asdict``'s without its deep copy.
+    """
+    cls = type(record)
+    payload = {name: getattr(record, name) for name in _FIELD_NAMES[cls]}
     for name in _TUPLE_FIELDS & payload.keys():
         payload[name] = list(payload[name])
     closes = payload.get("closes_by_reason")
     if closes is not None:
         payload["closes_by_reason"] = [list(pair) for pair in closes]
-    payload["record_type"] = type(record).__name__
+    payload["record_type"] = cls.__name__
     return payload
 
 

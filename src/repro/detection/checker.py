@@ -26,32 +26,19 @@ from repro.common.errors import ExecutionError, ReproError
 from repro.detection.lslog import Segment
 from repro.isa.blocks import STATS, block_exec_enabled, block_table
 from repro.isa.executor import LOAD, Machine, NONDET, STORE, Trace, bound_handlers
-
-try:  # the whole-column comparison fast path is an optional acceleration
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
-
-#: Below this many rows the numpy call overhead beats the win.
-_VECTOR_MIN_ROWS = 48
-
-
-def _columns_equal(a, b, start: int, stop: int, dtype) -> bool:
-    """Whole-slice equality of two trace columns.
-
-    Columns may be ``array`` objects (live executions) or memoryviews
-    over a mapped golden envelope; both satisfy the buffer protocol, so
-    the numpy path wraps them zero-copy.  ``array_equal`` (not ``==``)
-    because elementwise comparison has no useful truthiness.
-    """
-    if _np is not None and stop - start >= _VECTOR_MIN_ROWS:
-        return bool(_np.array_equal(
-            _np.frombuffer(a, dtype=dtype)[start:stop],
-            _np.frombuffer(b, dtype=dtype)[start:stop]))
-    return a[start:stop] == b[start:stop]
 from repro.isa.instructions import Opcode
 from repro.isa.memory_image import MemoryImage, bits_to_float, float_to_bits
 from repro.isa.program import Program
+
+
+def _columns_equal(a, b, start: int, stop: int) -> bool:
+    """Whole-slice equality of two trace columns.
+
+    Columns may be ``array`` objects (live executions) or memoryviews
+    over a mapped golden envelope; slices of either compare by value,
+    element by element, in C.
+    """
+    return a[start:stop] == b[start:stop]
 
 
 class ErrorKind(enum.Enum):
@@ -194,20 +181,17 @@ class SegmentChecker:
         trace, golden = self._trace, self._golden
         start, end = segment.start_seq, segment.end_seq
         lo, hi = trace.mem_off[start], trace.mem_off[end]
-        if not (_columns_equal(trace.pcs, golden.pcs, start, end, "uint64")
-                and _columns_equal(trace.takens, golden.takens,
-                                   start, end, "int8")
+        if not (_columns_equal(trace.pcs, golden.pcs, start, end)
+                and _columns_equal(trace.takens, golden.takens, start, end)
                 and trace.dsts[start:end] == golden.dsts[start:end]
                 and _columns_equal(trace.mem_off, golden.mem_off,
-                                   start, end + 1, "uint64")
-                and _columns_equal(trace.mem_kind, golden.mem_kind,
-                                   lo, hi, "int8")
-                and _columns_equal(trace.mem_addr, golden.mem_addr,
-                                   lo, hi, "uint64")
+                                   start, end + 1)
+                and _columns_equal(trace.mem_kind, golden.mem_kind, lo, hi)
+                and _columns_equal(trace.mem_addr, golden.mem_addr, lo, hi)
                 and _columns_equal(trace.mem_value, golden.mem_value,
-                                   lo, hi, "uint64")
+                                   lo, hi)
                 and _columns_equal(trace.mem_used, golden.mem_used,
-                                   lo, hi, "uint64")):
+                                   lo, hi)):
             return None
         entries = segment.entries
         if len(entries) != hi - lo:
@@ -220,17 +204,8 @@ class SegmentChecker:
                     or entry.value != mem_value[j]):
                 return None
         result = CheckResult(segment_index=segment.index, ok=True)
-        pcs, takens = golden.pcs, golden.takens
-        if _np is not None and end - start >= _VECTOR_MIN_ROWS:
-            # .tolist() materialises plain Python ints/bools, so the
-            # timing model sees exactly what the scalar path builds
-            result.steps = list(zip(
-                _np.frombuffer(pcs, dtype="uint64")[start:end].tolist(),
-                (_np.frombuffer(takens, dtype="int8")[start:end]
-                 == 1).tolist()))
-        else:
-            result.steps = [(pcs[i], takens[i] == 1)
-                            for i in range(start, end)]
+        result.steps = list(zip(golden.pcs[start:end],
+                                map((1).__eq__, golden.takens[start:end])))
         result.entries_checked = len(entries)
         result.instructions_executed = end - start
         return result

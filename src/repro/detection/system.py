@@ -26,6 +26,7 @@ hardware comparisons, and the report records when each check completed.
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -594,11 +595,17 @@ class _TimingSpliceCursor:
       that pre-fork segments of a forked run take;
     * ``run_rows`` chunk boundaries are timing-transparent, so stopping
       at a fork seq perturbs nothing.
+
+    ``bundle`` advances the live run in place, so it holds the cursor's
+    lock throughout: threads that share a cursor (``repro serve
+    --drain-workers N`` drains on N threads of one process) take turns,
+    and each leaves with a private clone.
     """
 
     def __init__(self, golden: Trace, config: SystemConfig) -> None:
         self.golden = golden
         self.config = config
+        self._lock = threading.Lock()
         total = len(golden)
         self.interval = max(SPLICE_SNAPSHOT_MIN_INTERVAL, -(-total // 16))
         self.core = OoOCore(config)
@@ -623,47 +630,45 @@ class _TimingSpliceCursor:
         rows.  Only interval snapshots are kept, so a cursor's resident
         state stays bounded whatever order the seqs arrive in."""
         boundary = min(fork_seq, len(self.golden))
-        if boundary < self.state.next_row:
-            core, state, hook = self._snapshots[
-                boundary - boundary % self.interval]
-            core, state, hook = core.fork(state, hook)
-            if state.next_row < boundary:
-                core.run_rows(self.golden, hook, state, boundary)
-            return core, state, hook
-        core, state, hook = self.core, self.state, self.hook
-        # snapshot every interval boundary the walk crosses, so later
-        # seqs behind the live run rewind from close by
-        while state.next_row < boundary:
-            row = state.next_row
-            target = min(row - row % self.interval + self.interval,
-                         boundary)
-            core.run_rows(self.golden, hook, state, target)
-            if target % self.interval == 0:
-                self._snapshots[target] = core.fork(state, hook)
-        return core.fork(state, hook)
+        with self._lock:
+            if boundary < self.state.next_row:
+                core, state, hook = self._snapshots[
+                    boundary - boundary % self.interval]
+                core, state, hook = core.fork(state, hook)
+                if state.next_row < boundary:
+                    core.run_rows(self.golden, hook, state, boundary)
+                return core, state, hook
+            core, state, hook = self.core, self.state, self.hook
+            # snapshot every interval boundary the walk crosses, so later
+            # seqs behind the live run rewind from close by
+            while state.next_row < boundary:
+                row = state.next_row
+                target = min(row - row % self.interval + self.interval,
+                             boundary)
+                core.run_rows(self.golden, hook, state, target)
+                if target % self.interval == 0:
+                    self._snapshots[target] = core.fork(state, hook)
+            return core.fork(state, hook)
 
 
 #: (config key → cursor entries) in LRU order — lookups move an entry to
 #: the back, insertions evict from the front past :data:`SPLICE_CURSOR_CAP`;
 #: entries verify golden identity on lookup.
 _SPLICE_CURSORS: dict = {}
+_SPLICE_CURSORS_LOCK = threading.Lock()
 
 
 def _splice_cursor(golden: Trace,
                    config: SystemConfig) -> _TimingSpliceCursor:
     key = (id(golden), config_key(config))
-    cursor = _SPLICE_CURSORS.get(key)
-    if cursor is not None and cursor.golden is golden:
-        # LRU refresh: re-insert at the back
-        _SPLICE_CURSORS.pop(key)
+    with _SPLICE_CURSORS_LOCK:
+        cursor = _SPLICE_CURSORS.pop(key, None)
+        if cursor is None or cursor.golden is not golden:
+            cursor = _TimingSpliceCursor(golden, config)
         _SPLICE_CURSORS[key] = cursor
+        while len(_SPLICE_CURSORS) > SPLICE_CURSOR_CAP:
+            _SPLICE_CURSORS.pop(next(iter(_SPLICE_CURSORS)))
         return cursor
-    cursor = _TimingSpliceCursor(golden, config)
-    _SPLICE_CURSORS.pop(key, None)
-    _SPLICE_CURSORS[key] = cursor
-    while len(_SPLICE_CURSORS) > SPLICE_CURSOR_CAP:
-        _SPLICE_CURSORS.pop(next(iter(_SPLICE_CURSORS)))
-    return cursor
 
 
 #: Rows per ``run_rows`` call while a verdict-only run watches for the

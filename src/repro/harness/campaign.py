@@ -4,10 +4,14 @@ A **campaign** is a declarative grid of jobs — (benchmark, scale,
 :class:`~repro.common.config.SystemConfig`, fault/interrupt scenario)
 tuples — executed through a :class:`CampaignEngine` that
 
+* **runs pending jobs in fork order**: grouped by golden trace, each
+  group in ascending fault seq, so consecutive fault jobs walk one
+  fork cursor forward (see :func:`~repro.isa.executor.fork_cursor`);
 * **shards deterministically** across a ``multiprocessing`` worker pool:
-  job *i* of the pending set goes to shard ``i % workers``, and results
-  are reassembled in submission order, so worker count never changes
-  what a campaign produces, only how fast;
+  job *i* of the fork-ordered pending set goes to shard ``i % workers``,
+  so each shard walks forward too, and results are reassembled in
+  submission order, so worker count never changes what a campaign
+  produces, only how fast;
 * **caches results content-addressed on disk**: every job has a stable
   key — the SHA-256 of its canonical JSON description (kind, protection
   scheme, benchmark, scale, the full config tree, the fault/interrupt
@@ -43,7 +47,7 @@ import os
 import socket
 import threading
 import uuid
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -60,7 +64,7 @@ from repro.common.records import (
 )
 from repro.common.rng import derive
 from repro.core.timing import config_key as timing_config_key
-from repro.detection.faults import FaultSite, TransientFault
+from repro.detection.faults import FaultSite, TransientFault, earliest_fault_seq
 from repro.detection.system import run_with_detection
 from repro.schemes import get_scheme, scheme_names
 from repro.schemes.base import ProtectionScheme
@@ -185,28 +189,44 @@ class JobSpec:
     def describe(self) -> dict:
         """The canonical description hashed into the cache key (its
         ``config`` is the config's shared memo: serialise, never mutate)."""
-        def describe_fault(fault: TransientFault) -> dict:
-            payload = asdict(fault)
-            payload["site"] = fault.site.value
-            return payload
+        return {"benchmark": self.benchmark,
+                "config": self.config.description,
+                **self._scenario()}
 
+    def _scenario(self) -> dict:
+        """The description's entries whose names sort after ``config``."""
         return {
             "schema": CACHE_SCHEMA_VERSION,
             "kind": self.kind,
             "scheme": self.scheme,
-            "benchmark": self.benchmark,
             "scale": self.scale,
-            "config": self.config.description,
-            "fault": (describe_fault(self.fault)
+            "fault": (_describe_fault(self.fault)
                       if self.fault is not None else None),
-            "faults": [describe_fault(fault) for fault in self.faults],
+            "faults": [_describe_fault(fault) for fault in self.faults],
             "interrupt_seqs": list(self.interrupt_seqs),
             "timing": self.timing,
         }
 
     def key(self) -> str:
-        return hashlib.sha256(
-            canonical_json(self.describe()).encode()).hexdigest()
+        """SHA-256 of ``canonical_json(self.describe())``.  Canonical JSON
+        sorts keys, and ``benchmark`` < ``config`` < every scenario
+        entry, so the config's memoised JSON splices in verbatim."""
+        text = (f'{{"benchmark":{canonical_json(self.benchmark)},'
+                f'"config":{self.config.description_json},'
+                f'{canonical_json(self._scenario())[1:]}')
+        return hashlib.sha256(text.encode()).hexdigest()
+
+
+#: TransientFault's field names, in declaration order.
+_FAULT_FIELDS = tuple(f.name for f in fields(TransientFault))
+
+
+def _describe_fault(fault: TransientFault) -> dict:
+    """``asdict(fault)`` with the site as its value, built without the
+    deep copy (every field is an immutable scalar)."""
+    payload = {name: getattr(fault, name) for name in _FAULT_FIELDS}
+    payload["site"] = fault.site.value
+    return payload
 
 
 # -- job execution (runs inside worker processes) ---------------------------
@@ -863,13 +883,37 @@ class CampaignResult:
         return canonical_json(list(self.records))
 
 
-class CampaignEngine:
-    """Executes job grids: dedupe → cache lookup → sharded pool → store.
+def _fork_order(specs: Sequence[JobSpec],
+                unique: list[tuple[int, str]]) -> list[tuple[int, str]]:
+    """``unique`` (pairs of a spec's position and key) grouped by golden
+    trace — (benchmark, scale), in order of first appearance — and each
+    group in ascending fork seq, one-fault jobs whose fault never
+    touches execution last.  Jobs without a single ``fault`` keep their
+    relative order.  Consecutive jobs then walk their golden trace's
+    fork cursor forward instead of rewinding it."""
+    def fork_seq(item: tuple[int, str]) -> tuple[int, int]:
+        fault = specs[item[0]].fault
+        seq = None if fault is None else earliest_fault_seq((fault,))
+        return (1, 0) if seq is None else (0, seq)
 
-    ``workers=1`` runs everything in-process (no pool, fully serial);
-    any higher count fans pending jobs out round-robin.  Results are
-    independent of ``workers`` by construction: each job is a pure
-    function of its spec.
+    groups: dict[tuple[str, str], list[tuple[int, str]]] = {}
+    for item in unique:
+        spec = specs[item[0]]
+        groups.setdefault((spec.benchmark, spec.scale), []).append(item)
+    return [item for group in groups.values()
+            for item in sorted(group, key=fork_seq)]
+
+
+class CampaignEngine:
+    """Executes job grids: dedupe → cache lookup → fork order → sharded
+    pool → store.
+
+    Pending jobs run in fork order (:func:`_fork_order`).  ``workers=1``
+    runs them in-process (no pool, fully serial); any higher count deals
+    the ordered list out round-robin, so every shard still walks each
+    golden trace forward.  Records land in submission order, and results
+    are independent of ``workers`` and of the order by construction:
+    each job is a pure function of its spec.
     """
 
     def __init__(self, workers: int = 1,
@@ -906,9 +950,10 @@ class CampaignEngine:
             else:
                 pending.setdefault(key, []).append(i)
 
-        # execute each unique pending job exactly once; duplicate slots
-        # count as cached so executed + cached == len(specs)
-        unique = [(positions[0], key) for key, positions in pending.items()]
+        # execute each unique pending job exactly once, in fork order;
+        # duplicate slots count as cached so executed + cached == len(specs)
+        unique = _fork_order(
+            specs, [(positions[0], key) for key, positions in pending.items()])
         cached = len(specs) - len(unique)
 
         def store(key: str, record: dict) -> None:

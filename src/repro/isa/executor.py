@@ -30,8 +30,10 @@ hardware performs are bit-exact, as they would be in silicon.
 from __future__ import annotations
 
 import math
+import threading
 from array import array
 from functools import partial
+from itertools import compress
 from typing import Callable, NamedTuple
 
 from repro.common.errors import AssemblyError, ExecutionError
@@ -45,11 +47,6 @@ from repro.isa.instructions import (
 )
 from repro.isa.memory_image import MemoryImage, bits_to_float, float_to_bits
 from repro.isa.program import DecodedInstr, HANDLER_OPS, Program, predecode
-
-try:  # the vectorised column paths are optional accelerations
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
 
 # mem_kind codes
 LOAD = 0
@@ -1156,10 +1153,6 @@ class Keyframes:
         return cls(int(payload["interval"]), frames)
 
 
-#: Below this many rows the plain Python replay beats the numpy setup.
-_VECTOR_MIN_ROWS = 48
-
-
 def _replay_rows(trace: Trace, start: int, stop: int,
                  xregs, fregs, mem,
                  uops: int, loads: int, stores: int) -> tuple[int, int, int]:
@@ -1170,61 +1163,27 @@ def _replay_rows(trace: Trace, start: int, stop: int,
     This is the one definition of what committing a row does to
     architectural state outside the live machine.
 
-    When the range is large enough and numpy is available, the memory
-    side (store application, load/store counts) and the uop sum run as
-    whole-column vector operations; register writebacks stay a ragged
-    per-row walk.  Both paths produce identical state: store application
-    order is preserved (``dict.update`` over entries in commit order is
-    last-write-wins exactly like the per-row loop), and every value that
-    lands in a container is a Python ``int``.
+    Register writebacks are a per-row walk; the memory side and the uop
+    sum run over whole column slices in C-level builtins.  Stores apply
+    in commit order, so ``dict.update`` over them is last-write-wins
+    exactly like committing row by row, and every value that lands in a
+    container is a Python ``int``.
     """
-    pcs = trace.pcs
-    dsts = trace.dsts
-    uops_table = _uops_by_pc(trace.program)
-    if _np is not None and stop - start >= _VECTOR_MIN_ROWS:
-        for seq in range(start, stop):
-            for is_fp, idx, value in dsts[seq]:
-                if is_fp:
-                    fregs[idx] = value
-                else:
-                    xregs[idx] = value
-        lo, hi = trace.mem_off[start], trace.mem_off[stop]
-        kinds = _np.frombuffer(trace.mem_kind, dtype=_np.int8)[lo:hi]
-        store_mask = kinds == STORE
-        n_stores = int(store_mask.sum())
-        if n_stores:
-            addrs = _np.frombuffer(
-                trace.mem_addr, dtype=_np.uint64)[lo:hi][store_mask]
-            values = _np.frombuffer(
-                trace.mem_value, dtype=_np.uint64)[lo:hi][store_mask]
-            # zip of .tolist() keeps commit order → last write wins, and
-            # yields Python ints (no numpy scalars leak into state)
-            mem.update(zip(addrs.tolist(), values.tolist()))
-        stores += n_stores
-        loads += int((kinds == LOAD).sum())
-        pcs_slice = _np.frombuffer(pcs, dtype=_np.uint64)[start:stop]
-        uops += int(_np.asarray(uops_table, dtype=_np.int64)
-                    .take(pcs_slice).sum())
-        return uops, loads, stores
-    mem_off = trace.mem_off
-    mem_kind = trace.mem_kind
-    mem_addr = trace.mem_addr
-    mem_value = trace.mem_value
-    for seq in range(start, stop):
-        for is_fp, idx, value in dsts[seq]:
+    for row in trace.dsts[start:stop]:
+        for is_fp, idx, value in row:
             if is_fp:
                 fregs[idx] = value
             else:
                 xregs[idx] = value
-        for j in range(mem_off[seq], mem_off[seq + 1]):
-            kind = mem_kind[j]
-            if kind == STORE:
-                mem[mem_addr[j]] = mem_value[j]
-                stores += 1
-            elif kind == LOAD:
-                loads += 1
-        uops += uops_table[pcs[seq]]
-    return uops, loads, stores
+    lo, hi = trace.mem_off[start], trace.mem_off[stop]
+    kinds = bytes(trace.mem_kind[lo:hi])
+    n_stores = kinds.count(STORE)
+    if n_stores:
+        mem.update(compress(zip(trace.mem_addr[lo:hi], trace.mem_value[lo:hi]),
+                            map(STORE.__eq__, kinds)))
+    uops += sum(map(_uops_by_pc(trace.program).__getitem__,
+                    trace.pcs[start:stop]))
+    return uops, loads + kinds.count(LOAD), stores + n_stores
 
 
 def build_keyframes(trace: Trace,
@@ -1299,24 +1258,28 @@ def fork_state(trace: Trace, fork_seq: int) -> ForkState:
 
 
 class ForkCursor:
-    """Monotone fork-state producer over one golden trace.
+    """Fork-state producer over one golden trace, advancing in place.
 
-    A batch of fault jobs against the same golden trace asks for fork
-    states at many (sorted) seqs.  :func:`fork_state` rebuilds each one
-    from scratch — keyframes plus up to one interval of column replay
-    *per fault*.  The cursor instead keeps one reconstruction advancing
-    in place: moving from the previous fork seq to the next applies only
-    the rows (and keyframes) in between, so a whole batch costs one walk
-    over the prefix plus per-fault state copies.
+    :func:`fork_state` rebuilds every state from scratch — keyframes
+    plus up to one interval of column replay per fork.  The cursor
+    instead keeps one reconstruction and moves it forward: going from
+    the previous fork seq to the next applies only the rows (and
+    keyframes) in between, so forks in ascending seq order cost one
+    walk over the prefix plus per-fork state copies.
 
     ``state(golden, fork_seq)`` matches the ``state_source`` signature
     of :func:`execute_forked` and returns a :class:`ForkState` equal to
     ``fork_state(golden, fork_seq)`` — same values, same types — with
-    fresh containers (the live machine mutates them).  Fork seqs must be
-    non-decreasing; feed it faults sorted by fork seq.
+    fresh containers (the live machine mutates them), whatever order
+    the calls come in.  A seq behind the cursor rewinds it: it restarts
+    from the initial state, which is the work :func:`fork_state` does.
+
+    One cursor serves every fork of its golden trace in a process
+    (:func:`fork_cursor`), across jobs as well as within a cell.  A lock
+    makes each ``state`` call atomic, so threads may share a cursor.
     """
 
-    __slots__ = ("golden", "_seq", "_xregs", "_fregs", "_memory",
+    __slots__ = ("golden", "_lock", "_seq", "_xregs", "_fregs", "_memory",
                  "_uops", "_loads", "_stores")
 
     def __init__(self, golden: Trace) -> None:
@@ -1324,10 +1287,14 @@ class ForkCursor:
             raise ExecutionError(
                 "can only fork a clean, completely executed golden trace")
         self.golden = golden
+        self._lock = threading.Lock()
+        self._restart()
+
+    def _restart(self) -> None:
         self._seq = 0
         self._xregs = [0] * NUM_INT_REGS
         self._fregs = [0.0] * NUM_FP_REGS
-        self._memory = golden.program.initial_memory()
+        self._memory = self.golden.program.initial_memory()
         self._uops = self._loads = self._stores = 0
 
     def state(self, golden: Trace, fork_seq: int) -> ForkState:
@@ -1337,37 +1304,60 @@ class ForkCursor:
         total = len(golden)
         if not 0 <= fork_seq <= total:
             raise ExecutionError(f"fork seq {fork_seq} outside 0..{total}")
-        if fork_seq < self._seq:
-            raise ExecutionError(
-                f"fork cursor cannot rewind from {self._seq} to {fork_seq}; "
-                f"sort faults by fork seq")
-        xregs, fregs = self._xregs, self._fregs
-        mem_words = self._memory._words
-        start = self._seq
-        # a keyframe delta holds each touched location's value *at* the
-        # boundary, so applying it on top of any state inside the frame's
-        # interval lands exactly on the boundary state — the cursor can
-        # fast-forward through frames from an arbitrary mid-interval seq
-        for frame in golden.keyframes().frames:
-            if frame.seq <= start:
-                continue
-            if frame.seq > fork_seq:
-                break
-            for idx, value in frame.xregs.items():
-                xregs[idx] = value
-            for idx, value in frame.fregs.items():
-                fregs[idx] = value
-            mem_words.update(frame.mem)
-            self._uops, self._loads, self._stores = (
-                frame.uops, frame.loads, frame.stores)
-            start = frame.seq
-        self._uops, self._loads, self._stores = _replay_rows(
-            golden, start, fork_seq, xregs, fregs, mem_words,
-            self._uops, self._loads, self._stores)
-        self._seq = fork_seq
-        pc = golden.pcs[fork_seq] if fork_seq < total else golden.final_next_pc
-        return ForkState(list(xregs), list(fregs), self._memory.copy(), pc,
-                         self._uops, self._loads, self._stores)
+        with self._lock:
+            if fork_seq < self._seq:
+                self._restart()
+            xregs, fregs = self._xregs, self._fregs
+            mem_words = self._memory._words
+            start = self._seq
+            # a keyframe delta holds each touched location's value *at*
+            # the boundary, so applying it on top of any state inside the
+            # frame's interval lands exactly on the boundary state — the
+            # cursor can fast-forward through frames from a mid-interval seq
+            for frame in golden.keyframes().frames:
+                if frame.seq <= start:
+                    continue
+                if frame.seq > fork_seq:
+                    break
+                for idx, value in frame.xregs.items():
+                    xregs[idx] = value
+                for idx, value in frame.fregs.items():
+                    fregs[idx] = value
+                mem_words.update(frame.mem)
+                self._uops, self._loads, self._stores = (
+                    frame.uops, frame.loads, frame.stores)
+                start = frame.seq
+            self._uops, self._loads, self._stores = _replay_rows(
+                golden, start, fork_seq, xregs, fregs, mem_words,
+                self._uops, self._loads, self._stores)
+            self._seq = fork_seq
+            pc = (golden.pcs[fork_seq] if fork_seq < total
+                  else golden.final_next_pc)
+            return ForkState(list(xregs), list(fregs), self._memory.copy(),
+                             pc, self._uops, self._loads, self._stores)
+
+
+#: Fork cursors kept alive per process (each pins its golden trace and
+#: one memory image); campaigns run jobs grouped by golden trace.
+FORK_CURSOR_CAP = 4
+
+#: (golden identity → cursor) in LRU order — lookups move an entry to
+#: the back, insertions evict from the front past :data:`FORK_CURSOR_CAP`.
+_FORK_CURSORS: dict[int, ForkCursor] = {}
+_FORK_CURSORS_LOCK = threading.Lock()
+
+
+def fork_cursor(golden: Trace) -> ForkCursor:
+    """The process's :class:`ForkCursor` over ``golden``."""
+    key = id(golden)
+    with _FORK_CURSORS_LOCK:
+        cursor = _FORK_CURSORS.pop(key, None)
+        if cursor is None or cursor.golden is not golden:
+            cursor = ForkCursor(golden)
+        _FORK_CURSORS[key] = cursor
+        while len(_FORK_CURSORS) > FORK_CURSOR_CAP:
+            _FORK_CURSORS.pop(next(iter(_FORK_CURSORS)))
+        return cursor
 
 
 def _column_slice(col, stop: int, typecode: str) -> array:
@@ -1426,8 +1416,9 @@ def execute_forked(
 
     ``state_source`` substitutes the fork-state producer — a callable
     with :func:`fork_state`'s signature returning an equal state, e.g.
-    a batch job's shared :class:`ForkCursor` — and must be semantically
-    identical to it; the default is :func:`fork_state` itself.
+    the ``state`` of the process's :class:`ForkCursor` over ``golden``
+    — and must be semantically identical to it; the default is
+    :func:`fork_state` itself.
 
     Live execution runs only up to the injector's inert point, the seq
     after :meth:`~repro.detection.faults.FaultInjector.last_execution_seq`.

@@ -36,10 +36,10 @@ from typing import Iterator, Sequence
 from repro.common.config import SystemConfig
 from repro.detection.faults import FaultInjector, HardFault, TransientFault
 from repro.isa.executor import (
-    ForkCursor,
     Trace,
     execute_forked,
     execute_program,
+    fork_cursor,
 )
 from repro.isa.memory_image import float_to_bits
 
@@ -177,38 +177,32 @@ class ProtectionScheme(abc.ABC):
         a time in fork-seq order, yielding ``(index into faults,
         injector, faulty committed trace)``.
 
-        The fork-point path — one :class:`ForkCursor` reconstructs the
-        state at each fault's fork seq, replaying each golden row at
-        most once across a cell of several faults; the golden prefix is
-        spliced, and the golden tail too when no fault fired before the
-        injector went inert — runs unless :data:`FORK_INJECTION_ENV`
+        The fork-point path runs unless :data:`FORK_INJECTION_ENV`
         vetoes it; otherwise every fault re-executes the whole program.
-        Both paths yield byte-identical traces and activation lists, so
+        Every forked run takes its fork state from the process's one
+        :class:`~repro.isa.executor.ForkCursor` over ``clean``
+        (:func:`~repro.isa.executor.fork_cursor`), which outlives the
+        call: a cell walks it forward once, and one-fault jobs run in
+        fork order each replay only the golden rows since the previous
+        job's fork.  The golden prefix is spliced, and the golden tail
+        too when no fault fired before the injector went inert.  Both
+        paths yield byte-identical traces and activation lists, so
         which one ran is unobservable in any record.  Schemes whose
         verdict never reads the outcome additionally stop right after
         the last fault seq (again on both paths, so the identity between
         them holds).  Each injector is built just before its run: an
         attached injector keeps its machine and memory image alive.
         """
-        forked = fork_injection_enabled()
-        order = range(len(faults))
-        cursor = None
-        # a lone fault needs no ordering, and rebuilds its fork state
-        # directly (``fork_state``), sparing the cursor's copy of its
-        # memory image
-        if len(faults) > 1:
-            total = len(clean)
-            order = sorted(order, key=lambda i: FaultInjector(
-                [faults[i]]).fork_seq(total))
-            if forked:
-                cursor = ForkCursor(clean)
+        total = len(clean)
+        order = sorted(range(len(faults)), key=lambda i: FaultInjector(
+            [faults[i]]).fork_seq(total))
+        cursor = fork_cursor(clean) if fork_injection_enabled() else None
         for i in order:
             injector = FaultInjector([faults[i]])
             stop_seq = self._stop_seq(injector)
-            if forked:
-                faulty = execute_forked(
-                    clean, injector, stop_seq=stop_seq,
-                    state_source=cursor.state if cursor else None)
+            if cursor is not None:
+                faulty = execute_forked(clean, injector, stop_seq=stop_seq,
+                                        state_source=cursor.state)
             else:
                 faulty = execute_program(clean.program,
                                          fault_injector=injector,

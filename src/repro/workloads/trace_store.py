@@ -30,8 +30,8 @@ fed from the store is byte-identical to one that re-executed every
 clean trace.  Loading maps the file read-only and exposes the numeric
 columns as zero-copy memoryviews over the mapping: workers on one host
 share the page cache instead of each re-parsing JSON, and whole-column
-operations (checker fast path, fork-state replay) can wrap the same
-bytes in numpy without copying.
+operations (checker fast path, fork-state replay) slice the mapped
+columns directly.
 
 Schema 4 adds optional **golden timing sections** — per-configuration
 per-instruction issue/commit cycles, branch outcomes and cache-miss

@@ -1,5 +1,6 @@
 """Tests for the serialisable campaign/figure result records."""
 
+import dataclasses
 import json
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from repro.common.records import (
     BaselineRecord,
     CoverageRecord,
+    FaultBatchRecord,
     RecoveryRecord,
     RunRecord,
     RunSummary,
@@ -113,6 +115,67 @@ class TestRoundTrips:
         b = record_to_json(make_run_record())
         assert a == b
         assert json.loads(a)["record_type"] == "RunRecord"
+
+
+def asdict_to_dict(record) -> dict:
+    """The deep-copying ``asdict`` conversion ``record_to_dict`` must
+    match in canonical JSON: the reference for its direct build."""
+    payload = dataclasses.asdict(record)
+    for name in {"delays_ns", "checker_busy_ticks",
+                 "records"} & payload.keys():
+        payload[name] = list(payload[name])
+    closes = payload.get("closes_by_reason")
+    if closes is not None:
+        payload["closes_by_reason"] = [list(pair) for pair in closes]
+    payload["record_type"] = type(record).__name__
+    return payload
+
+
+def coverage_record(**overrides) -> CoverageRecord:
+    base = dict(benchmark="stream", scale="small", config_key="ef" * 32,
+                site="load_addr", seq=321, bit=7, activated=True,
+                outcome="detected", detect_latency_us=0.125,
+                first_error_segment=2, first_error_entry=None,
+                scheme="detection")
+    base.update(overrides)
+    return CoverageRecord(**base)
+
+
+ONE_OF_EACH = [
+    make_run_record(),
+    FaultBatchRecord(
+        benchmark="stream", scale="small", config_key="ab" * 32,
+        records=(record_to_dict(coverage_record()),
+                 record_to_dict(coverage_record(
+                     seq=400, activated=False, outcome="not_activated",
+                     detect_latency_us=None, first_error_segment=None))),
+        scheme="detection"),
+    SchemeRunResult(
+        scheme="unprotected", benchmark="stream", scale="small",
+        config_key="cd" * 32, cycles=1000, base_cycles=1000,
+        instructions=900, system_cycles=1000, slowdown=1.0,
+        detection_latency_ns=None, area_overhead=0.0,
+        energy_overhead=0.0, detects_faults=False,
+        covers_hard_faults=False, supports_recovery=False),
+    RecoveryRecord(
+        benchmark="freqmine", scale="small", config_key="01" * 32,
+        site="store_value", seq=500, bit=5, activated=True,
+        detected=True, rollback_seq=480, replayed_instructions=100,
+        recovered=True, state_correct=True, trace_len=2000),
+    coverage_record(),
+]
+
+
+class TestDirectConversion:
+    @pytest.mark.parametrize("record", ONE_OF_EACH,
+                             ids=lambda r: type(r).__name__)
+    def test_matches_asdict_and_round_trips(self, record):
+        payload = record_to_dict(record)
+        assert canonical_json(payload) == canonical_json(
+            asdict_to_dict(record))
+        assert payload == asdict_to_dict(record)
+        assert record_from_dict(payload) == record
+        assert record_from_json(record_to_json(record)) == record
 
 
 class TestDelayStats:

@@ -1,16 +1,19 @@
 """Tests for the parallel campaign engine and its on-disk run cache."""
 
 import dataclasses
+import hashlib
 import json
 import multiprocessing
+import random
 import socket
 import sys
 import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.common.config import SystemConfig, default_config
+from repro.common.config import SystemConfig, config_from_dict, default_config
 from repro.common.records import canonical_json
 from repro.detection.faults import FaultSite, TransientFault
 from repro.harness import campaign
@@ -20,6 +23,7 @@ from repro.harness.campaign import (
     JobSpec,
     RunCache,
     config_fingerprint,
+    JOB_KINDS,
     detection_grid,
     execute_job,
     fault_batch_grid,
@@ -80,6 +84,62 @@ class TestKeys:
     def test_unknown_timing_rejected(self):
         with pytest.raises(ValueError, match="unknown timing mode"):
             JobSpec("fault", "stream", timing="approximate")
+
+
+#: Configs as the grids, the CLI and manifest workers build them: fresh
+#: objects (each memoises its own description) and a shared one.
+SHARED_CONFIG = default_config()
+config_draw = st.sampled_from([
+    lambda: SHARED_CONFIG,
+    default_config,
+    lambda: default_config().with_checker_freq(1000),
+    lambda: config_from_dict(dataclasses.asdict(default_config())),
+    lambda: config_from_dict(dataclasses.asdict(
+        default_config().with_log(36 * 1024, None).with_checker_cores(6))),
+]).map(lambda make: make())
+
+fault_draw = st.builds(
+    TransientFault,
+    site=st.sampled_from(FaultSite),
+    seq=st.integers(0, 1 << 40),
+    bit=st.integers(0, 63),
+    memop_index=st.integers(0, 3),
+    reg=st.sampled_from(["x1", "x7", "f3"]))
+
+spec_draw = st.builds(
+    JobSpec,
+    kind=st.sampled_from(JOB_KINDS),
+    benchmark=st.one_of(st.sampled_from(["stream", "bitcount"]),
+                        st.text(max_size=6)),
+    scale=st.sampled_from(["small", "default"]),
+    config=config_draw,
+    fault=st.none() | fault_draw,
+    faults=st.lists(fault_draw, max_size=3).map(tuple),
+    interrupt_seqs=st.lists(st.integers(0, 1 << 20), max_size=3).map(tuple),
+    scheme=st.sampled_from(["", *scheme_names()]))
+
+
+def asdict_fault(fault: TransientFault) -> dict:
+    """A fault's description as the deep-copying ``asdict`` builds it."""
+    payload = dataclasses.asdict(fault)
+    payload["site"] = fault.site.value
+    return payload
+
+
+class TestKeySplice:
+    @settings(max_examples=150, deadline=None)
+    @given(spec_draw)
+    def test_key_hashes_the_canonical_description(self, spec):
+        """The spliced key equals the hash of the description's canonical
+        JSON, byte for byte, and the description's faults equal
+        ``asdict``'s (a field added to TransientFault must reach it)."""
+        assert spec.key() == hashlib.sha256(
+            canonical_json(spec.describe()).encode()).hexdigest()
+        description = spec.describe()
+        assert description["fault"] == (
+            None if spec.fault is None else asdict_fault(spec.fault))
+        assert description["faults"] == [asdict_fault(f) for f in spec.faults]
+        assert spec.key() == spec.key()
 
 
 @pytest.fixture
@@ -463,6 +523,47 @@ class TestEngine:
         assert (rerun.executed, rerun.cached) == (2, 4)
         assert (rerun.records_json()
                 == CampaignEngine(workers=1).run(grid).records_json())
+
+    @staticmethod
+    def _two_benchmark_grid():
+        """Lockstep fault jobs of two benchmarks, interleaved."""
+        grid = fault_grid(["stream", "bitcount"], trials=8, scale="small",
+                          seed=5, scheme="lockstep")
+        stream, bitcount = grid.jobs[:8], grid.jobs[8:]
+        return [job for pair in zip(stream, bitcount) for job in pair]
+
+    def test_runs_pending_jobs_in_fork_order(self, monkeypatch):
+        """Jobs run grouped by golden trace, in order of first appearance,
+        each group in ascending fault seq; records keep submission order."""
+        jobs = self._two_benchmark_grid()
+        real = campaign.execute_job
+        seen = []
+
+        def spy(spec):
+            seen.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(campaign, "execute_job", spy)
+        result = CampaignEngine(workers=1).run(jobs)
+        assert [spec.benchmark for spec in seen] == \
+            ["stream"] * 8 + ["bitcount"] * 8
+        for group in (seen[:8], seen[8:]):
+            seqs = [spec.fault.seq for spec in group]
+            assert seqs == sorted(seqs)
+        assert [record["seq"] for record in result.records] == \
+            [spec.fault.seq for spec in jobs]
+
+    def test_records_independent_of_submission_order(self):
+        jobs = self._two_benchmark_grid()
+        shuffled = list(jobs)
+        random.Random(3).shuffle(shuffled)
+        forward = CampaignEngine(workers=1).run(jobs)
+        by_spec = dict(zip(forward.jobs, forward.records))
+        for order in (jobs[::-1], shuffled):
+            result = CampaignEngine(workers=1).run(order)
+            assert result.jobs == tuple(order)
+            for spec, record in zip(result.jobs, result.records):
+                assert canonical_json(record) == canonical_json(by_spec[spec])
 
     def test_cache_persists_across_engines(self, cfg, tmp_path):
         spec = JobSpec("detection", "bitcount", "small", cfg)

@@ -1,9 +1,28 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.__main__ import FIGURE_COMMANDS, main, make_parser
 from repro.schemes import iter_schemes
+
+
+class TestImports:
+    def test_cli_import_loads_no_numpy(self):
+        """numpy is a test-only dependency: the CLI, pool workers and
+        the service never pay for its import."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.__main__; print('numpy' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestParser:

@@ -8,6 +8,7 @@ must produce exactly the trace a full faulty execution produces.
 
 from __future__ import annotations
 
+import threading
 from array import array
 
 import pytest
@@ -22,14 +23,17 @@ from repro.detection.faults import (
     TransientFault,
     earliest_fault_seq,
 )
+from repro.isa import executor
 from repro.isa.blocks import STATS
 from repro.isa.executor import (
+    ForkCursor,
     Keyframes,
     Machine,
     Trace,
     build_keyframes,
     execute_forked,
     execute_program,
+    fork_cursor,
     fork_state,
 )
 from repro.isa.instructions import Opcode
@@ -95,6 +99,141 @@ class TestForkState:
         trace = execute_program(build_rmw_loop(iterations=5))
         with pytest.raises(ExecutionError):
             fork_state(trace, len(trace) + 1)
+
+
+def assert_same_fork_state(got, want, fork_seq):
+    """Registers by bit pattern, memory, pc and prefix counts."""
+    assert got.xregs == want.xregs, fork_seq
+    assert [float_to_bits(v) for v in got.fregs] == \
+        [float_to_bits(v) for v in want.fregs], fork_seq
+    assert dict(got.memory.items()) == dict(want.memory.items()), fork_seq
+    assert (got.pc, got.uops, got.loads, got.stores) == \
+        (want.pc, want.uops, want.loads, want.stores), fork_seq
+
+
+def scribble(state) -> None:
+    """What a live machine may do to the containers it was handed."""
+    state.xregs[1] ^= 0xFF
+    state.fregs[2] = -1.5
+    state.memory.store(0x7FF8, 0xDEAD)
+
+
+#: A random program (drawn) or one of two suite traces (stores; FP).
+golden_draw = st.one_of(program_draw, st.sampled_from(["stream",
+                                                       "blackscholes"]))
+
+
+class TestForkCursor:
+    @settings(max_examples=40, deadline=None)
+    @given(golden_draw, st.data())
+    def test_any_seq_order_equals_fork_state(self, source, data):
+        """Ascending, descending, repeated, 0 and the end: every state
+        the cursor hands out equals ``fork_state``'s, and each comes in
+        fresh containers — scribbling on one changes no later one."""
+        if isinstance(source, str):
+            golden = benchmark_trace(source, "small")
+        else:
+            try:
+                golden = execute_program(build_program(source),
+                                         max_instructions=2000)
+            except ExecutionError:
+                assume(False)  # the clean program itself traps
+        n = len(golden)
+        seqs = data.draw(st.lists(st.integers(0, n), min_size=1,
+                                  max_size=8))
+        order = data.draw(st.sampled_from(["drawn", "ascending",
+                                           "descending"]))
+        if order != "drawn":
+            seqs.sort(reverse=order == "descending")
+        seqs += [seqs[-1], 0, n, n, seqs[0]]
+        cursor = ForkCursor(golden)
+        for seq in seqs:
+            state = cursor.state(golden, seq)
+            assert_same_fork_state(state, fork_state(golden, seq), seq)
+            scribble(state)
+
+    def test_rewind_restarts_from_the_initial_state(self):
+        golden = benchmark_trace("stream", "small")
+        cursor = ForkCursor(golden)
+        late, early = len(golden) - 5, 1003
+        cursor.state(golden, late)
+        assert_same_fork_state(cursor.state(golden, early),
+                               fork_state(golden, early), early)
+        # and walks forward again from there
+        assert_same_fork_state(cursor.state(golden, late),
+                               fork_state(golden, late), late)
+
+    def test_registry_serves_one_cursor_per_golden(self, monkeypatch):
+        monkeypatch.setattr(executor, "_FORK_CURSORS", {})
+        monkeypatch.setattr(executor, "FORK_CURSOR_CAP", 2)
+        a, b, c = (benchmark_trace(name, "small")
+                   for name in ("stream", "bitcount", "randacc"))
+        first = fork_cursor(a)
+        assert fork_cursor(a) is first and first.golden is a
+        second = fork_cursor(b)
+        fork_cursor(a)          # touched: b is now the oldest
+        fork_cursor(c)
+        assert len(executor._FORK_CURSORS) == 2
+        assert fork_cursor(a) is first
+        assert fork_cursor(b) is not second
+
+    def test_threads_take_turns(self, monkeypatch):
+        """A second thread's ``state`` call waits until the first one's
+        has returned.  The first thread parks inside its row replay
+        until the second has called ``state`` and, unless the cursor's
+        lock holds it off, finished; the wait is bounded, so the locked
+        cursor cannot deadlock."""
+        golden = benchmark_trace("stream", "small")
+        cursor = ForkCursor(golden)
+        seqs = {"first": 2500, "second": 2600}
+        second_called = threading.Event()
+        second_done = threading.Event()
+        real_replay = executor._replay_rows
+        real_state = ForkCursor.state
+        parked = []
+
+        def replay(*args):
+            if threading.current_thread().name == "first" and not parked:
+                parked.append(True)
+                spawn("second")
+                assert second_called.wait(10)
+                second_done.wait(0.5)
+            return real_replay(*args)
+
+        def state(self, golden, fork_seq):
+            second = threading.current_thread().name == "second"
+            if second:
+                second_called.set()
+            try:
+                return real_state(self, golden, fork_seq)
+            finally:
+                if second:
+                    second_done.set()
+
+        monkeypatch.setattr(executor, "_replay_rows", replay)
+        monkeypatch.setattr(ForkCursor, "state", state)
+        results, errors, threads = {}, [], []
+
+        def run(name):
+            try:
+                results[name] = cursor.state(golden, seqs[name])
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        def spawn(name):
+            thread = threading.Thread(target=run, args=(name,), name=name)
+            threads.append(thread)
+            thread.start()
+
+        spawn("first")
+        threads[0].join(30)     # the first thread spawns the second
+        for thread in threads:
+            thread.join(30)
+            assert not thread.is_alive()
+        assert not errors, errors
+        for name, seq in seqs.items():
+            assert_same_fork_state(results[name], fork_state(golden, seq),
+                                   seq)
 
 
 class TestKeyframes:

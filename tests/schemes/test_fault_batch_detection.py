@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
+import threading
 
 import pytest
 
@@ -42,9 +44,10 @@ from repro.detection.system import (
     _splice_cursor,
     _TimingSpliceCursor,
 )
-from repro.harness.campaign import JobSpec, execute_job
+from repro.harness.campaign import JobSpec, execute_job, fault_grid
 from repro.harness.manifest import CampaignManifest
 from repro.harness.orchestrator import CampaignWorker, collect
+from repro.isa import executor
 from repro.isa.blocks import BLOCK_EXEC_ENV
 from repro.schemes import base as schemes_base
 from repro.schemes import get_scheme
@@ -254,6 +257,113 @@ class TestCursorRegistry:
         assert cursor.state.next_row == max(seqs)
         assert sorted(cursor._snapshots) == list(
             range(0, max(seqs) + 1, interval))
+
+
+class TestCursorThreads:
+    """Threads sharing a splice cursor take turns in ``bundle``.  The
+    first thread parks inside its first ``run_rows`` call until a second
+    thread has called ``bundle`` on the same cursor and, unless the
+    cursor's lock holds it off, finished; the wait is bounded, so the
+    locked cursor cannot deadlock."""
+
+    def test_threads_take_turns(self, cursor_registry, monkeypatch):
+        golden = benchmark_trace("stream", "small")
+        config = default_config()
+        cursor = _splice_cursor(golden, config)
+        # both inside the first snapshot interval: at the fork seq of the
+        # first thread, the second's walk has already passed it
+        seqs = {"first": 100, "second": 300}
+        assert max(seqs.values()) < cursor.interval
+        second_called = threading.Event()
+        second_done = threading.Event()
+        real_run_rows = OoOCore.run_rows
+        real_bundle = _TimingSpliceCursor.bundle
+        parked = []
+
+        def run_rows(self, *args, **kwargs):
+            if threading.current_thread().name == "first" and not parked:
+                parked.append(True)
+                spawn("second")
+                assert second_called.wait(10)
+                second_done.wait(0.5)
+            return real_run_rows(self, *args, **kwargs)
+
+        def bundle(self, fork_seq):
+            second = threading.current_thread().name == "second"
+            if second:
+                second_called.set()
+            try:
+                return real_bundle(self, fork_seq)
+            finally:
+                if second:
+                    second_done.set()
+
+        monkeypatch.setattr(OoOCore, "run_rows", run_rows)
+        monkeypatch.setattr(_TimingSpliceCursor, "bundle", bundle)
+        bundles, errors, threads = {}, [], []
+
+        def run(name):
+            try:
+                bundles[name] = cursor.bundle(seqs[name])
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        def spawn(name):
+            thread = threading.Thread(target=run, args=(name,), name=name)
+            threads.append(thread)
+            thread.start()
+
+        spawn("first")
+        threads[0].join(30)     # the first thread spawns the second
+        for thread in threads:
+            thread.join(30)
+            assert not thread.is_alive()
+        assert not errors, errors
+
+        def finish(core, state, hook):
+            core.run_rows(golden, hook, state, len(golden))
+            return core.finish_run(golden, hook, state)
+
+        for name, seq in seqs.items():
+            core, state, hook = bundles[name]
+            assert state.next_row == seq, name
+            straight = _TimingSpliceCursor(golden, config).bundle(seq)
+            assert finish(core, state, hook) == finish(*straight), name
+
+
+    def test_stress_shared_cursors(self, cursor_registry, monkeypatch):
+        """Eight threads run detection fault jobs on two golden traces
+        through the process's shared fork and splice cursors, switching
+        every 10 µs: every record equals the serial run's."""
+        specs = fault_grid(["stream", "bitcount"], trials=12, seed=3,
+                           scheme="detection").jobs
+        serial = [canonical_json(execute_job(spec)) for spec in specs]
+        cursor_registry.clear()
+        monkeypatch.setattr(executor, "_FORK_CURSORS", {})
+        records = [None] * len(specs)
+        errors = []
+
+        def run(lane):
+            try:
+                for i in range(lane, len(specs), 8):
+                    records[i] = canonical_json(execute_job(specs[i]))
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(lane,))
+                   for lane in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert records == serial
 
 
 class TestDetectionBatchKillSwitches:
