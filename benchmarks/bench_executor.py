@@ -18,6 +18,15 @@ call (self-loop fusion makes this exceed the static block length).  The
 block-mode and handler-mode traces are asserted byte-identical before any
 timing, so the numbers can never come from divergent executions.
 
+Schema 3 adds the injected-suffix regime a fault campaign runs: per
+workload, :data:`SUFFIX_FAULTS` ``RESULT`` faults at uniformly spread
+seqs, each forked through
+:func:`~repro.isa.executor.execute_forked` with its injector attached.
+It reports ``suffix_block_coverage`` (block rows over the rows
+committed after each fault's inert point) and ``mean_suffix_ips``
+(those rows per second of forked execution), again only after the
+block-mode and handler-mode faulty traces compare byte-identical.
+
 Emits one machine-readable ``BENCH {...}`` JSON line so the perf
 trajectory has something to hang before/after numbers off, and supports a
 regression gate against a committed baseline file::
@@ -32,8 +41,9 @@ metric drops more than ``--tolerance`` below the baseline.  Raw ips are
 machine-dependent, so the committed baseline is deliberately conservative
 and the default tolerance wide (30 %); the block-vs-handler speedups are
 same-process ratios and therefore much more stable than the raw numbers.
-Independent of the gate, the bench itself exits 1 when block coverage
-falls below :data:`MIN_BLOCK_COVERAGE` on any measured workload.
+Independent of the gate, the bench itself exits 1 when block coverage,
+clean or in injected suffixes, falls below :data:`MIN_BLOCK_COVERAGE`
+on any measured workload.
 """
 
 from __future__ import annotations
@@ -47,9 +57,10 @@ import time
 
 from repro.detection.checker import SegmentChecker
 from repro.detection.checkpoint import ArchStateTracker
+from repro.detection.faults import FaultInjector, FaultSite, TransientFault
 from repro.detection.lslog import CloseReason, LogEntry, Segment
 from repro.isa.blocks import BLOCK_EXEC_ENV, STATS
-from repro.isa.executor import execute_program
+from repro.isa.executor import ForkCursor, execute_forked, execute_program
 from repro.workloads.suite import build_benchmark
 
 #: Default measurement workloads: memory-bound, compute-bound, and
@@ -59,14 +70,18 @@ DEFAULT_WORKLOADS = ("stream", "bitcount", "randacc")
 #: Instructions per hand-built log segment for the replay benchmark.
 SEGMENT_INSTRUCTIONS = 200
 
-#: Hard floor on per-workload dynamic block coverage (ISSUE 9 acceptance:
-#: >= 80 % of committed instructions through generated code).
+#: Hard floor on per-workload dynamic block coverage, clean and in
+#: injected suffixes: >= 80 % of committed instructions through
+#: generated code.
 MIN_BLOCK_COVERAGE = 0.80
+
+#: Faults forked per workload in the injected-suffix regime.
+SUFFIX_FAULTS = 24
 
 #: Metrics the regression gate compares against the committed baseline.
 GATE_METRICS = ("mean_execute_ips", "mean_replay_ips",
                 "block_speedup_execute", "block_speedup_replay",
-                "block_coverage")
+                "block_coverage", "suffix_block_coverage", "mean_suffix_ips")
 
 
 @contextlib.contextmanager
@@ -139,6 +154,63 @@ def _time_replay(program, segments, instructions: int, repeat: int,
     return best
 
 
+def suffix_faults(trace_len: int) -> list[TransientFault]:
+    """:data:`SUFFIX_FAULTS` ``RESULT`` faults at uniformly spread seqs,
+    with assorted bits."""
+    return [TransientFault(FaultSite.RESULT,
+                           seq=trace_len * (2 * j + 1) // (2 * SUFFIX_FAULTS),
+                           bit=(7 * j + 3) % 64)
+            for j in range(SUFFIX_FAULTS)]
+
+
+def _fork_suffixes(golden, faults) -> tuple[list, int, int, float]:
+    """Fork every fault from ``golden`` with its injector attached;
+    returns the faulty payloads and activations, the block rows and
+    all rows committed after the faults' inert points, and the wall
+    time.  A runaway suffix stops at four times the golden length."""
+    cursor = ForkCursor(golden)
+    cap = 4 * len(golden)
+    outcomes = []
+    block_rows = suffix_rows = 0
+    elapsed = 0.0
+    for fault in faults:
+        injector = FaultInjector([fault])
+        blocks0, rows0 = STATS.block_instrs, STATS.total_instrs
+        t0 = time.perf_counter()
+        faulty = execute_forked(golden, injector, max_instructions=cap,
+                                state_source=cursor.state)
+        elapsed += time.perf_counter() - t0
+        # the injector's own row commits before its inert point
+        injected = min(len(faulty), fault.seq + 1) - faulty.fork_seq
+        block_rows += STATS.block_instrs - blocks0
+        suffix_rows += STATS.total_instrs - rows0 - injected
+        outcomes.append((faulty.to_payload(), injector.activations))
+    return outcomes, block_rows, suffix_rows, elapsed
+
+
+def bench_suffixes(name: str, golden, repeat: int) -> dict:
+    """The injected-suffix regime on one workload: block coverage and
+    best-of-``repeat`` rows/second after the faults' inert points."""
+    faults = suffix_faults(len(golden))
+    with block_mode("0"):
+        reference, _blocks, _rows, _elapsed = _fork_suffixes(golden, faults)
+    best = 0.0
+    with block_mode("1"):
+        for _ in range(repeat):
+            outcomes, block_rows, rows, elapsed = _fork_suffixes(golden,
+                                                                 faults)
+            assert outcomes == reference, (
+                f"{name}: block-mode faulty traces diverge from "
+                f"handler-mode ones")
+            best = max(best, rows / elapsed)
+    return {
+        "suffix_rows": rows,
+        "suffix_block_coverage": round(block_rows / rows if rows else 0.0,
+                                       4),
+        "suffix_ips": round(best, 1),
+    }
+
+
 def bench_workload(name: str, scale: str, repeat: int) -> dict:
     """Best-of-``repeat`` instructions/second for both paths on ``name``,
     in both block and handler modes, plus block-coverage counters."""
@@ -174,6 +246,7 @@ def bench_workload(name: str, scale: str, repeat: int) -> dict:
         "replay_handler_ips": round(replay_handler_ips, 1),
         "block_coverage": round(coverage, 4),
         "mean_block_commit": round(mean_commit, 2),
+        **bench_suffixes(name, trace, repeat),
     }
 
 
@@ -191,7 +264,7 @@ def run(workloads: list[str], scale: str, repeat: int) -> dict:
     mean_replay_handler = mean("replay_handler_ips")
     return {
         "bench": "executor",
-        "schema": 2,
+        "schema": 3,
         "scale": scale,
         "repeat": repeat,
         "workloads": results,
@@ -206,6 +279,9 @@ def run(workloads: list[str], scale: str, repeat: int) -> dict:
         "block_coverage": round(min(r["block_coverage"]
                                     for r in results.values()), 4),
         "mean_block_commit": round(mean("mean_block_commit"), 2),
+        "suffix_block_coverage": round(min(r["suffix_block_coverage"]
+                                           for r in results.values()), 4),
+        "mean_suffix_ips": round(mean("suffix_ips"), 1),
     }
 
 
@@ -247,10 +323,11 @@ def main(argv: list[str] | None = None) -> int:
             json.dump(payload, handle, sort_keys=True, indent=2)
             handle.write("\n")
     status = 0
-    if payload["block_coverage"] < MIN_BLOCK_COVERAGE:
-        print(f"bench executor: block coverage {payload['block_coverage']} "
-              f"below the {MIN_BLOCK_COVERAGE} floor", file=sys.stderr)
-        status = 1
+    for metric in ("block_coverage", "suffix_block_coverage"):
+        if payload[metric] < MIN_BLOCK_COVERAGE:
+            print(f"bench executor: {metric} {payload[metric]} below the "
+                  f"{MIN_BLOCK_COVERAGE} floor", file=sys.stderr)
+            status = 1
     if args.check:
         status = max(status, check_against(payload, args.check,
                                            args.tolerance))

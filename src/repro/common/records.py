@@ -231,6 +231,18 @@ _FIELD_NAMES = {cls: tuple(f.name for f in fields(cls))
                 for cls in _RECORD_TYPES.values()}
 
 
+def frozen_record(cls, **values):
+    """``cls(**values)`` for a frozen record class, without the
+    generated ``__init__``, which pays one ``object.__setattr__`` per
+    field (most of a per-fault job's own framing time): the fresh
+    keyword dict becomes the instance dict.  ``values`` must name every
+    field, defaulted ones included; the record then compares, hashes
+    and converts exactly like the constructed one."""
+    record = object.__new__(cls)
+    object.__setattr__(record, "__dict__", values)
+    return record
+
+
 def record_to_dict(record) -> dict:
     """Record → plain dict tagged with its type, ready for JSON.
 

@@ -312,27 +312,28 @@ class SegmentChecker:
         faults_by_seq = self._faults_by_seq
         steps_out = result.steps
         # the block-compiled fast path replays whole basic blocks via
-        # their generated bodies (CHECKER-site faults strike individual
-        # replayed writebacks, so they keep the per-instruction loop)
-        cells = build = None
-        tlen = 0
+        # their generated bodies, entered only at static block leaders
+        # and only when the block's static length fits the remaining
+        # budget (so a block is compiled only when it runs); a segment
+        # starting mid-block replays on handlers up to the next leader.
+        # CHECKER-site faults strike individual replayed writebacks, so
+        # they keep the per-instruction loop
+        replays = lengths = ()
         if not faults_by_seq and block_exec_enabled():
             table = block_table(self.program)
-            cells = table.cells
-            build = table.build
-            tlen = len(cells)
+            replays, lengths = table.replays, table.lengths
+        tlen = len(replays)
         try:
             while executed < instr_budget and not machine.halted:
                 pc = machine.pc
-                if cells is not None and pc < tlen:
-                    block = cells[pc]
-                    if block is None:
-                        block = build(pc)
-                    if block.n <= instr_budget - executed:
-                        block.replay(machine, steps_out)
-                        executed += block.n
-                        global_seq += block.n
-                        STATS.block_instrs += block.n
+                if pc < tlen:
+                    replay = replays[pc]
+                    n = lengths[pc]
+                    if replay is not None and n <= instr_budget - executed:
+                        replay(machine, steps_out)
+                        executed += n
+                        global_seq += n
+                        STATS.block_instrs += n
                         STATS.block_calls += 1
                         continue
                 try:

@@ -228,8 +228,10 @@ class FaultInjector:
         """Execute one instruction with fault application."""
         self._memop_counter = 0
         pc_before = machine.pc
-        instr = machine.program.instructions[pc_before]
+        # fetch first: a pc outside the program raises the machine's own
+        # fetch error, which the commit loop classifies as a crash
         dsts, mem, taken = machine.step()
+        instr = machine.program.instructions[pc_before]
 
         faults = self.transients.get(seq)
         if faults:

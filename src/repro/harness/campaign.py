@@ -59,6 +59,7 @@ from repro.common.records import (
     RunRecord,
     SchemeRunResult,
     canonical_json,
+    frozen_record,
     record_from_dict,
     record_to_dict,
 )
@@ -299,12 +300,15 @@ def _coverage_record(spec: JobSpec, scheme: ProtectionScheme,
                      verdict) -> CoverageRecord:
     """One classified trial as a record — shared verbatim by the
     per-fault and batch executors, so their records cannot drift."""
-    return CoverageRecord(
+    return frozen_record(
+        CoverageRecord,
         scheme=scheme.name,
         benchmark=spec.benchmark,
         scale=spec.scale,
         config_key=config_key,
-        site=fault.site.value,
+        # the member's value, read without ``Enum.value``'s Python-level
+        # descriptor (this runs once per fault job)
+        site=fault.site._value_,
         seq=fault.seq,
         bit=fault.bit,
         activated=verdict.activated,
@@ -323,7 +327,7 @@ def _fault_record(spec: JobSpec, scheme: ProtectionScheme,
     fault = spec.fault
     clean = benchmark_trace(spec.benchmark, spec.scale)
     verdict, = scheme.inject_batch(clean, spec.config, (fault,),
-                                   interrupt_seqs=spec.interrupt_seqs)
+                                   spec.interrupt_seqs)
     return _coverage_record(spec, scheme, config_key, fault, verdict)
 
 

@@ -20,9 +20,12 @@ block the generator renders source text, ``compile()``s it, and
 
 Blocks end at branches, jumps, ``halt``, and the nondeterministic
 reads (``RDRAND``/``RDCYCLE`` must observe an exact ``instr_count``).
-The table is built lazily per entry pc: any pc control flow actually
-reaches gets its own (possibly overlapping) block, so jump targets and
-mid-block checker-segment starts are covered without a leader pre-pass.
+Block shapes are static: one pass over the predecoded program
+(:class:`BlockTable`) fixes each pc's block length and the program's
+block leaders.  Callers enter blocks only at leaders, so code is
+generated only for blocks that control flow actually enters at their
+head; a row reached mid-block runs on its handler until the next
+leader.  A leader's block compiles on its first run.
 
 Each block carries two generated variants sharing the same compute
 lines:
@@ -31,7 +34,10 @@ lines:
 mem_value, mem_used)``
     the main-core executor body: commits the block's rows to the
     caller's trace columns (byte-identical to the per-instruction
-    handlers) and advances ``m.instr_count``.
+    handlers) and advances ``m.instr_count``.  It is trap-precise: a
+    row that traps (a misaligned access) first commits exactly the rows
+    before it — columns, registers, ``m.pc`` and ``m.instr_count`` as
+    the handlers would have left them — and then raises.
 
 ``replay(m, steps)``
     the checker-core body: same computation against the machine's
@@ -50,11 +56,13 @@ from __future__ import annotations
 import math
 import os
 import struct
+from functools import partial
 
-from repro.common.errors import ReproError
+from repro.common.errors import ExecutionError, ReproError
 from repro.isa.executor import (
     DEFAULT_NAN,
     LOAD,
+    NONDET,
     STORE,
     _div,
     _f2i,
@@ -84,9 +92,6 @@ MAX_BLOCK_LEN = 256
 _TERMINATORS = (frozenset(BRANCH_OPS)
                 | frozenset({Opcode.J, Opcode.JAL, Opcode.JALR, Opcode.HALT})
                 | NONDET_OPS)
-_MEM_OPS = frozenset({Opcode.LD, Opcode.ST, Opcode.LDP, Opcode.STP,
-                      Opcode.FLD, Opcode.FST})
-
 _M = MASK64  # rendered as a literal in generated source
 
 # value-expression templates ({a}/{b} are integer operand exprs)
@@ -133,6 +138,50 @@ _BRANCH_COND = {
     Opcode.BGEU: "{a} >= {b}",
 }
 
+
+def _trap_commit(loc: dict, rows: tuple, flush: tuple) -> None:
+    """Commit what a run variant completed before its trapping row.
+
+    Called from the generated ``except ExecutionError`` clause with the
+    function's ``locals()``: ``_k`` is the trapping row's index and
+    ``seq`` the seq of the block's first row (of the current trip, in a
+    loop-fused run).  ``rows`` holds each row's pc, its writebacks as
+    ``(is_fp, reg, ref)`` and its memory entries as ``(kind, addr_ref,
+    value_ref)``, where a ref names a local or is the constant itself.
+    Rows ``[0, _k)`` are appended to the columns as the handlers would
+    have committed them; every register local the block has assigned is
+    written back (a loop-fused run flushes only after its loop, so
+    completed trips' registers still live in locals, and a local that
+    holds a register's entry value writes back that same value); then
+    ``m.pc`` and ``m.instr_count`` name the trapping row.
+    """
+    k = loc["_k"]
+    pcs, dsts, takens, mem_off = (loc["pcs"], loc["dsts"], loc["takens"],
+                                  loc["mem_off"])
+    mem_kind, mem_addr = loc["mem_kind"], loc["mem_addr"]
+    mem_value, mem_used = loc["mem_value"], loc["mem_used"]
+    entries = mem_off[-1]
+    for pc, spec, mem in rows[:k]:
+        pcs.append(pc)
+        dsts.append(tuple((is_fp, reg, loc[ref] if ref.__class__ is str
+                           else ref) for is_fp, reg, ref in spec))
+        takens.append(-1)  # control ops end blocks
+        for kind, addr, value in mem:
+            value = loc[value]
+            mem_kind.append(kind)
+            mem_addr.append(loc[addr] if addr.__class__ is str else addr)
+            mem_value.append(value)
+            mem_used.append(value)
+        entries += len(mem)
+        mem_off.append(entries)
+    m = loc["m"]
+    for is_fp, reg, name in flush:
+        if name in loc:
+            (m.fregs if is_fp else m.xregs)[reg] = loc[name]
+    m.pc = rows[k][0]
+    m.instr_count = loc["seq"] + k
+
+
 #: Closed namespace shared by every generated block function.  The
 #: float<->bits conversions are inlined as pre-bound Struct methods
 #: (``_ud(_pq(bits))[0]`` is bit-identical to ``bits_to_float`` minus
@@ -154,6 +203,9 @@ _HELPERS = {
     "abs": abs,
     "_E": (),
     "ReproError": ReproError,
+    "ExecutionError": ExecutionError,
+    "_trap": _trap_commit,
+    "locals": locals,
     "__builtins__": {},
 }
 
@@ -189,23 +241,13 @@ STATS = BlockStats()
 class Block:
     """One compiled basic block."""
 
-    __slots__ = ("leader", "n", "uops", "loads", "stores", "trap_free",
-                 "run", "replay")
+    __slots__ = ("leader", "n", "run", "replay")
 
-    def __init__(self, leader: int, n: int, uops: int, loads: int,
-                 stores: int, trap_free: bool, run, replay) -> None:
+    def __init__(self, leader: int, n: int, run, replay) -> None:
         self.leader = leader
-        #: dynamic instructions the block commits
+        #: dynamic instructions the block commits (one trip of a
+        #: loop-fused run)
         self.n = n
-        #: static micro-op / load / store counts over the block's rows
-        self.uops = uops
-        self.loads = loads
-        self.stores = stores
-        #: True when no row can raise an ExecutionError (no memory port
-        #: calls) — the only blocks the commit loop may run while a
-        #: fault injector is attached, since a mid-block trap must not
-        #: lose the already-committed prefix rows
-        self.trap_free = trap_free
         self.run = run
         self.replay = replay
 
@@ -214,34 +256,92 @@ class Block:
 
 
 class BlockTable:
-    """Lazily compiled block table over one program.
+    """Static block shapes over one program, plus its lazily compiled
+    block code.
 
-    ``cells[pc]`` is the compiled block whose leader is ``pc`` (or None
-    until first reached).  Blocks may overlap: a jump into the middle of
-    a longer block simply compiles its own suffix block.
+    One pass over the predecoded program computes
+
+    * ``lengths[pc]``: the length of the block starting at ``pc``, cut
+      exactly as :func:`_compile_block` cuts it (at a terminator, at
+      :data:`MAX_BLOCK_LEN` rows, or at the program's last row); and
+    * ``leaders``: the static block leaders — the entry, every branch
+      and jump target, the row after every terminator, and every
+      :data:`MAX_BLOCK_LEN` split along a leader's straight-line run.
+
+    ``runs[pc]`` and ``replays[pc]`` are the block variants at a leader
+    and None everywhere else, so the commit loop and the checker enter
+    blocks only at leaders and run a row reached mid-block (after a
+    fault's inert point, at a checker segment start, at a ``JALR`` to a
+    computed target) on its handler.  A leader's entries start as stubs
+    that compile the block on first call and replace themselves, so
+    only blocks that actually run are ever compiled.  :meth:`build`
+    compiles the block at any pc.
     """
 
-    __slots__ = ("program", "cells", "runs", "_decoded", "_uops")
+    __slots__ = ("program", "lengths", "leaders", "runs", "replays",
+                 "_decoded", "_uops")
 
     def __init__(self, program: Program) -> None:
         self.program = program
         self._decoded = predecode(program)
         self._uops = _uops_by_pc(program)
-        self.cells: list[Block | None] = [None] * len(self._decoded)
-        #: ``runs[pc]`` is ``cells[pc].run`` — a parallel table so the
-        #: commit loop's inner fast path dereferences one list
-        self.runs: list = [None] * len(self._decoded)
+        self.lengths, self.leaders = _static_shapes(program, self._decoded)
+        size = len(self._decoded)
+        self.runs: list = [None] * size
+        self.replays: list = [None] * size
+        for pc in self.leaders:
+            self.runs[pc] = partial(self._first_run, pc)
+            self.replays[pc] = partial(self._first_replay, pc)
 
     def build(self, pc: int) -> Block:
+        """Compile the block at ``pc`` and install its variants."""
         block = _compile_block(self.program, self._decoded, pc, self._uops)
-        self.cells[pc] = block
         self.runs[pc] = block.run
+        self.replays[pc] = block.replay
         return block
+
+    def _first_run(self, pc: int, *args):
+        return self.build(pc).run(*args)
+
+    def _first_replay(self, pc: int, *args):
+        return self.build(pc).replay(*args)
+
+
+def _static_shapes(program: Program, decoded) -> tuple[tuple[int, ...],
+                                                      frozenset[int]]:
+    """Every pc's block length and the program's static block leaders
+    (see :class:`BlockTable`)."""
+    size = len(decoded)
+    lengths = [0] * size
+    leaders = {program.entry} if 0 <= program.entry < size else set()
+    straight = 0  # rows from pc up to and including the block's cut
+    for pc in range(size - 1, -1, -1):
+        d = decoded[pc]
+        op = HANDLER_OPS[d.hidx]
+        if op in _TERMINATORS:
+            straight = 1
+            if pc + 1 < size:
+                leaders.add(pc + 1)
+            if 0 <= d.target < size:
+                leaders.add(d.target)
+        else:
+            straight = 1 if pc == size - 1 else straight + 1
+        lengths[pc] = min(straight, MAX_BLOCK_LEN)
+    # a block cut at MAX_BLOCK_LEN falls through into the next split
+    work = list(leaders)
+    while work:
+        pc = work.pop()
+        split = pc + MAX_BLOCK_LEN
+        if lengths[pc] == MAX_BLOCK_LEN and split < size \
+                and split not in leaders:
+            leaders.add(split)
+            work.append(split)
+    return tuple(lengths), frozenset(leaders)
 
 
 def block_table(program: Program) -> BlockTable:
-    """The program's compiled-block table (cached on the program, next
-    to ``bound_handlers``; programs hash by identity)."""
+    """The program's block table (cached on the program, next to
+    ``bound_handlers``; programs hash by identity)."""
     cached = getattr(program, "_block_table", None)
     if cached is None:
         cached = BlockTable(program)
@@ -277,18 +377,21 @@ def _compile_block(program: Program, decoded, leader: int, uops_table) -> Block:
 
     gen = _Emitter(last_wx, last_wf)
     dst_exprs: list[str] = []        # one dsts-column expression per row
-    mem_entries: list[tuple] = []    # (kind, addr_expr, value_expr) flat
+    mem_entries: list[tuple] = []    # (kind, addr_ref, value_ref) flat
     mem_delta: list[int] = []        # cumulative entry count after row i
     taken_codes: list[int] = []      # takens column codes (branch: last)
     step_taken: list[bool] = []      # replay (pc, taken) pairs
+    trap_rows: list[tuple] = []      # (pc, dsts spec, memory refs) per row
     consts: dict[str, object] = {}
 
     for i, (op, d) in enumerate(zip(ops, rows)):
         if op in NONDET_OPS and i == n - 1:
             # the port must observe this row's exact dynamic seq
             gen.line(f"m.instr_count = seq + {n - 1}", mode="exec")
-        dst = _emit_row(gen, consts, i, op, d, mem_entries)
-        dst_exprs.append(dst)
+        first_entry = len(mem_entries)
+        spec = _emit_row(gen, consts, i, op, d, mem_entries)
+        dst_exprs.append(_dsts_expr(consts, i, spec))
+        trap_rows.append((d.pc, spec, tuple(mem_entries[first_entry:])))
         mem_delta.append(len(mem_entries))
         if op in BRANCH_OPS:
             taken_codes.append(-2)  # placeholder, handled by the epilogue
@@ -312,6 +415,13 @@ def _compile_block(program: Program, decoded, leader: int, uops_table) -> Block:
     #: re-assembles these inside a while loop
     body_lines = list(gen.lines)
     gen.flush()
+    # only the misaligned-address slow paths of memory rows can raise
+    traps = "lp" in gen.needs or "sp" in gen.needs
+    if traps:
+        consts["_ROWS"] = tuple(trap_rows)
+        consts["_FL"] = tuple(
+            [(False, reg, f"x{reg}") for reg in sorted(gen.written_x)]
+            + [(True, reg, f"f{reg}") for reg in sorted(gen.written_f)])
 
     pcs_tuple = tuple(d.pc for d in rows)
     consts["_PCS"] = pcs_tuple
@@ -384,7 +494,7 @@ def _compile_block(program: Program, decoded, leader: int, uops_table) -> Block:
     #: loop's fast path needs no per-call attribute walks
     consts["_BS"] = (n, n_uops, n_loads, n_stores)
 
-    src = gen.render(program, leader)
+    src = gen.render(len(body_lines), traps)
     code = compile(src, f"<block {program.name}@{leader}>", "exec")
     ns = dict(_HELPERS)
     ns.update(consts)
@@ -396,42 +506,33 @@ def _compile_block(program: Program, decoded, leader: int, uops_table) -> Block:
         # variant iterates *inside* the generated function — registers
         # stay in locals across iterations and the caller pays dispatch
         # once per loop, not once per trip.  ``safe`` bounds the fused
-        # iterations (default 0: exactly one trip, matching the plain
-        # variant's contract for the near-limit/injector dispatch).
+        # iterations (default 0: exactly one trip, like the plain
+        # variant).
         loop_src = _render_loop_run(gen, body_lines, dst_exprs, mem_entries,
                                     mem_delta, cond, leader, d_last.pc + 1,
-                                    n, n_uops, n_loads, n_stores)
+                                    n, n_uops, n_loads, n_stores, traps)
         loop_code = compile(loop_src,
                             f"<block {program.name}@{leader} loop>", "exec")
         exec(loop_code, ns)
         run = ns["__block_loop_run__"]
 
-    return Block(
-        leader=leader,
-        n=n,
-        uops=n_uops,
-        loads=n_loads,
-        stores=n_stores,
-        trap_free=not any(op in _MEM_OPS for op in ops),
-        run=run,
-        replay=ns["__block_replay__"],
-    )
+    return Block(leader=leader, n=n, run=run, replay=ns["__block_replay__"])
 
 
 def _render_loop_run(gen: "_Emitter", body_lines, dst_exprs, mem_entries,
                      mem_delta, cond: str, leader: int, fall_pc: int,
-                     n: int, n_uops: int, n_loads: int, n_stores: int) -> str:
+                     n: int, n_uops: int, n_loads: int, n_stores: int,
+                     traps: bool) -> str:
     """Render the loop-fused run variant for a self-loop block.
 
     Register loads are hoisted above the ``while``: a load line is only
     ever emitted for a register whose first access is a read, and
     cross-iteration values live in the same locals the writes update,
     so re-loading per trip would be both redundant and (after the first
-    write) wrong.  The register file is flushed once, after the loop —
-    a mid-trip trap therefore leaves stale registers, which is
-    unobservable: without an injector the error propagates and no trace
-    is built, and the injector dispatch path always calls with the
-    default ``safe=0`` (single trip, flush on every call).
+    write) wrong.  The register file is flushed once, after the loop;
+    a mid-trip trap flushes it from the locals instead (see
+    :func:`_trap_commit`), since the trips before it have already
+    committed their columns.
     """
     out = ["def __block_loop_run__(m, seq, pcs, dsts, takens, mem_off, "
            "mem_kind, mem_addr, mem_value, mem_used, safe=0):"]
@@ -451,7 +552,7 @@ def _render_loop_run(gen: "_Emitter", body_lines, dst_exprs, mem_entries,
     pro.extend(t for t, mode in body_lines if mode == "load")
     pro.append("_i = 0")
     out.extend(f"    {t}" for t in pro)
-    out.append("    while True:")
+    loop = ["while True:"]
     body = [t for t, mode in body_lines if mode in ("both", "exec")]
     body.append(f"seq += {n}")
     body.append("_i += 1")
@@ -483,7 +584,8 @@ def _render_loop_run(gen: "_Emitter", body_lines, dst_exprs, mem_entries,
     body.append("else:")
     body.append(f"    m.pc = {fall_pc}")
     body.append("break")
-    out.extend(f"        {t}" for t in body)
+    loop.extend(f"    {t}" for t in body)
+    out.extend(f"    {t}" for t in (_guard_traps(loop) if traps else loop))
     epi = [f"x[{reg}] = x{reg}" for reg in sorted(gen.written_x)]
     epi.extend(f"f[{reg}] = f{reg}" for reg in sorted(gen.written_f))
     epi.append("m.instr_count = seq")
@@ -491,6 +593,32 @@ def _render_loop_run(gen: "_Emitter", body_lines, dst_exprs, mem_entries,
                f"_i * {n_stores})")
     out.extend(f"    {t}" for t in epi)
     return "\n".join(out) + "\n"
+
+
+def _guard_traps(lines: list[str]) -> list[str]:
+    """Wrap run-variant lines so that a trapping row first commits the
+    rows before it (:func:`_trap_commit`).  Only a misaligned access
+    raises, and its slow path sets ``_k`` to the row's index, so the
+    hot path pays nothing."""
+    return (["try:"] + [f"    {t}" for t in lines]
+            + ["except ExecutionError:",
+               "    _trap(locals(), _ROWS, _FL)",
+               "    raise"])
+
+
+def _dsts_expr(consts: dict, i: int, spec: tuple) -> str:
+    """Source of row ``i``'s dsts-column entry from its writeback spec
+    (``(is_fp, reg, ref)`` triples; a ref names a local or is the
+    constant itself)."""
+    if not spec:
+        return "_E"
+    if any(ref.__class__ is float for _fp, _reg, ref in spec):
+        # float constants go through the namespace: source literals
+        # cannot round-trip NaN payloads or infinities
+        consts[f"_d{i}"] = spec
+        return f"_d{i}"
+    return "(%s,)" % ", ".join(f"({is_fp}, {reg}, {ref})"
+                               for is_fp, reg, ref in spec)
 
 
 def _row_writes(op: Opcode, d) -> list[tuple[bool, int]]:
@@ -587,7 +715,9 @@ class _Emitter:
         for reg in sorted(self.written_f):
             self.line(f"f[{reg}] = f{reg}")
 
-    def render(self, program: Program, leader: int) -> str:
+    def render(self, body_end: int, traps: bool) -> str:
+        """Source of both variants; ``lines[:body_end]`` are the row
+        lines, which the run variant guards when the block ``traps``."""
         prologue = []
         if "x" in self.needs:
             prologue.append(("x = m.xregs", "both"))
@@ -604,10 +734,14 @@ class _Emitter:
         if "lp" in self.needs:
             prologue.append(("_mg = _mw.get", "exec"))
 
-        all_lines = prologue + self.lines
-        exec_body = [t for t, mode in all_lines
-                     if mode in ("both", "exec", "load")]
-        replay_body = [t for t, mode in all_lines
+        def exec_lines(lines):
+            return [t for t, mode in lines if mode in ("both", "exec", "load")]
+
+        body = exec_lines(self.lines[:body_end])
+        exec_body = (exec_lines(prologue)
+                     + (_guard_traps(body) if traps else body)
+                     + exec_lines(self.lines[body_end:]))
+        replay_body = [t for t, mode in prologue + self.lines
                        if mode in ("both", "replay", "load")]
 
         out = ["def __block_run__(m, seq, pcs, dsts, takens, mem_off, "
@@ -685,33 +819,38 @@ _INT_RI_OPS = frozenset({
 
 
 def _emit_row(gen: _Emitter, consts: dict, i: int, op: Opcode, d,
-              mem_entries: list) -> str:
-    """Emit row ``i``'s compute lines; returns its dsts-column expr."""
+              mem_entries: list) -> tuple:
+    """Emit row ``i``'s compute lines and append its memory entries;
+    returns its writebacks as ``(is_fp, reg, ref)`` triples, where a ref
+    names the local that holds the value at block end or is the
+    constant itself (see :func:`_dsts_expr`)."""
     rd = d.rd
     if op in _INT_RR:
         if not rd:
-            return "_E"
+            return ()
         expr = _INT_RR[op].format(a=gen.read_x(d.rs1), b=gen.read_x(d.rs2))
-        name = gen.write_x(i, rd, expr)
-        return f"((False, {rd}, {name}),)"
+        return ((False, rd, gen.write_x(i, rd, expr)),)
     if op in _INT_RI_OPS:
         if not rd:
-            return "_E"
+            return ()
         name = gen.write_x(i, rd, _int_ri_expr(gen, op, d.rs1, int(d.imm)))
-        return f"((False, {rd}, {name}),)"
+        return ((False, rd, name),)
     if op is Opcode.MOVI:
         if not rd:
-            return "_E"
+            return ()
         value = int(d.imm) & _M
         gen.write_x(i, rd, str(value))
-        return f"((False, {rd}, {value}),)"
+        return ((False, rd, value),)
     # Memory rows diverge between the variants.  The replay variant
     # calls the machine's (log-backed) ports.  The exec variant reads
-    # and writes the memory image's word dict directly — in the commit
-    # loop memory rows only run through blocks when no fault injector
-    # is attached (trap_free gating), so the ports there are always the
-    # machine's plain memory defaults; the misaligned-address slow path
-    # still calls the real port so the genuine MemoryAccessError is
+    # and writes the memory image's word dict directly.  In the commit
+    # loop, blocks run only on rows past the fault injector's last
+    # fault seq; its still-attached wrapped ports would pass those rows
+    # through unchanged (its transients hold no later seq, and hard
+    # faults keep every row on the injector's own path), so bypassing
+    # them is exact.  The misaligned-address slow path marks the row in
+    # ``_k`` (committing the rows before it, see :func:`_trap_commit`)
+    # and calls the real port, so the genuine MemoryAccessError is
     # raised.  ``(addr + 8) & MASK`` preserves alignment, so a pair's
     # second access needs no check of its own, and every stored value
     # (register file contents, float_to_bits output) is already 64-bit
@@ -722,13 +861,13 @@ def _emit_row(gen: _Emitter, consts: dict, i: int, op: Opcode, d,
         gen.line(f"_k = {i}", mode="replay")
         gen.line(f"_a{i}, _t{i} = lp({addr})", mode="replay")
         gen.line(f"_a{i} = {addr}", mode="exec")
-        gen.line(f"if _a{i} & 7: lp(_a{i})", mode="exec")
+        gen.line(f"if _a{i} & 7: _k = {i}; lp(_a{i})", mode="exec")
         gen.line(f"_t{i} = _mg(_a{i}, 0)", mode="exec")
         mem_entries.append((LOAD, f"_a{i}", f"_t{i}"))
         if not rd:
-            return "_E"
+            return ()
         gen.write_x(i, rd, f"_t{i}")
-        return f"((False, {rd}, _t{i}),)"
+        return ((False, rd, f"_t{i}"),)
     if op is Opcode.ST:
         gen.needs.add("sp")
         value = gen.read_x(d.rs2)
@@ -736,11 +875,11 @@ def _emit_row(gen: _Emitter, consts: dict, i: int, op: Opcode, d,
         gen.line(f"_k = {i}", mode="replay")
         gen.line(f"_a{i}, _t{i} = sp({addr}, {value})", mode="replay")
         gen.line(f"_a{i} = {addr}", mode="exec")
-        gen.line(f"if _a{i} & 7: sp(_a{i}, {value})", mode="exec")
+        gen.line(f"if _a{i} & 7: _k = {i}; sp(_a{i}, {value})", mode="exec")
         gen.line(f"_t{i} = {value}", mode="exec")
         gen.line(f"_mw[_a{i}] = _t{i}", mode="exec")
         mem_entries.append((STORE, f"_a{i}", f"_t{i}"))
-        return "_E"
+        return ()
     if op is Opcode.LDP:
         gen.needs.add("lp")
         gen.line(f"_q{i} = {_addr_expr(gen, d.rs1, int(d.imm))}")
@@ -748,7 +887,7 @@ def _emit_row(gen: _Emitter, consts: dict, i: int, op: Opcode, d,
         gen.line(f"_k = {i}", mode="replay")
         gen.line(f"_q{i}, _t{i} = lp(_q{i})", mode="replay")
         gen.line(f"_r{i}, _u{i} = lp(_r{i})", mode="replay")
-        gen.line(f"if _q{i} & 7: lp(_q{i})", mode="exec")
+        gen.line(f"if _q{i} & 7: _k = {i}; lp(_q{i})", mode="exec")
         gen.line(f"_t{i} = _mg(_q{i}, 0)", mode="exec")
         gen.line(f"_u{i} = _mg(_r{i}, 0)", mode="exec")
         mem_entries.append((LOAD, f"_q{i}", f"_t{i}"))
@@ -756,11 +895,11 @@ def _emit_row(gen: _Emitter, consts: dict, i: int, op: Opcode, d,
         dsts = []
         if rd:
             gen.write_x(i, rd, f"_t{i}")
-            dsts.append(f"(False, {rd}, _t{i})")
+            dsts.append((False, rd, f"_t{i}"))
         if d.rd2:
             gen.write_x(i, d.rd2, f"_u{i}")
-            dsts.append(f"(False, {d.rd2}, _u{i})")
-        return f"({', '.join(dsts)},)" if dsts else "_E"
+            dsts.append((False, d.rd2, f"_u{i}"))
+        return tuple(dsts)
     if op is Opcode.STP:
         gen.needs.add("sp")
         v1, v2 = gen.read_x(d.rs2), gen.read_x(d.rs3)
@@ -769,25 +908,25 @@ def _emit_row(gen: _Emitter, consts: dict, i: int, op: Opcode, d,
         gen.line(f"_k = {i}", mode="replay")
         gen.line(f"_q{i}, _t{i} = sp(_q{i}, {v1})", mode="replay")
         gen.line(f"_r{i}, _u{i} = sp(_r{i}, {v2})", mode="replay")
-        gen.line(f"if _q{i} & 7: sp(_q{i}, {v1})", mode="exec")
+        gen.line(f"if _q{i} & 7: _k = {i}; sp(_q{i}, {v1})", mode="exec")
         gen.line(f"_t{i} = {v1}", mode="exec")
         gen.line(f"_mw[_q{i}] = _t{i}", mode="exec")
         gen.line(f"_u{i} = {v2}", mode="exec")
         gen.line(f"_mw[_r{i}] = _u{i}", mode="exec")
         mem_entries.append((STORE, f"_q{i}", f"_t{i}"))
         mem_entries.append((STORE, f"_r{i}", f"_u{i}"))
-        return "_E"
+        return ()
     if op is Opcode.FLD:
         gen.needs.add("lp")
         addr = _addr_expr(gen, d.rs1, int(d.imm))
         gen.line(f"_k = {i}", mode="replay")
         gen.line(f"_a{i}, _t{i} = lp({addr})", mode="replay")
         gen.line(f"_a{i} = {addr}", mode="exec")
-        gen.line(f"if _a{i} & 7: lp(_a{i})", mode="exec")
+        gen.line(f"if _a{i} & 7: _k = {i}; lp(_a{i})", mode="exec")
         gen.line(f"_t{i} = _mg(_a{i}, 0)", mode="exec")
         name = gen.write_f(i, rd, f"_ud(_pq(_t{i}))[0]")
         mem_entries.append((LOAD, f"_a{i}", f"_t{i}"))
-        return f"((True, {rd}, {name}),)"
+        return ((True, rd, name),)
     if op is Opcode.FST:
         gen.needs.add("sp")
         value = gen.read_f(d.rs2)
@@ -797,61 +936,56 @@ def _emit_row(gen: _Emitter, consts: dict, i: int, op: Opcode, d,
                  mode="replay")
         gen.line(f"_t{i} = _uq(_pd({value}))[0]", mode="exec")
         gen.line(f"_a{i} = {addr}", mode="exec")
-        gen.line(f"if _a{i} & 7: sp(_a{i}, _t{i})", mode="exec")
+        gen.line(f"if _a{i} & 7: _k = {i}; sp(_a{i}, _t{i})", mode="exec")
         gen.line(f"_mw[_a{i}] = _t{i}", mode="exec")
         mem_entries.append((STORE, f"_a{i}", f"_t{i}"))
-        return "_E"
+        return ()
     if op in _FP_RR:
         expr = _FP_RR[op].format(a=gen.read_f(d.rs1), b=gen.read_f(d.rs2))
-        name = gen.write_f(i, rd, _default_nan(expr))
-        return f"((True, {rd}, {name}),)"
+        return ((True, rd, gen.write_f(i, rd, _default_nan(expr))),)
     if op is Opcode.FMADD:
         expr = (f"{gen.read_f(d.rs1)} * {gen.read_f(d.rs2)}"
                 f" + {gen.read_f(d.rs3)}")
-        name = gen.write_f(i, rd, _default_nan(expr))
-        return f"((True, {rd}, {name}),)"
+        return ((True, rd, gen.write_f(i, rd, _default_nan(expr))),)
     if op in _FP_UN:
         name = gen.write_f(i, rd, _FP_UN[op].format(a=gen.read_f(d.rs1)))
-        return f"((True, {rd}, {name}),)"
+        return ((True, rd, name),)
     if op is Opcode.FMOVI:
         # float constants go through the namespace: source literals
         # cannot round-trip NaN payloads or infinities
         cname = f"_c{i}"
         consts[cname] = float(d.imm)
         gen.write_f(i, rd, cname)
-        consts[f"_d{i}"] = ((True, rd, float(d.imm)),)
-        return f"_d{i}"
+        return ((True, rd, float(d.imm)),)
     if op is Opcode.FCVT_I2F:
         name = gen.write_f(i, rd, f"float(ts({gen.read_x(d.rs1)}))")
-        return f"((True, {rd}, {name}),)"
+        return ((True, rd, name),)
     if op is Opcode.FCVT_F2I:
         if not rd:
-            return "_E"
-        name = gen.write_x(i, rd, f"_f2i({gen.read_f(d.rs1)})")
-        return f"((False, {rd}, {name}),)"
+            return ()
+        return ((False, rd, gen.write_x(i, rd, f"_f2i({gen.read_f(d.rs1)})")),)
     if op in _FCMP:
         if not rd:
-            return "_E"
+            return ()
         expr = _FCMP[op].format(a=gen.read_f(d.rs1), b=gen.read_f(d.rs2))
-        name = gen.write_x(i, rd, expr)
-        return f"((False, {rd}, {name}),)"
+        return ((False, rd, gen.write_x(i, rd, expr)),)
     if op in NONDET_OPS:
         gen.needs.add("np")
         opname = f"_op{i}"
         consts[opname] = op
         gen.line(f"_k = {i}", mode="replay")
         gen.line(f"_t{i} = np({opname}) & {_M}")
-        mem_entries.append((2, "0", f"_t{i}"))  # NONDET kind
+        mem_entries.append((NONDET, 0, f"_t{i}"))
         if not rd:
-            return "_E"
+            return ()
         gen.write_x(i, rd, f"_t{i}")
-        return f"((False, {rd}, _t{i}),)"
+        return ((False, rd, f"_t{i}"),)
     if op is Opcode.JAL:
         link = (d.pc + 1) & _M
         if rd:
             gen.write_x(i, rd, str(link))
-            return f"((False, {rd}, {link}),)"
-        return "_E"
+            return ((False, rd, link),)
+        return ()
     if op is Opcode.JALR:
         link = (d.pc + 1) & _M
         # next pc computes before the link write (rd may alias rs1)
@@ -859,8 +993,8 @@ def _emit_row(gen: _Emitter, consts: dict, i: int, op: Opcode, d,
         gen.line(f"_j{i} = {_addr_expr(gen, d.rs1, int(d.imm))}")
         if rd:
             gen.write_x(i, rd, str(link))
-            return f"((False, {rd}, {link}),)"
-        return "_E"
+            return ((False, rd, link),)
+        return ()
     if op in BRANCH_OPS or op in (Opcode.J, Opcode.HALT, Opcode.NOP):
-        return "_E"  # branch condition/pc handled by the epilogue
+        return ()  # branch condition/pc handled by the epilogue
     raise AssertionError(f"unhandled opcode {op}")  # pragma: no cover

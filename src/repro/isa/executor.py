@@ -863,11 +863,19 @@ def _commit_loop(machine: Machine, fault_injector, max_instructions: int,
     point and then either splices the golden tail or calls the loop
     again to resume from the same ``seq`` and counters.
 
-    When the block-compiled fast path is enabled (see
-    :mod:`repro.isa.blocks`), whole basic blocks commit through one
-    generated function each; the per-instruction handler path remains
-    for rows inside a fault window, blocks that would cross the commit
-    limit, and trap-capable blocks while an injector is attached.
+    Rows up to the injector's last fault seq go through
+    :meth:`~repro.detection.faults.FaultInjector.step`.  Every later row
+    — every row of a fault-free run — goes through one block loop when
+    the block-compiled fast path is enabled (see
+    :mod:`repro.isa.blocks`): at a static block leader with at least
+    ``MAX_BLOCK_LEN`` rows of headroom under the limit, whole basic
+    blocks commit through one generated function each; a row entered
+    mid-block, and the last ``MAX_BLOCK_LEN`` rows before the limit,
+    run on their handlers.  With an injector attached a trap ends the
+    run ``crashed`` wherever it strikes — an illegal access, a fetch
+    outside the program, or a block row (blocks are trap-precise, so
+    the rows before the trapping one stay committed); without one it
+    raises.
     """
     # deferred import: blocks.py generates code *against* this module
     from repro.isa.blocks import (
@@ -879,8 +887,8 @@ def _commit_loop(machine: Machine, fault_injector, max_instructions: int,
 
     program = machine.program
     inject = fault_injector is not None
-    # last seq the injector can still act on; later rows take the plain
-    # handler path (the injector would pass them through unchanged, at
+    # last seq the injector can still act on; later rows commit as in a
+    # fault-free run (the injector would pass them through unchanged, at
     # the cost of a per-instruction wrapper) while keeping the injected
     # run's trap semantics
     inject_until = -1
@@ -889,14 +897,9 @@ def _commit_loop(machine: Machine, fault_injector, max_instructions: int,
         inject_until = max_instructions if last is None else last
     steps = machine._steps
     uops_table = _uops_by_pc(program)
-    cells = build = runs = None
-    tlen = 0
-    if block_exec_enabled():
-        table = block_table(program)
-        cells = table.cells
-        runs = table.runs
-        build = table.build
-        tlen = len(cells)
+    # runs[pc] is the block variant at a static leader, None elsewhere
+    runs = block_table(program).runs if block_exec_enabled() else ()
+    tlen = len(runs)
 
     pcs_append = pcs.append
     dsts_append = dsts_col.append
@@ -914,7 +917,7 @@ def _commit_loop(machine: Machine, fault_injector, max_instructions: int,
     seq0 = seq
     block_instrs = block_calls = 0
     # with MAX_BLOCK_LEN of headroom under the limit, any block commits
-    # whole — the tight loop below needs no per-block limit guard
+    # whole — the block loop below needs no per-block limit guard
     safe = limit - MAX_BLOCK_LEN
     while not machine.halted:
         if seq >= limit:
@@ -929,65 +932,65 @@ def _commit_loop(machine: Machine, fault_injector, max_instructions: int,
                 f"{program.name}: exceeded {max_instructions} instructions "
                 f"(infinite loop?)")
         pc = machine.pc
-        if runs is not None and not inject and pc < tlen and seq <= safe:
-            # tight fast loop: no injector and at least MAX_BLOCK_LEN of
-            # headroom, so every compiled block commits whole and the
-            # per-iteration guards reduce to halt/limit/bounds checks;
+        if inject_until < seq <= safe and pc < tlen and runs[pc] is not None:
+            # the block loop: every block commits whole, so the
+            # per-iteration guards reduce to halt/limit/leader checks;
             # each run function returns its static (n, uops, loads,
             # stores) counts, so no per-call attribute walks either
             _s0 = seq
-            while True:
-                fn = runs[pc]
-                if fn is None:
-                    fn = build(pc).run
-                dn, du, dl, ds = fn(machine, seq, pcs, dsts_col, takens,
-                                    mem_off, mem_kind, mem_addr, mem_value,
-                                    mem_used, safe)
-                seq += dn
-                uops += du
-                loads += dl
-                stores += ds
-                block_calls += 1
-                if machine.halted or seq > safe:
-                    break
-                pc = machine.pc
-                if pc >= tlen:
-                    break
+            fn = runs[pc]
+            try:
+                while True:
+                    dn, du, dl, ds = fn(machine, seq, pcs, dsts_col, takens,
+                                        mem_off, mem_kind, mem_addr,
+                                        mem_value, mem_used, safe)
+                    seq += dn
+                    uops += du
+                    loads += dl
+                    stores += ds
+                    block_calls += 1
+                    if machine.halted or seq > safe:
+                        break
+                    pc = machine.pc
+                    if pc >= tlen:
+                        break
+                    fn = runs[pc]
+                    if fn is None:
+                        break
+            except ExecutionError:
+                if not inject:
+                    raise
+                # a corrupted value made a block row trap: the block
+                # committed the rows before it, which stand (§IV-H)
+                done = len(pcs)
+                uops += sum(map(uops_table.__getitem__, pcs[seq:done]))
+                kinds = bytes(mem_kind[mem_off[seq]:])
+                loads += kinds.count(LOAD)
+                stores += kinds.count(STORE)
+                block_instrs += done - _s0
+                seq = done
+                crashed = True
+                break
             block_instrs += seq - _s0
             entries = mem_off[-1]
             continue
-        if (cells is not None and pc < tlen
-                and (not inject or seq > inject_until)):
-            block = cells[pc]
-            if block is None:
-                block = build(pc)
-            # a block commits whole: it must fit under the limit, and
-            # with an injector attached (whose trap semantics commit
-            # row by row) it must be provably trap-free
-            if block.n <= limit - seq and (not inject or block.trap_free):
-                block.run(machine, seq, pcs, dsts_col, takens, mem_off,
-                          mem_kind, mem_addr, mem_value, mem_used)
-                seq += block.n
-                uops += block.uops
-                loads += block.loads
-                stores += block.stores
-                entries = mem_off[-1]
-                block_instrs += block.n
-                block_calls += 1
-                continue
-        if inject and seq <= inject_until:
+        if seq <= inject_until:
             try:
                 dsts, mem, taken = fault_injector.step(machine, seq)
-            except ExecutionError:
-                # a corrupted value produced an illegal access or fetch:
-                # the program traps; already-committed state stands and
-                # the outstanding checks still run (§IV-H)
+            except (ExecutionError, AssemblyError):
+                # a corrupted value produced an illegal access or sent
+                # control flow off the program: the program traps;
+                # already-committed state stands and the outstanding
+                # checks still run (§IV-H)
                 crashed = True
                 break
         else:
             try:
                 fn = steps[pc]
             except IndexError:
+                if inject:
+                    crashed = True  # state corrupted earlier: wild fetch
+                    break
                 raise AssemblyError(
                     f"instruction fetch out of range: pc={pc}") from None
             if inject:

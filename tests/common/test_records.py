@@ -14,6 +14,7 @@ from repro.common.records import (
     RunSummary,
     SchemeRunResult,
     canonical_json,
+    frozen_record,
     record_from_dict,
     record_from_json,
     record_to_dict,
@@ -176,6 +177,19 @@ class TestDirectConversion:
         assert payload == asdict_to_dict(record)
         assert record_from_dict(payload) == record
         assert record_from_json(record_to_json(record)) == record
+
+
+class TestFrozenRecord:
+    def test_equals_the_constructed_record(self):
+        built = coverage_record()
+        fast = frozen_record(CoverageRecord, **dataclasses.asdict(built))
+        assert type(fast) is CoverageRecord
+        assert fast == built and hash(fast) == hash(built)
+        assert repr(fast) == repr(built)
+        assert canonical_json(record_to_dict(fast)) == canonical_json(
+            asdict_to_dict(built))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fast.seq = 1
 
 
 class TestDelayStats:

@@ -6,7 +6,9 @@ loop (exercising self-loop fusion), and nondet reads — plus trap edges
 via deliberately misaligned addresses.  Every generated program must
 execute byte-identically under both modes: same trace payload, same
 final architectural state (registers, memory words, next pc, halt
-flag), or the same trap.
+flag), or the same trap.  With an execution-site fault injected, the
+full and the forked faulty runs must be identical in both modes too,
+including runs that trap mid-block after the fault's last seq.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import os
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ExecutionError
+from repro.detection.faults import EXECUTION_SITES, FaultInjector, TransientFault
 from repro.isa.blocks import BLOCK_EXEC_ENV
-from repro.isa.executor import execute_program
+from repro.isa.executor import execute_forked, execute_program
 from repro.isa.instructions import MASK64, Opcode
 from repro.isa.program import ProgramBuilder
 
@@ -162,12 +165,16 @@ def build_program(draw: dict):
     return b.build()
 
 
-def run_mode(program, mode: str):
-    """(trace, None) on success or (None, error type) on a trap."""
+def run_mode(program, mode: str, run=None):
+    """(trace, None) on success or (None, error type) on a trap, with
+    the block engine switched to ``mode``; ``run(program)`` defaults to
+    a fault-free execution."""
     previous = os.environ.get(BLOCK_EXEC_ENV)
     os.environ[BLOCK_EXEC_ENV] = mode
     try:
-        return execute_program(program, max_instructions=20000), None
+        if run is None:
+            return execute_program(program, max_instructions=20000), None
+        return run(program), None
     except ExecutionError as error:
         return None, type(error)
     finally:
@@ -196,3 +203,48 @@ def test_block_and_handler_modes_identical(draw):
     assert block.memory._words == handler.memory._words
     assert (block.uop_count, block.load_count, block.store_count) == (
         handler.uop_count, handler.load_count, handler.store_count)
+
+
+#: instruction cap of the faulty runs (a corrupted loop counter runs away)
+FAULTY_CAP = 3000
+
+fault_draw = st.builds(
+    TransientFault,
+    site=st.sampled_from(sorted(EXECUTION_SITES, key=lambda s: s.value)),
+    seq=st.integers(min_value=0, max_value=80),
+    bit=st.integers(min_value=0, max_value=63),
+    memop_index=st.integers(min_value=0, max_value=1),
+)
+
+
+def faulty_run(fault, golden=None):
+    """A runner for :func:`run_mode`: the faulty run, forked from
+    ``golden`` when given, plus its activation list."""
+    def run(program):
+        injector = FaultInjector([fault])
+        if golden is None:
+            trace = execute_program(program, fault_injector=injector,
+                                    max_instructions=FAULTY_CAP)
+        else:
+            trace = execute_forked(golden, injector,
+                                   max_instructions=FAULTY_CAP)
+        return trace.to_payload(), injector.activations
+    return run
+
+
+@settings(max_examples=100, deadline=None)
+@given(program_draw, fault_draw)
+def test_faulty_runs_identical_across_modes_and_paths(draw, fault):
+    # blocks run every row after the fault's seq, so a corrupted base
+    # address or the misaligned edge traps inside a block, after the
+    # block's stores: the committed prefix must still match the handlers
+    program = build_program(draw)
+    reference, error = run_mode(program, "0", faulty_run(fault))
+    assert error is None  # an injected run ends crashed, never raises
+    assert run_mode(program, "1", faulty_run(fault)) == (reference, None)
+    golden, _ = run_mode(program, "0")
+    if golden is None:
+        return  # the fault-free run traps: nothing to fork from
+    for mode in ("0", "1"):
+        assert run_mode(program, mode, faulty_run(fault, golden)) == (
+            reference, None)

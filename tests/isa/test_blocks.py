@@ -9,11 +9,18 @@ whole workload suite and the hand-built edge cases.
 
 from __future__ import annotations
 
-import pytest
+from array import array
 
+import pytest
+from hypothesis import given, settings
+
+from repro.common.config import default_config
 from repro.common.errors import ExecutionError
 from repro.detection.checker import SegmentChecker
 from repro.detection.faults import FaultInjector, FaultSite, TransientFault
+from repro.harness import campaign
+from repro.harness.campaign import JobSpec, execute_job
+from repro.isa import blocks
 from repro.isa.blocks import (
     BLOCK_EXEC_ENV,
     MAX_BLOCK_LEN,
@@ -21,13 +28,19 @@ from repro.isa.blocks import (
     block_exec_enabled,
     block_table,
 )
-from repro.isa.executor import execute_forked, execute_program
+from repro.isa.executor import (
+    Machine,
+    _uops_by_pc,
+    execute_forked,
+    execute_program,
+)
 from repro.isa.instructions import Opcode
-from repro.isa.program import ProgramBuilder
+from repro.isa.program import ProgramBuilder, predecode
 from repro.workloads.suite import BENCHMARK_ORDER, build_benchmark
 
 from tests.conftest import build_rmw_loop
 from tests.detection.test_checker import build_segment
+from tests.isa.test_block_property import build_program, program_draw
 
 
 @pytest.fixture
@@ -220,3 +233,198 @@ class TestCheckerIdentity:
                                                   for e in handler.errors]
         assert block.steps == handler.steps
         assert block.instructions_executed == handler.instructions_executed
+
+
+def assert_lengths_match_compiled(program):
+    table = block_table(program)
+    decoded = predecode(program)
+    uops = _uops_by_pc(program)
+    for pc in range(len(decoded)):
+        block = blocks._compile_block(program, decoded, pc, uops)
+        assert table.lengths[pc] == block.n, pc
+
+
+class TestStaticShapes:
+    @pytest.mark.parametrize("name", BENCHMARK_ORDER)
+    def test_lengths_match_compiled_blocks_on_suite(self, name):
+        assert_lengths_match_compiled(build_benchmark(name, "small"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(program_draw)
+    def test_lengths_match_compiled_blocks_on_random_programs(self, draw):
+        assert_lengths_match_compiled(build_program(draw))
+
+    def test_leaders(self):
+        b = ProgramBuilder("leaders")
+        b.emit(Opcode.MOVI, rd=1, imm=3)            # 0: entry
+        b.label("loop")
+        b.emit(Opcode.ADDI, rd=1, rs1=1, imm=-1)    # 1: branch target
+        b.emit(Opcode.BNE, rs1=1, rs2=0, target="loop")
+        b.emit(Opcode.RDCYCLE, rd=2)                # 3: after a branch
+        b.emit(Opcode.ADDI, rd=2, rs1=2, imm=1)     # 4: after a nondet
+        b.emit(Opcode.HALT)
+        table = block_table(b.build())
+        assert table.leaders == {0, 1, 3, 4}
+        assert table.lengths == (3, 2, 1, 1, 2, 1)
+        assert [pc for pc, fn in enumerate(table.runs) if fn] == [0, 1, 3, 4]
+
+    def test_max_len_splits_are_leaders(self):
+        b = ProgramBuilder("split")
+        for _ in range(2 * MAX_BLOCK_LEN + 40):
+            b.emit(Opcode.ADDI, rd=1, rs1=1, imm=1)
+        b.emit(Opcode.HALT)
+        table = block_table(b.build())
+        assert table.leaders == {0, MAX_BLOCK_LEN, 2 * MAX_BLOCK_LEN}
+        assert table.lengths[2 * MAX_BLOCK_LEN] == 41
+
+    def test_compiles_only_leaders_on_first_run(self, monkeypatch):
+        monkeypatch.delenv(BLOCK_EXEC_ENV, raising=False)
+        program = build_rmw_loop(iterations=20, name="lazy")
+        table = block_table(program)
+        compiled = spy_compiles(monkeypatch)
+        execute_program(program)
+        assert compiled and set(compiled) <= table.leaders
+        assert len(compiled) == len(set(compiled))
+
+
+def spy_compiles(monkeypatch) -> list[int]:
+    """Record the leader of every block compiled from now on."""
+    compiled: list[int] = []
+    real = blocks._compile_block
+
+    def spy(program, decoded, leader, uops_table):
+        compiled.append(leader)
+        return real(program, decoded, leader, uops_table)
+
+    monkeypatch.setattr(blocks, "_compile_block", spy)
+    return compiled
+
+
+class TestCompileSites:
+    @pytest.mark.parametrize("name", ["stream", "bitcount", "swaptions"])
+    def test_fault_cell_compiles_nothing_after_golden_run(
+            self, name, monkeypatch):
+        # faulty suffixes and checker segments start mid-block and run
+        # on handlers up to the next leader, whose block the golden run
+        # already compiled.  (Fails when every block a faulty suffix or
+        # a segment start reaches gets compiled.)
+        monkeypatch.delenv(BLOCK_EXEC_ENV, raising=False)
+        golden = execute_program(build_benchmark(name, "small"))
+        monkeypatch.setattr(campaign, "benchmark_trace",
+                            lambda _name, _scale="default": golden)
+        compiled = spy_compiles(monkeypatch)
+        faults = tuple(
+            TransientFault(FaultSite.RESULT, seq=len(golden) * j // 13,
+                           bit=(5 * j) % 64)
+            for j in range(1, 13))
+        record = execute_job(JobSpec("fault-batch", name, "small",
+                                     config=default_config(), faults=faults,
+                                     scheme="detection"))
+        assert len(record["records"]) == len(faults)
+        assert compiled == []
+
+
+def empty_columns():
+    return (array("Q"), [], array("b"), array("Q", (0,)), array("b"),
+            array("Q"), array("Q"), array("Q"))
+
+
+def handler_columns(machine: Machine, rows: int):
+    """Commit ``rows`` rows on the handlers, as the commit loop does,
+    then check the next row traps."""
+    columns = empty_columns()
+    pcs, dsts, takens, mem_off, kinds, addrs, values, useds = columns
+    for _ in range(rows):
+        pc = machine.pc
+        row_dsts, mem, taken = machine.step()
+        pcs.append(pc)
+        dsts.append(row_dsts)
+        takens.append(-1 if taken is None else int(taken))
+        for kind, addr, value, used in mem:
+            kinds.append(kind)
+            addrs.append(addr)
+            values.append(value)
+            useds.append(used)
+        mem_off.append(mem_off[-1] + len(mem))
+    with pytest.raises(ExecutionError):
+        machine.step()
+    return columns
+
+
+def setup_machine(program, xregs: dict[int, int], seq: int) -> Machine:
+    machine = Machine(program)
+    for reg, value in xregs.items():
+        machine.xregs[reg] = value
+    machine.fregs[3] = 2.5
+    machine.instr_count = seq
+    return machine
+
+
+def assert_trap_precise(program, xregs, committed: int, safe: int = 0):
+    """The block at pc 0 traps after ``committed`` rows, leaving the
+    columns and machine exactly as the handlers do."""
+    block = block_table(program).build(0)
+    machine = setup_machine(program, xregs, seq=100)
+    columns = empty_columns()
+    with pytest.raises(ExecutionError):
+        block.run(machine, 100, *columns, safe)
+    reference = setup_machine(program, xregs, seq=100)
+    assert columns == handler_columns(reference, committed)
+    assert machine.xregs == reference.xregs
+    assert [repr(v) for v in machine.fregs] == [
+        repr(v) for v in reference.fregs]
+    assert machine.memory._words == reference.memory._words
+    assert machine.pc == reference.pc
+    assert machine.instr_count == reference.instr_count == 100 + committed
+    return block
+
+
+#: the trapping row at pc 4, one per memory op, based on misaligned x10
+TRAP_ROWS = {
+    "ld": dict(op=Opcode.LD, rd=3, rs1=10),
+    "fld": dict(op=Opcode.FLD, rd=2, rs1=10),
+    "ldp": dict(op=Opcode.LDP, rd=3, rd2=5, rs1=10),
+    "st": dict(op=Opcode.ST, rs2=2, rs1=10),
+    "fst": dict(op=Opcode.FST, rs2=1, rs1=10),
+    "stp": dict(op=Opcode.STP, rs2=2, rs3=4, rs1=10),
+}
+
+
+class TestTrapPrecision:
+    """A run variant whose row traps commits exactly the rows before it.
+    (Fails when a trapping block drops the rows it completed.)"""
+
+    @pytest.mark.parametrize("trap", sorted(TRAP_ROWS))
+    def test_plain_variant(self, trap):
+        b = ProgramBuilder("trap-plain")
+        b.emit(Opcode.ADDI, rd=2, rs1=2, imm=5)       # x2 rewritten later
+        b.emit(Opcode.ST, rs2=2, rs1=9, imm=8)        # a store first
+        b.emit(Opcode.FCVT_I2F, rd=1, rs1=2)
+        b.emit(Opcode.FMOVI, rd=3, imm=float("nan"))
+        b.emit(**TRAP_ROWS[trap], imm=0)               # row 4 traps
+        b.emit(Opcode.ADDI, rd=2, rs1=2, imm=3)
+        b.emit(Opcode.HALT)
+        block = assert_trap_precise(b.build(), {2: 7, 4: 11, 9: 0x1000,
+                                                10: 0x2003}, committed=4)
+        assert block.run.__name__ == "__block_run__"
+
+    @pytest.mark.parametrize("trips_before", [0, 1])
+    def test_loop_fused_variant(self, trips_before):
+        # x1 steps by 4, so the load at row 3 is misaligned every other
+        # trip; after a completed trip, registers that only rows past
+        # the trapping one write still live in the loop's locals
+        b = ProgramBuilder("trap-loop")
+        b.label("loop")
+        b.emit(Opcode.ST, rs2=2, rs1=9, imm=0)        # a store first
+        b.emit(Opcode.ADDI, rd=2, rs1=2, imm=1)
+        b.emit(Opcode.FADD, rd=3, rs1=3, rs2=3)
+        b.emit(Opcode.LD, rd=5, rs1=1, imm=0)         # row 3 traps
+        b.emit(Opcode.ADDI, rd=1, rs1=1, imm=4)
+        b.emit(Opcode.ADDI, rd=11, rs1=11, imm=-1)
+        b.emit(Opcode.BNE, rs1=11, rs2=0, target="loop")
+        b.emit(Opcode.HALT)
+        xregs = {1: 0x2004 - 4 * trips_before, 2: 7, 9: 0x1000, 11: 5}
+        block = assert_trap_precise(b.build(), xregs,
+                                    committed=7 * trips_before + 3,
+                                    safe=10 ** 6)
+        assert block.run.__name__ == "__block_loop_run__"
