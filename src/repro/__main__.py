@@ -192,9 +192,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         if args.shard is not None:
             index, count = args.shard
             grid = grid.shard(index, count)
-        engine = CampaignEngine(workers=args.workers,
-                                cache_dir=args.cache_dir)
-        result = engine.run(grid)
+        with CampaignEngine(workers=args.workers,
+                            cache_dir=args.cache_dir) as engine:
+            result = engine.run(grid)
 
     # one aggregation pass feeds the JSON and human paths alike
     aggregated = summarize_result(args.kind, result, names)

@@ -12,9 +12,12 @@ core's physical register *after* the access but *before* commit, the log
 still receives the correct value, so the checker core re-executes with
 good data and the corrupted store/checkpoint downstream is caught.
 
-The detection system uses :meth:`capture`/:meth:`forward_at_commit` on the
-committed stream; the speculative overwrite semantics are exercised
-directly by the unit tests.
+On the committed stream a capture is always followed by the forward of
+the same ROB id, which returns the captured (addr, value) unchanged, so
+the detection hook (:mod:`repro.detection.system`) logs the value
+captured at access directly: that is what this unit forwards.  The
+unit's speculative-overwrite semantics are exercised directly by its
+unit tests.
 """
 
 from __future__ import annotations

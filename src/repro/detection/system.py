@@ -3,8 +3,9 @@
 :class:`ParallelErrorDetection` attaches to the out-of-order core's commit
 stream (as a :class:`repro.core.ooo_core.CommitHook`) and co-simulates:
 
-* the **load forwarding unit** duplicating loads at access and forwarding
-  them into the log at commit (§IV-C);
+* the **load forwarding unit** (§IV-C): a load is logged with the value
+  duplicated at cache access, which is what the unit forwards at commit
+  (:mod:`repro.detection.lfu`);
 * the **partitioned load-store log**: entries append in commit order; a
   segment closes on fill / instruction timeout / interrupt / termination
   (§IV-D, §IV-G, §IV-H, §IV-J);
@@ -39,7 +40,6 @@ from repro.core.timing import config_key, time_bare, timing_splice_enabled
 from repro.detection.checker import CheckError, SegmentChecker
 from repro.detection.checkpoint import ArchStateTracker, RegisterCheckpoint
 from repro.detection.faults import FaultSite, TransientFault
-from repro.detection.lfu import LoadForwardingUnit
 from repro.detection.lslog import CloseReason, LogEntry, Segment, SegmentBuilder
 from repro.isa.executor import LOAD, Trace
 from repro.isa.meta import program_meta
@@ -158,7 +158,6 @@ class ParallelErrorDetection(CommitHook):
         self.use_lfu = config.detection.load_forwarding_unit
 
         self.arch = ArchStateTracker()
-        self.lfu = LoadForwardingUnit(config.main_core.rob_entries)
         self.builder = SegmentBuilder(
             capacity=config.detection.segment_entries(num_cores),
             timeout=config.detection.instruction_timeout,
@@ -272,7 +271,6 @@ class ParallelErrorDetection(CommitHook):
         self.ideal = src.ideal
         self.use_lfu = src.use_lfu
         self.arch = src.arch.clone()
-        self.lfu = src.lfu.snapshot()
         self.builder = src.builder.snapshot()
         self.segment_checker = src.segment_checker.clone()
         self.icaches = src.icaches.snapshot()
@@ -455,21 +453,17 @@ class ParallelErrorDetection(CommitHook):
         mem_value = self._mem_value
         for j in range(self._mem_off[seq], self._mem_off[seq + 1]):
             kind = mem_kind[j]
-            if kind == LOAD:
-                if self.use_lfu:
-                    # duplicated at access, forwarded at commit (§IV-C)
-                    self.lfu.capture(seq, mem_addr[j], mem_value[j])
-                    addr, value = self.lfu.forward_at_commit(seq)
-                else:
-                    # ablation: commit-time forwarding from the register
-                    # file re-opens the window of vulnerability
-                    addr, value = mem_addr[j], self._mem_used[j]
-                entries.append(LogEntry(LOAD, addr, value, commit_tick))
+            if kind == LOAD and not self.use_lfu:
+                # ablation: commit-time forwarding from the register
+                # file re-opens the window of vulnerability
+                value = self._mem_used[j]
             else:
-                # STORE logs addr + data; NONDET logs the forwarded result
-                # at address 0 — both exactly the column contents
-                entries.append(LogEntry(kind, mem_addr[j], mem_value[j],
-                                        commit_tick))
+                # a LOAD logs the value captured at access, which is what
+                # the load forwarding unit forwards at commit (§IV-C);
+                # STORE logs addr + data; NONDET logs the forwarded
+                # result at address 0 — all exactly the column contents
+                value = mem_value[j]
+            entries.append(LogEntry(kind, mem_addr[j], value, commit_tick))
         return entries
 
     def _dispatch(self, segment: Segment, close_tick: int) -> None:
@@ -676,10 +670,97 @@ def _splice_cursor(golden: Trace,
 VERDICT_CHUNK_ROWS = 64
 
 
+class _CheckOnlyDetection(ParallelErrorDetection):
+    """A detection hook that only checks the segments it closes.
+
+    Dispatch replays each closed segment on the checker and notes
+    whether it failed; no in-order timing runs, and no slot tick or
+    event is touched.  Used by :func:`_later_segments_pass`.
+    """
+
+    failed = False
+
+    def _dispatch(self, segment: Segment, close_tick: int) -> None:
+        if not self.segment_checker.check(segment).ok:
+            self.failed = True
+
+
+def _later_segments_pass(hook: ParallelErrorDetection, row: int,
+                         bound: int) -> bool:
+    """Whether every segment a copy of ``hook`` closes on rows
+    ``[row, bound)`` passes its check, the termination segment included
+    when ``bound`` is the end of the trace.
+
+    The copy runs without timing: it is fed a dummy commit cycle (0)
+    per row, the way the core feeds a hook, and stops at the first
+    failure.  ``hook`` itself only applies its skipped rows.
+
+    Why a pass makes the verdict final, for a run whose first event is
+    at tick ``T``, that has committed rows below ``row``, the last at
+    ``now < T``, and where ``bound = row + 1 + commit_width *
+    ceil((T - now) / period)`` (capped at the trace end):
+
+    * a later event comes from a segment dispatched later, and its
+      detect tick is at or after that segment's close tick (a check
+      starts no earlier than close plus the checkpoint copy).  A segment
+      that closes at or after ``T`` cannot change the verdict: its events
+      tie or trail ``T`` (``first_event`` keeps the earliest-recorded of
+      equal ticks), and its index is higher, so ``first_error_position``
+      cannot move;
+    * at most ``commit_width`` rows commit per cycle, so only rows below
+      ``row + commit_width * ceil((T - now) / period)`` can commit before
+      ``T``.  A FULL or TIMEOUT close happens at its row's commit; a
+      macro-op overflow closes in the next row's ``pre_commit``, at a
+      tick no earlier than the previous row's commit.  So every segment
+      that can close before ``T`` closes on a row below ``bound``, and
+      the termination segment closes before ``T`` only if the trace
+      ends before ``bound``;
+    * which rows close segments is decided by entry counts, the timeout
+      and interrupts (the spliced path takes no interrupts); commit
+      cycles never enter that decision, and ``_schedule`` makes every
+      such row an event row whatever the commit gate does.  Entry kinds,
+      addresses and values, the checkpoints, and
+      :meth:`SegmentChecker.check`'s result never read commit ticks.  So
+      the copy closes and checks exactly the segments the timed run
+      would, with the same results.
+    """
+    probe = _CheckOnlyDetection.__new__(_CheckOnlyDetection)
+    probe.restore(hook)
+    skipped = probe.skipped_commits
+    while row < bound:
+        event_row = min(probe.next_row, bound)
+        skipped.extend([0] * (event_row - row))
+        if event_row == bound:
+            break
+        probe.pre_commit(event_row, 0)
+        probe.post_commit(event_row, 0)
+        if probe.failed:
+            return False
+        row = event_row + 1
+    if bound == probe._total:
+        probe.finish(0)
+    return not probe.failed
+
+
 def _spliced_detection_run(trace: Trace, config: SystemConfig,
                            verdict_only: bool = False,
                            ) -> DetectionRunResult | DetectionVerdict:
-    """Re-time only the post-fork suffix of a forked faulty trace."""
+    """Re-time only the post-fork suffix of a forked faulty trace.
+
+    With ``verdict_only`` the suffix is timed in chunks of
+    :data:`VERDICT_CHUNK_ROWS` rows, and timing stops as soon as the
+    verdict is final:
+
+    * once the main core commits at or past the earliest detection tick
+      recorded so far.  Every later segment closes at or after the
+      current commit tick, so its checks finish no earlier (and a tie
+      keeps the event already recorded), and it has a higher index:
+      neither the first event nor the first error position can change;
+    * or, tried once, right after the first event is recorded: when a
+      timing-free look-ahead (:func:`_later_segments_pass`) shows that
+      every segment that could still close before that event's tick
+      passes its check.  If one fails, timing goes on as above.
+    """
     cursor = _splice_cursor(trace.fork_of, config)
     core, state, hook = cursor.bundle(trace.fork_seq)
     # rebinding is all ``begin`` does: column refs plus the checker's
@@ -690,19 +771,25 @@ def _spliced_detection_run(trace: Trace, config: SystemConfig,
         core.run_rows(trace, hook, state, total)
         return DetectionRunResult(core=core.finish_run(trace, hook, state),
                                   report=hook.report)
-    # Stop once the main core commits at or past the earliest detection
-    # tick recorded so far.  Every later segment closes at or after the
-    # current commit tick, so its checks finish no earlier (and a tie
-    # keeps the event already recorded), and it has a higher index:
-    # neither the first event nor the first error position can change.
     report = hook.report
     period = hook.main_period
+    width = config.main_core.commit_width
+    looked_ahead = False
     while state.next_row < total:
         core.run_rows(trace, hook, state,
                       min(state.next_row + VERDICT_CHUNK_ROWS, total))
-        if (report.events and state.last_commit_cycle * period
-                >= report.first_event.detect_tick):
+        if not report.events:
+            continue
+        now = state.last_commit_cycle * period
+        first = report.first_event.detect_tick
+        if now >= first:
             return DetectionVerdict.of(report)
+        if not looked_ahead:
+            looked_ahead = True
+            row = state.next_row
+            bound = min(total, row + 1 + width * -(-(first - now) // period))
+            if _later_segments_pass(hook, row, bound):
+                return DetectionVerdict.of(report)
     # the termination segment can still detect: close the run
     core.finish_run(trace, hook, state)
     return DetectionVerdict.of(report)
@@ -731,11 +818,14 @@ def run_with_detection(
 
     ``verdict_only=True`` returns a :class:`DetectionVerdict` instead of
     the full result.  On the spliced path its timing then stops as soon
-    as the main core's commit tick reaches the earliest detection tick
-    recorded, where the verdict is final; an undetected run is timed to
-    the end.  Every other path runs in full and reads its verdict off
-    the complete report, so ``REPRO_TIMING_SPLICE=0`` also turns the
-    early stop off.
+    as the verdict is final: right after the first detection event when
+    a timing-free look-ahead certifies that no later segment can detect
+    sooner, else once the main core's commit tick reaches the earliest
+    detection tick recorded (see :func:`_spliced_detection_run`); an
+    undetected run is timed to the end.  Every other path runs in full
+    and reads its verdict off the complete report, so
+    ``REPRO_TIMING_SPLICE=0`` also turns the early stop and the
+    look-ahead off.
     """
     if (trace.fork_of is not None
             and timing_splice_enabled()

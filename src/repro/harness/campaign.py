@@ -469,6 +469,10 @@ class RunCache:
     look, so records written by other processes become visible at the
     next lookup that needs them.  One lock guards the writer and the
     index, so threads may share a cache.
+
+    :meth:`close` (or leaving a ``with`` block) closes the pack files
+    and releases the writer's slot; a later ``get`` or ``put`` reopens
+    them, so a closed cache stays usable.
     """
 
     def __init__(self, root: str | os.PathLike) -> None:
@@ -676,6 +680,28 @@ class RunCache:
                 (own, own.indexed, len(line) - 1))
             own.indexed += len(line)
             self.writes += 1
+
+    # -- lifetime ------------------------------------------------------------
+
+    def close(self) -> None:
+        """Close every pack reader and the writer, releasing its slot's
+        lock, and forget the index.  Idempotent; the next ``get`` or
+        ``put`` reopens what it needs."""
+        with self._lock:
+            if self._writer is not None:
+                self._writer.close()
+            for pack in self._packs.values():
+                pack.file.close()
+            self._packs.clear()
+            self._index.clear()
+            self._writer = self._own = None
+            self._writer_pid = 0
+
+    def __enter__(self) -> "RunCache":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 # -- grids -------------------------------------------------------------------
@@ -987,3 +1013,15 @@ class CampaignEngine:
         return CampaignResult(
             jobs=specs, keys=keys, records=tuple(records),
             executed=len(unique), cached=cached)
+
+    def close(self) -> None:
+        """Close the run cache's pack files (see :meth:`RunCache.close`);
+        the engine stays usable."""
+        if self.cache is not None:
+            self.cache.close()
+
+    def __enter__(self) -> "CampaignEngine":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()

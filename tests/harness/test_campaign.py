@@ -1,6 +1,7 @@
 """Tests for the parallel campaign engine and its on-disk run cache."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import multiprocessing
@@ -8,6 +9,7 @@ import random
 import socket
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import pytest
@@ -175,20 +177,36 @@ class TestKeyMemo:
         assert config_walks == [cfg]
 
 
+@pytest.fixture()
+def caches():
+    """``caches(root)`` opens a :class:`RunCache` that is closed when the
+    test ends."""
+    opened = []
+
+    def open_cache(root) -> RunCache:
+        cache = RunCache(root)
+        opened.append(cache)
+        return cache
+
+    yield open_cache
+    for cache in opened:
+        cache.close()
+
+
 class TestRunCache:
-    def test_roundtrip(self, tmp_path):
-        cache = RunCache(tmp_path)
+    def test_roundtrip(self, tmp_path, caches):
+        cache = caches(tmp_path)
         cache.put("ab" * 32, {"x": 1})
         assert cache.get("ab" * 32) == {"x": 1}
         assert cache.hits == 1 and cache.writes == 1
 
-    def test_miss_on_absent(self, tmp_path):
-        cache = RunCache(tmp_path)
+    def test_miss_on_absent(self, tmp_path, caches):
+        cache = caches(tmp_path)
         assert cache.get("cd" * 32) is None
         assert cache.misses == 1
 
-    def test_corrupt_entry_reads_as_miss(self, tmp_path):
-        cache = RunCache(tmp_path)
+    def test_corrupt_entry_reads_as_miss(self, tmp_path, caches):
+        cache = caches(tmp_path)
         key = "ef" * 32
         cache.put(key, {"x": 1})
         pack = only_pack(tmp_path)
@@ -196,7 +214,7 @@ class TestRunCache:
         # corrupt the line in place: same length, still framed as an entry
         pack.write_bytes(data.replace(b'{"x":1}', b'{ bad }'))
         assert cache.get(key) is None
-        assert RunCache(tmp_path).get(key) is None
+        assert caches(tmp_path).get(key) is None
 
     @pytest.mark.parametrize("body", [
         "null", "[]", "7", '"x"', '{"key": null}',
@@ -204,31 +222,32 @@ class TestRunCache:
         '{"key":"<key>","record":7,"schema":<schema>}',
         '{"key":"<key>","key":"other","record":{},"schema":<schema>}',
     ])
-    def test_valid_json_wrong_shape_reads_as_miss(self, tmp_path, body):
+    def test_valid_json_wrong_shape_reads_as_miss(self, tmp_path, body,
+                                                  caches):
         key = "23" * 32
         write_pack(tmp_path, "h-0", body.replace("<key>", key).replace(
             "<schema>", str(CACHE_SCHEMA_VERSION)))
-        assert RunCache(tmp_path).get(key) is None
+        assert caches(tmp_path).get(key) is None
 
-    def test_envelope_missing_record_reads_as_miss(self, tmp_path):
-        cache = RunCache(tmp_path)
+    def test_envelope_missing_record_reads_as_miss(self, tmp_path, caches):
+        cache = caches(tmp_path)
         key = "45" * 32
         cache.put(key, {"x": 1})
         envelope, = pack_envelopes(only_pack(tmp_path))
         del envelope["record"]
         only_pack(tmp_path).write_text(canonical_json(envelope) + "\n")
         assert cache.get(key) is None
-        assert RunCache(tmp_path).get(key) is None
+        assert caches(tmp_path).get(key) is None
 
-    def test_schema_mismatch_reads_as_miss(self, tmp_path):
-        cache = RunCache(tmp_path)
+    def test_schema_mismatch_reads_as_miss(self, tmp_path, caches):
+        cache = caches(tmp_path)
         key = "01" * 32
         cache.put(key, {"x": 1})
         envelope, = pack_envelopes(only_pack(tmp_path))
         envelope["schema"] = CACHE_SCHEMA_VERSION + 1
         only_pack(tmp_path).write_text(canonical_json(envelope) + "\n")
         assert cache.get(key) is None
-        assert RunCache(tmp_path).get(key) is None
+        assert caches(tmp_path).get(key) is None
 
 
 def only_pack(root) -> Path:
@@ -256,9 +275,9 @@ def envelope_line(key: str, record: dict) -> str:
 
 def put_records(root, keys) -> None:
     """A writer process: one cache, one record per key."""
-    cache = RunCache(root)
-    for key in keys:
-        cache.put(key, {"key": key})
+    with RunCache(root) as cache:
+        for key in keys:
+            cache.put(key, {"key": key})
 
 
 def run_process(target, *args) -> None:
@@ -273,8 +292,8 @@ KEYS = [f"{i:064x}" for i in range(64)]
 
 
 class TestPacks:
-    def test_one_line_per_record_in_one_pack(self, tmp_path):
-        cache = RunCache(tmp_path)
+    def test_one_line_per_record_in_one_pack(self, tmp_path, caches):
+        cache = caches(tmp_path)
         for key in KEYS[:3]:
             cache.put(key, {"key": key})
         pack = only_pack(tmp_path)
@@ -285,26 +304,27 @@ class TestPacks:
         assert cache.read_envelope(KEYS[1]) == envelope_line(
             KEYS[1], {"key": KEYS[1]}).encode()
 
-    def test_torn_last_line_misses_and_next_writer_seals_it(self, tmp_path):
+    def test_torn_last_line_misses_and_next_writer_seals_it(self, tmp_path,
+                                                            caches):
         put_records(tmp_path, KEYS[:2])
         pack = only_pack(tmp_path)
         with open(pack, "r+b") as torn:
             torn.truncate(pack.stat().st_size - 5)
-        reader = RunCache(tmp_path)
+        reader = caches(tmp_path)
         assert reader.get(KEYS[0]) == {"key": KEYS[0]}
         assert reader.get(KEYS[1]) is None
         assert reader.keys() == {KEYS[0]}
         put_records(tmp_path, KEYS[2:4])
         assert only_pack(tmp_path) == pack
-        for cache in (reader, RunCache(tmp_path)):
+        for cache in (reader, caches(tmp_path)):
             assert cache.get(KEYS[1]) is None
             assert [cache.get(key) for key in (KEYS[0], *KEYS[2:4])] == [
                 {"key": key} for key in (KEYS[0], *KEYS[2:4])]
         # the fragment was sealed into a line of its own
         assert pack.read_bytes().count(b"\n") == 4
 
-    def test_threads_share_one_cache(self, tmp_path):
-        cache = RunCache(tmp_path)
+    def test_threads_share_one_cache(self, tmp_path, caches):
+        cache = caches(tmp_path)
         threads = [threading.Thread(target=lambda part=part: [
             cache.put(key, {"key": key}) for key in KEYS[part::4]])
             for part in range(4)]
@@ -315,11 +335,12 @@ class TestPacks:
         assert cache.writes == len(KEYS)
         assert sorted(e["key"] for e in pack_envelopes(only_pack(tmp_path))) \
             == KEYS
-        fresh = RunCache(tmp_path)
+        fresh = caches(tmp_path)
         assert all(fresh.get(key) == {"key": key} for key in KEYS)
 
-    def test_reader_sees_other_processes_records_on_miss(self, tmp_path):
-        reader = RunCache(tmp_path)
+    def test_reader_sees_other_processes_records_on_miss(self, tmp_path,
+                                                         caches):
+        reader = caches(tmp_path)
         reader.put(KEYS[0], {"key": KEYS[0]})
         assert reader.get(KEYS[1]) is None
         children = [multiprocessing.get_context("fork").Process(
@@ -334,14 +355,14 @@ class TestPacks:
             {"key": key} for key in KEYS[:9]]
         assert reader.keys() == set(KEYS[:9])
 
-    def test_forked_child_writes_into_its_own_slot(self, tmp_path):
-        cache = RunCache(tmp_path)
+    def test_forked_child_writes_into_its_own_slot(self, tmp_path, caches):
+        cache = caches(tmp_path)
         cache.put(KEYS[0], {"key": KEYS[0]})
         run_process(lambda: cache.put(KEYS[1], {"key": KEYS[1]}))
         assert cache.get(KEYS[1]) == {"key": KEYS[1]}
         # the parent still holds its slot after the child closed its copy
         cache.put(KEYS[2], {"key": KEYS[2]})
-        RunCache(tmp_path).put(KEYS[3], {"key": KEYS[3]})
+        caches(tmp_path).put(KEYS[3], {"key": KEYS[3]})
         host = socket.gethostname()
         packs = tmp_path / "packs"
         assert sorted(p.name for p in packs.iterdir()) == [
@@ -357,17 +378,21 @@ class TestPacks:
         assert [e["key"] for e in pack_envelopes(only_pack(tmp_path))] \
             == KEYS[:4]
 
-    def test_corrupt_line_then_valid_line_reads_the_valid_one(self, tmp_path):
+    def test_corrupt_line_then_valid_line_reads_the_valid_one(self, tmp_path,
+                                                              caches):
         key = KEYS[0]
         good = envelope_line(key, {"x": 1})
         write_pack(tmp_path, "h-0", good.replace('{"x":1}', '{ bad }'))
-        cache = RunCache(tmp_path)
+        cache = caches(tmp_path)
         assert cache.get(key) is None
         cache.put(key, {"x": 1})
-        for reader in (cache, RunCache(tmp_path)):
+        for reader in (cache, caches(tmp_path)):
             assert reader.get(key) == {"x": 1}
             assert reader.read_envelope(key) == good.encode()
 
+    # the caches here are dropped unclosed on purpose: garbage collection
+    # must release their descriptors
+    @pytest.mark.filterwarnings("ignore:unclosed file:ResourceWarning")
     def test_dropped_caches_release_their_descriptors(self, tmp_path):
         fds = Path("/proc/self/fd")
         if not fds.is_dir():
@@ -385,6 +410,52 @@ class TestPacks:
             del cache
         assert len(list(fds.iterdir())) == before
         assert len(list((tmp_path / "packs").iterdir())) == 2
+
+
+class TestClose:
+    def test_closed_cache_leaves_no_file_to_collect(self, tmp_path):
+        cache = RunCache(tmp_path)
+        cache.put(KEYS[0], {"key": KEYS[0]})
+        assert cache.get(KEYS[1]) is None      # a miss opens every pack
+        cache.close()
+        cache.close()                          # idempotent
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            del cache
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+
+    def test_closed_cache_reopens_on_next_use(self, tmp_path):
+        cache = RunCache(tmp_path)
+        cache.put(KEYS[0], {"key": KEYS[0]})
+        cache.close()
+        assert cache.get(KEYS[0]) == {"key": KEYS[0]}
+        cache.close()
+        cache.put(KEYS[1], {"key": KEYS[1]})
+        assert cache.get(KEYS[1]) == {"key": KEYS[1]}
+        cache.close()
+        assert [e["key"] for e in pack_envelopes(only_pack(tmp_path))] == \
+            KEYS[:2]
+
+    def test_close_releases_the_writer_slot(self, tmp_path):
+        with RunCache(tmp_path) as first:
+            first.put(KEYS[0], {"key": KEYS[0]})
+        with RunCache(tmp_path) as second:
+            second.put(KEYS[1], {"key": KEYS[1]})
+        assert only_pack(tmp_path).name == f"{socket.gethostname()}-0.pack"
+        # the first cache, still alive, takes the slot again on reuse
+        first.put(KEYS[2], {"key": KEYS[2]})
+        first.close()
+        assert len(pack_envelopes(only_pack(tmp_path))) == 3
+
+    def test_engine_closes_its_cache(self, cfg, tmp_path):
+        spec = JobSpec("baseline", "stream", "small", cfg)
+        with CampaignEngine(workers=1, cache_dir=tmp_path) as engine:
+            engine.run([spec])
+        with RunCache(tmp_path) as cache:
+            cache.put(KEYS[0], {"key": KEYS[0]})
+        assert only_pack(tmp_path).name == f"{socket.gethostname()}-0.pack"
 
 
 class TestGrids:
@@ -494,10 +565,11 @@ class TestEngine:
         assert serial.records_json() == parallel.records_json()
         assert serial.executed == parallel.executed == len(grid)
 
-        cold = CampaignEngine(workers=2, cache_dir=tmp_path).run(grid)
+        with CampaignEngine(workers=2, cache_dir=tmp_path) as engine:
+            cold = engine.run(grid)
         assert cold.records_json() == serial.records_json()
-        warm_engine = CampaignEngine(workers=2, cache_dir=tmp_path)
-        warm = warm_engine.run(grid)
+        with CampaignEngine(workers=2, cache_dir=tmp_path) as warm_engine:
+            warm = warm_engine.run(grid)
         assert warm.executed == 0
         assert warm.cached == len(grid)
         assert warm.records_json() == serial.records_json()
@@ -516,10 +588,12 @@ class TestEngine:
             return real(spec)
 
         monkeypatch.setattr(campaign, "execute_job", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            CampaignEngine(workers=1, cache_dir=tmp_path).run(grid)
+        with pytest.raises(KeyboardInterrupt), \
+                CampaignEngine(workers=1, cache_dir=tmp_path) as engine:
+            engine.run(grid)
         monkeypatch.setattr(campaign, "execute_job", real)
-        rerun = CampaignEngine(workers=1, cache_dir=tmp_path).run(grid)
+        with CampaignEngine(workers=1, cache_dir=tmp_path) as engine:
+            rerun = engine.run(grid)
         assert (rerun.executed, rerun.cached) == (2, 4)
         assert (rerun.records_json()
                 == CampaignEngine(workers=1).run(grid).records_json())
@@ -567,8 +641,10 @@ class TestEngine:
 
     def test_cache_persists_across_engines(self, cfg, tmp_path):
         spec = JobSpec("detection", "bitcount", "small", cfg)
-        a = CampaignEngine(workers=1, cache_dir=tmp_path).run([spec])
-        b = CampaignEngine(workers=1, cache_dir=tmp_path).run([spec])
+        with CampaignEngine(workers=1, cache_dir=tmp_path) as engine:
+            a = engine.run([spec])
+        with CampaignEngine(workers=1, cache_dir=tmp_path) as engine:
+            b = engine.run([spec])
         assert a.executed == 1 and b.executed == 0
         assert a.records == b.records
 

@@ -39,6 +39,7 @@ from repro.workloads.suite import (
 )
 
 from tests.conftest import MASKED_FAULT, mid_trace_faults
+from tests.core.timing_pins import stress_config
 
 SUITE = tuple(BENCHMARK_ORDER)
 
@@ -46,6 +47,14 @@ SUITE = tuple(BENCHMARK_ORDER)
 #: report an error, and the later segment's check finishes first.
 REORDERED_FAULTS = (TransientFault(FaultSite.LOAD_ADDR, seq=2149, bit=24),
                     TransientFault(FaultSite.RESULT, seq=2179, bit=53))
+
+
+def termination_first_faults(trace_len: int) -> tuple:
+    """Two faults near the end of ``randacc`` which, under the stress
+    config, fail the last two segments: the termination segment's check
+    reports its error before the check of the segment before it does."""
+    return (TransientFault(FaultSite.RESULT, seq=trace_len - 37, bit=3),
+            TransientFault(FaultSite.STORE_VALUE, seq=trace_len - 18, bit=5))
 
 
 @pytest.fixture()
@@ -243,6 +252,21 @@ def timed_spans(monkeypatch, trace) -> list[tuple[int, int]]:
     return spans
 
 
+def detecting_chunks(monkeypatch, trace) -> list[bool]:
+    """Per later ``run_rows`` call over ``trace``: whether its hook had
+    recorded a detection event when the call returned."""
+    chunks = []
+    original = OoOCore.run_rows
+
+    def spy(self, timed, hook, state, stop, record=None):
+        original(self, timed, hook, state, stop, record)
+        if timed is trace:
+            chunks.append(bool(hook.report.events))
+
+    monkeypatch.setattr(OoOCore, "run_rows", spy)
+    return chunks
+
+
 class TestVerdictOnlyTiming:
     """Classification stops timing once its verdict is final: records
     stay byte-identical to the splice-off and reference paths."""
@@ -266,7 +290,8 @@ class TestVerdictOnlyTiming:
         assert fast == unspliced == reference
         assert json.loads(fast)["outcome"] == "masked"
 
-    def test_several_events_later_segment_checked_first(self, splice_modes):
+    def test_several_events_later_segment_checked_first(self, splice_modes,
+                                                        monkeypatch):
         """The first error found by tick comes from a segment that closes
         after another error was recorded: the run must time on until the
         main core passes the earliest detection tick, not stop at the
@@ -284,6 +309,29 @@ class TestVerdictOnlyTiming:
         reference = run_with_detection(full, config, verdict_only=True)
         assert spliced == unspliced == reference == \
             DetectionVerdict.of(report)
+        # the later segment fails the look-ahead, so the run keeps timing
+        # past the chunk in which its first event was recorded
+        chunks = detecting_chunks(monkeypatch, faulty)
+        monkeypatch.setenv(TIMING_SPLICE_ENV, "1")
+        run_with_detection(faulty, config, verdict_only=True)
+        assert chunks.index(True) < len(chunks) - 1
+
+    def test_termination_segment_detects_first(self, splice_modes):
+        """The first error found by tick comes from the termination
+        segment, which closes only when the trace ends: a run that stops
+        timing early must have checked that segment first."""
+        golden = benchmark_trace("randacc", "small")
+        config = stress_config()
+        faulty = execute_forked(golden, FaultInjector(
+            list(termination_first_faults(len(golden)))))
+        report = run_with_detection(faulty, config).report
+        assert report.closes_by_reason["termination"] == 1
+        assert report.events[0] is not report.first_event
+        assert report.first_event.error.segment_index == \
+            report.segments_checked - 1
+        unspliced, spliced = splice_modes(lambda: run_with_detection(
+            faulty, config, verdict_only=True))
+        assert spliced == unspliced == DetectionVerdict.of(report)
 
     def test_detected_fault_stops_timing_early(self, monkeypatch):
         golden = benchmark_trace("stream", "small")
@@ -304,6 +352,19 @@ class TestVerdictOnlyTiming:
         result = run_with_detection(faulty, default_config())
         assert spans[-1][1] == len(faulty)
         assert DetectionVerdict.of(result.report) == verdict
+
+    def test_detected_fault_stops_at_its_first_event(self, monkeypatch):
+        """Once the look-ahead certifies that no later segment detects
+        sooner, no chunk is timed after the one that recorded the first
+        event."""
+        golden = benchmark_trace("stream", "small")
+        fault = TransientFault(FaultSite.RESULT, seq=len(golden) // 2, bit=4)
+        faulty = execute_forked(golden, FaultInjector([fault]))
+        chunks = detecting_chunks(monkeypatch, faulty)
+        monkeypatch.setenv(TIMING_SPLICE_ENV, "1")
+        assert run_with_detection(faulty, default_config(),
+                                  verdict_only=True).detected
+        assert chunks.index(True) == len(chunks) - 1
 
     def test_undetected_fault_times_to_the_end(self, monkeypatch):
         workload, fault = MASKED_FAULT
