@@ -58,7 +58,7 @@ import time
 from repro.detection.checker import SegmentChecker
 from repro.detection.checkpoint import ArchStateTracker
 from repro.detection.faults import FaultInjector, FaultSite, TransientFault
-from repro.detection.lslog import CloseReason, LogEntry, Segment
+from repro.detection.lslog import CloseReason, Segment
 from repro.isa.blocks import BLOCK_EXEC_ENV, STATS
 from repro.isa.executor import ForkCursor, execute_forked, execute_program
 from repro.workloads.suite import build_benchmark
@@ -101,8 +101,8 @@ def block_mode(value: str):
 def build_segments(trace) -> list[Segment]:
     """Cut the committed trace into closed segments every
     :data:`SEGMENT_INSTRUCTIONS` commits (one pass over the columns,
-    outside the timed region), mirroring what the detection system's log
-    builder produces."""
+    outside the timed region): views of the trace's memory columns, like
+    the segments the detection system's log closes."""
     tracker = ArchStateTracker()
     segments: list[Segment] = []
     total = len(trace)
@@ -113,18 +113,14 @@ def build_segments(trace) -> list[Segment]:
         tracker.apply_dsts(trace.dsts[i])
         if (i - start_seq + 1) >= SEGMENT_INSTRUCTIONS or i == total - 1:
             end = tracker.snapshot(trace.next_pc_of(i))
-            # LOAD and STORE log address + value; NONDET logs the value
-            # at address 0 — exactly the column contents
-            entries = [LogEntry(trace.mem_kind[j], trace.mem_addr[j],
-                                trace.mem_value[j], 0)
-                       for j in range(mem_off[start_seq], mem_off[i + 1])]
-            segment = Segment(index=len(segments), slot=0,
-                              start_checkpoint=start, start_seq=start_seq,
-                              entries=entries)
-            segment.close_reason = CloseReason.FULL
-            segment.end_checkpoint = end
-            segment.end_seq = i + 1
-            segments.append(segment)
+            segments.append(Segment(
+                index=len(segments), slot=0, start_seq=start_seq,
+                end_seq=i + 1, start_checkpoint=start, end_checkpoint=end,
+                close_reason=CloseReason.FULL, close_tick=0,
+                lo=mem_off[start_seq], hi=mem_off[i + 1],
+                kinds=trace.mem_kind, addrs=trace.mem_addr,
+                values=trace.mem_value,
+                commits=[0] * (i + 1 - start_seq)))
             start = end
             start_seq = i + 1
     return segments

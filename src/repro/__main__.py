@@ -171,20 +171,22 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         except ManifestError as error:
             print(str(error), file=sys.stderr)
             return 2
-        if args.materialize_only:
+        with manifest:
+            if args.materialize_only:
+                status = manifest_status(manifest)
+                if args.json:
+                    print(canonical_json(status))
+                else:
+                    print(f"manifest {status['campaign_id'][:12]}… "
+                          f"materialised at {args.manifest}: "
+                          f"{status['jobs']} unique jobs "
+                          f"({status['states']['done']} already done) — "
+                          f"start workers with: python -m repro "
+                          f"campaign-worker --manifest {args.manifest}")
+                return 0
+            result, stats = run_campaign(
+                manifest, processes=args.workers, lease_ttl=args.lease_ttl)
             status = manifest_status(manifest)
-            if args.json:
-                print(canonical_json(status))
-            else:
-                print(f"manifest {status['campaign_id'][:12]}… materialised "
-                      f"at {args.manifest}: {status['jobs']} unique jobs "
-                      f"({status['states']['done']} already done) — start "
-                      f"workers with: python -m repro campaign-worker "
-                      f"--manifest {args.manifest}")
-            return 0
-        result, stats = run_campaign(
-            manifest, processes=args.workers, lease_ttl=args.lease_ttl)
-        status = manifest_status(manifest)
         # worker-side progress (parent + children aggregated): the merge
         # pass itself is a cache replay and executes nothing
         status["executed_this_run"] = stats.executed
@@ -255,15 +257,16 @@ def cmd_campaign_worker(args: argparse.Namespace) -> int:
     except ManifestError as error:
         print(str(error), file=sys.stderr)
         return 2
-    if args.retry_failed:
-        cleared = manifest.clear_failures()
-        if cleared and not args.json:
-            print(f"re-queued {cleared} failed job(s)")
-    worker = CampaignWorker(manifest, worker_id=args.worker_id,
-                            lease_ttl=args.lease_ttl,
-                            batch_size=args.batch,
-                            max_attempts=args.max_attempts)
-    stats = worker.run(max_jobs=args.max_jobs)
+    with manifest:
+        if args.retry_failed:
+            cleared = manifest.clear_failures()
+            if cleared and not args.json:
+                print(f"re-queued {cleared} failed job(s)")
+        worker = CampaignWorker(manifest, worker_id=args.worker_id,
+                                lease_ttl=args.lease_ttl,
+                                batch_size=args.batch,
+                                max_attempts=args.max_attempts)
+        stats = worker.run(max_jobs=args.max_jobs)
     if args.json:
         print(canonical_json(stats.as_dict()))
     else:
@@ -310,23 +313,24 @@ def cmd_campaign_status(args: argparse.Namespace) -> int:
     except ManifestError as error:
         print(str(error), file=sys.stderr)
         return 2
-    while True:
-        status = manifest_status(manifest)
-        if args.json:
-            print(canonical_json(status), flush=True)
-        else:
-            _print_status(status)
-        # settled: complete, or nothing left that could still make
-        # progress (only failures remain) — watching further would spin
-        settled = status["complete"] or (
-            not status["states"]["pending"]
-            and not status["states"]["leased"])
-        if args.watch is None or settled:
-            return 1 if status["failures"] else 0
-        if not args.json:
-            print(f"-- refreshing every {args.watch:g}s "
-                  f"(ctrl-c to stop) --", flush=True)
-        time.sleep(args.watch)
+    with manifest:
+        while True:
+            status = manifest_status(manifest)
+            if args.json:
+                print(canonical_json(status), flush=True)
+            else:
+                _print_status(status)
+            # settled: complete, or nothing left that could still make
+            # progress (only failures remain) — watching further would spin
+            settled = status["complete"] or (
+                not status["states"]["pending"]
+                and not status["states"]["leased"])
+            if args.watch is None or settled:
+                return 1 if status["failures"] else 0
+            if not args.json:
+                print(f"-- refreshing every {args.watch:g}s "
+                      f"(ctrl-c to stop) --", flush=True)
+            time.sleep(args.watch)
 
 
 def cmd_serve(args: argparse.Namespace) -> int:

@@ -16,7 +16,7 @@ from repro.detection.faults import (
 )
 from repro.detection.interrupts import periodic_interrupts, random_interrupts
 from repro.detection.lfu import LfuEntry, LoadForwardingUnit
-from repro.detection.lslog import CloseReason, LogEntry, Segment, SegmentBuilder
+from repro.detection.lslog import CloseReason, Segment, segment_close
 from repro.detection.system import (
     DetectionEvent,
     DetectionReport,
@@ -43,15 +43,14 @@ __all__ = [
     "HardFault",
     "LfuEntry",
     "LoadForwardingUnit",
-    "LogEntry",
     "ParallelErrorDetection",
     "RegisterCheckpoint",
     "Segment",
-    "SegmentBuilder",
     "SegmentChecker",
     "TransientFault",
     "periodic_interrupts",
     "random_interrupts",
     "run_unprotected",
     "run_with_detection",
+    "segment_close",
 ]

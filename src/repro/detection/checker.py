@@ -5,10 +5,13 @@ re-executes the original instruction stream.  Loads do not touch memory:
 the next entry of the segment's load-store log supplies the value, and
 hardware compares the *address* the checker computed against the logged
 one.  Stores compare both address and data.  Non-deterministic results
-(RDRAND/RDCYCLE) are consumed from the log.  When the checker has executed
-as many instructions as the main core committed in the segment (or the
-stream ends), the architectural register file is compared bit-exactly
-against the end checkpoint.
+(RDRAND/RDCYCLE) are consumed from the log.  The log is a view of the
+trace's memory columns (:class:`repro.detection.lslog.Segment`), so the
+ports read entry ``i`` straight from ``kinds``, ``addrs`` and ``values``
+at ``lo + i``; only an error report formats an entry.  When the checker
+has executed as many instructions as the main core committed in the
+segment (or the stream ends), the architectural register file is
+compared bit-exactly against the end checkpoint.
 
 Detection is therefore performed by *real comparisons*, not by an oracle:
 an injected fault is caught only if one of these hardware checks actually
@@ -172,11 +175,11 @@ class SegmentChecker:
         """The pre-fork fast path; None means \"use the replay path\".
 
         This is still a *real comparison*, not an oracle: every column
-        the replay would reproduce (pcs, writebacks, branch outcomes,
-        the memory-operation CSR block) and every logged entry is
-        compared against the golden trace.  Any mismatch falls back to
-        the replay path, which classifies the error exactly as it would
-        have without the fast path.
+        the replay would reproduce (pcs, writebacks, branch outcomes)
+        and the memory-operation CSR block, which the segment's log
+        entries are a view of, are compared against the golden trace.
+        Any mismatch falls back to the replay path, which classifies the
+        error exactly as it would have without the fast path.
         """
         trace, golden = self._trace, self._golden
         start, end = segment.start_seq, segment.end_seq
@@ -193,28 +196,16 @@ class SegmentChecker:
                 and _columns_equal(trace.mem_used, golden.mem_used,
                                    lo, hi)):
             return None
-        entries = segment.entries
-        if len(entries) != hi - lo:
-            return None
-        mem_kind, mem_addr = golden.mem_kind, golden.mem_addr
-        mem_value = golden.mem_value
-        for k, entry in enumerate(entries):
-            j = lo + k
-            if (entry.kind != mem_kind[j] or entry.addr != mem_addr[j]
-                    or entry.value != mem_value[j]):
-                return None
         result = CheckResult(segment_index=segment.index, ok=True)
         result.steps = list(zip(golden.pcs[start:end],
                                 map((1).__eq__, golden.takens[start:end])))
-        result.entries_checked = len(entries)
+        result.entries_checked = hi - lo
         result.instructions_executed = end - start
         return result
 
     def check(self, segment: Segment) -> CheckResult:
         """Replay ``segment`` and run every hardware comparison."""
-        if not segment.closed or segment.end_checkpoint is None:
-            raise ReproError("segment must be closed before checking")
-        if (self._golden is not None and segment.end_seq is not None
+        if (self._golden is not None
                 and segment.end_seq <= self._fork_seq
                 and not any(segment.start_seq <= seq < segment.end_seq
                             for seq in self._faults_by_seq)):
@@ -231,62 +222,65 @@ class SegmentChecker:
                 return result
         start = segment.start_checkpoint
         end = segment.end_checkpoint
-        entries = segment.entries
-        instr_budget = (segment.end_seq or 0) - segment.start_seq
+        lo, size = segment.lo, segment.hi - segment.lo
+        kinds, addrs, values = segment.kinds, segment.addrs, segment.values
+        instr_budget = segment.end_seq - segment.start_seq
 
         result = CheckResult(segment_index=segment.index, ok=True)
         cursor = 0  # next log entry to consume
 
         def load_port(addr: int) -> tuple[int, int]:
             nonlocal cursor
-            if cursor >= len(entries):
+            if cursor >= size:
                 raise _LogMismatch(CheckError(
                     ErrorKind.LOG_DIVERGENCE, segment.index, None,
                     "log segment exhausted before replay finished"))
-            entry = entries[cursor]
-            if entry.kind != LOAD:
+            j = lo + cursor
+            if kinds[j] != LOAD:
                 raise _LogMismatch(CheckError(
                     ErrorKind.LOG_DIVERGENCE, segment.index, cursor,
-                    f"replayed a load but log holds {entry.describe()}"))
-            if entry.addr != addr:
+                    f"replayed a load but log holds "
+                    f"{segment.describe(cursor)}"))
+            if addrs[j] != addr:
                 raise _LogMismatch(CheckError(
                     ErrorKind.LOAD_ADDR_MISMATCH, segment.index, cursor,
-                    f"load address {addr:#x} != logged {entry.addr:#x}"))
+                    f"load address {addr:#x} != logged {addrs[j]:#x}"))
             cursor += 1
             result.entries_checked = cursor
-            return addr, entry.value
+            return addr, values[j]
 
         def store_port(addr: int, value: int) -> tuple[int, int]:
             nonlocal cursor
-            if cursor >= len(entries):
+            if cursor >= size:
                 raise _LogMismatch(CheckError(
                     ErrorKind.LOG_DIVERGENCE, segment.index, None,
                     "log segment exhausted before replay finished"))
-            entry = entries[cursor]
-            if entry.kind != STORE:
+            j = lo + cursor
+            if kinds[j] != STORE:
                 raise _LogMismatch(CheckError(
                     ErrorKind.LOG_DIVERGENCE, segment.index, cursor,
-                    f"replayed a store but log holds {entry.describe()}"))
-            if entry.addr != addr:
+                    f"replayed a store but log holds "
+                    f"{segment.describe(cursor)}"))
+            if addrs[j] != addr:
                 raise _LogMismatch(CheckError(
                     ErrorKind.STORE_ADDR_MISMATCH, segment.index, cursor,
-                    f"store address {addr:#x} != logged {entry.addr:#x}"))
-            if entry.value != value:
+                    f"store address {addr:#x} != logged {addrs[j]:#x}"))
+            if values[j] != value:
                 raise _LogMismatch(CheckError(
                     ErrorKind.STORE_VALUE_MISMATCH, segment.index, cursor,
-                    f"store value {value:#x} != logged {entry.value:#x}"))
+                    f"store value {value:#x} != logged {values[j]:#x}"))
             cursor += 1
             result.entries_checked = cursor
             return addr, value
 
         def nondet_port(op: Opcode) -> int:
             nonlocal cursor
-            if cursor >= len(entries) or entries[cursor].kind != NONDET:
+            if cursor >= size or kinds[lo + cursor] != NONDET:
                 raise _LogMismatch(CheckError(
                     ErrorKind.LOG_DIVERGENCE, segment.index,
-                    cursor if cursor < len(entries) else None,
+                    cursor if cursor < size else None,
                     "non-deterministic result missing from log"))
-            value = entries[cursor].value
+            value = values[lo + cursor]
             cursor += 1
             result.entries_checked = cursor
             return value
@@ -376,13 +370,13 @@ class SegmentChecker:
                 f"replay halted after {executed} of {instr_budget} "
                 f"instructions"))
 
-        if result.ok and cursor != len(entries):
+        if result.ok and cursor != size:
             # the instruction-count timeout fired on the checker before all
             # logged operations were reproduced: divergence (§IV-J)
             result.ok = False
             result.errors.append(CheckError(
                 ErrorKind.LOG_DIVERGENCE, segment.index, cursor,
-                f"{len(entries) - cursor} log entries left unchecked after "
+                f"{size - cursor} log entries left unchecked after "
                 f"{executed} instructions"))
 
         if result.ok:

@@ -52,18 +52,6 @@ class LoadForwardingUnit:
         self.forwards = 0
         self.overwrites = 0
 
-    def snapshot(self) -> "LoadForwardingUnit":
-        """Independent copy of the table (fork support).  The
-        :class:`LfuEntry` objects themselves are shared: they are written
-        once at capture and only ever read afterwards."""
-        clone = LoadForwardingUnit.__new__(LoadForwardingUnit)
-        clone.size = self.size
-        clone._table = self._table[:]
-        clone.captures = self.captures
-        clone.forwards = self.forwards
-        clone.overwrites = self.overwrites
-        return clone
-
     def capture(self, rob_id: int, addr: int, value: int) -> None:
         """Duplicate a load at cache-access time (possibly speculative)."""
         slot = rob_id % self.size

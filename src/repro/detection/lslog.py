@@ -3,26 +3,39 @@
 An SRAM structure that records, in commit order, every load (address +
 forwarded value), every store (address + data) and every non-deterministic
 result from the main core.  It is split into one fixed-size segment per
-checker core (one-to-one, no arbitration — §IV-D), and a segment closes
-when any of these happens:
+checker core (one-to-one, no arbitration — §IV-D).
+
+In this reproduction that record already exists: it is the committed
+trace's CSR memory columns (``mem_kind``, ``mem_addr`` and
+``mem_value``, indexed through ``mem_off``).  So the log is a view of the
+trace, not a copy of it: a :class:`Segment` names a row range of the
+trace and holds references to its columns.
+
+Where a segment closes is decided by one rule, :func:`segment_close`.
+A segment closes when:
 
 * it is **full** — including the macro-op rule: a macro-op's micro-ops may
   never straddle two segments, so an instruction whose entries do not all
-  fit closes the current segment and writes all of them into the next;
+  fit closes the current segment before it commits and writes all of
+  them into the next;
 * the **instruction timeout** is reached (§IV-J), bounding detection
   latency for stretches of code with few memory operations;
 * an **interrupt / context switch** arrives (§IV-G);
 * the **program terminates** (§IV-H), flushing the final partial segment.
 
-The structures here are purely architectural (what is in each segment);
-their interaction with time (stalls, checkpoint pauses, checker dispatch)
-lives in :mod:`repro.detection.system`.
+The rule reads entry counts, the timeout and the next interrupt, never
+time.  The detection hook (:mod:`repro.detection.system`) closes its
+segments by it and adds time (stalls, checkpoint pauses, checker
+dispatch); rollback recovery (:mod:`repro.recovery.rollback`) iterates
+it to find the segment boundaries again.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
+from typing import Sequence
 
 from repro.common.errors import ConfigError
 from repro.detection.checkpoint import RegisterCheckpoint
@@ -38,161 +51,93 @@ class CloseReason(enum.Enum):
     TERMINATION = "termination"
 
 
-@dataclass(frozen=True)
-class LogEntry:
-    """One record in a load-store log segment.
+def segment_close(mem_off: Sequence[int], start: int, total: int,
+                  capacity: int, timeout: int | None = None,
+                  interrupt: int | None = None,
+                  ) -> tuple[int, CloseReason, bool]:
+    """Where the segment that opens at row ``start`` of a ``total``-row
+    trace closes, as ``(end, reason, on_commit)``: it holds rows
+    ``[start, end)``.
 
-    ``kind`` is :data:`repro.isa.executor.LOAD`, :data:`STORE` or
-    :data:`NONDET`.  ``commit_tick`` is when the main core committed it —
-    the reference point for the paper's detection-delay metric.
+    With ``on_commit`` it closes as row ``end - 1`` commits: FULL when
+    that row's entries fill it, TIMEOUT on its ``timeout``-th row, and
+    INTERRUPT on its first row at or past the pending ``interrupt`` seq,
+    in that order of precedence.  Otherwise it closes before row ``end``
+    commits: FULL on a macro-op overflow (row ``end``'s entries do not
+    all fit, so they all go into the next segment), or TERMINATION when
+    no other close comes first (``end == total``; an empty segment,
+    ``start == total``, is never closed).
+
+    Raises :class:`ConfigError` when a segment cannot hold one macro-op's
+    entries, and when the segment opens at a row with more entries than
+    it holds.
     """
+    if capacity < 2:
+        raise ConfigError(
+            f"segment capacity {capacity} cannot hold one macro-op's "
+            f"entries; enlarge the log")
+    base = mem_off[start]
+    # the first row whose entries reach the capacity: the first k > start
+    # with mem_off[k] - base >= capacity, less one
+    row = bisect_left(mem_off, base + capacity, start + 1, total + 1) - 1
+    if row == total:
+        end, reason, on_commit = total, CloseReason.TERMINATION, False
+    elif mem_off[row + 1] - base == capacity:
+        end, reason, on_commit = row + 1, CloseReason.FULL, True
+    elif row > start:
+        end, reason, on_commit = row, CloseReason.FULL, False
+    else:
+        raise ConfigError(
+            f"an instruction produced {mem_off[row + 1] - mem_off[row]} log "
+            f"entries but a segment holds only {capacity}")
+    # a close on a row's commit comes before the next row's overflow
+    if timeout is not None:
+        at = start + timeout
+        if at < end or (at == end and not on_commit):
+            end, reason, on_commit = at, CloseReason.TIMEOUT, True
+    if interrupt is not None:
+        at = max(start, interrupt) + 1
+        if at < end or (at == end and not on_commit):
+            end, reason, on_commit = at, CloseReason.INTERRUPT, True
+    return end, reason, on_commit
 
-    kind: int
-    addr: int
-    value: int
-    commit_tick: int
 
-    def describe(self) -> str:
-        kind = {LOAD: "load", STORE: "store", NONDET: "nondet"}[self.kind]
-        return f"{kind} @{self.addr:#x} = {self.value:#x}"
+_KIND_NAMES = {LOAD: "load", STORE: "store", NONDET: "nondet"}
 
 
 @dataclass
 class Segment:
-    """One closed (or filling) portion of the load-store log."""
+    """One closed portion of the load-store log: rows ``[start_seq,
+    end_seq)`` of a trace.
+
+    Its entries are ``[lo, hi)`` of the memory columns of the trace the
+    detection hook was bound to when the segment closed: entry ``i`` is
+    ``kinds[lo + i]``, ``addrs[lo + i]`` and ``values[lo + i]``.  A LOAD
+    logs its address and the value the load forwarding unit captured at
+    access (``mem_value``; ``mem_used``, the value that reached the
+    register file, in the no-LFU ablation), a STORE its address and data,
+    a NONDET its result at address 0.  ``commits`` holds the main core's
+    commit cycle of each row, the reference point of the paper's
+    detection-delay metric.
+    """
 
     index: int
     slot: int
-    start_checkpoint: RegisterCheckpoint
     start_seq: int
-    entries: list[LogEntry] = field(default_factory=list)
-    instr_count: int = 0
-    end_checkpoint: RegisterCheckpoint | None = None
-    end_seq: int | None = None
-    close_reason: CloseReason | None = None
-    close_tick: int = 0
+    end_seq: int
+    start_checkpoint: RegisterCheckpoint
+    end_checkpoint: RegisterCheckpoint
+    close_reason: CloseReason
+    close_tick: int
+    lo: int
+    hi: int
+    kinds: Sequence[int]
+    addrs: Sequence[int]
+    values: Sequence[int]
+    commits: list[int]
 
-    @property
-    def closed(self) -> bool:
-        return self.close_reason is not None
-
-
-class SegmentBuilder:
-    """Fills segments in commit order, enforcing the closure rules.
-
-    This is the architectural state machine of §IV-D/J: the timing layer
-    asks :meth:`will_overflow` before committing an instruction's memory
-    entries (to know which slot must be free), appends entries and
-    instruction counts as commits happen, and is told when to cut a
-    segment.  Closed segments are handed back for dispatch to a checker.
-    """
-
-    def __init__(self, capacity: int, timeout: int | None, num_slots: int,
-                 first_checkpoint: RegisterCheckpoint) -> None:
-        if capacity < 2:
-            raise ConfigError(
-                f"segment capacity {capacity} cannot hold one macro-op's "
-                f"entries; enlarge the log")
-        self.capacity = capacity
-        self.timeout = timeout
-        self.num_slots = num_slots
-        self._next_index = 0
-        self._next_slot = 0
-        self.current = self._new_segment(first_checkpoint, start_seq=0)
-        self.segments_closed = 0
-        self.closes_by_reason: dict[CloseReason, int] = {r: 0 for r in CloseReason}
-
-    def _new_segment(self, checkpoint: RegisterCheckpoint, start_seq: int) -> Segment:
-        segment = Segment(
-            index=self._next_index,
-            slot=self._next_slot,
-            start_checkpoint=checkpoint,
-            start_seq=start_seq,
-        )
-        self._next_index += 1
-        self._next_slot = (self._next_slot + 1) % self.num_slots
-        return segment
-
-    def snapshot(self) -> "SegmentBuilder":
-        """Independent copy of the builder state (fork support).
-
-        The filling segment is copied field by field with a fresh entries
-        list; checkpoints and :class:`LogEntry` records are frozen and
-        shared.  Closed segments are never reachable from the builder, so
-        nothing else needs copying.
-        """
-        clone = SegmentBuilder.__new__(SegmentBuilder)
-        clone.capacity = self.capacity
-        clone.timeout = self.timeout
-        clone.num_slots = self.num_slots
-        clone._next_index = self._next_index
-        clone._next_slot = self._next_slot
-        current = self.current
-        clone.current = Segment(
-            index=current.index,
-            slot=current.slot,
-            start_checkpoint=current.start_checkpoint,
-            start_seq=current.start_seq,
-            entries=current.entries[:],
-            instr_count=current.instr_count,
-            end_checkpoint=current.end_checkpoint,
-            end_seq=current.end_seq,
-            close_reason=current.close_reason,
-            close_tick=current.close_tick,
-        )
-        clone.segments_closed = self.segments_closed
-        clone.closes_by_reason = dict(self.closes_by_reason)
-        return clone
-
-    # -- queries used by the timing layer -----------------------------------
-
-    def will_overflow(self, entry_count: int) -> bool:
-        """Would committing ``entry_count`` entries overflow the segment?
-
-        Macro-op rule: either they all fit in the current segment, or the
-        segment closes and they all go into the next one.
-        """
-        if entry_count == 0:
-            return False
-        if entry_count > self.capacity:
-            raise ConfigError(
-                f"an instruction produced {entry_count} log entries but a "
-                f"segment holds only {self.capacity}")
-        return len(self.current.entries) + entry_count > self.capacity
-
-    def timeout_reached(self) -> bool:
-        """Has the current segment hit the instruction timeout?"""
-        return (self.timeout is not None
-                and self.current.instr_count >= self.timeout)
-
-    def is_full(self) -> bool:
-        return len(self.current.entries) >= self.capacity
-
-    # -- mutation -------------------------------------------------------------
-
-    def append(self, entries: list[LogEntry]) -> None:
-        """Append one committed instruction's entries (caller has already
-        closed the segment if they would not fit)."""
-        if len(self.current.entries) + len(entries) > self.capacity:
-            raise ConfigError("segment overflow: close before appending")
-        self.current.entries.extend(entries)
-
-    def count_instruction(self) -> None:
-        self.current.instr_count += 1
-
-    def close(self, reason: CloseReason, end_checkpoint: RegisterCheckpoint,
-              end_seq: int, close_tick: int) -> Segment:
-        """Close the current segment and open the next.
-
-        The end checkpoint of the closed segment becomes the start
-        checkpoint of its successor — the induction chain of §IV.
-        """
-        closed = self.current
-        closed.close_reason = reason
-        closed.end_checkpoint = end_checkpoint
-        closed.end_seq = end_seq
-        closed.close_tick = close_tick
-        self.segments_closed += 1
-        self.closes_by_reason[reason] += 1
-        self.current = self._new_segment(end_checkpoint, start_seq=end_seq)
-        return closed
+    def describe(self, i: int) -> str:
+        """Entry ``i`` in words, for error reports."""
+        j = self.lo + i
+        return (f"{_KIND_NAMES[self.kinds[j]]} @{self.addrs[j]:#x} = "
+                f"{self.values[j]:#x}")

@@ -4,11 +4,14 @@
 stream (as a :class:`repro.core.ooo_core.CommitHook`) and co-simulates:
 
 * the **load forwarding unit** (§IV-C): a load is logged with the value
-  duplicated at cache access, which is what the unit forwards at commit
-  (:mod:`repro.detection.lfu`);
-* the **partitioned load-store log**: entries append in commit order; a
-  segment closes on fill / instruction timeout / interrupt / termination
-  (§IV-D, §IV-G, §IV-H, §IV-J);
+  duplicated at cache access (the trace's ``mem_value`` column), which is
+  what the unit forwards at commit (:mod:`repro.detection.lfu`); the
+  no-LFU ablation logs the value that reached the register file
+  (``mem_used``) instead;
+* the **partitioned load-store log**: a view of the trace's memory
+  columns, cut into segments by the one closure rule of
+  :mod:`repro.detection.lslog` (fill / instruction timeout / interrupt /
+  termination, §IV-D, §IV-G, §IV-H, §IV-J);
 * **register checkpoints** at each closure, pausing commit for the Table I
   16 cycles (§IV-E);
 * **back-pressure**: when the next log segment's slot is still being
@@ -28,7 +31,6 @@ hardware comparisons, and the report records when each check completed.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro.common.config import SystemConfig
@@ -40,8 +42,8 @@ from repro.core.timing import config_key, time_bare, timing_splice_enabled
 from repro.detection.checker import CheckError, SegmentChecker
 from repro.detection.checkpoint import ArchStateTracker, RegisterCheckpoint
 from repro.detection.faults import FaultSite, TransientFault
-from repro.detection.lslog import CloseReason, LogEntry, Segment, SegmentBuilder
-from repro.isa.executor import LOAD, Trace
+from repro.detection.lslog import CloseReason, Segment, segment_close
+from repro.isa.executor import Trace
 from repro.isa.meta import program_meta
 from repro.isa.program import Program
 from repro.memory.hierarchy import CheckerICaches
@@ -156,14 +158,20 @@ class ParallelErrorDetection(CommitHook):
         self.ckpt_cycles = config.main_core.checkpoint_latency_cycles
         self.ideal = config.detection.ideal_checkers
         self.use_lfu = config.detection.load_forwarding_unit
+        self.capacity = config.detection.segment_entries(num_cores)
+        self.timeout = config.detection.instruction_timeout
 
         self.arch = ArchStateTracker()
-        self.builder = SegmentBuilder(
-            capacity=config.detection.segment_entries(num_cores),
-            timeout=config.detection.instruction_timeout,
-            num_slots=num_cores,
-            first_checkpoint=self.arch.snapshot(program.entry),
-        )
+        # the open segment: its index (its slot is the index modulo the
+        # checker cores), first row, start checkpoint and the commit cycle
+        # of each row so far; where it closes is planned by ``_plan``
+        self._index = 0
+        self._start = 0
+        self._start_checkpoint = self.arch.snapshot(program.entry)
+        self._commits: list[int] = []
+        self._reason = CloseReason.TERMINATION
+        self._close_row = -1
+        self._on_commit = False
         self.segment_checker = SegmentChecker(
             program, checker_faults=checker_faults)
         self.icaches = CheckerICaches(config.checker)
@@ -226,10 +234,17 @@ class ParallelErrorDetection(CommitHook):
         self._mem_off = trace.mem_off
         self._mem_kind = trace.mem_kind
         self._mem_addr = trace.mem_addr
-        self._mem_value = trace.mem_value
-        self._mem_used = trace.mem_used
+        # a LOAD logs the value captured at access, which is what the
+        # load forwarding unit forwards at commit (§IV-C); the ablation's
+        # commit-time forwarding from the register file logs the value
+        # that reached it, re-opening the window of vulnerability.  The
+        # two columns differ only on loads
+        self._values = trace.mem_value if self.use_lfu else trace.mem_used
         self._total = len(trace)
         self._final_next_pc = trace.final_next_pc
+        # the open segment may have opened on another trace (a timing
+        # splice forks golden into faulty): plan its close on this one
+        self._plan()
         self._schedule(self._synced)
 
     def clone_shared(self) -> tuple:
@@ -245,7 +260,7 @@ class ParallelErrorDetection(CommitHook):
         shared.extend(obj for obj in (checker._trace, checker._golden)
                       if obj is not None)
         for name in ("_pcs", "_dsts", "_mem_off", "_mem_kind", "_mem_addr",
-                     "_mem_value", "_mem_used"):
+                     "_values"):
             column = getattr(self, name, None)
             if column is not None:
                 shared.append(column)
@@ -270,8 +285,16 @@ class ParallelErrorDetection(CommitHook):
         self.ckpt_cycles = src.ckpt_cycles
         self.ideal = src.ideal
         self.use_lfu = src.use_lfu
+        self.capacity = src.capacity
+        self.timeout = src.timeout
         self.arch = src.arch.clone()
-        self.builder = src.builder.snapshot()
+        self._index = src._index
+        self._start = src._start
+        self._start_checkpoint = src._start_checkpoint
+        self._commits = src._commits[:]
+        self._reason = src._reason
+        self._close_row = src._close_row
+        self._on_commit = src._on_commit
         self.segment_checker = src.segment_checker.clone()
         self.icaches = src.icaches.snapshot()
         # the in-order models are stateless (all timing state lives in
@@ -292,7 +315,7 @@ class ParallelErrorDetection(CommitHook):
         self._synced = src._synced
         self.report = src.report.snapshot()
         for name in ("_pcs", "_dsts", "_mem_off", "_mem_kind", "_mem_addr",
-                     "_mem_value", "_mem_used", "_total", "_final_next_pc"):
+                     "_values", "_total", "_final_next_pc"):
             if hasattr(src, name):
                 setattr(self, name, getattr(src, name))
 
@@ -310,64 +333,49 @@ class ParallelErrorDetection(CommitHook):
 
     def _catch_up(self) -> None:
         """Apply the commits of the rows the core skipped: register
-        writebacks, log entries and instruction counts.  None of them can
-        close a segment (see :meth:`_schedule`)."""
+        writebacks and commit cycles.  None of them can close a segment
+        (see :meth:`_schedule`)."""
         cycles = self.skipped_commits
         if not cycles:
             return
         start = self._synced
         stop = self._synced = start + len(cycles)
         self.arch.apply_rows(self._dsts, start, stop)
-        mem_off = self._mem_off
-        period = self.main_period
-        entries = []
-        for seq in range(start, stop):
-            if mem_off[seq + 1] != mem_off[seq]:
-                entries.extend(self._log_entries(
-                    seq, cycles[seq - start] * period))
-        self.builder.append(entries)
-        self.builder.current.instr_count += stop - start
+        self._commits.extend(cycles)
         self._last_next_pc = self._next_pc_of(stop - 1)
         del cycles[:]
+
+    def _plan(self) -> None:
+        """Plan where the open segment closes, by the one closure rule
+        (:func:`repro.detection.lslog.segment_close`) over the bound
+        trace: the close reason, and the row in whose ``post_commit``
+        (``on_commit``) or ``pre_commit`` (a macro-op overflow) it closes.
+        A TERMINATION close plans row ``len(trace)``, which never commits:
+        :meth:`finish` takes it."""
+        interrupts = self._interrupts
+        pending = (interrupts[self._next_interrupt]
+                   if self._next_interrupt < len(interrupts) else None)
+        end, self._reason, self._on_commit = segment_close(
+            self._mem_off, self._start, self._total, self.capacity,
+            self.timeout, pending)
+        self._close_row = end - 1 if self._on_commit else end
 
     def _schedule(self, row: int) -> None:
         """Set :attr:`next_row`: the first row from ``row`` on whose
         commit a segment can close or the commit gate applies.  Neither
-        depends on timing: the segment fills (FULL) or a macro-op
-        overflows it on the first row whose entries reach its capacity
-        (a bisect over ``mem_off``), the timeout on its ``timeout``-th
-        instruction, an interrupt on the first row at or past its seq,
-        and an armed gate on the very next row."""
-        if self._commit_gate_tick:
-            self.next_row = row
-            return
-        builder = self.builder
-        current = builder.current
-        room = builder.capacity - len(current.entries)
-        mem_off = self._mem_off
-        # first k > row with mem_off[k] - mem_off[row] >= room; the row
-        # that reaches it is k - 1
-        nxt = bisect_left(mem_off, mem_off[row] + room, row + 1,
-                          self._total + 1) - 1
-        if builder.timeout is not None:
-            nxt = min(nxt, current.start_seq + builder.timeout - 1)
-        if self._next_interrupt < len(self._interrupts):
-            nxt = min(nxt, max(row, self._interrupts[self._next_interrupt]))
-        self.next_row = nxt
+        depends on timing: the open segment closes on its planned row
+        (:meth:`_plan`), and an armed gate applies on the very next
+        row."""
+        self.next_row = row if self._commit_gate_tick else self._close_row
 
     def pre_commit(self, seq: int, earliest_cycle: int) -> int:
         self._catch_up()
-        builder = self.builder
-        entry_count = self._mem_off[seq + 1] - self._mem_off[seq]
-
-        if entry_count and builder.will_overflow(entry_count):
+        if seq == self._close_row and not self._on_commit:
             # macro-op rule: close at the boundary *before* this instruction;
             # its entries all go into the next segment (§IV-D)
             close_tick = earliest_cycle * self.main_period
-            closed = builder.close(
-                CloseReason.FULL, self._take_checkpoint(self._pcs[seq]),
-                end_seq=seq, close_tick=close_tick)
-            self._dispatch(closed, close_tick)
+            self._close(self._take_checkpoint(self._pcs[seq]), seq,
+                        close_tick)
             earliest_cycle += self.ckpt_cycles
             self.report.checkpoint_stall_cycles += self.ckpt_cycles
             self._arm_commit_gate()
@@ -384,36 +392,19 @@ class ParallelErrorDetection(CommitHook):
         return earliest_cycle
 
     def post_commit(self, seq: int, commit_cycle: int) -> int:
-        builder = self.builder
-        commit_tick = commit_cycle * self.main_period
         self.arch.apply_dsts(self._dsts[seq])
         next_pc = self._next_pc_of(seq)
         self._last_next_pc = next_pc
         self._synced = seq + 1
+        self._commits.append(commit_cycle)
 
-        if self._mem_off[seq + 1] - self._mem_off[seq]:
-            builder.append(self._log_entries(seq, commit_tick))
-        builder.count_instruction()
-
-        reason: CloseReason | None = None
-        if builder.is_full():
-            reason = CloseReason.FULL
-        elif builder.timeout_reached():
-            reason = CloseReason.TIMEOUT
-        elif (self._next_interrupt < len(self._interrupts)
-                and self._interrupts[self._next_interrupt] <= seq):
-            self._next_interrupt += 1
-            reason = CloseReason.INTERRUPT
-
-        if reason is None:
+        if seq != self._close_row or not self._on_commit:
             if seq >= self.next_row:
                 self._schedule(seq + 1)
             return 0
 
-        closed = builder.close(
-            reason, self._take_checkpoint(next_pc),
-            end_seq=seq + 1, close_tick=commit_tick)
-        self._dispatch(closed, commit_tick)
+        commit_tick = commit_cycle * self.main_period
+        self._close(self._take_checkpoint(next_pc), seq + 1, commit_tick)
         self.report.checkpoint_stall_cycles += self.ckpt_cycles
         self._arm_commit_gate()
         self._schedule(seq + 1)
@@ -421,18 +412,13 @@ class ParallelErrorDetection(CommitHook):
 
     def finish(self, last_commit_cycle: int) -> int:
         self._catch_up()
-        builder = self.builder
         final_tick = last_commit_cycle * self.main_period
-        current = builder.current
-        if current.instr_count or current.entries:
-            closed = builder.close(
-                CloseReason.TERMINATION, self._take_checkpoint(self._last_next_pc),
-                end_seq=current.start_seq + current.instr_count,
-                close_tick=final_tick)
-            self._dispatch(closed, final_tick)
+        if self._synced > self._start:
+            # the program's end closes the open segment (its planned
+            # TERMINATION close)
+            self._close(self._take_checkpoint(self._last_next_pc),
+                        self._synced, final_tick)
             self.report.checkpoint_stall_cycles += self.ckpt_cycles
-        for reason, count in builder.closes_by_reason.items():
-            self.report.closes_by_reason[reason.value] = count
         done = max([final_tick] + self.slot_free_tick)
         self.report.all_checks_done_tick = done
         # the program's termination is held back until every outstanding
@@ -442,29 +428,39 @@ class ParallelErrorDetection(CommitHook):
     # -- internals ---------------------------------------------------------------
 
     def _arm_commit_gate(self) -> None:
-        slot = self.builder.current.slot
+        slot = self._index % self.num_cores
         if self.slot_free_tick[slot] > 0:
             self._commit_gate_tick = self.slot_free_tick[slot]
 
-    def _log_entries(self, seq: int, commit_tick: int) -> list[LogEntry]:
-        entries = []
-        mem_kind = self._mem_kind
-        mem_addr = self._mem_addr
-        mem_value = self._mem_value
-        for j in range(self._mem_off[seq], self._mem_off[seq + 1]):
-            kind = mem_kind[j]
-            if kind == LOAD and not self.use_lfu:
-                # ablation: commit-time forwarding from the register
-                # file re-opens the window of vulnerability
-                value = self._mem_used[j]
-            else:
-                # a LOAD logs the value captured at access, which is what
-                # the load forwarding unit forwards at commit (§IV-C);
-                # STORE logs addr + data; NONDET logs the forwarded
-                # result at address 0 — all exactly the column contents
-                value = mem_value[j]
-            entries.append(LogEntry(kind, mem_addr[j], value, commit_tick))
-        return entries
+    def _close(self, end_checkpoint: RegisterCheckpoint, end: int,
+               close_tick: int) -> None:
+        """Close the open segment before row ``end`` for its planned
+        reason, open the next one there and dispatch the closed one.
+
+        The closed segment's columns are those of the trace bound now.
+        Its end checkpoint becomes the start checkpoint of its successor
+        — the induction chain of §IV.
+        """
+        start = self._start
+        reason = self._reason
+        segment = Segment(
+            index=self._index, slot=self._index % self.num_cores,
+            start_seq=start, end_seq=end,
+            start_checkpoint=self._start_checkpoint,
+            end_checkpoint=end_checkpoint,
+            close_reason=reason, close_tick=close_tick,
+            lo=self._mem_off[start], hi=self._mem_off[end],
+            kinds=self._mem_kind, addrs=self._mem_addr, values=self._values,
+            commits=self._commits)
+        self.report.closes_by_reason[reason.value] += 1
+        if reason is CloseReason.INTERRUPT:
+            self._next_interrupt += 1
+        self._index += 1
+        self._start = end
+        self._start_checkpoint = end_checkpoint
+        self._commits = []
+        self._plan()
+        self._dispatch(segment, close_tick)
 
     def _dispatch(self, segment: Segment, close_tick: int) -> None:
         """Hand a closed segment to its checker core."""
@@ -494,10 +490,18 @@ class ParallelErrorDetection(CommitHook):
 
         delays = self.report.delays_ns
         checked = min(result.entries_checked, len(timing.entry_check_cycles),
-                      len(segment.entries))
+                      segment.hi - segment.lo)
+        # entry i was committed with the row whose entry range holds it
+        mem_off = self._mem_off
+        commits = segment.commits
+        lo = segment.lo
+        first = row = segment.start_seq
         for i in range(checked):
+            while mem_off[row + 1] <= lo + i:
+                row += 1
             check_tick = start + timing.entry_check_cycles[i] * self.checker_period
-            delays.add(ticks_to_ns(check_tick - segment.entries[i].commit_tick))
+            commit_tick = commits[row - first] * self.main_period
+            delays.add(ticks_to_ns(check_tick - commit_tick))
 
         if not result.ok:
             for error in result.errors:
@@ -715,14 +719,15 @@ def _later_segments_pass(hook: ParallelErrorDetection, row: int,
       that can close before ``T`` closes on a row below ``bound``, and
       the termination segment closes before ``T`` only if the trace
       ends before ``bound``;
-    * which rows close segments is decided by entry counts, the timeout
-      and interrupts (the spliced path takes no interrupts); commit
-      cycles never enter that decision, and ``_schedule`` makes every
-      such row an event row whatever the commit gate does.  Entry kinds,
-      addresses and values, the checkpoints, and
-      :meth:`SegmentChecker.check`'s result never read commit ticks.  So
-      the copy closes and checks exactly the segments the timed run
-      would, with the same results.
+    * which rows close segments is decided by the log's closure rule
+      (:func:`repro.detection.lslog.segment_close`) from entry counts,
+      the timeout and interrupts (the spliced path takes no
+      interrupts); commit cycles never enter that decision, and
+      ``_schedule`` makes every such row an event row whatever the
+      commit gate does.  Entry kinds, addresses and values, the
+      checkpoints, and :meth:`SegmentChecker.check`'s result never read
+      commit ticks.  So the copy closes and checks exactly the segments
+      the timed run would, with the same results.
     """
     probe = _CheckOnlyDetection.__new__(_CheckOnlyDetection)
     probe.restore(hook)

@@ -172,6 +172,20 @@ class CampaignManifest:
         self.cache = RunCache(self.root / "cache")
         self._clock = clock
 
+    # -- lifetime ------------------------------------------------------------
+
+    def close(self) -> None:
+        """Close the run cache's pack files and release its writer slot
+        (see :meth:`RunCache.close`).  Idempotent; the manifest stays
+        usable and reopens what it needs."""
+        self.cache.close()
+
+    def __enter__(self) -> "CampaignManifest":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     # -- construction --------------------------------------------------------
 
     @classmethod

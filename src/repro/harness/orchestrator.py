@@ -182,19 +182,19 @@ def collect(manifest: CampaignManifest, workers: int = 1) -> CampaignResult:
     slots = (manifest.slots if not failed else
              [spec for key, spec in zip(manifest.keys, manifest.slots)
               if key not in failed])
-    engine = CampaignEngine(
-        workers=workers, cache_dir=manifest.cache.root,
-        trace_store_dir=manifest.root / TRACE_STORE_DIRNAME)
-    return engine.run(slots)
+    with CampaignEngine(
+            workers=workers, cache_dir=manifest.cache.root,
+            trace_store_dir=manifest.root / TRACE_STORE_DIRNAME) as engine:
+        return engine.run(slots)
 
 
 def _worker_entry(root: str, lease_ttl: float, batch_size: int,
                   max_attempts: int, queue) -> None:
     """Child-process entry point of :func:`run_campaign`."""
-    manifest = CampaignManifest.load(root)
-    stats = CampaignWorker(manifest, lease_ttl=lease_ttl,
-                           batch_size=batch_size,
-                           max_attempts=max_attempts).run()
+    with CampaignManifest.load(root) as manifest:
+        stats = CampaignWorker(manifest, lease_ttl=lease_ttl,
+                               batch_size=batch_size,
+                               max_attempts=max_attempts).run()
     queue.put(stats.as_dict())
 
 

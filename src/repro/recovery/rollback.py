@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.config import SystemConfig
+from repro.detection.lslog import segment_close
 from repro.detection.system import DetectionRunResult, run_with_detection
 from repro.isa.executor import Machine, STORE, Trace, execute_program
 from repro.isa.program import Program
@@ -105,9 +106,9 @@ def detect_and_recover(program: Program, faulty_trace: Trace,
 
     # 2. snapshots exist at every segment boundary the detection system
     #    created; roll back to the boundary *before* the failing segment
-    #    (boundaries are recomputed by replaying the builder's closure
-    #    rules over the committed stream — same architectural state
-    #    machine, so the indices line up with the report's)
+    #    (boundaries are recomputed by iterating the log's closure rule
+    #    over the committed stream, so the indices line up with the
+    #    report's)
     seg_starts = _segment_starts(faulty_trace, config)
     store = build_snapshots(faulty_trace, seg_starts)
     store.mark_verified_up_to(
@@ -133,29 +134,21 @@ def detect_and_recover(program: Program, faulty_trace: Trace,
 
 
 def _segment_starts(trace: Trace, config: SystemConfig) -> list[int]:
-    """Commit seqs at which the detection system opened each segment.
+    """Commit seqs at which the detection system opened each segment it
+    dispatched.
 
-    Mirrors the closure rules of :class:`repro.detection.lslog
-    .SegmentBuilder` (fill, macro-op spill, timeout) over the committed
-    stream — cheap to recompute and guaranteed consistent because both
-    run the same architectural state machine.
+    Iterates :func:`repro.detection.lslog.segment_close`, the one rule
+    the detection hook closes its segments by, from row 0 over the
+    committed stream.  Recovery runs take no interrupts, so neither does
+    this.
     """
     capacity = config.detection.segment_entries(config.checker.num_cores)
     timeout = config.detection.instruction_timeout
-    starts = [0]
-    entries = 0
-    instrs = 0
-    mem_off = trace.mem_off
-    for i in range(len(trace)):
-        count = mem_off[i + 1] - mem_off[i]
-        if count and entries + count > capacity:
-            starts.append(i)
-            entries = 0
-            instrs = 0
-        entries += count
-        instrs += 1
-        if entries >= capacity or (timeout is not None and instrs >= timeout):
-            starts.append(i + 1)
-            entries = 0
-            instrs = 0
+    total = len(trace)
+    starts = []
+    start = 0
+    while start < total:
+        starts.append(start)
+        start = segment_close(trace.mem_off, start, total, capacity,
+                              timeout)[0]
     return starts

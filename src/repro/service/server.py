@@ -215,6 +215,11 @@ class CampaignService:
                 pass
         for task in list(self._conn_tasks):
             task.cancel()
+        # release every run cache's pack readers and writer slot
+        for entry in self.campaigns.values():
+            entry.manifest.close()
+        if self.extra_cache is not None:
+            self.extra_cache.close()
 
     def pause_drain(self) -> None:
         """Stop popping new campaigns (the current one finishes)."""
@@ -273,6 +278,7 @@ class CampaignService:
                 continue
             cid = manifest.header["campaign_id"]
             if cid != payload.get("campaign_id") or cid in self.campaigns:
+                manifest.close()
                 continue
             entry = CampaignEntry(
                 id=cid,

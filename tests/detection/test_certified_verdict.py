@@ -179,11 +179,9 @@ def test_certificate_covers_every_segment_closing_before_first_event(
 
 def hook_state(hook) -> tuple:
     """What the look-ahead must leave alone on the hook it copies."""
-    builder = hook.builder
-    current = builder.current
-    return (report_fields(hook.report), builder.segments_closed,
-            dict(builder.closes_by_reason), current.index, current.slot,
-            current.start_seq, list(current.entries), current.instr_count,
+    return (report_fields(hook.report), hook._index, hook._start,
+            hook._start_checkpoint, list(hook._commits), hook._reason,
+            hook._close_row, hook._on_commit, hook._next_interrupt,
             list(hook.arch.xregs), [repr(f) for f in hook.arch.fregs],
             hook.next_row, hook._synced, list(hook.slot_free_tick))
 

@@ -2,36 +2,73 @@
 
 These build segments by hand from real traces so each hardware comparison
 (load address, store address/value, checkpoint, divergence) is exercised
-in isolation.
+in isolation.  A segment is a view of the trace's memory columns, so a
+corrupted log entry is planted in doctored copies of those columns.
 """
 
-import pytest
+from dataclasses import replace
 
 from repro.detection.checker import ErrorKind, SegmentChecker
 from repro.detection.checkpoint import ArchStateTracker
-from repro.detection.lslog import CloseReason, LogEntry, Segment
-from repro.isa.executor import LOAD, STORE
+from repro.detection.faults import FaultInjector, FaultSite, TransientFault
+from repro.detection.lslog import CloseReason, Segment
+from repro.isa.executor import LOAD, STORE, execute_program
 
 
-def build_segment(trace, start_seq, end_seq, index=0, slot=0):
-    """Construct a closed segment covering trace[start_seq:end_seq]."""
+def build_segment(trace, start_seq, end_seq, index=0, slot=0, values=None):
+    """Construct a closed segment covering trace[start_seq:end_seq]: a
+    view of its memory columns, with ``values`` (default ``mem_value``,
+    what the load forwarding unit logs) as the value column."""
     tracker = ArchStateTracker()
     tracker.apply_rows(trace.dsts, 0, start_seq)
     start = tracker.snapshot(trace.pcs[start_seq])
-    # LOAD and STORE log address + value; NONDET logs the value at
-    # address 0 — exactly the column contents
-    entries = [LogEntry(trace.mem_kind[j], trace.mem_addr[j],
-                        trace.mem_value[j], 0)
-               for j in range(trace.mem_off[start_seq],
-                              trace.mem_off[end_seq])]
     tracker.apply_rows(trace.dsts, start_seq, end_seq)
     end = tracker.snapshot(trace.next_pc_of(end_seq - 1))
-    segment = Segment(index=index, slot=slot, start_checkpoint=start,
-                      start_seq=start_seq, entries=entries)
-    segment.close_reason = CloseReason.FULL
-    segment.end_checkpoint = end
-    segment.end_seq = end_seq
-    return segment
+    return Segment(
+        index=index, slot=slot, start_seq=start_seq, end_seq=end_seq,
+        start_checkpoint=start, end_checkpoint=end,
+        close_reason=CloseReason.FULL, close_tick=0,
+        lo=trace.mem_off[start_seq], hi=trace.mem_off[end_seq],
+        kinds=trace.mem_kind, addrs=trace.mem_addr,
+        values=trace.mem_value if values is None else values,
+        commits=[0] * (end_seq - start_seq))
+
+
+def first_entry(segment, kind):
+    """Index within ``segment`` of its first entry of ``kind``."""
+    return next(i for i in range(segment.hi - segment.lo)
+                if segment.kinds[segment.lo + i] == kind)
+
+
+def doctored(segment, i, kind=None, addr=None, value=None):
+    """``segment`` over copies of its columns with entry ``i`` changed."""
+    kinds, addrs, values = (list(segment.kinds), list(segment.addrs),
+                            list(segment.values))
+    j = segment.lo + i
+    if kind is not None:
+        kinds[j] = kind
+    if addr is not None:
+        addrs[j] = addr
+    if value is not None:
+        values[j] = value
+    return replace(segment, kinds=kinds, addrs=addrs, values=values)
+
+
+def resized(segment, delta, kind=LOAD, addr=0x9999, value=0):
+    """``segment`` over copies of its columns with its last ``-delta``
+    entries deleted, or with ``delta`` entries of ``(kind, addr, value)``
+    inserted after its last one."""
+    columns = [list(segment.kinds), list(segment.addrs),
+               list(segment.values)]
+    hi = segment.hi
+    for column, extra in zip(columns, (kind, addr, value)):
+        if delta < 0:
+            del column[hi + delta:hi]
+        else:
+            column[hi:hi] = [extra] * delta
+    kinds, addrs, values = columns
+    return replace(segment, kinds=kinds, addrs=addrs, values=values,
+                   hi=hi + delta)
 
 
 class TestFaultFreeReplay:
@@ -40,7 +77,7 @@ class TestFaultFreeReplay:
         segment = build_segment(rmw_trace, 40, 200)
         result = checker.check(segment)
         assert result.ok, result.errors
-        assert result.entries_checked == len(segment.entries)
+        assert result.entries_checked == segment.hi - segment.lo
         assert result.instructions_executed == 160
         assert len(result.steps) == 160
 
@@ -77,36 +114,39 @@ class TestFaultFreeReplay:
 class TestComparisonFailures:
     def test_load_addr_mismatch(self, rmw_program, rmw_trace):
         segment = build_segment(rmw_trace, 40, 200)
-        for i, entry in enumerate(segment.entries):
-            if entry.kind == LOAD:
-                segment.entries[i] = LogEntry(LOAD, entry.addr ^ 0x40,
-                                              entry.value, 0)
-                break
+        i = first_entry(segment, LOAD)
+        segment = doctored(segment, i,
+                           addr=segment.addrs[segment.lo + i] ^ 0x40)
         result = SegmentChecker(rmw_program).check(segment)
         assert not result.ok
         assert result.first_error.kind is ErrorKind.LOAD_ADDR_MISMATCH
+        assert result.first_error.entry_index == i
 
     def test_store_value_mismatch(self, rmw_program, rmw_trace):
         segment = build_segment(rmw_trace, 40, 200)
-        for i, entry in enumerate(segment.entries):
-            if entry.kind == STORE:
-                segment.entries[i] = LogEntry(STORE, entry.addr,
-                                              entry.value ^ 1, 0)
-                break
+        i = first_entry(segment, STORE)
+        segment = doctored(segment, i,
+                           value=segment.values[segment.lo + i] ^ 1)
         result = SegmentChecker(rmw_program).check(segment)
         assert not result.ok
         assert result.first_error.kind is ErrorKind.STORE_VALUE_MISMATCH
+        assert result.first_error.entry_index == i
 
     def test_store_addr_mismatch(self, rmw_program, rmw_trace):
         segment = build_segment(rmw_trace, 40, 200)
-        for i, entry in enumerate(segment.entries):
-            if entry.kind == STORE:
-                segment.entries[i] = LogEntry(STORE, entry.addr ^ 0x40,
-                                              entry.value, 0)
-                break
+        i = first_entry(segment, STORE)
+        segment = doctored(segment, i,
+                           addr=segment.addrs[segment.lo + i] ^ 0x40)
         result = SegmentChecker(rmw_program).check(segment)
         assert not result.ok
         assert result.first_error.kind is ErrorKind.STORE_ADDR_MISMATCH
+        assert result.first_error.entry_index == i
+
+    def test_doctored_copy_leaves_the_trace_alone(self, rmw_program,
+                                                  rmw_trace):
+        segment = build_segment(rmw_trace, 40, 200)
+        doctored(segment, first_entry(segment, STORE), value=0)
+        assert SegmentChecker(rmw_program).check(segment).ok
 
     def test_corrupt_start_checkpoint_detected(self, rmw_program, rmw_trace):
         segment = build_segment(rmw_trace, 40, 200)
@@ -138,37 +178,31 @@ class TestComparisonFailures:
 
 class TestDivergence:
     def test_missing_entries(self, rmw_program, rmw_trace):
-        segment = build_segment(rmw_trace, 40, 200)
-        del segment.entries[-3:]
+        segment = resized(build_segment(rmw_trace, 40, 200), -3)
         result = SegmentChecker(rmw_program).check(segment)
         assert not result.ok
         assert result.first_error.kind is ErrorKind.LOG_DIVERGENCE
+        assert result.first_error.detail == (
+            "log segment exhausted before replay finished")
 
     def test_leftover_entries(self, rmw_program, rmw_trace):
-        segment = build_segment(rmw_trace, 40, 200)
-        segment.entries.append(LogEntry(LOAD, 0x9999, 0, 0))
+        segment = resized(build_segment(rmw_trace, 40, 200), 1)
         result = SegmentChecker(rmw_program).check(segment)
         assert not result.ok
         assert result.first_error.kind is ErrorKind.LOG_DIVERGENCE
+        assert result.first_error.detail.startswith(
+            "1 log entries left unchecked")
 
     def test_wrong_kind(self, rmw_program, rmw_trace):
         segment = build_segment(rmw_trace, 40, 200)
-        for i, entry in enumerate(segment.entries):
-            if entry.kind == LOAD:
-                segment.entries[i] = LogEntry(STORE, entry.addr,
-                                              entry.value, 0)
-                break
+        i = first_entry(segment, LOAD)
+        segment = doctored(segment, i, kind=STORE)
         result = SegmentChecker(rmw_program).check(segment)
         assert not result.ok
         assert result.first_error.kind is ErrorKind.LOG_DIVERGENCE
-
-    def test_unclosed_segment_rejected(self, rmw_program, rmw_trace):
-        from repro.common.errors import ReproError
-        tracker = ArchStateTracker()
-        segment = Segment(index=0, slot=0,
-                          start_checkpoint=tracker.snapshot(0), start_seq=0)
-        with pytest.raises(ReproError):
-            SegmentChecker(rmw_program).check(segment)
+        assert result.first_error.entry_index == i
+        assert result.first_error.detail.startswith(
+            "replayed a load but log holds store @")
 
 
 class TestCheckerSideFaults:
@@ -213,3 +247,35 @@ class TestNondetReplay:
         result = SegmentChecker(program).check(segment)
         assert result.ok
         assert result.entries_checked == 3  # RDRAND + RDCYCLE + ST
+
+
+class TestLoadForwarding:
+    """The value column is the load forwarding unit (§IV-C): a LOAD_VALUE
+    fault corrupts a loaded value in the register file after the cache
+    access, so ``mem_value`` holds the value the unit captured and
+    ``mem_used`` the corrupted one."""
+
+    def faulty(self, program):
+        # seq 3 + 8 * 10 + 3 is the loop's LD in its tenth iteration
+        injector = FaultInjector(
+            [TransientFault(FaultSite.LOAD_VALUE, seq=86, bit=4)])
+        trace = execute_program(program, fault_injector=injector)
+        assert injector.activations
+        return trace
+
+    def test_captured_value_catches_the_fault(self, rmw_program):
+        trace = self.faulty(rmw_program)
+        result = SegmentChecker(rmw_program).check(
+            build_segment(trace, 40, 200))
+        # the replay loads the good value: the main core's store of the
+        # corrupted sum differs from the replayed one
+        assert not result.ok
+        assert result.first_error.kind is ErrorKind.STORE_VALUE_MISMATCH
+
+    def test_register_file_value_lets_the_fault_escape(self, rmw_program):
+        trace = self.faulty(rmw_program)
+        result = SegmentChecker(rmw_program).check(
+            build_segment(trace, 40, 200, values=trace.mem_used))
+        # the replay loads the corrupted value too and agrees with every
+        # store and the end checkpoint
+        assert result.ok, result.errors

@@ -1,154 +1,222 @@
-"""Tests for the partitioned load-store log structures."""
+"""Tests for the partitioned load-store log: its one closure rule, and the
+segments the detection hook cuts by it."""
+
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from repro.common.config import default_config
 from repro.common.errors import ConfigError
-from repro.detection.checkpoint import ArchStateTracker
-from repro.detection.lslog import CloseReason, LogEntry, SegmentBuilder
-from repro.isa.executor import LOAD, NONDET, STORE
+from repro.core.ooo_core import OoOCore
+from repro.detection.lslog import CloseReason, segment_close
+from repro.detection.system import ParallelErrorDetection
+from repro.isa.executor import LOAD, NONDET, STORE, execute_program
+
+from tests.core.timing_pins import build_pair_loop, stress_config
+from tests.detection.test_checker import build_segment
+
+FULL = CloseReason.FULL
+TIMEOUT = CloseReason.TIMEOUT
+INTERRUPT = CloseReason.INTERRUPT
+TERMINATION = CloseReason.TERMINATION
 
 
-def make_builder(capacity=4, timeout=100, slots=3):
-    return SegmentBuilder(
-        capacity=capacity, timeout=timeout, num_slots=slots,
-        first_checkpoint=ArchStateTracker().snapshot(0))
+def offsets(counts):
+    """``mem_off`` of a trace whose rows log ``counts`` entries each."""
+    off = [0]
+    for count in counts:
+        off.append(off[-1] + count)
+    return off
 
 
-def entries(n, kind=LOAD):
-    return [LogEntry(kind, 0x1000 + 8 * i, i, commit_tick=i) for i in range(n)]
+def close(counts, start=0, capacity=4, timeout=None, interrupt=None):
+    return segment_close(offsets(counts), start, len(counts), capacity,
+                         timeout, interrupt)
 
 
-class TestFilling:
-    def test_append_and_fill(self):
-        b = make_builder(capacity=4)
-        b.append(entries(3))
-        assert not b.is_full()
-        b.append(entries(1))
-        assert b.is_full()
+def plan(counts, capacity=4, timeout=None):
+    """``(start, end, reason)`` of every segment, iterating the rule from
+    row 0."""
+    segments, start = [], 0
+    while start < len(counts):
+        end, reason, _ = close(counts, start, capacity, timeout)
+        segments.append((start, end, reason))
+        start = end
+    return segments
 
-    def test_will_overflow(self):
-        b = make_builder(capacity=4)
-        b.append(entries(3))
-        assert not b.will_overflow(1)
-        assert b.will_overflow(2)  # macro-op with 2 entries cannot split
 
-    def test_zero_entries_never_overflow(self):
-        b = make_builder(capacity=4)
-        b.append(entries(4))
-        assert not b.will_overflow(0)
+class TestFill:
+    def test_full_on_the_filling_row(self):
+        # the fourth one-entry row fills a four-entry segment: it closes
+        # as that row commits
+        assert close([1] * 6) == (4, FULL, True)
 
-    def test_oversized_instruction_rejected(self):
-        b = make_builder(capacity=4)
-        with pytest.raises(ConfigError):
-            b.will_overflow(5)
+    def test_overflow_closes_before_the_row(self):
+        # a two-entry macro-op cannot split over the one free entry: the
+        # segment closes before it, and it goes into the next one
+        assert close([1, 1, 1, 2, 1, 1]) == (3, FULL, False)
+        assert plan([1, 1, 1, 2, 1, 1]) == [(0, 3, FULL), (3, 6, FULL)]
 
-    def test_overflow_append_rejected(self):
-        b = make_builder(capacity=4)
-        b.append(entries(3))
-        with pytest.raises(ConfigError):
-            b.append(entries(2))
+    def test_macro_op_that_just_fits_fills(self):
+        assert close([1, 1, 2, 1]) == (3, FULL, True)
 
-    def test_capacity_minimum(self):
-        with pytest.raises(ConfigError):
-            make_builder(capacity=1)
+    def test_zero_entry_rows(self):
+        # rows without entries neither fill nor close a segment: it runs
+        # past them, closes on the row that fills it, and the empty rows
+        # after that row open the next one
+        assert close([0, 0, 1, 0, 3, 0, 0]) == (5, FULL, True)
+        assert plan([2, 2, 0, 0]) == [(0, 2, FULL), (2, 4, TERMINATION)]
+        assert close([0] * 5) == (5, TERMINATION, False)
 
-    def test_timeout_reached(self):
-        b = make_builder(timeout=3)
-        for _ in range(3):
-            assert not b.timeout_reached() or True
-            b.count_instruction()
-        assert b.timeout_reached()
+    def test_termination_flushes_the_partial_segment(self):
+        assert close([1, 1]) == (2, TERMINATION, False)
+        assert plan([1] * 5) == [(0, 4, FULL), (4, 5, TERMINATION)]
+
+    def test_no_termination_segment_after_a_final_fill(self):
+        assert plan([1] * 4) == [(0, 4, FULL)]
+        assert close([1] * 4, start=4) == (4, TERMINATION, False)
+        assert close([]) == (0, TERMINATION, False)
+
+
+class TestTimeout:
+    def test_timeout_on_its_nth_row(self):
+        assert close([0] * 10, timeout=3) == (3, TIMEOUT, True)
+        assert close([0] * 10, start=4, timeout=3) == (7, TIMEOUT, True)
+
+    def test_timeout_on_the_last_row(self):
+        assert close([0] * 3, timeout=3) == (3, TIMEOUT, True)
 
     def test_no_timeout_when_none(self):
-        b = make_builder(timeout=None)
-        for _ in range(10_000):
-            b.count_instruction()
-        assert not b.timeout_reached()
+        assert close([0] * 10_000) == (10_000, TERMINATION, False)
+
+    def test_fill_wins_a_tie(self):
+        assert close([1, 1, 1, 1, 0], timeout=4) == (4, FULL, True)
+
+    def test_beats_an_overflow_on_the_next_row(self):
+        # the timeout closes the segment as row 2 commits, so row 3's
+        # macro-op opens the next segment instead of overflowing this one
+        assert close([1, 1, 1, 2], timeout=3) == (3, TIMEOUT, True)
 
 
-class TestClosing:
-    def test_close_links_checkpoints(self):
-        b = make_builder()
-        tracker = ArchStateTracker()
-        tracker.xregs[1] = 42
-        end = tracker.snapshot(7)
-        closed = b.close(CloseReason.FULL, end, end_seq=10, close_tick=500)
-        assert closed.end_checkpoint is end
-        assert closed.close_reason is CloseReason.FULL
-        assert closed.close_tick == 500
-        # induction chain: next segment starts from the closed end
-        assert b.current.start_checkpoint is end
-        assert b.current.start_seq == 10
+class TestInterrupt:
+    def test_closes_on_its_row(self):
+        assert close([0] * 10, interrupt=5) == (6, INTERRUPT, True)
 
-    def test_slots_round_robin(self):
-        b = make_builder(slots=3)
-        end = ArchStateTracker().snapshot(0)
-        slots = [b.current.slot]
-        for i in range(5):
-            b.close(CloseReason.TIMEOUT, end, end_seq=i, close_tick=i)
-            slots.append(b.current.slot)
-        assert slots == [0, 1, 2, 0, 1, 2]
+    def test_pending_interrupt_closes_the_first_row(self):
+        # an interrupt at or before the segment's start (its row closed
+        # the previous segment for another reason) closes the next row
+        assert close([0] * 10, start=6, interrupt=5) == (7, INTERRUPT, True)
 
-    def test_close_counters(self):
-        b = make_builder()
-        end = ArchStateTracker().snapshot(0)
-        b.close(CloseReason.FULL, end, 1, 1)
-        b.close(CloseReason.TIMEOUT, end, 2, 2)
-        b.close(CloseReason.TIMEOUT, end, 3, 3)
-        assert b.segments_closed == 3
-        assert b.closes_by_reason[CloseReason.TIMEOUT] == 2
-        assert b.closes_by_reason[CloseReason.FULL] == 1
+    def test_fill_and_timeout_win_a_tie(self):
+        assert close([1, 1, 1, 1, 0], interrupt=3) == (4, FULL, True)
+        assert close([0] * 5, timeout=2, interrupt=1) == (2, TIMEOUT, True)
 
-    def test_segment_indices_increase(self):
-        b = make_builder()
-        end = ArchStateTracker().snapshot(0)
-        first = b.close(CloseReason.FULL, end, 1, 1)
-        second = b.close(CloseReason.FULL, end, 2, 2)
-        assert (first.index, second.index) == (0, 1)
+    def test_beats_an_overflow_on_the_next_row(self):
+        assert close([1, 1, 1, 2], interrupt=2) == (3, INTERRUPT, True)
+
+    def test_past_the_end_never_fires(self):
+        assert close([0] * 3, interrupt=3) == (3, TERMINATION, False)
 
 
-class TestLogEntry:
-    def test_describe(self):
-        assert "load" in LogEntry(LOAD, 0x10, 1, 0).describe()
-        assert "store" in LogEntry(STORE, 0x10, 1, 0).describe()
-        assert "nondet" in LogEntry(NONDET, 0, 1, 0).describe()
+class TestConfigErrors:
+    def test_capacity_minimum(self):
+        with pytest.raises(ConfigError):
+            close([1], capacity=1)
+
+    def test_oversized_instruction_rejected(self):
+        with pytest.raises(ConfigError):
+            close([5], capacity=4)
+
+    def test_oversized_instruction_raises_in_its_own_segment(self):
+        # the segment before it closes on the overflow; the one that
+        # opens at it cannot hold it
+        assert close([1, 5], capacity=4) == (1, FULL, False)
+        with pytest.raises(ConfigError):
+            close([1, 5], start=1, capacity=4)
 
 
-class TestCloseReasonAccounting:
-    """Satellite hardening: closure accounting must stay exact across
-    every close reason, including mixes within one builder."""
+def dispatched(trace, config, **kwargs):
+    """The segments a detection hook dispatches over a run of ``trace``,
+    and its report."""
+    segments = []
 
-    def test_each_reason_counted(self):
-        snap = ArchStateTracker().snapshot(0)
-        b = make_builder(capacity=4, timeout=10, slots=4)
-        for i, reason in enumerate([CloseReason.FULL, CloseReason.TIMEOUT,
-                                    CloseReason.INTERRUPT,
-                                    CloseReason.TERMINATION]):
-            b.append(entries(1))
-            b.count_instruction()
-            closed = b.close(reason, snap, end_seq=i + 1, close_tick=i)
-            assert closed.close_reason is reason
-        assert b.segments_closed == 4
-        assert b.closes_by_reason == {r: 1 for r in CloseReason}
+    class Spy(ParallelErrorDetection):
+        def _dispatch(self, segment, close_tick):
+            segments.append(segment)
+            super()._dispatch(segment, close_tick)
 
-    def test_repeated_reason_accumulates(self):
-        snap = ArchStateTracker().snapshot(0)
-        b = make_builder(capacity=4, timeout=None, slots=2)
-        for i in range(5):
-            b.append(entries(4))
-            b.close(CloseReason.FULL, snap, end_seq=i + 1, close_tick=i)
-        b.close(CloseReason.TERMINATION, snap, end_seq=6, close_tick=5)
-        assert b.closes_by_reason[CloseReason.FULL] == 5
-        assert b.closes_by_reason[CloseReason.TERMINATION] == 1
-        assert b.closes_by_reason[CloseReason.TIMEOUT] == 0
-        assert b.closes_by_reason[CloseReason.INTERRUPT] == 0
-        assert b.segments_closed == 6
+    hook = Spy(config, trace.program, **kwargs)
+    OoOCore(config).run(trace, hook=hook)
+    return segments, hook.report
 
-    def test_counts_sum_to_segments_closed(self):
-        snap = ArchStateTracker().snapshot(0)
-        b = make_builder(capacity=4, timeout=3, slots=3)
-        reasons = [CloseReason.FULL, CloseReason.FULL, CloseReason.TIMEOUT,
-                   CloseReason.INTERRUPT, CloseReason.TERMINATION]
-        for i, reason in enumerate(reasons):
-            b.close(reason, snap, end_seq=i + 1, close_tick=i)
-        assert sum(b.closes_by_reason.values()) == b.segments_closed == 5
+
+@pytest.fixture(scope="module")
+def pair_trace():
+    return execute_program(build_pair_loop(60))
+
+
+class TestHookSegments:
+    def three_cores(self):
+        # forty entries a segment
+        base = default_config()
+        return replace(
+            base, checker=replace(base.checker, num_cores=3),
+            detection=replace(base.detection, log_bytes=3 * 40 * 16))
+
+    def test_index_and_slot_round_robin(self, rmw_trace):
+        segments, _ = dispatched(rmw_trace, self.three_cores())
+        assert len(segments) > 6
+        assert [s.index for s in segments] == list(range(len(segments)))
+        assert [s.slot for s in segments] == [
+            i % 3 for i in range(len(segments))]
+
+    def test_rows_and_checkpoints_chain(self, rmw_trace):
+        segments, _ = dispatched(rmw_trace, self.three_cores())
+        assert segments[0].start_seq == 0
+        assert segments[-1].end_seq == len(rmw_trace)
+        for before, after in zip(segments, segments[1:]):
+            # induction chain: a segment starts where, and from the
+            # checkpoint with which, its predecessor closed
+            assert after.start_seq == before.end_seq
+            assert after.start_checkpoint is before.end_checkpoint
+
+    def test_segments_are_views_of_the_trace(self, pair_trace):
+        config = stress_config()
+        for use_lfu in (True, False):
+            config = replace(config, detection=replace(
+                config.detection, load_forwarding_unit=use_lfu))
+            segments, _ = dispatched(pair_trace, config)
+            values = (pair_trace.mem_value if use_lfu
+                      else pair_trace.mem_used)
+            for s in segments:
+                assert s.kinds is pair_trace.mem_kind
+                assert s.addrs is pair_trace.mem_addr
+                assert s.values is values
+                assert (s.lo, s.hi) == (pair_trace.mem_off[s.start_seq],
+                                        pair_trace.mem_off[s.end_seq])
+                assert len(s.commits) == s.end_seq - s.start_seq
+
+    def test_close_counters(self, rmw_trace):
+        # seven entries a segment and a 26-row timeout close about as many
+        # segments on the timeout as on fill
+        config = stress_config()
+        config = replace(config, detection=replace(
+            config.detection, instruction_timeout=26))
+        segments, report = dispatched(rmw_trace, config,
+                                      interrupt_seqs=[100, 300, 301])
+        reasons = Counter(s.close_reason.value for s in segments)
+        assert set(reasons) == {r.value for r in CloseReason}
+        assert report.closes_by_reason == {
+            r.value: reasons[r.value] for r in CloseReason}
+        assert report.segments_checked == len(segments)
+
+
+class TestDescribe:
+    def test_describe(self, rmw_trace):
+        segment = build_segment(rmw_trace, 0, 100)
+        kinds = [segment.kinds[j] for j in range(segment.lo, segment.hi)]
+        assert segment.describe(kinds.index(LOAD)).startswith("load @0x")
+        assert segment.describe(kinds.index(STORE)).startswith("store @0x")
+        nondet = replace(segment, kinds=[NONDET] * segment.hi)
+        assert nondet.describe(0).startswith("nondet @0x")

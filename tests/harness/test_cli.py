@@ -1,8 +1,10 @@
 """Tests for the command-line interface."""
 
+import gc
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -189,6 +191,23 @@ class TestManifestCommands:
         assert status["complete"] and status["states"]["done"] == 6
         assert status["campaign_id"] == first["manifest"]["campaign_id"]
 
+    def test_manifest_verbs_close_their_caches(self, capsys, tmp_path):
+        manifest = str(tmp_path / "m")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["campaign", "--benchmark", "stream", "--trials",
+                         "2", "--manifest", manifest,
+                         "--materialize-only"]) == 0
+            assert main(["campaign-worker", "--manifest", manifest]) == 0
+            assert main(["campaign-status", "--manifest", manifest]) == 0
+            assert main(["campaign", "--benchmark", "stream", "--trials",
+                         "2", "--manifest", manifest]) == 0
+            gc.collect()
+        capsys.readouterr()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)
+                    and ".pack" in str(w.message)]
+
     def test_worker_and_status_need_existing_manifest(self, capsys,
                                                       tmp_path):
         missing = str(tmp_path / "nothing")
@@ -249,8 +268,8 @@ class TestManifestCommands:
         def finish(_seconds: float) -> None:
             from repro.harness.manifest import CampaignManifest
             from repro.harness.orchestrator import CampaignWorker
-            manifest = CampaignManifest.load(tmp_path / "m")
-            CampaignWorker(manifest, worker_id="bg").run()
+            with CampaignManifest.load(tmp_path / "m") as manifest:
+                CampaignWorker(manifest, worker_id="bg").run()
 
         monkeypatch.setattr(time_mod, "sleep", finish)
         assert main(["campaign-status", "--manifest", str(tmp_path / "m"),

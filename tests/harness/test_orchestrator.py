@@ -1,9 +1,11 @@
 """Tests for manifest-driven campaign orchestration: atomic leases,
 work-stealing workers, crash resumption, and status reporting."""
 
+import gc
 import hashlib
 import json
 import threading
+import warnings
 from dataclasses import asdict
 
 import pytest
@@ -58,9 +60,11 @@ def grid():
 
 @pytest.fixture
 def manifest(tmp_path, grid):
-    return CampaignManifest.create(
-        tmp_path / "m", grid, kind="fault", scheme="detection",
-        scale="small", benchmarks=["stream"], clock=FakeClock())
+    with CampaignManifest.create(
+            tmp_path / "m", grid, kind="fault", scheme="detection",
+            scale="small", benchmarks=["stream"],
+            clock=FakeClock()) as manifest:
+        yield manifest
 
 
 class TestSpecRoundTrip:
@@ -130,6 +134,30 @@ class TestManifestLifecycle:
                                            [spec, spec, spec])
         assert len(manifest.slots) == 3
         assert len(manifest.unique) == 1
+
+
+class TestClose:
+    def test_worker_run_leaves_no_pack_to_collect(self, tmp_path, grid):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with CampaignManifest.create(tmp_path / "m", grid) as manifest:
+                # a worker writes every record, the merge reads them back
+                result, stats = run_campaign(manifest)
+            assert stats.executed == len(manifest.unique)
+            assert len(result.records) == len(grid)
+            del manifest
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)
+                    and ".pack" in str(w.message)]
+
+    def test_closed_manifest_reopens_on_next_use(self, manifest):
+        CampaignWorker(manifest).run(max_jobs=2)
+        manifest.close()
+        manifest.close()                       # idempotent
+        assert manifest_status(manifest)["states"]["done"] == 2
+        CampaignWorker(manifest).run()
+        assert manifest_status(manifest)["complete"]
 
 
 class TestLeases:
@@ -237,6 +265,8 @@ class TestWorkers:
         assert total == len(manifest.unique)
         assert results[0].failed == results[1].failed == 0
         assert manifest_status(manifest)["complete"]
+        for opened in [manifest] + [w.manifest for w in workers]:
+            opened.close()
 
     def test_workers_racing_on_cold_store_share_one_envelope(
             self, tmp_path, grid, monkeypatch):
@@ -304,10 +334,12 @@ class TestWorkers:
                     "clean execution despite a warm golden-trace store")
 
             monkeypatch.setattr(suite, "execute_program", boom)
-            engine = CampaignEngine(cache_dir=tmp_path / "cache2",
-                                    trace_store_dir=store_dir)
-            result = engine.run(list(other))
+            with CampaignEngine(cache_dir=tmp_path / "cache2",
+                                trace_store_dir=store_dir) as engine:
+                result = engine.run(list(other))
             assert len(result.records) == len(other)
+            for opened in [manifest] + [w.manifest for w in workers]:
+                opened.close()
         finally:
             configure_trace_store(None)
 
@@ -397,12 +429,13 @@ class TestResumption:
         merged = collect(manifest)
         assert merged.executed == 0  # pure cache replay
         assert merged.records_json() == serial.records_json()
+        manifest.close()
 
     def test_finished_manifest_is_pure_replay(self, tmp_path, grid):
-        manifest = CampaignManifest.create(tmp_path / "m", grid)
-        result, _stats = run_campaign(manifest)
-        assert manifest_status(manifest)["complete"]
-        again, stats = run_campaign(manifest)
+        with CampaignManifest.create(tmp_path / "m", grid) as manifest:
+            result, _stats = run_campaign(manifest)
+            assert manifest_status(manifest)["complete"]
+            again, stats = run_campaign(manifest)
         assert stats.executed == 0
         assert again.records_json() == result.records_json()
 
@@ -511,10 +544,10 @@ class TestStatus:
 
     def test_status_per_scheme_progress(self, tmp_path):
         grid = scheme_grid(["stream"], ["lockstep", "rmt"], scale="small")
-        manifest = CampaignManifest.create(tmp_path / "m", grid,
-                                           kind="baseline")
-        CampaignWorker(manifest, worker_id="w").run(max_jobs=1)
-        status = manifest_status(manifest)
+        with CampaignManifest.create(tmp_path / "m", grid,
+                                     kind="baseline") as manifest:
+            CampaignWorker(manifest, worker_id="w").run(max_jobs=1)
+            status = manifest_status(manifest)
         assert set(status["by_scheme"]) == {"lockstep", "rmt"}
         done = sum(g["done"] for g in status["by_scheme"].values())
         assert done == 1
@@ -522,8 +555,8 @@ class TestStatus:
 
 class TestSummaries:
     def test_fault_summary_single_pass_matches_fields(self, tmp_path, grid):
-        manifest = CampaignManifest.create(tmp_path / "m", grid)
-        result, _stats = run_campaign(manifest)
+        with CampaignManifest.create(tmp_path / "m", grid) as manifest:
+            result, _stats = run_campaign(manifest)
         agg = summarize_result("fault", result, ["stream"])
         s = agg.summary
         assert s["jobs"] == len(grid)

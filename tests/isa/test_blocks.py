@@ -39,7 +39,7 @@ from repro.isa.program import ProgramBuilder, predecode
 from repro.workloads.suite import BENCHMARK_ORDER, build_benchmark
 
 from tests.conftest import build_rmw_loop
-from tests.detection.test_checker import build_segment
+from tests.detection.test_checker import build_segment, doctored
 from tests.isa.test_block_property import build_program, program_draw
 
 
@@ -218,11 +218,9 @@ class TestCheckerIdentity:
                                      monkeypatch):
         # corrupt one load value mid-segment: the replay must stop at
         # the same instruction with the same error in both modes
-        from repro.detection.lslog import LogEntry
         segment = build_segment(rmw_trace, 40, 240)
-        old = segment.entries[11]
-        segment.entries[11] = LogEntry(old.kind, old.addr, old.value ^ 0x8,
-                                       old.commit_tick)
+        segment = doctored(segment, 11,
+                           value=segment.values[segment.lo + 11] ^ 0x8)
 
         monkeypatch.setenv(BLOCK_EXEC_ENV, "1")
         block = SegmentChecker(rmw_program).check(segment)

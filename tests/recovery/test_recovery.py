@@ -141,13 +141,3 @@ class TestDetectAndRecover:
         assert outcome.rollback_seq == 0  # first segment: entry snapshot
         assert outcome.state_correct
 
-
-class TestSegmentStartsConsistency:
-    def test_matches_detection_segment_count(self, clean):
-        from repro.detection.system import run_with_detection
-        config = default_config()
-        report = run_with_detection(clean, config).report
-        starts = _segment_starts(clean, config)
-        # builder opens one segment per close (+ the initial one); the
-        # final partial segment closes at termination
-        assert len(starts) == report.segments_checked

@@ -6,6 +6,7 @@ two-tenant fairness, bounded-queue 429 backpressure, and byte-identity
 of HTTP-served records with on-disk envelopes from a serial run.
 """
 
+import asyncio
 import json
 import threading
 import time
@@ -158,22 +159,22 @@ class TestRecordsAndEtags:
 
         # identical to the envelope inside the campaign directory
         campaign_root = Path(payload["service"]["manifest"])
-        disk = RunCache(campaign_root / "cache")
-        assert disk.read_envelope(key) == http_bytes
+        with RunCache(campaign_root / "cache") as disk:
+            assert disk.read_envelope(key) == http_bytes
 
         # identical to a completely independent serial engine run of
         # the same declarative description (the cross-transport
         # determinism contract)
         grid, _meta = build_grid(desc)
-        engine = CampaignEngine(workers=1,
-                                cache_dir=tmp_path / "serial")
-        engine.run(grid)
-        serial = RunCache(tmp_path / "serial")
-        assert serial.read_envelope(key) == http_bytes
-        # and to the canonical envelope of the record itself
-        assert canonical_json(
-            {"key": key, "record": serial.get(key),
-             "schema": CACHE_SCHEMA_VERSION}).encode() == http_bytes
+        with CampaignEngine(workers=1,
+                            cache_dir=tmp_path / "serial") as engine:
+            engine.run(grid)
+        with RunCache(tmp_path / "serial") as serial:
+            assert serial.read_envelope(key) == http_bytes
+            # and to the canonical envelope of the record itself
+            assert canonical_json(
+                {"key": key, "record": serial.get(key),
+                 "schema": CACHE_SCHEMA_VERSION}).encode() == http_bytes
 
     def test_unknown_record_is_404(self, live_service):
         st, body, _h = live_service.request("GET", f"/records/{'0' * 64}")
@@ -292,6 +293,29 @@ class TestRecovery:
         assert final["complete"]
         _st, listing, _h = second.get_json("/campaigns")
         assert [c["campaign"] for c in listing["campaigns"]] == [cid]
+
+
+class TestShutdown:
+    def test_stop_closes_every_run_cache(self, service_factory, tmp_path):
+        extra = tmp_path / "extra"
+        with RunCache(extra) as seed:
+            seed.put("e" * 64, {"x": 1})
+        live = service_factory(cache_dir=extra)
+        _st, payload = live.submit(tiny_desc("bitcount"))
+        cid = payload["campaign"]
+        live.wait_complete(cid)
+        _st, listing, _h = live.get_json(f"/campaigns/{cid}/records")
+        # reading records opens the packs of the campaign's cache and
+        # of the extra cache
+        assert live.request("GET", listing["records"][0]["url"])[0] == 200
+        assert live.request("GET", f"/records/{'e' * 64}")[0] == 200
+        caches = [entry.manifest.cache
+                  for entry in live.service.campaigns.values()]
+        caches.append(live.service.extra_cache)
+        asyncio.run_coroutine_threadsafe(
+            live.service.stop(), live.loop).result(20)
+        for cache in caches:
+            assert cache._writer is None and not cache._packs
 
 
 class TestHttpErrors:
