@@ -3,7 +3,7 @@
 Measures, over the nine small suite workloads:
 
 * ``bare`` — :meth:`OoOCore.run_rows` with no hook (the golden timing
-  record's run);
+  run);
 * ``hooked`` — :meth:`OoOCore.run_rows` under
   :class:`ParallelErrorDetection` with the default configuration, hook
   included (segment closes, checkpoints, checker replay and checker

@@ -49,7 +49,7 @@ import argparse
 import sys
 
 from repro.harness import figures as fig_mod
-from repro.harness.campaign import JOB_KINDS
+from repro.harness.campaign import JOB_KINDS, CampaignEngine
 from repro.harness.experiment import ExperimentRunner
 from repro.schemes import scheme_names
 
@@ -76,12 +76,13 @@ def cmd_figures(args: argparse.Namespace) -> int:
         print(f"unknown figure(s): {', '.join(unknown)}", file=sys.stderr)
         print(f"available: {', '.join(FIGURE_COMMANDS)}", file=sys.stderr)
         return 2
-    runner = ExperimentRunner(scale=args.scale, workers=args.workers,
-                              cache_dir=args.cache_dir)
-    for name in names:
-        text, _data = FIGURE_COMMANDS[name](runner)
-        print(text)
-        print()
+    with CampaignEngine(workers=args.workers,
+                        cache_dir=args.cache_dir) as engine:
+        runner = ExperimentRunner(scale=args.scale, engine=engine)
+        for name in names:
+            text, _data = FIGURE_COMMANDS[name](runner)
+            print(text)
+            print()
     return 0
 
 
@@ -118,7 +119,6 @@ def _build_grid(args: argparse.Namespace, names: list[str]):
 
 def cmd_campaign(args: argparse.Namespace) -> int:
     from repro.common.records import canonical_json
-    from repro.harness.campaign import CampaignEngine
     from repro.harness.orchestrator import (
         manifest_status, run_campaign, summarize_result)
     from repro.workloads.suite import BENCHMARK_ORDER, BENCHMARKS
@@ -386,18 +386,19 @@ def cmd_list(args: argparse.Namespace) -> int:
 def cmd_suite(args: argparse.Namespace) -> int:
     """One-line summary per benchmark: slowdown + delay statistics."""
     from repro.workloads.suite import BENCHMARK_ORDER
-    runner = ExperimentRunner(scale=args.scale, workers=args.workers,
-                              cache_dir=args.cache_dir)
-    runner.sweep([runner.default_cfg])   # one batch so workers overlap
-    print(f"{'benchmark':<14}{'slowdown':>10}{'mean delay':>12}"
-          f"{'max delay':>12}{'segments':>10}")
-    for name in BENCHMARK_ORDER:
-        summary = runner.summary(name)
-        report = runner.detection(name).report
-        print(f"{name:<14}{summary.slowdown:>10.4f}"
-              f"{summary.mean_delay_ns:>10.0f}ns"
-              f"{summary.max_delay_ns:>10.0f}ns"
-              f"{report.segments_checked:>10}")
+    with CampaignEngine(workers=args.workers,
+                        cache_dir=args.cache_dir) as engine:
+        runner = ExperimentRunner(scale=args.scale, engine=engine)
+        runner.sweep([runner.default_cfg])   # one batch so workers overlap
+        print(f"{'benchmark':<14}{'slowdown':>10}{'mean delay':>12}"
+              f"{'max delay':>12}{'segments':>10}")
+        for name in BENCHMARK_ORDER:
+            summary = runner.summary(name)
+            report = runner.detection(name).report
+            print(f"{name:<14}{summary.slowdown:>10.4f}"
+                  f"{summary.mean_delay_ns:>10.0f}ns"
+                  f"{summary.max_delay_ns:>10.0f}ns"
+                  f"{report.segments_checked:>10}")
     return 0
 
 

@@ -293,7 +293,6 @@ class OoOCore:
         hook: CommitHook | None,
         state: CoreRunState,
         stop: int,
-        record=None,
     ) -> None:
         """Advance the run over rows ``[state.next_row, stop)``.
 
@@ -302,12 +301,6 @@ class OoOCore:
         per binding and resumes ``run_rows`` from a forked state).  Which
         rows reach ``hook.pre_commit``/``post_commit`` is the
         :class:`CommitHook` contract.
-
-        If ``record`` is given it must expose five append-able columns
-        (``issue``, ``commit``, ``branch``, ``l1d``, ``l2``); one entry
-        per row is appended: issue/commit cycles, branch outcome (-1 no
-        branch, 0 predicted, 1 mispredicted), and per-row L1D/L2 miss
-        deltas.  Recording does not perturb timing.
         """
         core = self.core
         rows = program_meta(trace.program).ooo
@@ -366,24 +359,11 @@ class OoOCore:
         final_next_pc = trace.final_next_pc
         total = len(pcs)
 
-        if record is not None:
-            rec_issue = record.issue
-            rec_commit = record.commit
-            rec_branch = record.branch
-            rec_l1d = record.l1d
-            rec_l2 = record.l2
-            l1d_cache = hierarchy.l1d
-            l2_cache = hierarchy.l2
-
         for i in range(state.next_row, stop):
             pc = pcs[i]
             (fetch_addr, line, uops, mem, srcs, fu, occupancy, latency,
              ctrl, dsts) = rows[pc]
             total_uops += uops
-            if record is not None:
-                l1d_before = l1d_cache.misses
-                l2_before = l2_cache.misses
-                branch_outcome = -1
 
             # ---- fetch -----------------------------------------------------
             if line != current_fetch_line:
@@ -468,8 +448,6 @@ class OoOCore:
                     takens[i] == 1,
                     pcs[i + 1] if i + 1 < total else final_next_pc,
                 )
-                if record is not None:
-                    branch_outcome = 1 if miss else 0
                 if miss:
                     redirect = done + mispredict_penalty
                     if redirect > fetch_cycle:
@@ -536,13 +514,6 @@ class OoOCore:
             elif skip is not None:
                 skip(commit_cycle)
 
-            if record is not None:
-                rec_issue.append(issue)
-                rec_commit.append(commit_cycle)
-                rec_branch.append(branch_outcome)
-                rec_l1d.append(l1d_cache.misses - l1d_before)
-                rec_l2.append(l2_cache.misses - l2_before)
-
         # box the loop state back up for the next resume
         state.next_row = stop
         state.rob_head = rob_head
@@ -587,7 +558,6 @@ class OoOCore:
         self,
         trace: Trace,
         hook: CommitHook | None = None,
-        record=None,
     ) -> CoreResult:
         """Simulate the committed ``trace``; returns timing totals.
 
@@ -598,5 +568,5 @@ class OoOCore:
         if hook is not None:
             hook.begin(trace)
         state = self.start_state()
-        self.run_rows(trace, hook, state, len(trace), record=record)
+        self.run_rows(trace, hook, state, len(trace))
         return self.finish_run(trace, hook, state)

@@ -1,16 +1,16 @@
-"""Golden timing records and the pre-fork timing splice switch.
+"""Golden timing and the pre-fork timing splice switch.
 
 Fork-point injection (PR 5/6) removed the clean-execution prefix from
 fault jobs; this module does the same for *timing*.  There is one
 timing model, the exact OoO cycle model (:class:`OoOCore`).
 
-* **Golden timing records.**  ``time_bare`` times a clean trace with the
-  exact cycle model exactly once, capturing per-instruction columns
-  (issue/commit cycles, branch outcome, per-row L1D/L2 miss deltas) plus
-  the full :class:`CoreResult`.  Records are memoised on the trace and
-  published into the trace-store envelope (schema v4), so warm campaigns
-  serve clean-run timing without touching the OoO loop at all.  The
-  served result is byte-identical to a fresh run by construction — it
+* **Golden timing.**  Every slowdown the paper reports is divided by
+  the unprotected main core's cycles, so a clean run owes one
+  :class:`CoreResult` per (trace, config).  ``time_bare`` times a clean
+  trace with the exact cycle model once, memoises the result on the
+  trace and publishes it into the trace-store envelope (schema 5), so
+  warm campaigns serve clean-run timing without touching the OoO loop
+  at all.  The served result equals a fresh run by construction: it
   *is* the stored output of one.
 
 * **The timing splice.**  With a forked faulty trace, the detection
@@ -43,80 +43,30 @@ def timing_splice_enabled() -> bool:
 def config_key(config: SystemConfig) -> str:
     """Stable content hash of a full system configuration.
 
-    Keys golden timing records both in-process (``trace.timings``) and in
-    trace-store v4 envelopes; also the campaign layer's config
+    Keys golden timing both in-process (``trace.timings``) and in
+    trace-store envelopes; also the campaign layer's config
     fingerprint, so the two can never disagree.  Computed once per
     config object (:attr:`SystemConfig.fingerprint`).
     """
     return config.fingerprint
 
 
-class TimingColumns:
-    """Append-target for :meth:`OoOCore.run_rows` recording."""
-
-    __slots__ = ("issue", "commit", "branch", "l1d", "l2")
-
-    def __init__(self) -> None:
-        self.issue: list[int] = []
-        self.commit: list[int] = []
-        self.branch: list[int] = []
-        self.l1d: list[int] = []
-        self.l2: list[int] = []
-
-
-class TimingRecord:
-    """One clean trace timed once under one configuration.
-
-    ``issue``/``commit`` are per-row cycles; ``branch`` is -1 (not a
-    branch), 0 (predicted) or 1 (mispredicted); ``l1d``/``l2`` are
-    per-row miss deltas.  Columns may be lists (fresh) or zero-copy
-    memoryviews (served from a store envelope) — consumers index, never
-    mutate.
-    """
-
-    __slots__ = ("result", "issue", "commit", "branch", "l1d", "l2")
-
-    def __init__(self, result: CoreResult, issue, commit, branch, l1d, l2):
-        self.result = result
-        self.issue = issue
-        self.commit = commit
-        self.branch = branch
-        self.l1d = l1d
-        self.l2 = l2
-
-
 def time_bare(trace: Trace, config: SystemConfig) -> CoreResult:
     """Exact-cycle timing of a clean (hookless) run of ``trace``.
 
-    First call per (trace, config) runs the OoO model while recording the
-    golden timing columns; the record is memoised on the trace and, when
-    the trace is bound to a store envelope, published there (schema v4).
-    Subsequent calls — including in later processes reading the same
-    store — return the recorded :class:`CoreResult` without re-timing.
+    The first call per (trace, config) runs the OoO model; its
+    :class:`CoreResult` is memoised on the trace and, when the trace is
+    bound to a store envelope, published there.  Later calls, including
+    those in later processes reading the same store, return a copy of
+    that result without re-timing.
     """
-    record = timing_record(trace, config)
-    return copy.copy(record.result)
-
-
-def timing_record(trace: Trace, config: SystemConfig) -> TimingRecord:
-    """The golden timing record for ``trace`` under ``config``
-    (computing, memoising and publishing it on first use)."""
     key = config_key(config)
-    record = trace.timings.get(key)
-    if record is None:
-        columns = TimingColumns()
-        result = OoOCore(config).run(trace, record=columns)
-        record = TimingRecord(
-            result=result,
-            issue=columns.issue,
-            commit=columns.commit,
-            branch=columns.branch,
-            l1d=columns.l1d,
-            l2=columns.l2,
-        )
-        trace.timings[key] = record
+    result = trace.timings.get(key)
+    if result is None:
+        result = OoOCore(config).run(trace)
+        trace.timings[key] = result
         binding = trace.store_ref
         if binding is not None:
             store, store_key = binding
-            store.put_timing(store_key, trace, key, record)
-    return record
+            store.put_timing(store_key, trace, key, result)
+    return copy.copy(result)

@@ -557,9 +557,9 @@ class DetectionVerdict:
 def run_unprotected(trace: Trace, config: SystemConfig) -> CoreResult:
     """Time ``trace`` on a bare main core (the normalisation baseline).
 
-    Served from the trace's golden timing record when one exists — the
-    record *is* the stored output of this exact run — and recorded (and
-    published to the trace store) on first use otherwise."""
+    Served from the trace's golden timing when it exists — the stored
+    result *is* the output of this exact run — and timed (and published
+    to the trace store) on first use otherwise."""
     return time_bare(trace, config)
 
 

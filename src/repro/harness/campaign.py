@@ -142,9 +142,9 @@ def config_fingerprint(config: SystemConfig) -> str:
     """Stable content hash of a full system configuration.
 
     Delegates to :func:`repro.core.timing.config_key` so campaign
-    records and golden timing records address configurations by the
-    same key — a record's ``config_key`` can be looked up directly in a
-    trace's timing sections.
+    records and golden timing address configurations by the same key —
+    a record's ``config_key`` can be looked up directly in a trace's
+    ``timings``.
     """
     return timing_config_key(config)
 
@@ -254,8 +254,8 @@ def _run_record(spec: JobSpec, config_key: str, result) -> RunRecord:
     )
 
 
-def _timing_record(spec: JobSpec, scheme: ProtectionScheme,
-                   config_key: str) -> SchemeRunResult:
+def _baseline_record(spec: JobSpec, scheme: ProtectionScheme,
+                     config_key: str) -> SchemeRunResult:
     """A ``baseline``-kind job: time the benchmark under ``scheme``."""
     trace = benchmark_trace(spec.benchmark, spec.scale)
     timing = scheme.time(trace, spec.config)
@@ -388,7 +388,7 @@ def _recovery_record(spec: JobSpec, scheme: ProtectionScheme,
 #: kind → executor; each executor receives the spec, its resolved scheme
 #: instance, and the config fingerprint.
 _KIND_EXECUTORS = {
-    "baseline": _timing_record,
+    "baseline": _baseline_record,
     "detection": _detection_record,
     "fault": _fault_record,
     "fault-batch": _fault_batch_record,
@@ -775,13 +775,25 @@ def scheme_grid(benchmarks: Sequence[str],
         for scheme in names for bench in benchmarks))
 
 
+def _fault_stream(name: str, trials: int, sites: Sequence[FaultSite],
+                  scale: str, seed: int) -> list[TransientFault]:
+    """The ``trials`` faults a campaign injects into benchmark ``name``:
+    ``sites`` in turn, with positions and bits drawn from the
+    benchmark's own deterministic stream."""
+    clean_len = len(benchmark_trace(name, scale))
+    rng = derive(seed, f"campaign:fault:{name}")
+    return [TransientFault(sites[trial % len(sites)],
+                           seq=rng.randrange(10, clean_len - 10),
+                           bit=rng.randrange(0, 48))
+            for trial in range(trials)]
+
+
 def fault_grid(benchmarks: Sequence[str],
                trials: int,
                sites: Sequence[FaultSite] = CAMPAIGN_SITES,
                scale: str = "small",
                config: SystemConfig | None = None,
                seed: int = 0,
-               kind: str = "fault",
                scheme: str = "detection") -> CampaignGrid:
     """A fault-injection grid: ``trials`` jobs per benchmark, cycling
     through ``sites``, with fault positions drawn from a per-benchmark
@@ -799,19 +811,10 @@ def fault_grid(benchmarks: Sequence[str],
     """
     cfg = config if config is not None else default_config()
     get_scheme(scheme)
-    jobs = []
-    for name in benchmarks:
-        clean_len = len(benchmark_trace(name, scale))
-        rng = derive(seed, f"campaign:{kind}:{name}")
-        for trial in range(trials):
-            site = sites[trial % len(sites)]
-            fault = TransientFault(
-                site,
-                seq=rng.randrange(10, clean_len - 10),
-                bit=rng.randrange(0, 48))
-            jobs.append(JobSpec(kind, name, scale, cfg, fault=fault,
-                                scheme=scheme))
-    return CampaignGrid(tuple(jobs))
+    return CampaignGrid(tuple(
+        JobSpec("fault", name, scale, cfg, fault=fault, scheme=scheme)
+        for name in benchmarks
+        for fault in _fault_stream(name, trials, sites, scale, seed)))
 
 
 def fault_batch_grid(benchmarks: Sequence[str],
@@ -824,7 +827,7 @@ def fault_batch_grid(benchmarks: Sequence[str],
                      scheme: str = "detection") -> CampaignGrid:
     """The batched counterpart of :func:`fault_grid`: the *same* fault
     stream (same seed → the identical fault set, fault for fault, as a
-    ``kind="fault"`` grid), chunked into ``fault-batch`` jobs of up to
+    fault grid), chunked into ``fault-batch`` jobs of up to
     ``batch_size`` faults per cell.
 
     One batch job amortises fork-state reconstruction and per-job
@@ -837,17 +840,9 @@ def fault_batch_grid(benchmarks: Sequence[str],
     get_scheme(scheme)
     jobs = []
     for name in benchmarks:
-        clean_len = len(benchmark_trace(name, scale))
-        # the same stream fault_grid draws from: batching must not
-        # change which faults a campaign injects
-        rng = derive(seed, f"campaign:fault:{name}")
-        faults = []
-        for trial in range(trials):
-            site = sites[trial % len(sites)]
-            faults.append(TransientFault(
-                site,
-                seq=rng.randrange(10, clean_len - 10),
-                bit=rng.randrange(0, 48)))
+        # the stream fault_grid draws from: batching must not change
+        # which faults a campaign injects
+        faults = _fault_stream(name, trials, sites, scale, seed)
         for lo in range(0, len(faults), batch_size):
             jobs.append(JobSpec(
                 "fault-batch", name, scale, cfg,

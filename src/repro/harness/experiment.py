@@ -84,13 +84,13 @@ class ExperimentRunner:
 
     def __init__(self, scale: str | None = None,
                  config: SystemConfig | None = None,
-                 engine: CampaignEngine | None = None,
-                 workers: int = 1,
-                 cache_dir: str | None = None) -> None:
+                 engine: CampaignEngine | None = None) -> None:
         self.scale = scale if scale is not None else bench_scale()
         self.default_cfg = config if config is not None else default_config()
-        self.engine = engine if engine is not None else CampaignEngine(
-            workers=workers, cache_dir=cache_dir)
+        # the default engine is serial and in-memory, so holds nothing
+        # that needs closing; a caller that wants workers or a disk
+        # cache builds the engine and closes it
+        self.engine = engine if engine is not None else CampaignEngine()
         self._baselines: dict[str, SchemeRunResult] = {}
         self._runs: dict[tuple[str, SystemConfig], DetectionRunView] = {}
 

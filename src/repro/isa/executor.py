@@ -649,11 +649,12 @@ class Trace:
         self.fork_of: Trace | None = None
         self.fork_seq: int = 0
         self._keyframes: "Keyframes | None" = None
-        #: golden timing records by config key (see repro.core.timing);
-        #: process-local memo, hydrated from store envelopes on read
+        #: golden timing, one CoreResult per config key (see
+        #: repro.core.timing); process-local memo, hydrated from store
+        #: envelopes on read
         self.timings: dict = {}
         #: (store, key) binding when this trace came from / was put into a
-        #: trace store — lets timing records publish into the envelope
+        #: trace store — lets golden timing publish into the envelope
         self.store_ref: tuple | None = None
 
     def __len__(self) -> int:
@@ -680,14 +681,16 @@ class Trace:
             self._keyframes = kf
         return kf
 
-    # -- bit-exact serialisation (the golden-trace store's wire format) ------
+    # -- bit-exact comparison form -------------------------------------------
 
     def to_payload(self) -> dict:
-        """JSON-serialisable column dump.
+        """JSON-serialisable column dump, the form tests and benches
+        compare traces by (the golden-trace store writes its own binary
+        envelope, see :mod:`repro.workloads.trace_store`).
 
         Bit-exact by construction: every FP value (writebacks, final FP
         registers) is encoded as its IEEE-754 bit pattern, so NaN payloads
-        and signed zeros survive the round trip.
+        and signed zeros compare by their bits.
         """
         dsts = [
             [[1, idx, float_to_bits(value)] if is_fp else [0, idx, value]
@@ -713,39 +716,6 @@ class Trace:
             "store_count": self.store_count,
             "crashed": self.crashed,
         }
-
-    @classmethod
-    def from_payload(cls, program: Program, payload: dict) -> "Trace":
-        """Rebuild a trace over ``program`` from :meth:`to_payload` output."""
-        memory = MemoryImage()
-        for addr, value in payload["memory"]:
-            memory.store(addr, value)
-        dsts = [
-            tuple((True, idx, bits_to_float(value)) if is_fp
-                  else (False, idx, value)
-                  for is_fp, idx, value in row)
-            for row in payload["dsts"]
-        ]
-        return cls(
-            program,
-            pcs=array("Q", payload["pcs"]),
-            dsts=dsts,
-            takens=array("b", payload["takens"]),
-            mem_off=array("Q", payload["mem_off"]),
-            mem_kind=array("b", payload["mem_kind"]),
-            mem_addr=array("Q", payload["mem_addr"]),
-            mem_value=array("Q", payload["mem_value"]),
-            mem_used=array("Q", payload["mem_used"]),
-            final_next_pc=payload["final_next_pc"],
-            final_xregs=list(payload["final_xregs"]),
-            final_fregs=[bits_to_float(v) for v in payload["final_fregs"]],
-            memory=memory,
-            halted=payload["halted"],
-            uop_count=payload["uop_count"],
-            load_count=payload["load_count"],
-            store_count=payload["store_count"],
-            crashed=payload["crashed"],
-        )
 
 
 class Machine:
@@ -1128,7 +1098,7 @@ class Keyframes:
         self.interval = interval
         self.frames = frames
 
-    # -- bit-exact serialisation (rides the golden-trace envelope) -----------
+    # -- bit-exact comparison form -------------------------------------------
 
     def to_payload(self) -> dict:
         return {
@@ -1142,18 +1112,6 @@ class Keyframes:
                 for f in self.frames
             ],
         }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Keyframes":
-        frames = tuple(
-            Keyframe(seq,
-                     {i: v for i, v in xregs},
-                     {i: bits_to_float(v) for i, v in fregs},
-                     {a: v for a, v in mem},
-                     uops, loads, stores)
-            for seq, xregs, fregs, mem, uops, loads, stores
-            in payload["frames"])
-        return cls(int(payload["interval"]), frames)
 
 
 def _replay_rows(trace: Trace, start: int, stop: int,

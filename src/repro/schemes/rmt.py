@@ -85,7 +85,7 @@ def rmt_config(config: SystemConfig) -> SystemConfig:
 def run_rmt(trace: Trace, config: SystemConfig) -> RMTResult:
     """Time ``trace`` under redundant multi-threading on the main core."""
     # both runs are pure functions of (trace, config): served from the
-    # trace's golden timing records when present, recorded otherwise
+    # trace's golden timing when present, timed otherwise
     base = time_bare(trace, config)
     shared = time_bare(trace, rmt_config(config))
     period = config.main_core.clock().period_ticks

@@ -10,7 +10,6 @@ to rule out.
 from __future__ import annotations
 
 from repro.common.config import SystemConfig
-from repro.core.ooo_core import CoreResult
 from repro.core.timing import time_bare
 from repro.detection.faults import TransientFault
 from repro.isa.executor import Trace
@@ -24,15 +23,6 @@ from repro.schemes.base import (
 from repro.schemes.registry import register_scheme
 
 
-def run_baseline(trace: Trace, config: SystemConfig) -> CoreResult:
-    """Time ``trace`` on an unprotected main core (fresh caches/predictor).
-
-    Served from the trace's golden timing record when one exists (the
-    record *is* the stored output of this run — see
-    :mod:`repro.core.timing`); recorded on first use otherwise."""
-    return time_bare(trace, config)
-
-
 @register_scheme("unprotected")
 class UnprotectedScheme(ProtectionScheme):
     """No redundancy, no comparator — the paper's reference point."""
@@ -43,7 +33,7 @@ class UnprotectedScheme(ProtectionScheme):
     supports_recovery = False
 
     def time(self, trace: Trace, config: SystemConfig) -> SchemeTiming:
-        core = run_baseline(trace, config)
+        core = time_bare(trace, config)
         return SchemeTiming(
             cycles=core.cycles,
             base_cycles=core.cycles,

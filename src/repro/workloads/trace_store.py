@@ -11,16 +11,17 @@ once per process.
 This module stores golden traces on disk next to the campaign run cache,
 content-addressed like it::
 
-    <root>/<key[:2]>/<key>.bin       binary columnar envelopes (schema 4)
+    <root>/<key[:2]>/<key>.bin       binary columnar envelopes (schema 5)
 
 where the key hashes the benchmark name, scale, the store schema, and a
 **fingerprint of the built program** (opcodes, operands, data image,
 entry point) — so a changed workload generator can never serve a stale
 trace.
 
-Schema 3/4 envelopes are **binary columnar**: one memory-mappable file per
-trace holding a small JSON header (scalars, register files, a block
-offset table, a CRC-32 of the data region) followed by 8-byte-aligned
+Envelopes are **binary columnar**: one memory-mappable file per trace.
+A fixed preamble (magic, header length, and a CRC-32 of everything
+after the preamble) leads a small JSON header (scalars, register
+files, a block offset table, golden timing) followed by 8-byte-aligned
 fixed-width column blocks —
 ``pcs``/``takens``, the CSR memory block (``mem_off`` +
 ``mem_kind/addr/value/used``), the writeback CSR (``dst_*``), the final
@@ -33,17 +34,16 @@ share the page cache instead of each re-parsing JSON, and whole-column
 operations (checker fast path, fork-state replay) slice the mapped
 columns directly.
 
-Schema 4 adds optional **golden timing sections** — per-configuration
-per-instruction issue/commit cycles, branch outcomes and cache-miss
-deltas recorded by the OoO model's first clean run (see
-``repro.core.timing``) — appended as further blocks under the same CRC.
-They are strictly additive: the store *key* still hashes schema 3, so
-warm v3 stores keep serving traces and are upgraded in place by
-:meth:`TraceStore.put_timing`.
+The header also carries the **golden timing** of the trace: one
+:class:`~repro.core.ooo_core.CoreResult` per system configuration that
+has timed it (see ``repro.core.timing``), nine scalars each, under the
+same CRC as the columns.  :meth:`TraceStore.put_timing` publishes one
+more by rewriting the envelope.
 
-Envelopes from earlier schemas (the JSON era) are never converted: the
-schema number is part of the store key, so old files are simply ignored
-and golden traces are re-derived once under the new key.
+Envelopes from earlier schemas are never converted.  The JSON-era ones
+(schema 2 and before) live under other keys and are simply ignored;
+binary schema-3/4 envelopes share their paths with schema 5 and read
+as misses, so the next :meth:`TraceStore.put` overwrites them in place.
 
 Workers *fork* the stored trace rather than re-running it: the trace's
 program (rebuilt deterministically in-process) supplies a fresh
@@ -68,7 +68,6 @@ from pathlib import Path
 
 from repro.common.records import canonical_json
 from repro.core.ooo_core import CoreResult
-from repro.core.timing import TimingRecord
 from repro.isa.executor import Keyframe, Keyframes, Trace
 from repro.isa.memory_image import MemoryImage, bits_to_float, float_to_bits
 from repro.isa.program import Program
@@ -80,28 +79,29 @@ logger = logging.getLogger(__name__)
 #: silently stale traces.  v2: envelopes carry periodic state keyframes
 #: (:class:`repro.isa.executor.Keyframes`).  v3: binary columnar
 #: envelopes (one memory-mappable ``.bin`` file per trace; zero-copy
-#: column views; FP values as IEEE-754 bit patterns).  v4: envelopes may
-#: additionally carry golden per-instruction *timing* sections, one per
-#: system-configuration key (issue/commit cycles, branch outcome, L1D/L2
-#: miss deltas, plus the run's :class:`~repro.core.ooo_core.CoreResult`
-#: scalars), appended as further 8-aligned blocks in the same ``RTS3``
-#: layout and covered by the same data-region CRC.
-TRACE_STORE_SCHEMA = 4
-
-#: Header schemas this reader accepts.  A v3 envelope is exactly a v4
-#: envelope with no timing sections: it reads as a *trace* hit and a
-#: *timing* miss, and the first published timing record upgrades the
-#: file in place.
-READABLE_SCHEMAS = frozenset({3, TRACE_STORE_SCHEMA})
+#: column views; FP values as IEEE-754 bit patterns).  v4: per-config
+#: golden timing sections (per-row timing columns plus the run's
+#: :class:`~repro.core.ooo_core.CoreResult`).  v5: a timing section is
+#: the ``CoreResult`` scalars alone, in the header, and the CRC-32 moves
+#: into the preamble and covers the header as well as the data.  This
+#: reader accepts v5 only.
+TRACE_STORE_SCHEMA = 5
 
 #: Schema generation folded into store *keys* — deliberately still 3:
-#: v4 is purely additive (same trace columns, same execution semantics),
-#: so existing envelopes stay addressable and upgrade in place instead
-#: of being orphaned by a key change.
+#: v4 and v5 keep the trace columns and execution semantics of v3, so
+#: a store's envelopes keep their paths, and a v3/v4 file found there
+#: reads as a miss and is overwritten by the next put.
 KEY_SCHEMA = 3
 
-#: Leading magic of a schema-3/4 envelope file.
-ENVELOPE_MAGIC = b"RTS3"
+#: Leading magic of a schema-5 envelope file.
+ENVELOPE_MAGIC = b"RTS5"
+
+#: Leading magic of the schema-3/4 layout (header CRC-free): a miss.
+_LEGACY_MAGIC = b"RTS3"
+
+#: Preamble of a schema-5 envelope: magic, u32 header length, u32 CRC-32
+#: of every byte after the preamble (header, padding and data region).
+_PREAMBLE = struct.Struct("<4sII")
 
 #: Age (seconds) past which a stranded ``*.tmp.*`` file — a writer
 #: killed between writing its temp file and the atomic rename — is
@@ -167,7 +167,7 @@ class _SchemaMismatch(ValueError):
     """A well-formed envelope of another schema generation (cold miss)."""
 
 
-#: Column blocks of a schema-3 envelope, in file order, with their
+#: Column blocks of an envelope, in file order, with their
 #: ``array`` typecodes.  Every block is fixed-width and 8-byte-aligned;
 #: integer widths are pinned here once (u64 data, i8 kinds/takens, u8
 #: register indices) — values that do not fit fail the write loudly
@@ -184,26 +184,16 @@ _BLOCKS = (
     ("kf_m_off", "Q"), ("kf_m_addr", "Q"), ("kf_m_val", "Q"),
 )
 
-#: Per-configuration timing blocks of a schema-4 envelope (appended
-#: after the trace blocks, one set per stored configuration key):
-#: issue/commit cycles, branch outcome (-1 none / 0 predicted /
-#: 1 mispredicted) and per-row L1D/L2 miss deltas (u16: a row can miss
-#: at most a handful of times; wider counts fail the write loudly).
-_TIMING_BLOCKS = (
-    ("tm_issue", "Q"), ("tm_commit", "Q"), ("tm_branch", "b"),
-    ("tm_l1d", "H"), ("tm_l2", "H"),
-)
-
-#: CoreResult scalars carried verbatim in each timing section's header.
+#: CoreResult scalars of one golden timing section, carried verbatim in
+#: the header under the configuration's key.
 _TIMING_RESULT_FIELDS = (
     "cycles", "instructions", "uops", "system_cycles", "branch_lookups",
     "branch_mispredicts", "l1d_misses", "l2_misses", "commit_stall_cycles",
 )
 
 _TYPECODES = dict(_BLOCKS)
-_TIMING_TYPECODES = dict(_TIMING_BLOCKS)
 
-_ITEMSIZE = {"Q": 8, "b": 1, "B": 1, "H": 2}
+_ITEMSIZE = {"Q": 8, "b": 1, "B": 1}
 
 
 def _align8(n: int) -> int:
@@ -213,7 +203,7 @@ def _align8(n: int) -> int:
 def _encode_envelope(key: str, trace: Trace,
                      timings: dict | None = None) -> bytes:
     """Serialise one golden trace (plus keyframes, plus any golden
-    timing records keyed by configuration) as a schema-4 blob."""
+    timing results keyed by configuration) as a schema-5 blob."""
     kf = trace.keyframes()
     n = len(trace)
 
@@ -300,36 +290,11 @@ def _encode_envelope(key: str, trace: Trace,
         blobs.append((offset, data))
         offset += len(data)
 
-    # golden timing sections: further 8-aligned blocks per configuration
-    # key, sorted for byte-stable files
-    timing_header: dict[str, dict] = {}
-    for config_key in sorted(timings or ()):
-        record = timings[config_key]
-        section_blocks: dict[str, list[int]] = {}
-        section_columns = {
-            "tm_issue": record.issue, "tm_commit": record.commit,
-            "tm_branch": record.branch, "tm_l1d": record.l1d,
-            "tm_l2": record.l2,
-        }
-        for name, code in _TIMING_BLOCKS:
-            col = array(code, section_columns[name])
-            data = bytes(col)
-            offset = _align8(offset)
-            section_blocks[name] = [offset, len(col)]
-            blobs.append((offset, data))
-            offset += len(data)
-        timing_header[config_key] = {
-            "result": {field: getattr(record.result, field)
-                       for field in _TIMING_RESULT_FIELDS},
-            "blocks": section_blocks,
-        }
-
     region = bytearray(_align8(offset))
     for off, data in blobs:
         region[off:off + len(data)] = data
 
     header = {
-        "crc32": zlib.crc32(region),
         "key": key,
         "schema": TRACE_STORE_SCHEMA,
         "byteorder": sys.byteorder,
@@ -345,44 +310,51 @@ def _encode_envelope(key: str, trace: Trace,
         "kf_interval": kf.interval,
         "blocks": blocks,
     }
-    if timing_header:
-        header["timings"] = timing_header
+    if timings:
+        header["timings"] = {
+            config_key: {field: getattr(result, field)
+                         for field in _TIMING_RESULT_FIELDS}
+            for config_key, result in timings.items()}
     header_bytes = canonical_json(header).encode()
-    data_start = _align8(len(ENVELOPE_MAGIC) + 4 + len(header_bytes))
-    out = bytearray(data_start)
-    out[:4] = ENVELOPE_MAGIC
-    struct.pack_into("<I", out, 4, len(header_bytes))
-    out[8:8 + len(header_bytes)] = header_bytes
-    return bytes(out) + bytes(region)
+    # header plus the zero padding that 8-aligns the data region
+    body = header_bytes.ljust(
+        _align8(_PREAMBLE.size + len(header_bytes)) - _PREAMBLE.size, b"\0")
+    crc = zlib.crc32(region, zlib.crc32(body))
+    return (_PREAMBLE.pack(ENVELOPE_MAGIC, len(header_bytes), crc)
+            + body + bytes(region))
 
 
-def _read_header(buf) -> tuple[dict, int]:
-    """(header dict, data-region start) of one envelope buffer; raises
-    :class:`_CorruptEnvelope` on anything that is not a schema-3 file."""
-    view = memoryview(buf)
-    if len(view) < 8 or bytes(view[:4]) != ENVELOPE_MAGIC:
+def _read_header(view: memoryview) -> tuple[dict, int, int]:
+    """(header dict, stored CRC, data-region start) of one envelope;
+    raises :class:`_CorruptEnvelope` on anything that is not a schema-5
+    file and :class:`_SchemaMismatch` on a schema-3/4 one."""
+    if bytes(view[:4]) == _LEGACY_MAGIC:
+        raise _SchemaMismatch("schema-3/4 envelope layout")
+    if len(view) < _PREAMBLE.size or bytes(view[:4]) != ENVELOPE_MAGIC:
         raise _CorruptEnvelope("bad envelope magic")
-    (header_len,) = struct.unpack_from("<I", view, 4)
-    if 8 + header_len > len(view):
+    _magic, header_len, crc = _PREAMBLE.unpack_from(view)
+    header_end = _PREAMBLE.size + header_len
+    if header_end > len(view):
         raise _CorruptEnvelope("truncated envelope header")
     try:
-        header = json.loads(bytes(view[8:8 + header_len]).decode())
+        header = json.loads(bytes(view[_PREAMBLE.size:header_end]).decode())
     except (ValueError, UnicodeDecodeError) as error:
         raise _CorruptEnvelope(f"unparseable envelope header: {error}")
     if not isinstance(header, dict):
         raise _CorruptEnvelope("envelope header is not an object")
-    return header, _align8(8 + header_len)
+    return header, crc, _align8(header_end)
 
 
 def _decode_envelope(buf, key: str, program: Program) -> Trace:
-    """Rebuild a trace (with keyframes) over ``program`` from one mapped
-    schema-3 envelope.  Numeric columns come back as zero-copy
-    memoryviews over ``buf``; ragged structures (writeback rows,
-    keyframe deltas) are decoded eagerly into their in-process shapes.
+    """Rebuild a trace (with keyframes and golden timing) over
+    ``program`` from one mapped schema-5 envelope.  Numeric columns come
+    back as zero-copy memoryviews over ``buf``; ragged structures
+    (writeback rows, keyframe deltas) are decoded eagerly into their
+    in-process shapes.
     """
     view = memoryview(buf)
-    header, data_start = _read_header(view)
-    if header.get("schema") not in READABLE_SCHEMAS:
+    header, crc, data_start = _read_header(view)
+    if header.get("schema") != TRACE_STORE_SCHEMA:
         raise _SchemaMismatch(f"envelope schema {header.get('schema')!r}")
     if header.get("key") != key:
         raise _CorruptEnvelope("envelope key does not match its path")
@@ -390,23 +362,21 @@ def _decode_envelope(buf, key: str, program: Program) -> Trace:
         # written on a foreign-endian host: valid but unusable here —
         # treated like a miss so this worker overwrites it natively
         raise _SchemaMismatch("foreign byte order")
-    if zlib.crc32(view[data_start:]) != int(header["crc32"]) & 0xFFFFFFFF:
-        # structural checks below cannot see a flipped bit *inside* a
-        # column — only the data-region checksum catches silent rot
-        raise _CorruptEnvelope("data-region checksum mismatch")
+    if zlib.crc32(view[_PREAMBLE.size:]) != crc:
+        # structural checks below cannot see a flipped bit inside a
+        # column or a same-length edit of a header value (a timing
+        # result, a final register) — only the checksum catches those
+        raise _CorruptEnvelope("envelope checksum mismatch")
     blocks = header["blocks"]
 
-    def block_view(name, block_map, typecodes):
-        code = typecodes[name]
-        off, count = block_map[name]
+    def column(name):
+        code = _TYPECODES[name]
+        off, count = blocks[name]
         start = data_start + off
         end = start + count * _ITEMSIZE[code]
         if not 0 <= start <= end <= len(view):
             raise _CorruptEnvelope(f"block {name!r} exceeds the envelope")
         return view[start:end].cast(code)
-
-    def column(name):
-        return block_view(name, blocks, _TYPECODES)
 
     n = int(header["n"])
     pcs = column("pcs")
@@ -497,24 +467,9 @@ def _decode_envelope(buf, key: str, program: Program) -> Trace:
             kf_uops[k], kf_loads[k], kf_stores[k]))
     trace._keyframes = Keyframes(int(header["kf_interval"]), tuple(frames))
 
-    # golden timing sections (schema 4; absent on v3 envelopes, which
-    # therefore read as a timing *miss*, never as corrupt)
     for config_key, section in (header.get("timings") or {}).items():
-        section_blocks = section["blocks"]
-        tm_issue = block_view("tm_issue", section_blocks, _TIMING_TYPECODES)
-        tm_commit = block_view("tm_commit", section_blocks, _TIMING_TYPECODES)
-        tm_branch = block_view("tm_branch", section_blocks, _TIMING_TYPECODES)
-        tm_l1d = block_view("tm_l1d", section_blocks, _TIMING_TYPECODES)
-        tm_l2 = block_view("tm_l2", section_blocks, _TIMING_TYPECODES)
-        if not (len(tm_issue) == len(tm_commit) == len(tm_branch)
-                == len(tm_l1d) == len(tm_l2) == n):
-            raise _CorruptEnvelope("timing columns disagree with the header")
-        result = {field: int(section["result"][field])
-                  for field in _TIMING_RESULT_FIELDS}
-        trace.timings[str(config_key)] = TimingRecord(
-            result=CoreResult(**result),
-            issue=tm_issue, commit=tm_commit, branch=tm_branch,
-            l1d=tm_l1d, l2=tm_l2)
+        trace.timings[str(config_key)] = CoreResult(
+            **{field: int(section[field]) for field in _TIMING_RESULT_FIELDS})
     return trace
 
 
@@ -525,7 +480,7 @@ class TraceStore:
     envelopes written atomically (temp file + rename).  A *missing*
     envelope and an envelope from another schema generation read as
     misses; a *present-but-unusable* one (truncated, bad magic, garbage
-    bytes, a failed data checksum) is counted separately as
+    bytes, a failed checksum) is counted separately as
     ``corrupt``, logged once per path,
     and overwritten by the worker's fresh execution exactly like a miss
     — a corrupt envelope can delay a campaign, never wedge it.
@@ -539,7 +494,7 @@ class TraceStore:
         #: None from :meth:`get`, so the caller re-executes + overwrites)
         self.corrupt = 0
         self.writes = 0
-        #: timing sections published into existing envelopes
+        #: golden timing results published into existing envelopes
         self.timing_writes = 0
         #: crash-stranded temp files removed at init
         self.stale_temps_swept = sweep_stale_temps(self.root)
@@ -620,16 +575,16 @@ class TraceStore:
         trace.store_ref = (self, key)
 
     def put_timing(self, key: str, trace: Trace, config_key: str,
-                   record) -> None:
-        """Publish one golden timing record into ``key``'s envelope.
+                   result: CoreResult) -> None:
+        """Publish one golden timing result into ``key``'s envelope.
 
-        Re-encodes the whole envelope with every timing record the trace
-        carries (including ``record``) and replaces the file atomically.
+        Re-encodes the whole envelope with every timing result the trace
+        carries (including ``result``) and replaces the file atomically.
         Two workers racing on different configurations last-write-win —
-        the loser's section is simply re-derived and re-published by the
+        the loser's result is simply re-derived and re-published by the
         next campaign that needs it, exactly like a cold store.
         """
         merged = dict(trace.timings)
-        merged[config_key] = record
+        merged[config_key] = result
         self._write(key, _encode_envelope(key, trace, merged))
         self.timing_writes += 1

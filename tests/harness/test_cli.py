@@ -144,6 +144,20 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "randacc" in out and "slowdown" in out
 
+    def test_suite_and_figures_close_their_caches(self, capsys, tmp_path):
+        cache = str(tmp_path / "cache")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["suite", "--scale", "small",
+                         "--cache-dir", cache]) == 0
+            # the same runs again, replayed from the suite's cache
+            assert main(["figures", "fig7", "--cache-dir", cache]) == 0
+            gc.collect()
+        assert "Figure 7" in capsys.readouterr().out
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)
+                    and ".pack" in str(w.message)]
+
 
 class TestManifestCommands:
     def test_campaign_manifest_rejects_shard(self, capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.harness.campaign import CampaignEngine
 from repro.harness.experiment import ExperimentRunner, bench_scale
 
 
@@ -103,12 +104,13 @@ class TestEngineIntegration:
         assert sweep["stream"][0].slowdown >= 1.0
 
     def test_disk_cache_shared_between_runners(self, tmp_path):
-        from repro.harness.experiment import ExperimentRunner
-        first = ExperimentRunner(scale="small", cache_dir=tmp_path)
-        warm = first.summary("stream")
-        second = ExperimentRunner(scale="small", cache_dir=tmp_path)
-        assert second.summary("stream") == warm
-        assert second.engine.cache.hits > 0
+        with CampaignEngine(cache_dir=tmp_path) as engine:
+            warm = ExperimentRunner(scale="small",
+                                    engine=engine).summary("stream")
+        with CampaignEngine(cache_dir=tmp_path) as engine:
+            second = ExperimentRunner(scale="small", engine=engine)
+            assert second.summary("stream") == warm
+            assert engine.cache.hits > 0
 
     def test_detection_view_report_fields(self, runner):
         det = runner.detection("stream")

@@ -18,9 +18,11 @@ class FakeClock:
 @pytest.fixture
 def manifest(tmp_path):
     grid = fault_grid(["stream"], trials=6, scale="small", seed=3)
-    return CampaignManifest.create(
-        tmp_path / "m", grid, kind="fault", scheme="detection",
-        scale="small", benchmarks=["stream"], clock=FakeClock())
+    with CampaignManifest.create(
+            tmp_path / "m", grid, kind="fault", scheme="detection",
+            scale="small", benchmarks=["stream"],
+            clock=FakeClock()) as manifest:
+        yield manifest
 
 
 class TestTryLeaseRetry:

@@ -27,10 +27,8 @@ from repro.isa import executor
 from repro.isa.blocks import STATS
 from repro.isa.executor import (
     ForkCursor,
-    Keyframes,
     Machine,
     Trace,
-    build_keyframes,
     execute_forked,
     execute_program,
     fork_cursor,
@@ -244,11 +242,16 @@ class TestKeyframes:
         assert [f.seq for f in kf.frames] == \
             [s for s in range(kf.interval, len(trace), kf.interval)]
 
-    def test_payload_round_trip_bit_exact(self):
-        trace = benchmark_trace("blackscholes", "small")  # FP deltas
-        kf = build_keyframes(trace, 500)
-        loaded = Keyframes.from_payload(kf.to_payload())
-        assert loaded.interval == kf.interval
+    def test_store_round_trip_bit_exact(self, tmp_path):
+        program = build_benchmark("blackscholes", "small")
+        trace = execute_program(program)  # FP deltas
+        kf = trace.keyframes(500)
+        store = TraceStore(tmp_path)
+        key = store.key("blackscholes", "small", program)
+        store.put(key, trace)
+        loaded = store.get(key, program).keyframes()
+        assert loaded.interval == kf.interval == 500
+        assert len(loaded.frames) == len(kf.frames)
         for a, b in zip(loaded.frames, kf.frames):
             assert a.seq == b.seq
             assert a.xregs == b.xregs

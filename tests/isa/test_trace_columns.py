@@ -1,8 +1,6 @@
-"""Columnar-trace tests: layout invariants, bit-exact serialisation
-round-trips (the golden-trace store's wire format), and the ISA edge
+"""Columnar-trace tests: layout invariants, bit-exact round trips
+through the golden-trace store's binary envelope, and the ISA edge
 semantics pinned across the pre-decode/columnar refactor."""
-
-import json
 
 import pytest
 
@@ -17,7 +15,12 @@ from repro.isa.executor import (
 from repro.isa.instructions import CONTROL_OPS, MASK64, Opcode
 from repro.isa.memory_image import float_to_bits
 from repro.isa.program import HANDLER_INDEX, ProgramBuilder, predecode
-from repro.workloads.suite import BENCHMARK_ORDER, benchmark_trace
+from repro.workloads.suite import (
+    BENCHMARK_ORDER,
+    benchmark_trace,
+    build_benchmark,
+)
+from repro.workloads.trace_store import TraceStore
 
 
 class TestPredecode:
@@ -84,26 +87,34 @@ def assert_traces_identical(a: Trace, b: Trace) -> None:
          b.final_next_pc)
 
 
+def store_round_trip(trace: Trace, root) -> Trace:
+    """``trace`` written to a golden-trace store at ``root`` and mapped
+    back."""
+    store = TraceStore(root)
+    key = store.key(trace.program.name, "small", trace.program)
+    store.put(key, trace)
+    return store.get(key, trace.program)
+
+
 class TestGoldenTraceEquivalence:
-    """The columnar trace must survive a full serialise→JSON→deserialise
-    round trip identically to the seed representation, on every suite
-    workload — the golden-trace store's correctness contract."""
+    """The columnar trace must survive a golden-trace store round trip
+    (binary envelope, memory-mapped back) identically, on every suite
+    workload — the store's correctness contract."""
 
     @pytest.mark.parametrize("name", BENCHMARK_ORDER)
-    def test_round_trip_identical_on_suite(self, name):
-        trace = benchmark_trace(name, "small")
-        payload = json.loads(json.dumps(trace.to_payload()))
-        rebuilt = Trace.from_payload(trace.program, payload)
+    def test_round_trip_identical_on_suite(self, name, tmp_path):
+        trace = execute_program(build_benchmark(name, "small"))
+        rebuilt = store_round_trip(trace, tmp_path)
         assert_traces_identical(trace, rebuilt)
+        assert rebuilt.to_payload() == trace.to_payload()
 
-    def test_round_trip_preserves_nondet_entries(self):
+    def test_round_trip_preserves_nondet_entries(self, tmp_path):
         b = ProgramBuilder("nd")
         b.emit(Opcode.RDRAND, rd=1)
         b.emit(Opcode.RDCYCLE, rd=2)
         b.emit(Opcode.HALT)
         trace = execute_program(b.build())
-        rebuilt = Trace.from_payload(
-            trace.program, json.loads(json.dumps(trace.to_payload())))
+        rebuilt = store_round_trip(trace, tmp_path)
         assert_traces_identical(trace, rebuilt)
         assert list(rebuilt.mem_kind) == [NONDET, NONDET]
 

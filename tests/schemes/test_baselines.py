@@ -1,8 +1,9 @@
 """Tests for the comparison schemes' timing models."""
 
+from repro.core.ooo_core import OoOCore
+from repro.detection.system import run_unprotected
 from repro.schemes.lockstep import run_lockstep
 from repro.schemes.rmt import rmt_config, run_rmt
-from repro.schemes.unprotected import run_baseline
 
 
 class TestLockstep:
@@ -75,6 +76,8 @@ class TestRMT:
 
 class TestUnprotected:
     def test_baseline_fresh_state(self, rmw_trace, config):
-        a = run_baseline(rmw_trace, config)
-        b = run_baseline(rmw_trace, config)
-        assert a.cycles == b.cycles  # no cross-run cache pollution
+        a = run_unprotected(rmw_trace, config)
+        b = run_unprotected(rmw_trace, config)
+        # no cross-run cache pollution, and each call gets its own copy
+        assert a == b == OoOCore(config).run(rmw_trace)
+        assert a is not b

@@ -396,10 +396,10 @@ class TestDetectionBatchKillSwitches:
         monkeypatch.setenv(FORK_INJECTION_ENV, "1")
         spec = detection_cell("bitcount")
         serial = execute_job(spec)
-        manifest = CampaignManifest.create(tmp_path / "m", [spec])
         try:
-            stats = CampaignWorker(manifest, worker_id="w").run()
-            merged = collect(manifest)
+            with CampaignManifest.create(tmp_path / "m", [spec]) as manifest:
+                stats = CampaignWorker(manifest, worker_id="w").run()
+                merged = collect(manifest)
         finally:
             configure_trace_store(None)
         assert stats.executed == 1 and stats.failed == 0
@@ -495,9 +495,9 @@ class TestBatchVerdictIdentity:
         spans = []
         original_rows = OoOCore.run_rows
 
-        def run_rows(self, timed, hook, state, stop, record=None):
+        def run_rows(self, timed, hook, state, stop):
             spans.append((timed, state.next_row, stop))
-            return original_rows(self, timed, hook, state, stop, record)
+            return original_rows(self, timed, hook, state, stop)
 
         monkeypatch.setattr(OoOCore, "run_rows", run_rows)
         record = execute_job(JobSpec("fault", "stream", "small", fault=fault,

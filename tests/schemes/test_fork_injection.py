@@ -183,10 +183,10 @@ class TestFaultBatchIdentity:
         monkeypatch.setenv(FORK_INJECTION_ENV, "1")
         spec = self.cell("lockstep")
         serial = execute_job(spec)
-        manifest = CampaignManifest.create(tmp_path / "m", [spec])
         try:
-            stats = CampaignWorker(manifest, worker_id="w").run()
-            merged = collect(manifest)
+            with CampaignManifest.create(tmp_path / "m", [spec]) as manifest:
+                stats = CampaignWorker(manifest, worker_id="w").run()
+                merged = collect(manifest)
         finally:
             configure_trace_store(None)
         assert stats.executed == 1 and stats.failed == 0

@@ -214,8 +214,10 @@ class TestDeterminismPerScheme:
         assert serial.keys == parallel.keys
         assert serial.records_json() == parallel.records_json()
 
-        cold = CampaignEngine(workers=2, cache_dir=tmp_path).run(grid)
-        warm = CampaignEngine(workers=2, cache_dir=tmp_path).run(grid)
+        with CampaignEngine(workers=2, cache_dir=tmp_path) as engine:
+            cold = engine.run(grid)
+        with CampaignEngine(workers=2, cache_dir=tmp_path) as engine:
+            warm = engine.run(grid)
         assert warm.executed == 0 and warm.cached == len(grid)
         assert cold.records_json() == serial.records_json()
         assert warm.records_json() == serial.records_json()

@@ -156,12 +156,12 @@ class TestSpliceRecordIdentity:
         try:
             for mode in ("0", "1"):
                 monkeypatch.setenv(TIMING_SPLICE_ENV, mode)
-                manifest = CampaignManifest.create(tmp_path / f"m{mode}",
-                                                   specs)
-                stats = CampaignWorker(manifest,
-                                       worker_id=f"w{mode}").run()
-                assert stats.failed == 0
-                merged[mode] = collect(manifest).records_json()
+                with CampaignManifest.create(tmp_path / f"m{mode}",
+                                             specs) as manifest:
+                    stats = CampaignWorker(manifest,
+                                           worker_id=f"w{mode}").run()
+                    assert stats.failed == 0
+                    merged[mode] = collect(manifest).records_json()
         finally:
             configure_trace_store(None)
         assert merged["0"] == merged["1"]
@@ -243,10 +243,10 @@ def timed_spans(monkeypatch, trace) -> list[tuple[int, int]]:
     spans = []
     original = OoOCore.run_rows
 
-    def spy(self, timed, hook, state, stop, record=None):
+    def spy(self, timed, hook, state, stop):
         if timed is trace:
             spans.append((state.next_row, stop))
-        return original(self, timed, hook, state, stop, record)
+        return original(self, timed, hook, state, stop)
 
     monkeypatch.setattr(OoOCore, "run_rows", spy)
     return spans
@@ -258,8 +258,8 @@ def detecting_chunks(monkeypatch, trace) -> list[bool]:
     chunks = []
     original = OoOCore.run_rows
 
-    def spy(self, timed, hook, state, stop, record=None):
-        original(self, timed, hook, state, stop, record)
+    def spy(self, timed, hook, state, stop):
+        original(self, timed, hook, state, stop)
         if timed is trace:
             chunks.append(bool(hook.report.events))
 

@@ -3,16 +3,23 @@
 import json
 import os
 import struct
+import sys
 import time
+import zlib
+from dataclasses import replace as dc_replace
 
 import pytest
 
 import repro.workloads.suite as suite
+from repro.common.config import default_config
+from repro.core.ooo_core import OoOCore
+from repro.core.timing import config_key, time_bare
 from repro.isa.executor import execute_program
 from repro.isa.instructions import MASK64, Opcode
 from repro.isa.memory_image import float_to_bits
 from repro.isa.program import ProgramBuilder
 from repro.workloads.suite import (
+    BENCHMARK_ORDER,
     benchmark_program,
     benchmark_trace,
     build_benchmark,
@@ -41,34 +48,57 @@ def isolated_store():
     suite._TRACE_CACHE.clear()
 
 
+#: Envelope preamble: magic, u32 header length, u32 CRC-32 of every
+#: byte after the preamble.  The header follows; the data region starts
+#: at the next multiple of 8.
+PREAMBLE = struct.Struct("<4sII")
+
+
+def align8(n):
+    return (n + 7) & ~7
+
+
+def split_envelope(path):
+    """(header dict, stored CRC, data region) of a binary envelope."""
+    buf = path.read_bytes()
+    _magic, header_len, crc = PREAMBLE.unpack_from(buf)
+    header_end = PREAMBLE.size + header_len
+    return (json.loads(buf[PREAMBLE.size:header_end]), crc,
+            buf[align8(header_end):])
+
+
 def read_header(path):
     """The decoded JSON header of a binary envelope."""
-    buf = path.read_bytes()
-    (header_len,) = struct.unpack_from("<I", buf, 4)
-    return json.loads(buf[8:8 + header_len])
-
-
-def replace_header(path, header):
-    """Rewrite a binary envelope with ``header`` verbatim (block offsets
-    are relative to the header's end, so resizing it is safe)."""
-    buf = path.read_bytes()
-    (header_len,) = struct.unpack_from("<I", buf, 4)
-    data_start = (8 + header_len + 7) & ~7
-    header_bytes = json.dumps(header).encode()
-    new_start = (8 + len(header_bytes) + 7) & ~7
-    out = bytearray(new_start + len(buf) - data_start)
-    out[:4] = buf[:4]
-    struct.pack_into("<I", out, 4, len(header_bytes))
-    out[8:8 + len(header_bytes)] = header_bytes
-    out[new_start:] = buf[data_start:]
-    path.write_bytes(bytes(out))
+    return split_envelope(path)[0]
 
 
 def patch_header(path, **changes):
-    """Rewrite a binary envelope with a modified header."""
-    header = read_header(path)
+    """Rewrite a binary envelope with a modified header (block offsets
+    are relative to the data region, so resizing the header is safe).
+
+    The CRC is resealed over the new header, so the reader's structural
+    checks, not its checksum, meet the edit."""
+    header, _crc, data = split_envelope(path)
     header.update(changes)
-    replace_header(path, header)
+    header_bytes = json.dumps(header).encode()
+    body = header_bytes.ljust(
+        align8(PREAMBLE.size + len(header_bytes)) - PREAMBLE.size, b"\0")
+    crc = zlib.crc32(data, zlib.crc32(body))
+    path.write_bytes(PREAMBLE.pack(ENVELOPE_MAGIC, len(header_bytes), crc)
+                     + body + data)
+
+
+def write_legacy_envelope(path, schema):
+    """Rewrite an envelope in the schema-3/4 layout: ``RTS3`` magic and
+    a u32 header length, then a header carrying the schema and a CRC of
+    the data region alone."""
+    header, _crc, data = split_envelope(path)
+    header.pop("timings", None)
+    header.update(schema=schema, crc32=zlib.crc32(data))
+    header_bytes = json.dumps(header).encode()
+    preamble = b"RTS3" + struct.pack("<I", len(header_bytes))
+    body = header_bytes.ljust(align8(8 + len(header_bytes)) - 8, b"\0")
+    path.write_bytes(preamble + body + data)
 
 
 class TestFingerprint:
@@ -109,8 +139,8 @@ class TestTraceStore:
              trace.halted, trace.crashed, trace.final_next_pc)
 
     def test_envelope_is_binary_columnar(self, tmp_path):
-        """Schema-3 envelopes are single binary files, magic-led, with
-        zero-copy memoryview columns on load."""
+        """Envelopes are single binary files, magic-led, with zero-copy
+        memoryview columns on load."""
         store = TraceStore(tmp_path)
         program = build_benchmark("stream", "small")
         trace = execute_program(program)
@@ -219,6 +249,29 @@ class TestTraceStore:
         assert store.get(key, program) is None
         assert store.corrupt == 1
 
+    def test_foreign_byte_order_reads_as_miss(self, tmp_path):
+        store = TraceStore(tmp_path)
+        program = build_rmw_loop(iterations=5)
+        key = store.key("rmw", "small", program)
+        store.put(key, execute_program(program))
+        foreign = "big" if sys.byteorder == "little" else "little"
+        patch_header(store._path(key), byteorder=foreign)
+        assert store.get(key, program) is None
+        assert store.misses == 1
+        assert store.corrupt == 0
+
+    def test_row_count_mismatch_reads_as_corrupt(self, tmp_path):
+        """A resealed header whose row count disagrees with its columns
+        passes the checksum and fails the structural check behind it."""
+        store = TraceStore(tmp_path)
+        program = build_rmw_loop(iterations=5)
+        key = store.key("rmw", "small", program)
+        store.put(key, execute_program(program))
+        header = read_header(store._path(key))
+        patch_header(store._path(key), n=header["n"] - 1)
+        assert store.get(key, program) is None
+        assert store.corrupt == 1
+
     def test_key_binds_program_content(self, tmp_path):
         store = TraceStore(tmp_path)
         a = build_rmw_loop(iterations=5)
@@ -307,47 +360,55 @@ class TestIntegerWidths:
 
 
 class TestTimingSections:
-    """Schema-4 envelopes carry golden per-configuration timing columns
-    alongside the trace: bit-exact over mmap round trips, readable-but-
-    timing-missing on v3 envelopes, corrupt on in-block rot."""
+    """Golden timing rides the envelope header: one ``CoreResult`` per
+    configuration key, under the same CRC as the trace columns."""
 
     @staticmethod
     def stored(tmp_path, benchmark="stream"):
-        from repro.common.config import default_config
-        from repro.core.timing import config_key, timing_record
-
         store = TraceStore(tmp_path)
         program = build_benchmark(benchmark, "small")
         trace = execute_program(program)
         key = store.key(benchmark, "small", program)
         store.put(key, trace)
         config = default_config()
-        record = timing_record(trace, config)
-        return store, program, trace, key, config_key(config), record
+        result = time_bare(trace, config)
+        return store, program, trace, key, config_key(config), result
 
-    def test_timing_round_trip_bit_exact(self, tmp_path):
-        store, program, trace, key, ck, record = self.stored(tmp_path)
-        assert store.timing_writes == 1
-        loaded = store.get(key, program)
-        assert ck in loaded.timings
-        got = loaded.timings[ck]
-        assert list(got.issue) == list(record.issue)
-        assert list(got.commit) == list(record.commit)
-        assert list(got.branch) == list(record.branch)
-        assert list(got.l1d) == list(record.l1d)
-        assert list(got.l2) == list(record.l2)
-        assert got.result == record.result
-        assert len(got.commit) == len(loaded)
+    def test_envelope_layout(self, tmp_path):
+        """A schema-5 envelope: the ``RTS5`` preamble's CRC covers the
+        header and the data region, the block table names trace columns
+        only, and a timing section is the nine ``CoreResult`` scalars."""
+        store, program, trace, key, ck, result = self.stored(tmp_path)
+        buf = store._path(key).read_bytes()
+        magic, _header_len, crc = PREAMBLE.unpack_from(buf)
+        assert magic == ENVELOPE_MAGIC == b"RTS5"
+        assert crc == zlib.crc32(buf[PREAMBLE.size:])
+        header = read_header(store._path(key))
+        assert header["schema"] == TRACE_STORE_SCHEMA == 5
+        assert "crc32" not in header
+        assert not [name for name in header["blocks"]
+                    if name.startswith("tm_")]
+        assert header["timings"] == {ck: vars(result)}
+
+    def test_timing_round_trip_two_configs(self, tmp_path):
+        """A second configuration's result joins, not replaces, the
+        first's, and both come back from a fresh store equal."""
+        store, program, trace, key, ck, result = self.stored(tmp_path)
+        cfg = default_config()
+        other = dc_replace(cfg, main_core=dc_replace(cfg.main_core,
+                                                     fetch_width=1))
+        other_result = time_bare(trace, other)
+        assert other_result != result
+        assert store.timing_writes == 2
+        loaded = TraceStore(tmp_path).get(key, program)
+        assert loaded.timings == {ck: result,
+                                  config_key(other): other_result}
 
     def test_warm_store_serves_timing_without_rerun(self, tmp_path,
                                                     monkeypatch):
         """A fresh worker reading a warm envelope must serve cached
         timing instead of re-running the OoO model."""
-        from repro.common.config import default_config
-        from repro.core.ooo_core import OoOCore
-        from repro.core.timing import time_bare
-
-        store, program, trace, key, ck, record = self.stored(tmp_path)
+        store, program, trace, key, ck, result = self.stored(tmp_path)
         fresh = TraceStore(tmp_path)
         loaded = fresh.get(key, program)
 
@@ -357,101 +418,51 @@ class TestTimingSections:
         monkeypatch.setattr(OoOCore, "run", tripwire)
         monkeypatch.setattr(OoOCore, "run_rows", tripwire)
         served = time_bare(loaded, default_config())
-        assert served == record.result
+        assert served == result
 
-    def test_time_bare_warm_equals_cold(self, tmp_path):
-        from repro.common.config import default_config
-        from repro.core.timing import time_bare
-
-        store, program, trace, key, ck, record = self.stored(tmp_path)
+    @pytest.mark.parametrize("name", BENCHMARK_ORDER)
+    def test_time_bare_warm_equals_cold(self, tmp_path, name):
+        store, program, trace, key, ck, result = self.stored(tmp_path, name)
         cold = time_bare(execute_program(program), default_config())
         warm = time_bare(TraceStore(tmp_path).get(key, program),
                          default_config())
-        assert cold == warm == record.result
+        assert cold == warm == result
 
-    def test_v3_envelope_reads_as_timing_miss_not_corrupt(self, tmp_path):
-        """Pre-timing envelopes stay readable (keys are shared across
-        schemas 3 and 4): the trace loads fine, timing is simply cold."""
-        store, program, trace, key, ck, record = self.stored(tmp_path)
-        header = read_header(store._path(key))
-        assert header["schema"] == TRACE_STORE_SCHEMA == 4
-        header.pop("timings")
-        header["schema"] = 3
-        replace_header(store._path(key), header)
-        reopened = TraceStore(tmp_path)
-        loaded = reopened.get(key, program)
-        assert loaded is not None
-        assert loaded.timings == {}
-        assert reopened.corrupt == 0
-
-    def test_bit_flip_in_timing_block_reads_as_corrupt(self, tmp_path):
-        """Timing blocks live inside the CRC-covered data region: a
-        flipped bit there must refuse the whole envelope, never serve
-        silently wrong golden timing."""
-        store, program, trace, key, ck, record = self.stored(tmp_path)
+    def test_header_digit_edit_reads_as_corrupt(self, tmp_path):
+        """The CRC covers the header: a same-length edit of one digit of
+        a timing section's ``cycles`` must refuse the envelope, never
+        serve a wrong baseline."""
+        store, program, trace, key, ck, result = self.stored(tmp_path)
         path = store._path(key)
-        buf = bytearray(path.read_bytes())
-        (header_len,) = struct.unpack_from("<I", buf, 4)
-        header = json.loads(bytes(buf[8:8 + header_len]))
-        data_start = (8 + header_len + 7) & ~7
-        offset, count = header["timings"][ck]["blocks"]["tm_commit"]
-        buf[data_start + offset + (count // 2) * 8] ^= 0x10
-        path.write_bytes(bytes(buf))
+        buf = path.read_bytes()
+        digits = str(result.cycles)
+        edited = str(int(digits[0]) % 9 + 1) + digits[1:]
+        field = f'"cycles":{digits}'.encode()
+        assert buf.count(field) == 1
+        path.write_bytes(buf.replace(field, f'"cycles":{edited}'.encode()))
         reopened = TraceStore(tmp_path)
         assert reopened.get(key, program) is None
         assert reopened.corrupt == 1
         assert reopened.misses == 0
 
-    def test_timing_block_length_mismatch_reads_as_corrupt(self, tmp_path):
-        store, program, trace, key, ck, record = self.stored(tmp_path)
-        header = read_header(store._path(key))
-        header["timings"][ck]["blocks"]["tm_issue"][1] -= 1
-        replace_header(store._path(key), header)
+    @pytest.mark.parametrize("schema", [3, 4])
+    def test_legacy_envelope_reads_as_miss_and_is_overwritten(
+            self, tmp_path, schema):
+        """Schema-3/4 envelopes share their paths with schema 5: one
+        reads as a miss, never as corrupt, and the next put replaces it
+        at the same path."""
+        store, program, trace, key, ck, result = self.stored(tmp_path)
+        path = store._path(key)
+        write_legacy_envelope(path, schema)
         reopened = TraceStore(tmp_path)
         assert reopened.get(key, program) is None
-        assert reopened.corrupt == 1
-
-    def test_put_timing_preserves_other_sections(self, tmp_path):
-        """Records for a second configuration merge with, not replace,
-        the first configuration's section."""
-        from dataclasses import replace as dc_replace
-
-        from repro.common.config import default_config
-        from repro.core.timing import config_key, timing_record
-
-        store, program, trace, key, ck, record = self.stored(tmp_path)
-        cfg = default_config()
-        other = dc_replace(cfg, main_core=dc_replace(cfg.main_core,
-                                                     rob_entries=48))
-        timing_record(trace, other)
-        assert store.timing_writes == 2
-        loaded = TraceStore(tmp_path).get(key, program)
-        assert set(loaded.timings) == {ck, config_key(other)}
-        assert loaded.timings[ck].result == record.result
-
-    def test_oversized_miss_delta_fails_loudly(self, tmp_path):
-        """Per-row miss deltas are u16 columns: a count that cannot fit
-        must raise at write time, never truncate silently."""
-        from repro.core.timing import TimingRecord
-
-        store = TraceStore(tmp_path)
-        program = build_rmw_loop(iterations=3)
-        trace = execute_program(program)
-        key = store.key("rmw", "small", program)
-        store.put(key, trace)
-        n = len(trace)
-        good = TraceStore(tmp_path).get(key, program)
-        record = TimingRecord(
-            result=None, issue=[0] * n, commit=list(range(n)),
-            branch=[-1] * n, l1d=[0] * n, l2=[0] * n)
-        record.l1d[0] = 1 << 16  # cannot fit a u16 column
-        from repro.core.ooo_core import CoreResult
-        record.result = CoreResult(
-            cycles=n, instructions=n, uops=n, system_cycles=n,
-            branch_lookups=0, branch_mispredicts=0, l1d_misses=0,
-            l2_misses=0, commit_stall_cycles=0)
-        with pytest.raises(OverflowError):
-            store.put_timing(key, good, "cfg", record)
+        assert (reopened.misses, reopened.corrupt) == (1, 0)
+        reopened.put(key, trace)
+        assert list(path.parent.iterdir()) == [path]
+        assert path.read_bytes()[:4] == ENVELOPE_MAGIC
+        loaded = reopened.get(key, program)
+        assert loaded is not None
+        assert loaded.timings == {ck: result}
 
 
 class TestStaleTempSweep:
