@@ -145,8 +145,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         return 2
 
     # install the shared golden-trace store before grid construction:
-    # fault/recovery grids need each benchmark's clean trace length, so a
-    # warm store makes even grid building skip functional executions
+    # fault/recovery grids need each benchmark's clean trace length, which
+    # a warm store reads from envelope headers, executing and decoding
+    # no trace
     from pathlib import Path
     from repro.harness.campaign import TRACE_STORE_DIRNAME
     from repro.workloads.suite import configure_trace_store

@@ -14,6 +14,12 @@ import json
 from dataclasses import dataclass, fields
 
 
+#: The one encoder behind :func:`canonical_json`.  ``json.dumps`` with
+#: these options builds a new encoder on every call; ``encode`` keeps no
+#: state between calls, so one shared instance gives the same bytes.
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(payload: object) -> str:
     """Deterministic JSON: sorted keys, minimal separators.
 
@@ -21,7 +27,7 @@ def canonical_json(payload: object) -> str:
     construction order or worker count — the byte-identity contract of
     the campaign cache.
     """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL_ENCODER.encode(payload)
 
 
 @dataclass(frozen=True)

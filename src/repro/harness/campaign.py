@@ -72,7 +72,11 @@ from repro.schemes.base import ProtectionScheme
 # re-exported from its historical home here; the definition moved to the
 # scheme layer alongside its consumers
 from repro.schemes.base import architecturally_masked as architecturally_masked
-from repro.workloads.suite import benchmark_trace, configure_trace_store
+from repro.workloads.suite import (
+    benchmark_trace,
+    benchmark_trace_length,
+    configure_trace_store,
+)
 
 #: Bump whenever job execution or record layout changes meaning: every
 #: cached result carries it, so stale caches read as misses, never as
@@ -780,7 +784,7 @@ def _fault_stream(name: str, trials: int, sites: Sequence[FaultSite],
     """The ``trials`` faults a campaign injects into benchmark ``name``:
     ``sites`` in turn, with positions and bits drawn from the
     benchmark's own deterministic stream."""
-    clean_len = len(benchmark_trace(name, scale))
+    clean_len = benchmark_trace_length(name, scale)
     rng = derive(seed, f"campaign:fault:{name}")
     return [TransientFault(sites[trial % len(sites)],
                            seq=rng.randrange(10, clean_len - 10),
@@ -804,10 +808,12 @@ def fault_grid(benchmarks: Sequence[str],
     gives every scheme the identical fault set, so cross-scheme coverage
     and latency comparisons are apples-to-apples.
 
-    Fault positions need each benchmark's dynamic trace length, so grid
-    construction performs one functional execution per benchmark in the
-    submitting process (memoised per process by the suite registry) —
-    cheap next to the timing runs, but not free on a fully warm cache.
+    Fault positions need each benchmark's dynamic trace length.  With a
+    golden-trace store installed, a stored trace supplies it from its
+    envelope header, so a grid over a warm store executes and decodes
+    nothing; otherwise grid construction performs one functional
+    execution per benchmark in the submitting process, memoised per
+    process and published to the store for the jobs that follow.
     """
     cfg = config if config is not None else default_config()
     get_scheme(scheme)
@@ -870,7 +876,7 @@ def recovery_grid(benchmarks: Sequence[str],
             f"scheme {scheme!r} does not support recovery campaigns")
     jobs = []
     for name in benchmarks:
-        clean_len = len(benchmark_trace(name, scale))
+        clean_len = benchmark_trace_length(name, scale)
         rng = derive(seed, f"campaign:recovery:{name}")
         for _ in range(trials):
             fault = TransientFault(

@@ -34,6 +34,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import socket
+import threading
 from dataclasses import dataclass, field
 
 from repro.harness.campaign import (
@@ -137,17 +138,22 @@ class CampaignWorker:
             # this leaves the rescuer's live lease alone
             self.manifest.release(job.key, lease)
 
-    def run(self, max_jobs: int | None = None) -> WorkerStats:
+    def run(self, max_jobs: int | None = None,
+            stop: threading.Event | None = None) -> WorkerStats:
         """Work until no job can be leased (campaign finished, or every
         remainder is done/failed/validly leased to another worker).
 
         ``max_jobs`` bounds this worker's contribution — used by tests
         and by operators draining a host; unexecuted leases are released
-        so other workers pick them up immediately.
+        so other workers pick them up immediately.  ``stop`` is checked
+        before each lease batch: once it is set, the worker finishes the
+        batch in hand, leases nothing more and returns.
         """
         stats = WorkerStats(worker=self.worker_id)
         claimed = 0
         while max_jobs is None or claimed < max_jobs:
+            if stop is not None and stop.is_set():
+                break
             limit = self.batch_size
             if max_jobs is not None:
                 limit = min(limit, max_jobs - claimed)

@@ -162,6 +162,8 @@ class CampaignService:
         self._start_seq = itertools.count(1)
         self._server: asyncio.AbstractServer | None = None
         self._drain_task: asyncio.Task | None = None
+        #: set by :meth:`stop`: the drain's workers lease nothing more
+        self._drain_stop = threading.Event()
         self._wake: asyncio.Event | None = None
         self._paused = False
         self._closing = False
@@ -202,13 +204,17 @@ class CampaignService:
 
     async def stop(self) -> None:
         self._closing = True
+        self._drain_stop.set()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
         if self._wake is not None:
             self._wake.set()
         if self._drain_task is not None:
-            self._drain_task.cancel()
+            # not cancelled: the task awaits the in-flight drain thread,
+            # whose workers return at their next lease-batch boundary.
+            # A thread left running would reopen, with its next put, a
+            # pack closed below
             try:
                 await self._drain_task
             except (asyncio.CancelledError, Exception):
@@ -342,10 +348,11 @@ class CampaignService:
             for i in range(threads)
         ]
         if threads == 1:
-            return workers[0].run().as_dict()
+            return workers[0].run(stop=self._drain_stop).as_dict()
         stats = [None] * threads
         runners = [threading.Thread(target=lambda i=i: stats.__setitem__(
-            i, workers[i].run()), daemon=True) for i in range(threads)]
+            i, workers[i].run(stop=self._drain_stop)), daemon=True)
+            for i in range(threads)]
         for runner in runners:
             runner.start()
         for runner in runners:

@@ -16,7 +16,9 @@ across processes and hosts: a campaign worker whose store already holds
 a benchmark's golden trace *forks* it — rebuilds the program (cheap,
 deterministic) and loads the stored columns — instead of re-running
 ``execute_program``.  The campaign engine and manifest workers configure
-the store next to their run cache.
+the store next to their run cache.  Grid builders need only each
+benchmark's row count (:func:`benchmark_trace_length`), which a stored
+envelope's header supplies without decoding the trace.
 """
 
 from __future__ import annotations
@@ -175,14 +177,46 @@ def benchmark_trace(name: str, scale: str = "default") -> Trace:
     if trace is not None:
         return trace
     program = benchmark_program(name, scale)
+    store_key = None
     if _TRACE_STORE is not None:
         store_key = _TRACE_STORE.key(name, scale, program)
         trace = _TRACE_STORE.get(store_key, program)
-        if trace is None:
-            trace = execute_program(program)
-            _TRACE_STORE.put(store_key, trace)
-    else:
-        trace = execute_program(program)
+        if trace is not None:
+            _TRACE_CACHE[key] = trace
+            return trace
+    return _execute_golden(key, program, store_key)
+
+
+def benchmark_trace_length(name: str, scale: str = "default") -> int:
+    """The row count of :func:`benchmark_trace`'s trace, for callers
+    that need nothing else of it (grid builders sizing fault positions).
+
+    Same resolution order, except that a stored trace answers from its
+    envelope's checked header (:meth:`TraceStore.length`) and is neither
+    decoded nor memoised; a miss executes, publishes and memoises the
+    trace exactly as :func:`benchmark_trace` does.
+    """
+    key = (name, scale)
+    trace = _TRACE_CACHE.get(key)
+    if trace is not None:
+        return len(trace)
+    program = benchmark_program(name, scale)
+    store_key = None
+    if _TRACE_STORE is not None:
+        store_key = _TRACE_STORE.key(name, scale, program)
+        length = _TRACE_STORE.length(store_key)
+        if length is not None:
+            return length
+    return len(_execute_golden(key, program, store_key))
+
+
+def _execute_golden(key: tuple[str, str], program: Program,
+                    store_key: str | None) -> Trace:
+    """Run ``program`` clean, publish the trace under ``store_key`` (when
+    a store is installed) and memoise it under ``key``."""
+    trace = execute_program(program)
+    if store_key is not None:
+        _TRACE_STORE.put(store_key, trace)
     _TRACE_CACHE[key] = trace
     return trace
 

@@ -38,7 +38,12 @@ The header also carries the **golden timing** of the trace: one
 :class:`~repro.core.ooo_core.CoreResult` per system configuration that
 has timed it (see ``repro.core.timing``), nine scalars each, under the
 same CRC as the columns.  :meth:`TraceStore.put_timing` publishes one
-more by rewriting the envelope.
+more by writing a new header in front of the stored data region.
+
+A caller that needs only a trace's row count (a fault grid sizing its
+fault positions) asks :meth:`TraceStore.length`, which checks the
+envelope as :meth:`TraceStore.get` does and reads the count from its
+header without decoding a column.
 
 Envelopes from earlier schemas are never converted.  The JSON-era ones
 (schema 2 and before) live under other keys and are simply ignored;
@@ -165,6 +170,13 @@ class _CorruptEnvelope(ValueError):
 
 class _SchemaMismatch(ValueError):
     """A well-formed envelope of another schema generation (cold miss)."""
+
+
+#: What reading an envelope raises when the file is absent or
+#: unreadable, of another schema generation, or damaged (the two
+#: classes above derive from ``ValueError``).
+_UNUSABLE = (OSError, KeyError, IndexError, TypeError, ValueError,
+             OverflowError, struct.error)
 
 
 #: Column blocks of an envelope, in file order, with their
@@ -310,6 +322,13 @@ def _encode_envelope(key: str, trace: Trace,
         "kf_interval": kf.interval,
         "blocks": blocks,
     }
+    return _seal(header, region, timings)
+
+
+def _seal(header: dict, region, timings: dict | None) -> bytes:
+    """The envelope bytes of ``header``, its timing section set to
+    ``timings``, over the data region ``region``."""
+    header.pop("timings", None)
     if timings:
         header["timings"] = {
             config_key: {field: getattr(result, field)
@@ -320,14 +339,15 @@ def _encode_envelope(key: str, trace: Trace,
     body = header_bytes.ljust(
         _align8(_PREAMBLE.size + len(header_bytes)) - _PREAMBLE.size, b"\0")
     crc = zlib.crc32(region, zlib.crc32(body))
-    return (_PREAMBLE.pack(ENVELOPE_MAGIC, len(header_bytes), crc)
-            + body + bytes(region))
+    return b"".join(
+        (_PREAMBLE.pack(ENVELOPE_MAGIC, len(header_bytes), crc), body, region))
 
 
-def _read_header(view: memoryview) -> tuple[dict, int, int]:
-    """(header dict, stored CRC, data-region start) of one envelope;
-    raises :class:`_CorruptEnvelope` on anything that is not a schema-5
-    file and :class:`_SchemaMismatch` on a schema-3/4 one."""
+def _checked_header(view: memoryview, key: str) -> tuple[dict, int]:
+    """(header dict, data-region start) of ``key``'s envelope once its
+    preamble, schema, key, byte order and CRC-32 pass; raises
+    :class:`_SchemaMismatch` on a well-formed envelope this reader must
+    not use and :class:`_CorruptEnvelope` on anything else."""
     if bytes(view[:4]) == _LEGACY_MAGIC:
         raise _SchemaMismatch("schema-3/4 envelope layout")
     if len(view) < _PREAMBLE.size or bytes(view[:4]) != ENVELOPE_MAGIC:
@@ -342,7 +362,52 @@ def _read_header(view: memoryview) -> tuple[dict, int, int]:
         raise _CorruptEnvelope(f"unparseable envelope header: {error}")
     if not isinstance(header, dict):
         raise _CorruptEnvelope("envelope header is not an object")
-    return header, crc, _align8(header_end)
+    if header.get("schema") != TRACE_STORE_SCHEMA:
+        raise _SchemaMismatch(f"envelope schema {header.get('schema')!r}")
+    if header.get("key") != key:
+        raise _CorruptEnvelope("envelope key does not match its path")
+    if header.get("byteorder") != sys.byteorder:
+        # written on a foreign-endian host: valid but unusable here —
+        # treated like a miss so this worker overwrites it natively
+        raise _SchemaMismatch("foreign byte order")
+    if zlib.crc32(view[_PREAMBLE.size:]) != crc:
+        # structural checks cannot see a flipped bit inside a column or
+        # a same-length edit of a header value (a timing result, a final
+        # register, the row count) — only the checksum catches those
+        raise _CorruptEnvelope("envelope checksum mismatch")
+    return header, _align8(header_end)
+
+
+def _block(view: memoryview, header: dict, data_start: int,
+           name: str) -> memoryview:
+    """Column block ``name`` of a checked envelope, as a typed view."""
+    code = _TYPECODES[name]
+    off, count = header["blocks"][name]
+    start = data_start + off
+    end = start + count * _ITEMSIZE[code]
+    if not 0 <= start <= end <= len(view):
+        raise _CorruptEnvelope(f"block {name!r} exceeds the envelope")
+    return view[start:end].cast(code)
+
+
+def _envelope_length(buf, key: str) -> int:
+    """The row count of one mapped envelope, read from its checked
+    header; nothing past the header is decoded."""
+    view = memoryview(buf)
+    header, data_start = _checked_header(view, key)
+    n = int(header["n"])
+    if len(_block(view, header, data_start, "pcs")) != n:
+        raise _CorruptEnvelope("row columns disagree with the header")
+    return n
+
+
+def _retimed_envelope(buf, key: str, timings: dict) -> bytes:
+    """One mapped envelope's bytes with its timing section set to
+    ``timings``: a new header in front of the stored data region, which
+    is copied, not re-encoded."""
+    view = memoryview(buf)
+    header, data_start = _checked_header(view, key)
+    return _seal(header, view[data_start:], timings)
 
 
 def _decode_envelope(buf, key: str, program: Program) -> Trace:
@@ -353,30 +418,10 @@ def _decode_envelope(buf, key: str, program: Program) -> Trace:
     in-process shapes.
     """
     view = memoryview(buf)
-    header, crc, data_start = _read_header(view)
-    if header.get("schema") != TRACE_STORE_SCHEMA:
-        raise _SchemaMismatch(f"envelope schema {header.get('schema')!r}")
-    if header.get("key") != key:
-        raise _CorruptEnvelope("envelope key does not match its path")
-    if header.get("byteorder") != sys.byteorder:
-        # written on a foreign-endian host: valid but unusable here —
-        # treated like a miss so this worker overwrites it natively
-        raise _SchemaMismatch("foreign byte order")
-    if zlib.crc32(view[_PREAMBLE.size:]) != crc:
-        # structural checks below cannot see a flipped bit inside a
-        # column or a same-length edit of a header value (a timing
-        # result, a final register) — only the checksum catches those
-        raise _CorruptEnvelope("envelope checksum mismatch")
-    blocks = header["blocks"]
+    header, data_start = _checked_header(view, key)
 
     def column(name):
-        code = _TYPECODES[name]
-        off, count = blocks[name]
-        start = data_start + off
-        end = start + count * _ITEMSIZE[code]
-        if not 0 <= start <= end <= len(view):
-            raise _CorruptEnvelope(f"block {name!r} exceeds the envelope")
-        return view[start:end].cast(code)
+        return _block(view, header, data_start, name)
 
     n = int(header["n"])
     pcs = column("pcs")
@@ -523,6 +568,27 @@ class TraceStore:
                 "corrupt golden-trace envelope %s (%s); "
                 "it will be re-derived and overwritten", name, reason)
 
+    def _mapped(self, key: str) -> mmap.mmap:
+        """A read-only mapping of ``key``'s envelope file (raises
+        ``FileNotFoundError`` when there is none)."""
+        with open(self._path(key), "rb") as handle:
+            return mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+
+    def _read(self, key: str, decode):
+        """``decode(mapping)`` of ``key``'s envelope, counted as a hit;
+        None, counted as a miss or as corrupt, when the envelope is
+        absent, of another schema generation, or unusable."""
+        try:
+            value = decode(self._mapped(key))
+        except (FileNotFoundError, _SchemaMismatch):
+            self.misses += 1
+            return None
+        except _UNUSABLE as error:
+            self._note_corrupt(self._path(key), str(error))
+            return None
+        self.hits += 1
+        return value
+
     def get(self, key: str, program: Program) -> Trace | None:
         """The stored golden trace for ``key``, rebuilt over ``program``
         (the in-process program object the caller already built).
@@ -531,34 +597,20 @@ class TraceStore:
         trace's numeric columns are zero-copy views over that mapping
         (the mapping lives exactly as long as the views referencing it).
         """
-        path = self._path(key)
-        try:
-            handle = open(path, "rb")
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except OSError as error:
-            self._note_corrupt(path, str(error))
-            return None
-        with handle:
-            try:
-                mapped = mmap.mmap(handle.fileno(), 0,
-                                   access=mmap.ACCESS_READ)
-            except (OSError, ValueError) as error:
-                self._note_corrupt(path, str(error))
-                return None
-        try:
-            trace = _decode_envelope(mapped, key, program)
-        except _SchemaMismatch:
-            self.misses += 1
-            return None
-        except (_CorruptEnvelope, KeyError, IndexError, TypeError,
-                ValueError, OverflowError, struct.error) as error:
-            self._note_corrupt(path, str(error))
-            return None
-        self.hits += 1
-        trace.store_ref = (self, key)
+        trace = self._read(
+            key, lambda mapped: _decode_envelope(mapped, key, program))
+        if trace is not None:
+            trace.store_ref = (self, key)
         return trace
+
+    def length(self, key: str) -> int | None:
+        """The row count of the stored golden trace for ``key``, read
+        from its envelope header once the checks :meth:`get` makes
+        before decoding pass (preamble, schema, key, byte order, CRC-32)
+        and the ``pcs`` block holds that many rows; no column is
+        decoded.  None, counted as :meth:`get` counts it, when there is
+        no usable envelope."""
+        return self._read(key, lambda mapped: _envelope_length(mapped, key))
 
     def _write(self, key: str, envelope: bytes) -> None:
         path = self._path(key)
@@ -578,13 +630,20 @@ class TraceStore:
                    result: CoreResult) -> None:
         """Publish one golden timing result into ``key``'s envelope.
 
-        Re-encodes the whole envelope with every timing result the trace
-        carries (including ``result``) and replaces the file atomically.
-        Two workers racing on different configurations last-write-win —
-        the loser's result is simply re-derived and re-published by the
-        next campaign that needs it, exactly like a cold store.
+        The new envelope carries every timing result the trace carries
+        (including ``result``) and replaces the file atomically.  When
+        the stored envelope passes :meth:`get`'s checks, its data region
+        is kept and only the header is rewritten; otherwise the trace is
+        encoded afresh.  Two workers racing on different configurations
+        last-write-win — the loser's result is simply re-derived and
+        re-published by the next campaign that needs it, exactly like a
+        cold store.
         """
         merged = dict(trace.timings)
         merged[config_key] = result
-        self._write(key, _encode_envelope(key, trace, merged))
+        try:
+            envelope = _retimed_envelope(self._mapped(key), key, merged)
+        except _UNUSABLE:
+            envelope = _encode_envelope(key, trace, merged)
+        self._write(key, envelope)
         self.timing_writes += 1

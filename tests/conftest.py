@@ -120,6 +120,25 @@ def never_firing_faults(golden: Trace, start: int) -> list[TransientFault]:
             TransientFault(FaultSite.BRANCH, seq=non_branch)]
 
 
+def tripwire(what: str):
+    """A stand-in that fails the test when ``what`` runs."""
+    def fail(*_args, **_kwargs):
+        raise AssertionError(f"{what} ran")
+    return fail
+
+
+def edit_header_digit(path, field: str, value: int) -> None:
+    """Same-length edit of the first digit of the integer ``field``
+    (whose value is ``value``) in a golden-trace envelope's header; the
+    envelope's CRC is left as it was."""
+    buf = path.read_bytes()
+    digits = str(value)
+    edited = str(int(digits[0]) % 9 + 1) + digits[1:]
+    old = f'"{field}":{digits}'.encode()
+    assert buf.count(old) == 1
+    path.write_bytes(buf.replace(old, f'"{field}":{edited}'.encode()))
+
+
 @pytest.fixture()
 def verdict_paths(monkeypatch):
     """runner(fn) -> canonical JSON of ``fn()`` on three paths: every

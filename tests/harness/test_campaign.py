@@ -33,6 +33,10 @@ from repro.harness.campaign import (
     recovery_grid,
 )
 from repro.schemes import scheme_names
+from repro.workloads import suite, trace_store
+from repro.workloads.suite import BENCHMARK_ORDER, configure_trace_store
+
+from tests.conftest import edit_header_digit, tripwire
 
 
 @pytest.fixture(scope="module")
@@ -514,6 +518,86 @@ class TestGrids:
     def test_fault_batch_grid_rejects_bad_batch_size(self):
         with pytest.raises(ValueError, match="batch size"):
             fault_batch_grid(["stream"], trials=4, batch_size=0)
+
+
+@pytest.fixture
+def trace_root(tmp_path):
+    """A golden-trace store root; the test starts and ends with no store
+    installed and an empty process memo."""
+    configure_trace_store(None)
+    suite._TRACE_CACHE.clear()
+    yield tmp_path / "traces"
+    configure_trace_store(None)
+    suite._TRACE_CACHE.clear()
+
+
+#: the grid builders that size faults by golden trace length
+LENGTH_GRIDS = {
+    "fault": lambda: fault_grid(BENCHMARK_ORDER, trials=5, seed=1),
+    "fault-batch": lambda: fault_batch_grid(BENCHMARK_ORDER, trials=5,
+                                            batch_size=2, seed=1),
+    "recovery": lambda: recovery_grid(BENCHMARK_ORDER, trials=3, seed=1),
+}
+
+
+def job_keys(grid) -> list[str]:
+    return [job.key() for job in grid]
+
+
+class TestGridTraceLengths:
+    """Grids read golden row counts from the trace store's envelope
+    headers: a warm build executes and decodes nothing."""
+
+    def test_warm_grids_decode_nothing_and_match_cold(self, trace_root,
+                                                      monkeypatch):
+        count = len(BENCHMARK_ORDER)
+        store = configure_trace_store(trace_root)
+        cold = {}
+        for kind, build in LENGTH_GRIDS.items():
+            cold[kind] = job_keys(build())
+            # the first grid executes and publishes every golden trace
+            # (one lookup, one write each); the others reuse the memo
+            assert (store.hits, store.misses, store.writes,
+                    store.corrupt) == (0, count, count, 0)
+
+        configure_trace_store(None)  # a fresh process: no memo
+        store = configure_trace_store(trace_root)
+        monkeypatch.setattr(trace_store, "_decode_envelope",
+                            tripwire("an envelope decode"))
+        monkeypatch.setattr(suite, "execute_program",
+                            tripwire("a clean execution"))
+        for kind, build in LENGTH_GRIDS.items():
+            hits = store.hits
+            assert job_keys(build()) == cold[kind]
+            assert store.hits - hits == count
+        assert (store.misses, store.writes, store.corrupt) == (0, 0, 0)
+
+    def test_edited_row_count_reads_corrupt_and_is_rewritten(
+            self, trace_root, caplog):
+        """A same-length edit of the header's row count is refused by the
+        checksum: counted and logged once, the grid keeps the true
+        length, and the envelope is rewritten valid."""
+        store = configure_trace_store(trace_root)
+        cold = job_keys(LENGTH_GRIDS["fault"]())
+        program = suite.benchmark_program("stream", "small")
+        key = store.key("stream", "small", program)
+        path = store._path(key)
+        length = store.length(key)
+        edit_header_digit(path, "n", length)
+
+        configure_trace_store(None)
+        store = configure_trace_store(trace_root)
+        with caplog.at_level("WARNING", logger="repro.workloads.trace_store"):
+            assert job_keys(LENGTH_GRIDS["fault"]()) == cold
+        count = len(BENCHMARK_ORDER)
+        assert (store.hits, store.misses, store.writes,
+                store.corrupt) == (count - 1, 0, 1, 1)
+        assert len([record for record in caplog.records
+                    if "corrupt golden-trace envelope" in record.message]) == 1
+        fresh = trace_store.TraceStore(trace_root)
+        assert fresh.length(key) == length
+        assert len(fresh.get(key, program)) == length
+        assert fresh.corrupt == 0
 
 
 class TestExecuteJob:

@@ -351,6 +351,27 @@ class TestWorkers:
         assert status["states"]["leased"] == 0  # nothing stranded
         assert status["states"]["pending"] == len(manifest.unique) - 3
 
+    def test_worker_stops_at_a_lease_batch_boundary(self, manifest,
+                                                    monkeypatch):
+        """A stop event set mid-batch lets the batch in hand finish and
+        leases nothing more; one set beforehand leases nothing at all."""
+        stop = threading.Event()
+        worker = CampaignWorker(manifest, worker_id="w", batch_size=3)
+        run_one = worker._run_one
+
+        def run_then_stop(job, lease, stats):
+            run_one(job, lease, stats)
+            stop.set()
+
+        monkeypatch.setattr(worker, "_run_one", run_then_stop)
+        stats = worker.run(stop=stop)
+        assert (stats.batches, stats.executed) == (1, 3)
+        status = manifest_status(manifest)
+        assert status["states"]["leased"] == 0  # nothing stranded
+        assert status["states"]["pending"] == len(manifest.unique) - 3
+        again = CampaignWorker(manifest, worker_id="w2").run(stop=stop)
+        assert (again.batches, again.executed) == (0, 0)
+
     def test_failed_job_gets_envelope_and_leaves_pool(self, manifest,
                                                       monkeypatch):
         import repro.harness.orchestrator as orch

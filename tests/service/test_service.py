@@ -317,6 +317,34 @@ class TestShutdown:
         for cache in caches:
             assert cache._writer is None and not cache._packs
 
+    def test_stop_ends_the_drain_at_a_lease_batch_boundary(
+            self, service_factory):
+        """stop() waits for the in-flight drain, whose worker leases no
+        batch once stop is asked: the campaign stays unfinished for a
+        restart, and no job runs or reopens a pack after stop()."""
+        live = service_factory(drain_workers=1)
+        _st, payload = live.submit(
+            tiny_desc("stream", kind="fault", trials=200))
+        cid = payload["campaign"]
+        packs = Path(payload["service"]["manifest"]) / "cache" / "packs"
+
+        def records() -> int:
+            return sum(len(pack.read_bytes().splitlines())
+                       for pack in packs.glob("*.pack"))
+
+        deadline = time.monotonic() + 60
+        while not records():
+            assert time.monotonic() < deadline, "the drain never started"
+            time.sleep(0.01)
+        asyncio.run_coroutine_threadsafe(
+            live.service.stop(), live.loop).result(60)
+        done = records()
+        assert 0 < done < 200
+        time.sleep(0.2)
+        assert records() == done
+        cache = live.service.campaigns[cid].manifest.cache
+        assert cache._writer is None and not cache._packs
+
 
 class TestHttpErrors:
     def test_unknown_route_404(self, live_service):

@@ -11,6 +11,7 @@ from dataclasses import replace as dc_replace
 import pytest
 
 import repro.workloads.suite as suite
+import repro.workloads.trace_store as trace_store
 from repro.common.config import default_config
 from repro.core.ooo_core import OoOCore
 from repro.core.timing import config_key, time_bare
@@ -22,6 +23,7 @@ from repro.workloads.suite import (
     BENCHMARK_ORDER,
     benchmark_program,
     benchmark_trace,
+    benchmark_trace_length,
     build_benchmark,
     configure_trace_store,
 )
@@ -30,11 +32,12 @@ from repro.workloads.trace_store import (
     STALE_TEMP_TTL,
     TRACE_STORE_SCHEMA,
     TraceStore,
+    _encode_envelope,
     program_fingerprint,
     sweep_stale_temps,
 )
 
-from tests.conftest import build_rmw_loop
+from tests.conftest import build_rmw_loop, edit_header_digit, tripwire
 
 
 @pytest.fixture(autouse=True)
@@ -99,6 +102,35 @@ def write_legacy_envelope(path, schema):
     preamble = b"RTS3" + struct.pack("<I", len(header_bytes))
     body = header_bytes.ljust(align8(8 + len(header_bytes)) - 8, b"\0")
     path.write_bytes(preamble + body + data)
+
+
+def flip_mid_file_bit(path):
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+#: Ways to damage or age a stored envelope, each with how a reader
+#: counts the envelope afterwards.
+DAMAGES = {
+    "absent": (lambda path: path.unlink(), "miss"),
+    "empty": (lambda path: path.write_bytes(b""), "corrupt"),
+    "garbage": (lambda path: path.write_text("{not json"), "corrupt"),
+    "truncated": (lambda path: path.write_bytes(path.read_bytes()[:100]),
+                  "corrupt"),
+    "bit-flip": (flip_mid_file_bit, "corrupt"),
+    "n-digit": (lambda path: edit_header_digit(
+        path, "n", read_header(path)["n"]), "corrupt"),
+    "row-count": (lambda path: patch_header(
+        path, n=read_header(path)["n"] - 1), "corrupt"),
+    "key": (lambda path: patch_header(path, key="0" * 64), "corrupt"),
+    "schema": (lambda path: patch_header(path, schema=TRACE_STORE_SCHEMA + 1),
+               "miss"),
+    "byte-order": (lambda path: patch_header(
+        path, byteorder="big" if sys.byteorder == "little" else "little"),
+        "miss"),
+    "legacy": (lambda path: write_legacy_envelope(path, 4), "miss"),
+}
 
 
 class TestFingerprint:
@@ -279,6 +311,41 @@ class TestTraceStore:
         assert store.key("x", "small", a) != store.key("x", "small", b)
 
 
+class TestLength:
+    """``length`` answers a trace's row count from the envelope header,
+    after the checks ``get`` makes and without decoding a column."""
+
+    def test_length_reads_the_row_count_without_decoding(self, tmp_path,
+                                                         monkeypatch):
+        store = TraceStore(tmp_path)
+        program = build_benchmark("stream", "small")
+        trace = execute_program(program)
+        key = store.key("stream", "small", program)
+        store.put(key, trace)
+        monkeypatch.setattr(trace_store, "_decode_envelope",
+                            tripwire("an envelope decode"))
+        reader = TraceStore(tmp_path)
+        assert reader.length(key) == len(trace)
+        assert (reader.hits, reader.misses, reader.corrupt) == (1, 0, 0)
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGES))
+    def test_length_refuses_what_get_refuses(self, tmp_path, damage):
+        """Every damaged or aged envelope ``get`` refuses, ``length``
+        refuses too, and counts the same way."""
+        program = build_rmw_loop(iterations=5)
+        store = TraceStore(tmp_path)
+        key = store.key("rmw", "small", program)
+        store.put(key, execute_program(program))
+        harm, counted_as = DAMAGES[damage]
+        harm(store._path(key))
+        by_get, by_length = TraceStore(tmp_path), TraceStore(tmp_path)
+        assert by_get.get(key, program) is None
+        assert by_length.length(key) is None
+        counts = (by_length.hits, by_length.misses, by_length.corrupt)
+        assert counts == (by_get.hits, by_get.misses, by_get.corrupt)
+        assert counts == ((0, 1, 0) if counted_as == "miss" else (0, 0, 1))
+
+
 class TestIntegerWidths:
     """Pin the integer-width properties the fixed-width columns freeze."""
 
@@ -445,6 +512,48 @@ class TestTimingSections:
         assert reopened.corrupt == 1
         assert reopened.misses == 0
 
+    @pytest.mark.parametrize("name", BENCHMARK_ORDER)
+    def test_put_timing_rewrites_the_header_only(self, tmp_path, name,
+                                                 monkeypatch):
+        """Publishing a timing result keeps the stored data region and
+        writes a new header in front of it, and the envelope equals a
+        full encoding of the trace with the merged timings, byte for
+        byte (with a first and with a second configuration)."""
+        store = TraceStore(tmp_path)
+        program = build_benchmark(name, "small")
+        trace = execute_program(program)
+        key = store.key(name, "small", program)
+        store.put(key, trace)
+        cfg = default_config()
+        other = dc_replace(cfg, main_core=dc_replace(cfg.main_core,
+                                                     fetch_width=1))
+        for config in (cfg, other):
+            with monkeypatch.context() as patched:
+                patched.setattr(trace_store, "_encode_envelope",
+                                tripwire("a full envelope encode"))
+                time_bare(trace, config)
+            assert store._path(key).read_bytes() == \
+                _encode_envelope(key, trace, trace.timings)
+        assert set(trace.timings) == {config_key(cfg), config_key(other)}
+        assert store.timing_writes == 2
+
+    @pytest.mark.parametrize("damage", ["absent", "bit-flip", "legacy"])
+    def test_put_timing_encodes_afresh_over_an_unusable_envelope(
+            self, tmp_path, damage):
+        """A missing, damaged or legacy envelope lends no data region:
+        the trace is encoded in full, so damage is never resealed."""
+        store = TraceStore(tmp_path)
+        program = build_benchmark("stream", "small")
+        trace = execute_program(program)
+        key = store.key("stream", "small", program)
+        store.put(key, trace)
+        DAMAGES[damage][0](store._path(key))
+        result = time_bare(trace, default_config())
+        assert store._path(key).read_bytes() == \
+            _encode_envelope(key, trace, trace.timings)
+        loaded = TraceStore(tmp_path).get(key, program)
+        assert loaded.timings == {config_key(default_config()): result}
+
     @pytest.mark.parametrize("schema", [3, 4])
     def test_legacy_envelope_reads_as_miss_and_is_overwritten(
             self, tmp_path, schema):
@@ -521,6 +630,37 @@ class TestSuiteWiring:
         assert forked.final_xregs == original.final_xregs
         # the forked trace rides the in-process shared program object
         assert forked.program is benchmark_program("stream", "small")
+
+    @pytest.mark.parametrize("name", BENCHMARK_ORDER)
+    def test_trace_length_from_miss_memo_and_store(self, tmp_path, name,
+                                                   monkeypatch):
+        """``benchmark_trace_length`` equals ``len(benchmark_trace(...))``
+        on a miss (which executes, publishes and memoises the trace,
+        looking the envelope up once), from the memo, and from a warm
+        store (which decodes nothing)."""
+        root = tmp_path / "traces"
+        store = configure_trace_store(root)
+        length = benchmark_trace_length(name, "small")
+        assert (store.hits, store.misses, store.writes) == (0, 1, 1)
+        trace = benchmark_trace(name, "small")
+        assert length == len(trace)
+        assert benchmark_trace_length(name, "small") == len(trace)
+        assert (store.hits, store.misses, store.writes) == (0, 1, 1)
+
+        configure_trace_store(None)
+        store = configure_trace_store(root)
+        monkeypatch.setattr(trace_store, "_decode_envelope",
+                            tripwire("an envelope decode"))
+        monkeypatch.setattr(suite, "execute_program",
+                            tripwire("a clean execution"))
+        assert benchmark_trace_length(name, "small") == len(trace)
+        assert (store.hits, store.misses, store.writes) == (1, 0, 0)
+        assert len(execute_program(build_benchmark(name, "small"))) == \
+            len(trace)
+
+    def test_trace_length_without_a_store(self):
+        assert benchmark_trace_length("stream", "small") == \
+            len(benchmark_trace("stream", "small"))
 
     def test_store_swap_drops_process_memo(self, tmp_path):
         configure_trace_store(tmp_path / "a")
