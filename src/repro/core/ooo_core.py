@@ -41,12 +41,12 @@ The run loop is *resumable*: all mutable run state lives in a
 :class:`CoreRunState` capsule, ``run_rows`` advances it over a half-open
 row range, and :meth:`OoOCore.fork` snapshots a mid-run (core, state,
 hook) bundle into an isolated continuation via explicit
-``snapshot()``/``restore()`` methods (flat list/dict copies — no
-recursive deepcopy).  This is what the timing splice (ROADMAP item 2)
-builds on: time a golden trace once, snapshot at keyframe-like
-boundaries, and re-time only the post-fork suffix of each faulty trace —
-byte-identical to a full re-timing because it *is* the same loop,
-resumed.
+``snapshot()``/``restore()`` methods (flat list/dict copies and
+copy-on-write cache sets — no recursive deepcopy).  This is what the
+timing splice (ROADMAP item 2) builds on: time a golden trace once,
+snapshot at keyframe-like boundaries, and re-time only the post-fork
+suffix of each faulty trace — byte-identical to a full re-timing because
+it *is* the same loop, resumed.
 """
 
 from __future__ import annotations
@@ -271,7 +271,10 @@ class OoOCore:
         Every mutable structure — the memory hierarchy, the branch
         predictor, the run-state capsule, and the hook — is copied via
         its explicit ``snapshot()`` method (flat list/dict copies, no
-        recursive deepcopy).  Configuration objects, the clock, and the
+        recursive deepcopy), except that cache sets are shared
+        copy-on-write: the clone and this core each copy a set when they
+        first write it (:class:`repro.memory.cache.CacheModel`), so both
+        stay free to run on.  Configuration objects, the clock, and the
         trace columns stay shared: they are immutable for the lifetime of
         a run (mmap-backed columns could not be deep-copied anyway).
         The result is byte-identical to the deep-copy this used to do,

@@ -699,6 +699,11 @@ def _later_segments_pass(hook: ParallelErrorDetection, row: int,
     per row, the way the core feeds a hook, and stops at the first
     failure.  ``hook`` itself only applies its skipped rows.
 
+    With ``bound`` at the end of the trace and no event recorded yet, a
+    pass means that no event occurs: events come only from failing
+    checks, and the copy has checked every segment the run has still to
+    close, by the third point below.
+
     Why a pass makes the verdict final, for a run whose first event is
     at tick ``T``, that has committed rows below ``row``, the last at
     ``now < T``, and where ``bound = row + 1 + commit_width *
@@ -752,7 +757,11 @@ def _spliced_detection_run(trace: Trace, config: SystemConfig,
                            ) -> DetectionRunResult | DetectionVerdict:
     """Re-time only the post-fork suffix of a forked faulty trace.
 
-    With ``verdict_only`` the suffix is timed in chunks of
+    With ``verdict_only``, a timing-free look-ahead
+    (:func:`_later_segments_pass`) over the whole suffix comes first: if
+    every segment that closes from the fork on passes its check, no
+    event occurs, and the verdict returns without timing a row of the
+    faulty trace.  Otherwise the suffix is timed in chunks of
     :data:`VERDICT_CHUNK_ROWS` rows, and timing stops as soon as the
     verdict is final:
 
@@ -761,10 +770,10 @@ def _spliced_detection_run(trace: Trace, config: SystemConfig,
       current commit tick, so its checks finish no earlier (and a tie
       keeps the event already recorded), and it has a higher index:
       neither the first event nor the first error position can change;
-    * or, tried once, right after the first event is recorded: when a
-      timing-free look-ahead (:func:`_later_segments_pass`) shows that
-      every segment that could still close before that event's tick
-      passes its check.  If one fails, timing goes on as above.
+    * or, tried once, right after the first event is recorded: when the
+      look-ahead shows that every segment that could still close before
+      that event's tick passes its check.  If one fails, timing goes on
+      as above.
     """
     cursor = _splice_cursor(trace.fork_of, config)
     core, state, hook = cursor.bundle(trace.fork_seq)
@@ -777,6 +786,8 @@ def _spliced_detection_run(trace: Trace, config: SystemConfig,
         return DetectionRunResult(core=core.finish_run(trace, hook, state),
                                   report=hook.report)
     report = hook.report
+    if _later_segments_pass(hook, state.next_row, total):
+        return DetectionVerdict.of(report)
     period = hook.main_period
     width = config.main_core.commit_width
     looked_ahead = False
@@ -823,11 +834,12 @@ def run_with_detection(
 
     ``verdict_only=True`` returns a :class:`DetectionVerdict` instead of
     the full result.  On the spliced path its timing then stops as soon
-    as the verdict is final: right after the first detection event when
-    a timing-free look-ahead certifies that no later segment can detect
-    sooner, else once the main core's commit tick reaches the earliest
-    detection tick recorded (see :func:`_spliced_detection_run`); an
-    undetected run is timed to the end.  Every other path runs in full
+    as the verdict is final (see :func:`_spliced_detection_run`): a run
+    whose every check passes, by a timing-free look-ahead from the fork,
+    is not timed at all; a detected run stops right after its first
+    detection event when the look-ahead certifies that no later segment
+    can detect sooner, else once the main core's commit tick reaches the
+    earliest detection tick recorded.  Every other path runs in full
     and reads its verdict off the complete report, so
     ``REPRO_TIMING_SPLICE=0`` also turns the early stop and the
     look-ahead off.

@@ -19,10 +19,20 @@ class CacheModel:
     caller converts between domains.  The cache itself does not know its
     miss penalty — the hierarchy supplies the fill time, so one model
     serves L1s, the L2, and the checker cores' instruction caches.
+
+    Sets are copy-on-write between a model and its snapshots: each set is
+    a dict of line -> 0 in LRU order (oldest first), and ``_owned`` holds
+    one flag per set, set only while no other model references that dict.
+    A method that writes a set (``lookup``'s hit refresh, ``fill``,
+    ``install``) first replaces an unowned set with a private copy.  So a
+    set dict that two models reference is never mutated.  ``snapshot``
+    clears the source's flags too, which makes it a write to the source:
+    a model must not be snapshotted while another thread accesses it (the
+    timing-splice cursor's lock serialises both).
     """
 
     __slots__ = (
-        "config", "_sets", "_set_shift", "_set_mask", "_line_shift",
+        "config", "_sets", "_owned", "_set_mask", "_line_shift",
         "_mshr_ready", "_outstanding", "hits", "misses", "mshr_stalls",
     )
 
@@ -31,9 +41,9 @@ class CacheModel:
         self.config = config
         num_sets = config.num_sets
         self._sets: list[dict[int, int]] = [dict() for _ in range(num_sets)]
+        self._owned = bytearray(b"\x01" * num_sets)
         self._line_shift = config.line_bytes.bit_length() - 1
         self._set_mask = num_sets - 1
-        self._set_shift = self._line_shift
         # MSHR slots: cycle each slot frees up
         self._mshr_ready = [0] * config.mshrs
         # line -> fill-complete cycle, for miss coalescing
@@ -43,12 +53,18 @@ class CacheModel:
         self.mshr_stalls = 0
 
     def snapshot(self) -> "CacheModel":
-        """Independent copy of the tag/MSHR state; shares the config and
-        the derived shift/mask scalars (immutable after construction)."""
+        """Independent copy of the tag/MSHR state.
+
+        The clone shares the source's set dicts, and both sides copy a
+        set the first time they write it (see the class docstring); the
+        MSHR and in-flight state is copied, and the config and the derived
+        shift/mask scalars are shared (immutable after construction)."""
         clone = CacheModel.__new__(CacheModel)
         clone.config = self.config
-        clone._sets = [dict(ways) for ways in self._sets]
-        clone._set_shift = self._set_shift
+        clone._sets = self._sets[:]
+        num_sets = len(self._sets)
+        clone._owned = bytearray(num_sets)
+        self._owned = bytearray(num_sets)
         clone._set_mask = self._set_mask
         clone._line_shift = self._line_shift
         clone._mshr_ready = self._mshr_ready[:]
@@ -58,16 +74,10 @@ class CacheModel:
         clone.mshr_stalls = self.mshr_stalls
         return clone
 
-    def _line(self, addr: int) -> int:
-        return addr >> self._line_shift
-
-    def _set_index(self, line: int) -> int:
-        return line & self._set_mask
-
     def probe(self, addr: int) -> bool:
         """Check for a hit without updating any state."""
-        line = self._line(addr)
-        return line in self._sets[self._set_index(line)]
+        line = addr >> self._line_shift
+        return line in self._sets[line & self._set_mask]
 
     def lookup(self, addr: int, now: int) -> tuple[bool, int]:
         """Access the cache at cycle ``now``.
@@ -83,11 +93,14 @@ class CacheModel:
           must then compute the fill time from the next level and call
           :meth:`fill`.
         """
-        line = self._line(addr)
-        index = self._set_index(line)
+        line = addr >> self._line_shift
+        index = line & self._set_mask
         ways = self._sets[index]
         if line in ways:
             self.hits += 1
+            if not self._owned[index]:
+                ways = self._sets[index] = dict(ways)
+                self._owned[index] = 1
             # refresh LRU: move to most-recent by re-inserting
             del ways[line]
             ways[line] = 0
@@ -115,9 +128,12 @@ class CacheModel:
     def fill(self, addr: int, miss_start: int, fill_done: int) -> None:
         """Install the line for a miss that started at ``miss_start`` and
         whose data arrives at ``fill_done``; occupies an MSHR meanwhile."""
-        line = self._line(addr)
-        index = self._set_index(line)
+        line = addr >> self._line_shift
+        index = line & self._set_mask
         ways = self._sets[index]
+        if not self._owned[index]:
+            ways = self._sets[index] = dict(ways)
+            self._owned[index] = 1
         if line not in ways and len(ways) >= self.config.assoc:
             # evict true-LRU (first key in insertion order)
             ways.pop(next(iter(ways)))
@@ -133,9 +149,12 @@ class CacheModel:
 
     def install(self, addr: int, ready: int = 0) -> None:
         """Insert a line without an MSHR (prefetch fill)."""
-        line = self._line(addr)
-        index = self._set_index(line)
+        line = addr >> self._line_shift
+        index = line & self._set_mask
         ways = self._sets[index]
+        if not self._owned[index]:
+            ways = self._sets[index] = dict(ways)
+            self._owned[index] = 1
         if line not in ways and len(ways) >= self.config.assoc:
             ways.pop(next(iter(ways)))
         ways[line] = 0

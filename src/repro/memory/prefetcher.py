@@ -26,7 +26,7 @@ class StridePrefetcher:
     CONFIDENCE_MAX = 3
     CONFIDENCE_THRESHOLD = 2
 
-    __slots__ = ("entries", "table_size", "degree", "issued", "useful")
+    __slots__ = ("entries", "table_size", "degree", "issued")
 
     def __init__(self, table_size: int = 64, degree: int = 2) -> None:
         self.entries: dict[int, _StrideEntry] = {}
@@ -37,8 +37,7 @@ class StridePrefetcher:
     def snapshot(self) -> "StridePrefetcher":
         """Independent copy of the prediction table (fork support).
 
-        Rebuilds each mutable :class:`_StrideEntry`; the unused ``useful``
-        slot is deliberately left untouched (it is never assigned)."""
+        Rebuilds each mutable :class:`_StrideEntry`."""
         clone = StridePrefetcher.__new__(StridePrefetcher)
         clone.entries = {
             pc: _StrideEntry(entry.last_addr, entry.stride, entry.confidence)

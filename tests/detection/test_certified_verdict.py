@@ -12,8 +12,10 @@ equal the one read off the complete report and the one of the
 reference path (timing splice off), and a look-ahead that certifies a
 run must have left no failing segment unchecked that closes before the
 first event's tick.  The timing chunk is drawn too, so the look-ahead
-starts at many different rows.  The look-ahead must also leave the
-hook it copies alone.
+starts at many different rows.  A verdict-only run first looks ahead
+from its fork seq, before it times a row: that probe must pass only
+when the complete report records no event.  The look-ahead must also
+leave the hook it copies alone.
 """
 
 from __future__ import annotations
@@ -153,13 +155,17 @@ def test_certificate_covers_every_segment_closing_before_first_event(
     """Sharper than the verdict alone: when the look-ahead certifies a
     run, no segment the fully timed run closes before the first event's
     tick fails its check, except those already checked.  A second failing
-    segment need not detect earlier for a too-short look-ahead to show."""
+    segment need not detect earlier for a too-short look-ahead to show.
+    Only look-aheads made after an event are recorded: the one from the
+    fork, before any row is timed, is the no-event property below."""
     faulty = faulty_trace(draw, data)
     looks = []
     look_ahead = system._later_segments_pass
 
     def spy(hook, row, bound):
         report = hook.report
+        if not report.events:
+            return look_ahead(hook, row, bound)
         looks.append((len(report.events), report.first_event.detect_tick))
         certified = look_ahead(hook, row, bound)
         looks[-1] += (certified,)
@@ -175,6 +181,29 @@ def test_certificate_covers_every_segment_closing_before_first_event(
             assert all(event.segment_close_tick >= first_tick
                        for event in complete.events[recorded:])
             assert early == DetectionVerdict.of(complete)
+
+
+@settings(max_examples=120, deadline=None)
+@given(long_program_draw, config_draw, st.data())
+def test_look_ahead_from_the_fork_passes_only_without_events(
+        draw, config, data):
+    """A verdict-only run first looks ahead from its fork seq to the end
+    of the trace, before it times a row, and returns with no event when
+    every check passes.  That probe must pass only if the complete report
+    records no event; with real checkers, a failing probe must mean an
+    event (ideal checkers check nothing, so they record none)."""
+    config = config.with_ideal_checkers(data.draw(st.booleans()))
+    faulty = faulty_trace(draw, data)
+    _, state, hook = _TimingSpliceCursor(faulty.fork_of, config).bundle(
+        faulty.fork_seq)
+    hook.begin(faulty)
+    passes = system._later_segments_pass(hook, state.next_row, len(faulty))
+    complete = verdict(faulty, config, "1", verdict_only=False).report
+    if passes:
+        assert not complete.events
+    elif not config.detection.ideal_checkers:
+        assert complete.events
+    assert verdict(faulty, config, "1") == verdict(faulty, config, "0")
 
 
 def hook_state(hook) -> tuple:

@@ -1,5 +1,9 @@
 """Tests for the set-associative cache timing model."""
 
+import copy
+
+from hypothesis import given, settings, strategies as st
+
 from repro.common.config import CacheConfig
 from repro.memory.cache import CacheModel
 
@@ -113,3 +117,69 @@ class TestMSHRs:
         _, s2 = c.lookup(0x2000, 10)
         assert s2 == 10
         assert c.mshr_stalls == 0
+
+
+#: one operation on a family of models: (model, kind, line, offset,
+#: time, time); the model index is reduced modulo the family size
+op_draw = st.tuples(
+    st.integers(min_value=0, max_value=7),
+    st.sampled_from(["lookup", "lookup", "fill", "install", "probe",
+                     "snapshot"]),
+    st.integers(min_value=0, max_value=15),
+    st.integers(min_value=0, max_value=63),
+    st.integers(min_value=0, max_value=300),
+    st.integers(min_value=0, max_value=300),
+)
+
+#: the family stops growing here; later snapshots replace a model
+FAMILY_CAP = 6
+
+
+def apply_op(family, op, fork):
+    """Run ``op`` on ``family`` and return what it returned; a snapshot
+    forks with ``fork`` and appends the clone (or replaces a model once
+    the family is full)."""
+    which, kind, line, offset, t1, t2 = op
+    model = family[which % len(family)]
+    addr = line * 64 + offset
+    if kind == "lookup":
+        return model.lookup(addr, t1)
+    if kind == "fill":
+        return model.fill(addr, min(t1, t2), max(t1, t2))
+    if kind == "install":
+        return model.install(addr, t1 if t2 % 2 else 0)
+    if kind == "probe":
+        return model.probe(addr)
+    clone = fork(model)
+    if len(family) < FAMILY_CAP:
+        family.append(clone)
+    else:
+        family[t1 % FAMILY_CAP] = clone
+    return None
+
+
+def observed(model):
+    return (model.hits, model.misses, model.mshr_stalls,
+            [list(ways) for ways in model._sets])
+
+
+class TestSnapshotCopyOnWrite:
+    """Snapshots share cache sets copy-on-write: a family of models forked
+    from each other, sources included, each running on its own stream of
+    operations, must behave exactly like a family forked by deepcopy."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=3),
+           st.integers(min_value=1, max_value=4),
+           st.integers(min_value=1, max_value=3),
+           st.lists(op_draw, min_size=1, max_size=120))
+    def test_forks_stay_independent(self, set_bits, assoc, mshrs, ops):
+        sets = 1 << set_bits
+        shared = [small_cache(assoc=assoc, sets=sets, mshrs=mshrs)]
+        twins = [copy.deepcopy(shared[0])]
+        for op in ops:
+            got = apply_op(shared, op, CacheModel.snapshot)
+            want = apply_op(twins, op, copy.deepcopy)
+            assert got == want
+            assert [observed(m) for m in shared] == \
+                [observed(m) for m in twins]

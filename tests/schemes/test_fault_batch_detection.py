@@ -63,6 +63,7 @@ from tests.conftest import (
     mid_trace_faults,
     never_firing_faults,
 )
+from tests.core.timing_pins import report_fields
 
 
 @pytest.fixture()
@@ -139,6 +140,60 @@ class TestSnapshotForkIdentity:
              report_b.checker_busy_ticks, report_b.log_full_stall_cycles,
              report_b.checkpoint_stall_cycles,
              report_b.all_checks_done_tick)
+
+    @pytest.mark.parametrize("workload", ["stream", "bitcount"])
+    def test_source_runs_on_before_its_fork_finishes(self, workload):
+        """Cache sets are shared copy-on-write between a core and its
+        fork: the source timing to the trace end first must leave the
+        fork's state alone, so both finish as the deepcopy fork does."""
+        golden = benchmark_trace(workload, "small")
+        config = default_config()
+        mid = len(golden) // 2
+
+        def finish(bundle):
+            core, state, hook = bundle
+            core.run_rows(golden, hook, state, len(golden))
+            return core.finish_run(golden, hook, state), report_fields(
+                hook.report)
+
+        core = OoOCore(config)
+        hook = ParallelErrorDetection(config, golden.program)
+        hook.begin(golden)
+        state = core.start_state()
+        core.run_rows(golden, hook, state, mid)
+
+        via_deepcopy = self._deepcopy_fork(core, state, hook)
+        via_snapshot = core.fork(state, hook)
+        source = finish((core, state, hook))
+        assert finish(via_snapshot) == source == finish(via_deepcopy)
+
+    def test_fork_shares_cache_sets_until_written(self):
+        """Right after a fork, the clone's L1I, L1D and L2 sets are the
+        source's dicts; one hit on the clone copies exactly its set."""
+        golden = benchmark_trace("stream", "small")
+        config = default_config()
+        core = OoOCore(config)
+        hook = ParallelErrorDetection(config, golden.program)
+        hook.begin(golden)
+        state = core.start_state()
+        core.run_rows(golden, hook, state, 2048)
+        fcore, _, _ = core.fork(state, hook)
+        for level in ("l1i", "l1d", "l2"):
+            source = getattr(core.hierarchy, level)._sets
+            clone = getattr(fcore.hierarchy, level)._sets
+            assert len(clone) == len(source)
+            assert all(a is b for a, b in zip(clone, source))
+        l1d = fcore.hierarchy.l1d
+        index = max(range(len(l1d._sets)), key=lambda i: len(l1d._sets[i]))
+        before = list(l1d._sets[index])
+        hit, _ = l1d.lookup(before[0] << l1d._line_shift,
+                            state.last_commit_cycle + 1000)
+        assert hit
+        source = core.hierarchy.l1d._sets
+        assert [i for i, (a, b) in enumerate(zip(l1d._sets, source))
+                if a is not b] == [index]
+        assert list(source[index]) == before
+        assert list(l1d._sets[index]) == before[1:] + before[:1]
 
     def test_fork_shares_immutable_state(self):
         """Config, program metadata, and the clock stay shared — only

@@ -366,7 +366,11 @@ class TestVerdictOnlyTiming:
                                   verdict_only=True).detected
         assert chunks.index(True) == len(chunks) - 1
 
-    def test_undetected_fault_times_to_the_end(self, monkeypatch):
+    def test_undetected_fault_times_no_faulty_row(self, monkeypatch):
+        """Every check of a masked fault's run passes, which the look-ahead
+        from its fork seq shows without timing: no row of the faulty
+        trace is timed for its verdict, while a run asked for its full
+        result still times to the end."""
         workload, fault = MASKED_FAULT
         golden = benchmark_trace(workload, "small")
         faulty = execute_forked(golden, FaultInjector([fault]))
@@ -375,5 +379,8 @@ class TestVerdictOnlyTiming:
         verdict = run_with_detection(faulty, default_config(),
                                      verdict_only=True)
         assert not verdict.detected
+        assert spans == []
+        full = run_with_detection(faulty, default_config())
         assert spans[0][0] <= faulty.fork_seq
         assert spans[-1][1] == len(faulty)
+        assert verdict == DetectionVerdict.of(full.report)
