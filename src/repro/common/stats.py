@@ -9,61 +9,6 @@ and allocation-light so it can sit on the simulator's hot path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-
-class RunningStats:
-    """Single-pass mean/variance/min/max accumulator (Welford)."""
-
-    __slots__ = ("count", "_mean", "_m2", "min", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.count else 0.0
-
-    @property
-    def variance(self) -> float:
-        return self._m2 / self.count if self.count else 0.0
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
-    def merge(self, other: "RunningStats") -> None:
-        """Fold ``other`` into this accumulator (parallel Welford merge)."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self._mean = other._mean
-            self._m2 = other._m2
-            self.min = other.min
-            self.max = other.max
-            return
-        total = self.count + other.count
-        delta = other._mean - self._mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self._mean += delta * other.count / total
-        self.count = total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
 
 
 class Samples:
@@ -179,23 +124,6 @@ class Samples:
             (lo + (i + 0.5) * width, counts[i] / (covered * width))
             for i in range(bins)
         ]
-
-
-@dataclass
-class Counter:
-    """A named bag of integer event counters."""
-
-    counts: dict[str, int] = field(default_factory=dict)
-
-    def inc(self, name: str, by: int = 1) -> None:
-        self.counts[name] = self.counts.get(name, 0) + by
-
-    def get(self, name: str) -> int:
-        return self.counts.get(name, 0)
-
-    def merge(self, other: "Counter") -> None:
-        for name, value in other.counts.items():
-            self.inc(name, value)
 
 
 def geometric_mean(values: list[float]) -> float:

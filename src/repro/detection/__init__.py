@@ -14,8 +14,6 @@ from repro.detection.faults import (
     HardFault,
     TransientFault,
 )
-from repro.detection.interrupts import periodic_interrupts, random_interrupts
-from repro.detection.lfu import LfuEntry, LoadForwardingUnit
 from repro.detection.lslog import CloseReason, Segment, segment_close
 from repro.detection.system import (
     DetectionEvent,
@@ -41,15 +39,11 @@ __all__ = [
     "FaultInjector",
     "FaultSite",
     "HardFault",
-    "LfuEntry",
-    "LoadForwardingUnit",
     "ParallelErrorDetection",
     "RegisterCheckpoint",
     "Segment",
     "SegmentChecker",
     "TransientFault",
-    "periodic_interrupts",
-    "random_interrupts",
     "run_unprotected",
     "run_with_detection",
     "segment_close",

@@ -5,9 +5,8 @@ stream (as a :class:`repro.core.ooo_core.CommitHook`) and co-simulates:
 
 * the **load forwarding unit** (§IV-C): a load is logged with the value
   duplicated at cache access (the trace's ``mem_value`` column), which is
-  what the unit forwards at commit (:mod:`repro.detection.lfu`); the
-  no-LFU ablation logs the value that reached the register file
-  (``mem_used``) instead;
+  what the unit forwards at commit; the no-LFU ablation logs the value
+  that reached the register file (``mem_used``) instead;
 * the **partitioned load-store log**: a view of the trace's memory
   columns, cut into segments by the one closure rule of
   :mod:`repro.detection.lslog` (fill / instruction timeout / interrupt /
@@ -669,17 +668,12 @@ def _splice_cursor(golden: Trace,
         return cursor
 
 
-#: Rows per ``run_rows`` call while a verdict-only run watches for the
-#: point its verdict is final: the most it can time past that point.
-VERDICT_CHUNK_ROWS = 64
-
-
 class _CheckOnlyDetection(ParallelErrorDetection):
     """A detection hook that only checks the segments it closes.
 
     Dispatch replays each closed segment on the checker and notes
     whether it failed; no in-order timing runs, and no slot tick or
-    event is touched.  Used by :func:`_later_segments_pass`.
+    event is touched.  Used by :func:`_first_failing_row`.
     """
 
     failed = False
@@ -689,50 +683,54 @@ class _CheckOnlyDetection(ParallelErrorDetection):
             self.failed = True
 
 
-def _later_segments_pass(hook: ParallelErrorDetection, row: int,
-                         bound: int) -> bool:
-    """Whether every segment a copy of ``hook`` closes on rows
-    ``[row, bound)`` passes its check, the termination segment included
-    when ``bound`` is the end of the trace.
+def _first_failing_row(hook: ParallelErrorDetection, row: int,
+                       bound: int) -> int | None:
+    """The row on whose commit the first failing segment closes, among
+    the segments a copy of ``hook`` closes on rows ``[row, bound)``:
+    the row whose ``pre_commit`` (a macro-op overflow) or
+    ``post_commit`` closes it.  ``len(trace)`` when only the termination
+    segment fails (it is checked when ``bound`` is the trace end), and
+    None when every segment passes.
 
     The copy runs without timing: it is fed a dummy commit cycle (0)
     per row, the way the core feeds a hook, and stops at the first
     failure.  ``hook`` itself only applies its skipped rows.
 
-    With ``bound`` at the end of the trace and no event recorded yet, a
-    pass means that no event occurs: events come only from failing
-    checks, and the copy has checked every segment the run has still to
-    close, by the third point below.
+    Why :func:`_spliced_detection_run` may stop where this look-ahead
+    says, for a run that has committed the rows below ``row``, the last
+    at tick ``now``:
 
-    Why a pass makes the verdict final, for a run whose first event is
-    at tick ``T``, that has committed rows below ``row``, the last at
-    ``now < T``, and where ``bound = row + 1 + commit_width *
-    ceil((T - now) / period)`` (capped at the trace end):
-
-    * a later event comes from a segment dispatched later, and its
-      detect tick is at or after that segment's close tick (a check
-      starts no earlier than close plus the checkpoint copy).  A segment
-      that closes at or after ``T`` cannot change the verdict: its events
-      tie or trail ``T`` (``first_event`` keeps the earliest-recorded of
-      equal ticks), and its index is higher, so ``first_error_position``
-      cannot move;
-    * at most ``commit_width`` rows commit per cycle, so only rows below
-      ``row + commit_width * ceil((T - now) / period)`` can commit before
-      ``T``.  A FULL or TIMEOUT close happens at its row's commit; a
-      macro-op overflow closes in the next row's ``pre_commit``, at a
-      tick no earlier than the previous row's commit.  So every segment
-      that can close before ``T`` closes on a row below ``bound``, and
-      the termination segment closes before ``T`` only if the trace
-      ends before ``bound``;
-    * which rows close segments is decided by the log's closure rule
+    * the copy closes and checks exactly the segments the timed run
+      would, with the same results.  Which rows close segments is
+      decided by the log's closure rule
       (:func:`repro.detection.lslog.segment_close`) from entry counts,
       the timeout and interrupts (the spliced path takes no
       interrupts); commit cycles never enter that decision, and
       ``_schedule`` makes every such row an event row whatever the
       commit gate does.  Entry kinds, addresses and values, the
       checkpoints, and :meth:`SegmentChecker.check`'s result never read
-      commit ticks.  So the copy closes and checks exactly the segments
-      the timed run would, with the same results.
+      commit ticks.  (Ideal checkers check nothing: there a named row
+      records no event, and the run goes on to the next one.)  Events
+      come only from failing checks, so with no event recorded yet and
+      ``bound`` at the trace end, None means that no event occurs;
+    * once the first event is recorded at tick ``T``, a segment that
+      closes at or after ``T`` cannot change the verdict.  Its events
+      come from a check that starts no earlier than its close plus the
+      checkpoint copy, so they tie or trail ``T`` (``first_event`` keeps
+      the earliest-recorded of equal ticks), and its index is higher,
+      so ``first_error_position`` cannot move.  Every segment still to
+      close closes at or after ``now``, so once ``now`` reaches ``T``
+      the verdict is final;
+    * before that, at most ``commit_width`` rows commit per cycle, so
+      only rows below ``row + commit_width * ceil((T - now) / period)``
+      can commit before ``T``.  A FULL or TIMEOUT close happens at its
+      row's commit; a macro-op overflow closes in the next row's
+      ``pre_commit``, at a tick no earlier than the previous row's
+      commit.  So with ``bound = row + 1 + commit_width * ceil((T -
+      now) / period)`` (capped at the trace end), every segment that
+      can close before ``T`` closes on a row below ``bound``, the
+      termination segment only if the trace ends before ``bound``, and
+      None means the verdict is final.
     """
     probe = _CheckOnlyDetection.__new__(_CheckOnlyDetection)
     probe.restore(hook)
@@ -745,11 +743,13 @@ def _later_segments_pass(hook: ParallelErrorDetection, row: int,
         probe.pre_commit(event_row, 0)
         probe.post_commit(event_row, 0)
         if probe.failed:
-            return False
+            return event_row
         row = event_row + 1
     if bound == probe._total:
         probe.finish(0)
-    return not probe.failed
+        if probe.failed:
+            return bound
+    return None
 
 
 def _spliced_detection_run(trace: Trace, config: SystemConfig,
@@ -757,23 +757,17 @@ def _spliced_detection_run(trace: Trace, config: SystemConfig,
                            ) -> DetectionRunResult | DetectionVerdict:
     """Re-time only the post-fork suffix of a forked faulty trace.
 
-    With ``verdict_only``, a timing-free look-ahead
-    (:func:`_later_segments_pass`) over the whole suffix comes first: if
-    every segment that closes from the fork on passes its check, no
-    event occurs, and the verdict returns without timing a row of the
-    faulty trace.  Otherwise the suffix is timed in chunks of
-    :data:`VERDICT_CHUNK_ROWS` rows, and timing stops as soon as the
-    verdict is final:
-
-    * once the main core commits at or past the earliest detection tick
-      recorded so far.  Every later segment closes at or after the
-      current commit tick, so its checks finish no earlier (and a tie
-      keeps the event already recorded), and it has a higher index:
-      neither the first event nor the first error position can change;
-    * or, tried once, right after the first event is recorded: when the
-      look-ahead shows that every segment that could still close before
-      that event's tick passes its check.  If one fails, timing goes on
-      as above.
+    With ``verdict_only``, timing stops as soon as the verdict is final,
+    by one rule driven by the look-ahead :func:`_first_failing_row`
+    (whose docstring holds the argument).  The look-ahead names the row
+    on whose commit the next failing segment closes, and the run times
+    through exactly that row.  Until an event is recorded it looks as
+    far as the trace end; after one at tick ``T``, only over the rows
+    that can still commit before ``T``.  The run stops when the
+    look-ahead names no row, after the termination row, or once the
+    main core's commit tick reaches ``T``.  So a run whose every check
+    passes times no row of the faulty trace, and a detected run times
+    its fork to its first failing close in one ``run_rows`` call.
     """
     cursor = _splice_cursor(trace.fork_of, config)
     core, state, hook = cursor.bundle(trace.fork_seq)
@@ -786,28 +780,22 @@ def _spliced_detection_run(trace: Trace, config: SystemConfig,
         return DetectionRunResult(core=core.finish_run(trace, hook, state),
                                   report=hook.report)
     report = hook.report
-    if _later_segments_pass(hook, state.next_row, total):
-        return DetectionVerdict.of(report)
     period = hook.main_period
     width = config.main_core.commit_width
-    looked_ahead = False
-    while state.next_row < total:
-        core.run_rows(trace, hook, state,
-                      min(state.next_row + VERDICT_CHUNK_ROWS, total))
-        if not report.events:
-            continue
-        now = state.last_commit_cycle * period
-        first = report.first_event.detect_tick
-        if now >= first:
-            return DetectionVerdict.of(report)
-        if not looked_ahead:
-            looked_ahead = True
-            row = state.next_row
-            bound = min(total, row + 1 + width * -(-(first - now) // period))
-            if _later_segments_pass(hook, row, bound):
-                return DetectionVerdict.of(report)
-    # the termination segment can still detect: close the run
-    core.finish_run(trace, hook, state)
+    bound = total
+    while (row := _first_failing_row(hook, state.next_row, bound)) is not None:
+        core.run_rows(trace, hook, state, min(row + 1, total))
+        if row == total:
+            # the termination segment fails: close the run
+            core.finish_run(trace, hook, state)
+            break
+        if report.events:
+            now = state.last_commit_cycle * period
+            first = report.first_event.detect_tick
+            if now >= first:
+                break
+            bound = min(total, state.next_row + 1
+                        + width * -(-(first - now) // period))
     return DetectionVerdict.of(report)
 
 
@@ -834,15 +822,15 @@ def run_with_detection(
 
     ``verdict_only=True`` returns a :class:`DetectionVerdict` instead of
     the full result.  On the spliced path its timing then stops as soon
-    as the verdict is final (see :func:`_spliced_detection_run`): a run
-    whose every check passes, by a timing-free look-ahead from the fork,
-    is not timed at all; a detected run stops right after its first
-    detection event when the look-ahead certifies that no later segment
-    can detect sooner, else once the main core's commit tick reaches the
-    earliest detection tick recorded.  Every other path runs in full
-    and reads its verdict off the complete report, so
-    ``REPRO_TIMING_SPLICE=0`` also turns the early stop and the
-    look-ahead off.
+    as the verdict is final (see :func:`_spliced_detection_run`): a
+    timing-free look-ahead names the row on whose commit the next
+    failing segment closes, and the run times from one such row to the
+    next.  It stops when no failing segment is left that could detect
+    sooner than the earliest detection tick recorded, or once the main
+    core's commit tick reaches that tick; a run whose every check passes
+    is not timed at all.  Every other path runs in full and reads its
+    verdict off the complete report, so ``REPRO_TIMING_SPLICE=0`` also
+    turns the early stop and the look-ahead off.
     """
     if (trace.fork_of is not None
             and timing_splice_enabled()

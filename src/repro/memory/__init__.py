@@ -1,8 +1,7 @@
-"""Memory-system substrate: caches, DRAM, prefetcher, hierarchy, ECC."""
+"""Memory-system substrate: caches, DRAM, prefetcher, hierarchy."""
 
 from repro.memory.cache import CacheModel
 from repro.memory.dram import DRAMModel
-from repro.memory.ecc import EccResult, EccWord, decode, encode, flip_bit
 from repro.memory.hierarchy import CheckerICaches, MemoryHierarchy
 from repro.memory.prefetcher import StridePrefetcher
 
@@ -10,11 +9,6 @@ __all__ = [
     "CacheModel",
     "CheckerICaches",
     "DRAMModel",
-    "EccResult",
-    "EccWord",
     "MemoryHierarchy",
     "StridePrefetcher",
-    "decode",
-    "encode",
-    "flip_bit",
 ]

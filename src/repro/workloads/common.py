@@ -51,10 +51,3 @@ def float_data(seed_salt: str, count: int, lo: float = 0.1,
     """Deterministic FP initial data for a kernel's arrays."""
     rng = derive(seed, seed_salt)
     return [lo + (hi - lo) * rng.random() for _ in range(count)]
-
-
-def int_data(seed_salt: str, count: int, bits: int = 32,
-             seed: int | None = None) -> list[int]:
-    """Deterministic integer initial data."""
-    rng = derive(seed, seed_salt)
-    return [rng.getrandbits(bits) for _ in range(count)]

@@ -3,52 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.common.stats import Counter, RunningStats, Samples, geometric_mean
-
-
-class TestRunningStats:
-    def test_empty(self):
-        s = RunningStats()
-        assert s.count == 0
-        assert s.mean == 0.0
-        assert s.variance == 0.0
-
-    def test_basic(self):
-        s = RunningStats()
-        for v in [1.0, 2.0, 3.0, 4.0]:
-            s.add(v)
-        assert s.mean == pytest.approx(2.5)
-        assert s.min == 1.0
-        assert s.max == 4.0
-        assert s.variance == pytest.approx(1.25)
-
-    def test_merge_matches_combined(self):
-        a, b, combined = RunningStats(), RunningStats(), RunningStats()
-        for i, v in enumerate([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]):
-            (a if i % 2 else b).add(v)
-            combined.add(v)
-        a.merge(b)
-        assert a.count == combined.count
-        assert a.mean == pytest.approx(combined.mean)
-        assert a.variance == pytest.approx(combined.variance)
-        assert a.min == combined.min
-        assert a.max == combined.max
-
-    def test_merge_into_empty(self):
-        a, b = RunningStats(), RunningStats()
-        b.add(5.0)
-        a.merge(b)
-        assert a.count == 1 and a.mean == 5.0
-
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
-                              allow_nan=False), min_size=1, max_size=200))
-    def test_mean_matches_reference(self, values):
-        s = RunningStats()
-        for v in values:
-            s.add(v)
-        assert s.mean == pytest.approx(sum(values) / len(values), abs=1e-6)
-        assert s.min == min(values)
-        assert s.max == max(values)
+from repro.common.stats import Samples, geometric_mean
 
 
 class TestSamples:
@@ -113,23 +68,6 @@ class TestSamples:
                              sum(values) / len(values)})
         fractions = [s.fraction_below(t) for t in thresholds]
         assert fractions == sorted(fractions)
-
-
-class TestCounter:
-    def test_inc_and_get(self):
-        c = Counter()
-        c.inc("a")
-        c.inc("a", 2)
-        assert c.get("a") == 3
-        assert c.get("missing") == 0
-
-    def test_merge(self):
-        a, b = Counter(), Counter()
-        a.inc("x")
-        b.inc("x", 4)
-        b.inc("y")
-        a.merge(b)
-        assert a.get("x") == 5 and a.get("y") == 1
 
 
 class TestGeometricMean:

@@ -1,26 +1,28 @@
 """A certified early verdict equals the fully timed one.
 
-A verdict-only spliced detection run may stop timing right after its
-first detection event, once a timing-free look-ahead shows that every
-segment that could still close before that event's tick passes its
-check.  Over random programs (the generator of ``test_block_property``,
-with longer loops so runs span several timing chunks), random
-detection configs (the hook-skip property's draw without interrupts,
-at the checker frequencies of the Figure 9 sweep, and the stress
-config) and random faults (see :func:`draw_faults`), the verdict must
-equal the one read off the complete report and the one of the
-reference path (timing splice off), and a look-ahead that certifies a
-run must have left no failing segment unchecked that closes before the
-first event's tick.  The timing chunk is drawn too, so the look-ahead
-starts at many different rows.  A verdict-only run first looks ahead
-from its fork seq, before it times a row: that probe must pass only
-when the complete report records no event.  The look-ahead must also
-leave the hook it copies alone.
+A verdict-only spliced detection run times from one failing segment to
+the next: a timing-free look-ahead names the row on whose commit the
+next failing segment closes, and the run times through exactly that
+row.  Once an event is recorded, the look-ahead covers only the rows
+that can still commit before that event's tick, and the run stops when
+it names no row.  Over random programs (the generator of
+``test_block_property``, with longer loops so runs span several log
+segments), random detection configs (the hook-skip property's draw
+without interrupts, at the checker frequencies of the Figure 9 sweep,
+and the stress config), real or ideal checkers, and random faults (see
+:func:`draw_faults`), the verdict must equal the one read off the
+complete report and the one of the reference path (timing splice off),
+and a look-ahead after an event that names no row must have left no
+failing segment unchecked that closes before the first event's tick.
+The first look-ahead, from the fork seq before any row is timed, must
+name no row only when the complete report records no event.  The
+look-ahead must also leave the hook it copies alone.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -43,7 +45,8 @@ from repro.detection.system import (
 )
 from repro.harness.figures import FREQUENCIES_MHZ
 from repro.isa.executor import execute_forked, execute_program
-from repro.isa.instructions import MASK64
+from repro.isa.instructions import MASK64, Opcode
+from repro.isa.program import ProgramBuilder
 from repro.workloads.suite import benchmark_trace
 
 from tests.core.timing_pins import report_fields, stress_config
@@ -57,7 +60,7 @@ from tests.schemes.test_timing_splice import REORDERED_FAULTS
 
 #: random programs without the trap edge (a trapping golden run has
 #: nothing to fork from), whose counted loop runs long enough to span
-#: several timing chunks and log segments
+#: several log segments
 long_program_draw = st.tuples(
     program_draw, st.integers(min_value=1, max_value=150),
 ).map(lambda pair: {**pair[0], "loop_iters": pair[1], "misalign": None})
@@ -127,8 +130,22 @@ def verdict(faulty, config, splice: str, verdict_only: bool = True):
             os.environ[TIMING_SPLICE_ENV] = previous
 
 
-#: rows per timing chunk: small chunks start the look-ahead at many rows
-chunk_draw = st.sampled_from([1, 3, 8, system.VERDICT_CHUNK_ROWS])
+def verdict_with_looks(faulty, config):
+    """The verdict of a verdict-only run, and for each look-ahead it
+    made: the number of events recorded before it, the first event's
+    tick (None before an event) and the row it named."""
+    looks = []
+    look_ahead = system._first_failing_row
+
+    def spy(hook, row, bound):
+        report = hook.report
+        first = report.first_event
+        looks.append((len(report.events), first and first.detect_tick,
+                      look_ahead(hook, row, bound)))
+        return looks[-1][2]
+
+    with mock.patch.object(system, "_first_failing_row", spy):
+        return verdict(faulty, config, "1"), looks
 
 
 def faulty_trace(draw, data):
@@ -138,49 +155,84 @@ def faulty_trace(draw, data):
 
 
 @settings(max_examples=120, deadline=None)
-@given(long_program_draw, config_draw, chunk_draw, st.data())
-def test_certified_verdict_equals_full_timing(draw, config, chunk, data):
+@given(long_program_draw, config_draw, st.data())
+def test_certified_verdict_equals_full_timing(draw, config, data):
+    """With ideal checkers nothing is checked, so no event is recorded:
+    the run steps from one failing close to the next to the last one."""
+    config = config.with_ideal_checkers(data.draw(st.booleans()))
     faulty = faulty_trace(draw, data)
-    with mock.patch.object(system, "VERDICT_CHUNK_ROWS", chunk):
-        early = verdict(faulty, config, "1")
+    early = verdict(faulty, config, "1")
     complete = verdict(faulty, config, "1", verdict_only=False)
     reference = verdict(faulty, config, "0")
     assert early == DetectionVerdict.of(complete.report) == reference
 
 
 @settings(max_examples=120, deadline=None)
-@given(long_program_draw, config_draw, chunk_draw, st.data())
+@given(long_program_draw, config_draw, st.data())
 def test_certificate_covers_every_segment_closing_before_first_event(
-        draw, config, chunk, data):
-    """Sharper than the verdict alone: when the look-ahead certifies a
-    run, no segment the fully timed run closes before the first event's
-    tick fails its check, except those already checked.  A second failing
-    segment need not detect earlier for a too-short look-ahead to show.
-    Only look-aheads made after an event are recorded: the one from the
-    fork, before any row is timed, is the no-event property below."""
+        draw, config, data):
+    """Sharper than the verdict alone: when a look-ahead made after an
+    event names no row, no segment the fully timed run closes before the
+    first event's tick fails its check, except those already checked.  A
+    second failing segment need not detect earlier for a too-short
+    look-ahead to show.  A run looks ahead once per failing segment in
+    its window; the look-aheads before its first event are the no-event
+    property below."""
     faulty = faulty_trace(draw, data)
-    looks = []
-    look_ahead = system._later_segments_pass
-
-    def spy(hook, row, bound):
-        report = hook.report
-        if not report.events:
-            return look_ahead(hook, row, bound)
-        looks.append((len(report.events), report.first_event.detect_tick))
-        certified = look_ahead(hook, row, bound)
-        looks[-1] += (certified,)
-        return certified
-
-    with mock.patch.object(system, "VERDICT_CHUNK_ROWS", chunk), \
-            mock.patch.object(system, "_later_segments_pass", spy):
-        early = verdict(faulty, config, "1")
+    early, looks = verdict_with_looks(faulty, config)
     complete = verdict(faulty, config, "1", verdict_only=False).report
-    assert len(looks) <= 1
-    for recorded, first_tick, certified in looks:
-        if certified:
+    for recorded, first_tick, named in looks:
+        if recorded and named is None:
             assert all(event.segment_close_tick >= first_tick
                        for event in complete.events[recorded:])
             assert early == DetectionVerdict.of(complete)
+
+
+def independent_alu_loop(iterations: int = 80):
+    """A loop of one store and eight independent ALU ops, which the core
+    commits at about two rows per cycle between checkpoint pauses."""
+    b = ProgramBuilder("independent-alu-loop")
+    data = b.alloc_words(1, [0])
+    b.emit(Opcode.MOVI, rd=9, imm=data)
+    b.emit(Opcode.MOVI, rd=11, imm=iterations)
+    b.label("loop")
+    b.emit(Opcode.ST, rs2=1, rs1=9, imm=0)
+    for reg in range(1, 9):
+        b.emit(Opcode.ADDI, rd=reg, rs1=reg, imm=1)
+    b.emit(Opcode.ADDI, rd=11, rs1=11, imm=-1)
+    b.emit(Opcode.BNE, rs1=11, rs2=0, target="loop")
+    b.emit(Opcode.HALT)
+    return b.build()
+
+
+def test_window_counts_commit_width_rows_per_cycle():
+    """A corrupted store, the first entry of its log segment, is detected
+    a few dozen cycles after that segment closes.  The loop commits
+    about two rows per cycle, so the next segment, closed by a 70-row
+    timeout, closes before that tick on a row more rows ahead than
+    cycles are left: the look-ahead after the event reaches it only
+    because its window counts ``commit_width`` rows per cycle.  A second
+    fault fails that segment too, so the look-ahead must name its
+    close."""
+    golden = execute_program(independent_alu_loop())
+    base = default_config()
+    config = replace(base, detection=replace(
+        base.detection, instruction_timeout=70)).validate()
+    faulty = execute_forked(golden, FaultInjector([
+        TransientFault(FaultSite.STORE_VALUE, seq=420, bit=3),
+        TransientFault(FaultSite.RESULT, seq=493, bit=2)]))
+    early, looks = verdict_with_looks(faulty, config)
+    complete = verdict(faulty, config, "1", verdict_only=False).report
+    first, second = complete.events[:2]
+    assert first is complete.first_event
+    assert second.segment_close_tick < first.detect_tick
+    (_, _, first_close), (recorded, _, second_close) = looks[:2]
+    cycles_left = -(-(first.detect_tick - first.segment_close_tick)
+                    // config.main_core.clock().period_ticks)
+    assert recorded and second_close is not None
+    assert second_close - first_close > cycles_left + 1
+    assert early == DetectionVerdict.of(complete) == \
+        verdict(faulty, config, "0")
 
 
 @settings(max_examples=120, deadline=None)
@@ -189,17 +241,18 @@ def test_look_ahead_from_the_fork_passes_only_without_events(
         draw, config, data):
     """A verdict-only run first looks ahead from its fork seq to the end
     of the trace, before it times a row, and returns with no event when
-    every check passes.  That probe must pass only if the complete report
-    records no event; with real checkers, a failing probe must mean an
-    event (ideal checkers check nothing, so they record none)."""
+    every check passes.  That probe must name no row only if the
+    complete report records no event; with real checkers, a named row
+    must mean an event (ideal checkers check nothing, so they record
+    none)."""
     config = config.with_ideal_checkers(data.draw(st.booleans()))
     faulty = faulty_trace(draw, data)
     _, state, hook = _TimingSpliceCursor(faulty.fork_of, config).bundle(
         faulty.fork_seq)
     hook.begin(faulty)
-    passes = system._later_segments_pass(hook, state.next_row, len(faulty))
+    named = system._first_failing_row(hook, state.next_row, len(faulty))
     complete = verdict(faulty, config, "1", verdict_only=False).report
-    if passes:
+    if named is None:
         assert not complete.events
     elif not config.detection.ideal_checkers:
         assert complete.events
@@ -218,10 +271,11 @@ def hook_state(hook) -> tuple:
 @pytest.mark.parametrize("reordered, certified", [(False, True),
                                                    (True, False)])
 def test_look_ahead_leaves_the_hook_alone(reordered, certified):
-    """Run to the first chunk with an event, as a verdict-only run does,
-    then look ahead twice: the same answer both times, and the hook as
-    the look-ahead's catch-up of its skipped rows left it.  One fault is
-    certified; the reordered pair's later segment fails the look-ahead."""
+    """Time to the row the look-ahead from the fork names, as a
+    verdict-only run does, then look ahead twice: the same answer both
+    times, and the hook as the look-ahead's catch-up of its skipped rows
+    left it.  One fault is certified (no row is named); the reordered
+    pair's later segment fails the look-ahead."""
     golden = benchmark_trace("stream", "small")
     faults = (list(REORDERED_FAULTS) if reordered else
               [TransientFault(FaultSite.RESULT, seq=len(golden) // 2, bit=4)])
@@ -231,9 +285,10 @@ def test_look_ahead_leaves_the_hook_alone(reordered, certified):
         faulty.fork_seq)
     hook.begin(faulty)
     total = len(faulty)
-    while not hook.report.events:
-        core.run_rows(faulty, hook, state,
-                      min(state.next_row + system.VERDICT_CHUNK_ROWS, total))
+    named = system._first_failing_row(hook, state.next_row, total)
+    assert named is not None and named < total
+    core.run_rows(faulty, hook, state, named + 1)
+    assert hook.report.events
     now = state.last_commit_cycle * hook.main_period
     ticks = hook.report.first_event.detect_tick - now
     assert ticks > 0
@@ -242,7 +297,8 @@ def test_look_ahead_leaves_the_hook_alone(reordered, certified):
                 * -(-ticks // hook.main_period))
     hook._catch_up()
     before = hook_state(hook)
-    answers = [system._later_segments_pass(hook, row, bound)
+    answers = [system._first_failing_row(hook, row, bound)
                for _ in range(2)]
-    assert answers == [certified, certified]
+    assert answers[0] == answers[1]
+    assert (answers[0] is None) == certified
     assert hook_state(hook) == before

@@ -1,31 +1,9 @@
-"""Tests for interrupt handling (§IV-G) and the arrival generators."""
+"""Tests for interrupt handling (§IV-G): timer-style arrivals every
+``p`` committed instructions, and device-style arrivals at seeded
+uniform random commits."""
 
-import pytest
-
-from repro.detection.interrupts import periodic_interrupts, random_interrupts
+from repro.common.rng import derive
 from repro.detection.system import run_with_detection
-
-
-class TestGenerators:
-    def test_periodic_spacing(self):
-        seqs = periodic_interrupts(1000, 250)
-        assert seqs == [250, 500, 750]
-
-    def test_periodic_offset(self):
-        assert periodic_interrupts(1000, 400, offset=100) == [500, 900]
-
-    def test_periodic_validation(self):
-        with pytest.raises(ValueError):
-            periodic_interrupts(100, 0)
-
-    def test_random_deterministic(self):
-        assert random_interrupts(5000, 4, seed=1) == \
-            random_interrupts(5000, 4, seed=1)
-
-    def test_random_sorted_in_range(self):
-        seqs = random_interrupts(5000, 10, seed=2)
-        assert seqs == sorted(seqs)
-        assert all(1 <= s < 5000 for s in seqs)
 
 
 class TestInterruptedDetection:
@@ -33,7 +11,7 @@ class TestInterruptedDetection:
         """Splitting segments at arbitrary interrupt boundaries must
         never create false positives — each fragment validates on its own
         (the strong-induction argument is boundary-agnostic)."""
-        seqs = periodic_interrupts(len(rmw_trace), 137)
+        seqs = list(range(137, len(rmw_trace), 137))
         report = run_with_detection(rmw_trace, config,
                                     interrupt_seqs=seqs).report
         assert not report.detected
@@ -47,19 +25,20 @@ class TestInterruptedDetection:
         quiet = run_with_detection(rmw_trace, config).report
         busy = run_with_detection(
             rmw_trace, config,
-            interrupt_seqs=periodic_interrupts(len(rmw_trace), 200)).report
+            interrupt_seqs=list(range(200, len(rmw_trace), 200))).report
         assert busy.mean_delay_ns() <= quiet.mean_delay_ns() * 1.1
 
     def test_interrupt_checkpoints_cost_commit_pauses(self, rmw_trace,
                                                       config):
-        seqs = periodic_interrupts(len(rmw_trace), 100)
+        seqs = list(range(100, len(rmw_trace), 100))
         with_irq = run_with_detection(rmw_trace, config,
                                       interrupt_seqs=seqs).report
         without = run_with_detection(rmw_trace, config).report
         assert with_irq.checkpoints_taken > without.checkpoints_taken
 
     def test_random_arrivals_sound(self, rmw_trace, config):
-        seqs = random_interrupts(len(rmw_trace), 7, seed=3)
+        rng = derive(3, "interrupt-arrivals")
+        seqs = sorted(rng.randrange(1, len(rmw_trace)) for _ in range(7))
         report = run_with_detection(rmw_trace, config,
                                     interrupt_seqs=seqs).report
         assert not report.detected

@@ -24,6 +24,7 @@ from repro.core.timing import TIMING_SPLICE_ENV, timing_splice_enabled
 from repro.detection.faults import FaultInjector, FaultSite, TransientFault
 from repro.detection.system import (
     DetectionVerdict,
+    _first_failing_row,
     _TimingSpliceCursor,
     run_with_detection,
 )
@@ -252,19 +253,19 @@ def timed_spans(monkeypatch, trace) -> list[tuple[int, int]]:
     return spans
 
 
-def detecting_chunks(monkeypatch, trace) -> list[bool]:
+def detecting_spans(monkeypatch, trace) -> list[bool]:
     """Per later ``run_rows`` call over ``trace``: whether its hook had
     recorded a detection event when the call returned."""
-    chunks = []
+    spans = []
     original = OoOCore.run_rows
 
     def spy(self, timed, hook, state, stop):
         original(self, timed, hook, state, stop)
         if timed is trace:
-            chunks.append(bool(hook.report.events))
+            spans.append(bool(hook.report.events))
 
     monkeypatch.setattr(OoOCore, "run_rows", spy)
-    return chunks
+    return spans
 
 
 class TestVerdictOnlyTiming:
@@ -310,11 +311,11 @@ class TestVerdictOnlyTiming:
         assert spliced == unspliced == reference == \
             DetectionVerdict.of(report)
         # the later segment fails the look-ahead, so the run keeps timing
-        # past the chunk in which its first event was recorded
-        chunks = detecting_chunks(monkeypatch, faulty)
+        # past the span in which its first event was recorded
+        spans = detecting_spans(monkeypatch, faulty)
         monkeypatch.setenv(TIMING_SPLICE_ENV, "1")
         run_with_detection(faulty, config, verdict_only=True)
-        assert chunks.index(True) < len(chunks) - 1
+        assert spans.index(True) < len(spans) - 1
 
     def test_termination_segment_detects_first(self, splice_modes):
         """The first error found by tick comes from the termination
@@ -342,7 +343,7 @@ class TestVerdictOnlyTiming:
         verdict = run_with_detection(faulty, default_config(),
                                      verdict_only=True)
         assert isinstance(verdict, DetectionVerdict) and verdict.detected
-        # chunks run back to back from the resumed snapshot and stop
+        # spans run back to back from the resumed snapshot and stop
         # well short of the end: fewer rows than the post-fork suffix
         assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
         timed = sum(stop - start for start, stop in spans)
@@ -353,18 +354,27 @@ class TestVerdictOnlyTiming:
         assert spans[-1][1] == len(faulty)
         assert DetectionVerdict.of(result.report) == verdict
 
-    def test_detected_fault_stops_at_its_first_event(self, monkeypatch):
-        """Once the look-ahead certifies that no later segment detects
-        sooner, no chunk is timed after the one that recorded the first
-        event."""
+    def test_detected_fault_is_timed_to_its_first_failing_close(
+            self, monkeypatch):
+        """The look-ahead from the fork names the row on whose commit the
+        first failing segment closes.  A fault that no later segment
+        detects sooner is timed in exactly one span, from its fork seq
+        through that row, and the span records its first event."""
         golden = benchmark_trace("stream", "small")
         fault = TransientFault(FaultSite.RESULT, seq=len(golden) // 2, bit=4)
         faulty = execute_forked(golden, FaultInjector([fault]))
-        chunks = detecting_chunks(monkeypatch, faulty)
+        config = default_config()
+        _, state, hook = _TimingSpliceCursor(golden, config).bundle(
+            faulty.fork_seq)
+        hook.begin(faulty)
+        row = _first_failing_row(hook, state.next_row, len(faulty))
+        assert row is not None and faulty.fork_seq <= row < len(faulty)
+        spans = timed_spans(monkeypatch, faulty)
+        detecting = detecting_spans(monkeypatch, faulty)
         monkeypatch.setenv(TIMING_SPLICE_ENV, "1")
-        assert run_with_detection(faulty, default_config(),
-                                  verdict_only=True).detected
-        assert chunks.index(True) == len(chunks) - 1
+        assert run_with_detection(faulty, config, verdict_only=True).detected
+        assert spans == [(faulty.fork_seq, row + 1)]
+        assert detecting == [True]
 
     def test_undetected_fault_times_no_faulty_row(self, monkeypatch):
         """Every check of a masked fault's run passes, which the look-ahead
