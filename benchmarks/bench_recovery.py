@@ -36,6 +36,6 @@ def test_recovery_cost(benchmark, emit):
         assert record.state_correct
         # rollback lands before the fault but within one segment's reach
         assert record.rollback_seq <= record.seq
-        # work wasted is bounded by the distance from the last verified
-        # snapshot to the end of the run
+        # work wasted is bounded by the distance from the rollback seq
+        # (the failing segment's start) to the end of the run
         assert record.replayed_instructions <= total

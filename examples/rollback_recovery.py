@@ -8,8 +8,9 @@ the complete loop the `repro.recovery` extension implements:
 1. a transient fault corrupts the main core's execution;
 2. the checker cores detect it and strong induction identifies the
    first failing segment;
-3. state rolls back to the latest *verified* snapshot (registers +
-   undo-logged memory);
+3. state rolls back to the start of that segment, the last point every
+   earlier check has *verified* (registers and memory, rebuilt from the
+   committed trace);
 4. the program re-executes from there and completes with a final state
    identical to a fault-free run.
 
@@ -50,7 +51,7 @@ def main() -> None:
     print(f"injected: load-value bit {fault.bit} flip at dynamic "
           f"instruction {fault.seq}")
 
-    outcome = detect_and_recover(program, faulty, config)
+    outcome = detect_and_recover(clean, faulty, config)
     print(f"detected:       {outcome.detected}")
     print(f"rolled back to: commit #{outcome.rollback_seq}")
     print(f"re-executed:    {outcome.replayed_instructions} instructions "

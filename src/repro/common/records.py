@@ -43,18 +43,6 @@ class RunSummary:
 
 
 @dataclass(frozen=True)
-class BaselineRecord:
-    """Unprotected main-core timing — the denominator of every figure."""
-
-    benchmark: str
-    scale: str
-    config_key: str
-    cycles: int
-    instructions: int
-    system_cycles: int
-
-
-@dataclass(frozen=True)
 class RunRecord:
     """A full fault-free detection run, rich enough to rebuild the
     per-run :class:`~repro.detection.system.DetectionReport` views the
@@ -222,9 +210,8 @@ class JobFailure:
 
 _RECORD_TYPES = {
     cls.__name__: cls
-    for cls in (BaselineRecord, RunRecord, CoverageRecord, FaultBatchRecord,
-                RecoveryRecord, RunSummary, SchemeRunResult, JobLease,
-                JobFailure)
+    for cls in (RunRecord, CoverageRecord, FaultBatchRecord, RecoveryRecord,
+                RunSummary, SchemeRunResult, JobLease, JobFailure)
 }
 
 #: Record fields that round-trip through JSON as lists but are tuples in

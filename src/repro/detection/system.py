@@ -690,7 +690,9 @@ def _first_failing_row(hook: ParallelErrorDetection, row: int,
     the row whose ``pre_commit`` (a macro-op overflow) or
     ``post_commit`` closes it.  ``len(trace)`` when only the termination
     segment fails (it is checked when ``bound`` is the trace end), and
-    None when every segment passes.
+    None when every segment passes.  Always None with ideal checkers:
+    they check nothing, so their timed runs record no event whatever
+    the segments hold.
 
     The copy runs without timing: it is fed a dummy commit cycle (0)
     per row, the way the core feeds a hook, and stops at the first
@@ -709,10 +711,9 @@ def _first_failing_row(hook: ParallelErrorDetection, row: int,
       ``_schedule`` makes every such row an event row whatever the
       commit gate does.  Entry kinds, addresses and values, the
       checkpoints, and :meth:`SegmentChecker.check`'s result never read
-      commit ticks.  (Ideal checkers check nothing: there a named row
-      records no event, and the run goes on to the next one.)  Events
-      come only from failing checks, so with no event recorded yet and
-      ``bound`` at the trace end, None means that no event occurs;
+      commit ticks.  Events come only from failing checks, so with no
+      event recorded yet and ``bound`` at the trace end, None means that
+      no event occurs;
     * once the first event is recorded at tick ``T``, a segment that
       closes at or after ``T`` cannot change the verdict.  Its events
       come from a check that starts no earlier than its close plus the
@@ -732,6 +733,8 @@ def _first_failing_row(hook: ParallelErrorDetection, row: int,
       termination segment only if the trace ends before ``bound``, and
       None means the verdict is final.
     """
+    if hook.ideal:
+        return None
     probe = _CheckOnlyDetection.__new__(_CheckOnlyDetection)
     probe.restore(hook)
     skipped = probe.skipped_commits

@@ -378,7 +378,7 @@ def _recovery_record(spec: JobSpec, scheme: ProtectionScheme,
             activated=False, detected=False, rollback_seq=None,
             replayed_instructions=0, recovered=False, state_correct=False,
             trace_len=len(clean), scheme=scheme.name)
-    outcome = scheme.recover(faulty, spec.config)
+    outcome = scheme.recover(clean, faulty, spec.config)
     return RecoveryRecord(
         benchmark=spec.benchmark, scale=spec.scale, config_key=config_key,
         site=fault.site.value, seq=fault.seq, bit=fault.bit,

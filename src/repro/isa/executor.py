@@ -718,6 +718,22 @@ class Trace:
         }
 
 
+def same_final_registers(a: Trace, b: Trace) -> bool:
+    """True when two runs end with equal registers.
+
+    FP registers compare by IEEE-754 bit pattern — the comparison the
+    paper's checkpoint/comparator hardware performs.  Python float
+    equality would both drop NaN states (NaN != NaN on recomputation)
+    and resurrect them via the identity shortcut when the fork path
+    splices the golden trace's float objects, or when a trace shares
+    no float objects with the other because it was decoded from the
+    trace store: the answer would depend on where the traces came from.
+    """
+    return (a.final_xregs == b.final_xregs
+            and list(map(float_to_bits, a.final_fregs))
+            == list(map(float_to_bits, b.final_fregs)))
+
+
 class Machine:
     """An architectural interpreter over a :class:`Program`.
 
@@ -1003,6 +1019,7 @@ def execute_program(
     fault_injector=None,
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
     stop_seq: int | None = None,
+    start: "ForkState | None" = None,
 ) -> Trace:
     """Run ``program`` to completion on the (simulated) main core.
 
@@ -1010,10 +1027,19 @@ def execute_program(
     applied at the architectural fault sites; ``None`` is the fault-free
     fast path.  ``stop_seq`` truncates commitment at that seq for
     callers that never read further (see :func:`_commit_loop`).
+    ``start`` runs from that architectural state instead of the
+    program's entry (rollback recovery re-executes from a
+    :func:`fork_state`); the run takes over its memory image, and its
+    rows and counts are still numbered from 0.
     Returns the committed columnar :class:`Trace`.
     """
-    memory = program.initial_memory()
-    machine = Machine(program, memory=memory)
+    if start is None:
+        memory = program.initial_memory()
+        machine = Machine(program, memory=memory)
+    else:
+        memory = start.memory
+        machine = Machine(program, memory=memory, pc=start.pc)
+        machine.set_registers(start.xregs, start.fregs)
     if fault_injector is not None:
         fault_injector.attach(machine)
 

@@ -1,30 +1,21 @@
 """Rollback recovery — the paper's future-work correction extension.
 
 The paper provides *detection* only and names checkpoint-based rollback
-as its standard correction companion (§IV-F); this package implements
-that loop end to end: :mod:`repro.recovery.snapshots` couples register
-checkpoints with memory images that become safe to restore once every
-log segment up to their boundary has validated, and
-:mod:`repro.recovery.rollback` drives detect → roll back → re-execute →
-re-verify using the real detection pipeline on both sides.  Campaigns
+as its standard correction companion (§IV-F, "checkpointing [35],
+write-ahead logging [36] and transactions [37]"), leaving full fault
+tolerance as future work (§VIII).  :mod:`repro.recovery.rollback`
+implements that loop end to end: detect, roll back to the start of the
+first failing segment (every check before it has passed, so that state
+is safe to restore even though unverified stores escaped to memory),
+re-execute, and compare the result with the fault-free run.  Campaigns
 reach it through the ``recovery`` job kind (schemes with
 ``supports_recovery`` only), which yields
 :class:`~repro.common.records.RecoveryRecord` rows.
 """
 
-from repro.recovery.rollback import (
-    RecoveryOutcome,
-    build_snapshots,
-    detect_and_recover,
-    resume_from,
-)
-from repro.recovery.snapshots import RecoverySnapshot, SnapshotStore
+from repro.recovery.rollback import RecoveryOutcome, detect_and_recover
 
 __all__ = [
     "RecoveryOutcome",
-    "RecoverySnapshot",
-    "SnapshotStore",
-    "build_snapshots",
     "detect_and_recover",
-    "resume_from",
 ]

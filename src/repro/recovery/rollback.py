@@ -5,14 +5,17 @@ replacement deployments the paper targets would:
 
 1. the detection system reports the first failing segment (strong
    induction identifies the earliest error once all prior checks pass);
-2. execution state is **rolled back** to the latest verified snapshot at
-   or before that segment's start;
-3. the program **re-executes** from the snapshot (the transient fault,
-   by definition, does not recur; a hard fault would trip detection
+2. execution state is **rolled back** to that segment's start, the last
+   boundary every earlier check has verified;
+3. the program **re-executes** from there (the transient fault, by
+   definition, does not recur; a hard fault would trip detection
    again, which callers can observe and escalate — e.g. retire the core).
 
-This module drives the whole loop end to end, using the real detection
-pipeline for both the failing run and the verification of the re-run.
+Every step runs on shared machinery: a verdict-only detection run, the
+rolled-back state rebuilt from the faulty trace's columns by
+:func:`~repro.isa.executor.fork_state`, and a re-run through
+:func:`~repro.isa.executor.execute_program`'s commit loop.  The re-run
+is then compared with the fault-free run.
 """
 
 from __future__ import annotations
@@ -21,11 +24,13 @@ from dataclasses import dataclass
 
 from repro.common.config import SystemConfig
 from repro.detection.lslog import segment_close
-from repro.detection.system import DetectionRunResult, run_with_detection
-from repro.isa.executor import Machine, STORE, Trace, execute_program
-from repro.isa.program import Program
-from repro.recovery.snapshots import RecoverySnapshot, SnapshotStore
-from repro.detection.checkpoint import ArchStateTracker
+from repro.detection.system import run_with_detection
+from repro.isa.executor import (
+    Trace,
+    execute_program,
+    fork_state,
+    same_final_registers,
+)
 
 
 @dataclass(frozen=True)
@@ -37,99 +42,40 @@ class RecoveryOutcome:
     rollback_seq: int | None
     #: instructions re-executed after rollback
     replayed_instructions: int
-    #: the re-run validated cleanly
+    #: the re-run's final registers match the fault-free run's
     recovered: bool
     #: final architectural state matches a fault-free execution
     state_correct: bool
 
 
-def build_snapshots(trace: Trace, segment_seqs: list[int]) -> SnapshotStore:
-    """Construct rollback snapshots at the given commit boundaries."""
-    tracker = ArchStateTracker()
-    store = SnapshotStore(
-        trace.program.initial_memory(),
-        tracker.snapshot(trace.program.entry))
-    boundaries = iter(sorted(segment_seqs))
-    next_boundary = next(boundaries, None)
-    pcs = trace.pcs
-    dsts = trace.dsts
-    mem_off = trace.mem_off
-    mem_kind = trace.mem_kind
-    mem_addr = trace.mem_addr
-    mem_value = trace.mem_value
-    for i in range(len(pcs)):
-        if next_boundary is not None and i == next_boundary:
-            store.take_snapshot(i, tracker.snapshot(pcs[i]))
-            next_boundary = next(boundaries, None)
-        for j in range(mem_off[i], mem_off[i + 1]):
-            if mem_kind[j] == STORE:
-                store.apply_store(mem_addr[j], mem_value[j])
-        tracker.apply_dsts(dsts[i])
-    return store
-
-
-def resume_from(program: Program, snapshot: RecoverySnapshot,
-                max_instructions: int = 20_000_000) -> Machine:
-    """Re-execute ``program`` from ``snapshot`` to completion."""
-    machine = Machine(program, memory=snapshot.memory.copy(),
-                      pc=snapshot.checkpoint.pc)
-    machine.set_registers(list(snapshot.checkpoint.xregs),
-                          list(snapshot.checkpoint.fregs))
-    while not machine.halted:
-        if machine.instr_count >= max_instructions:
-            raise RuntimeError("re-execution did not terminate")
-        machine.step()
-    return machine
-
-
-def detect_and_recover(program: Program, faulty_trace: Trace,
+def detect_and_recover(clean: Trace, faulty: Trace,
                        config: SystemConfig) -> RecoveryOutcome:
-    """Run detection on ``faulty_trace``; on error, roll back and re-run.
+    """Run detection on ``faulty``; on error, roll back and re-run.
 
-    Returns a :class:`RecoveryOutcome` whose ``state_correct`` compares
-    the recovered final state against a reference fault-free execution.
+    ``clean`` is the fault-free run of the same program.  The outcome's
+    ``recovered`` compares final registers with it, and
+    ``state_correct`` also every memory word it holds.  The re-run's
+    rows are numbered from 0, so a re-executed RDRAND or RDCYCLE reads
+    the count of rows since the rollback, not its own seq.
     """
-    result: DetectionRunResult = run_with_detection(faulty_trace, config)
-    reference = execute_program(program)
-
-    if not result.report.detected:
-        clean = (faulty_trace.final_xregs == reference.final_xregs
-                 and faulty_trace.final_fregs == reference.final_fregs)
+    verdict = run_with_detection(faulty, config, verdict_only=True)
+    if not verdict.detected:
+        same = same_final_registers(faulty, clean)
         return RecoveryOutcome(
             detected=False, rollback_seq=None, replayed_instructions=0,
-            recovered=clean, state_correct=clean)
+            recovered=same, state_correct=same)
 
-    # 1. first failing segment, in strong-induction order
-    position = result.report.first_error_position()
-    assert position is not None
-    failing_segment = position[0]
-
-    # 2. snapshots exist at every segment boundary the detection system
-    #    created; roll back to the boundary *before* the failing segment
-    #    (boundaries are recomputed by iterating the log's closure rule
-    #    over the committed stream, so the indices line up with the
-    #    report's)
-    seg_starts = _segment_starts(faulty_trace, config)
-    store = build_snapshots(faulty_trace, seg_starts)
-    store.mark_verified_up_to(
-        seg_starts[failing_segment] if failing_segment < len(seg_starts)
-        else 0)
-    snapshot = store.latest_verified()
-
-    # 3. re-execute from the verified snapshot
-    machine = resume_from(program, snapshot)
-    replayed = machine.instr_count
-
-    recovered = (machine.xregs == reference.final_xregs
-                 and machine.fregs == reference.final_fregs)
-    # memory must also converge on every word the reference wrote
+    failing_segment = verdict.first_error_position[0]
+    rollback_seq = _segment_starts(faulty, config)[failing_segment]
+    rerun = execute_program(faulty.program,
+                            start=fork_state(faulty, rollback_seq))
+    recovered = same_final_registers(rerun, clean)
     state_correct = recovered and all(
-        machine.memory.load(addr) == value
-        for addr, value in reference.memory.items())
-
+        rerun.memory.load(addr) == value
+        for addr, value in clean.memory.items())
     return RecoveryOutcome(
-        detected=True, rollback_seq=snapshot.seq,
-        replayed_instructions=replayed, recovered=recovered,
+        detected=True, rollback_seq=rollback_seq,
+        replayed_instructions=len(rerun), recovered=recovered,
         state_correct=state_correct)
 
 

@@ -40,8 +40,8 @@ from repro.isa.executor import (
     execute_forked,
     execute_program,
     fork_cursor,
+    same_final_registers,
 )
-from repro.isa.memory_image import float_to_bits
 
 #: Environment switch for fork-point fault execution: set to ``0`` to
 #: force every fault job down the full-execution path (the benchmark
@@ -108,21 +108,13 @@ class SchemeSummary:
 
 
 def architecturally_masked(clean: Trace, faulty: Trace) -> bool:
-    """True when a fault left no architecturally visible difference.
-
-    FP registers compare by IEEE-754 bit pattern — the comparison the
-    paper's checkpoint/comparator hardware performs.  Python float
-    equality would both drop NaN states (NaN != NaN on recomputation)
-    and resurrect them via the identity shortcut when the fork path
-    splices the golden trace's float objects, making the verdict depend
-    on which execution path produced the trace.
-    """
+    """True when a fault left no architecturally visible difference:
+    the same row count, the same final registers (FP ones by bit
+    pattern, see :func:`~repro.isa.executor.same_final_registers`) and
+    the same nonzero memory words."""
     if len(clean) != len(faulty):
         return False
-    if clean.final_xregs != faulty.final_xregs:
-        return False
-    if [float_to_bits(v) for v in clean.final_fregs] != \
-            [float_to_bits(v) for v in faulty.final_fregs]:
+    if not same_final_registers(clean, faulty):
         return False
     clean_mem = {a: v for a, v in clean.memory.items() if v}
     faulty_mem = {a: v for a, v in faulty.memory.items() if v}
@@ -250,8 +242,9 @@ class ProtectionScheme(abc.ABC):
                   config: SystemConfig) -> SchemeSummary:
         """The Figure 1(d) row, derived from a measured ``timing`` run."""
 
-    def recover(self, faulty: Trace, config: SystemConfig):
-        """Detect→rollback→re-execute on a faulty trace (schemes with
-        ``supports_recovery`` only)."""
+    def recover(self, clean: Trace, faulty: Trace, config: SystemConfig):
+        """Detect→rollback→re-execute on a faulty trace, judged against
+        its fault-free run ``clean`` (schemes with ``supports_recovery``
+        only)."""
         raise ValueError(
             f"scheme {self.name!r} does not support recovery campaigns")

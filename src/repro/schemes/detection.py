@@ -97,8 +97,8 @@ class ParallelDetectionScheme(ProtectionScheme):
             detection_latency_ns=timing.detection_latency_ns,
         )
 
-    def recover(self, faulty: Trace, config: SystemConfig):
+    def recover(self, clean: Trace, faulty: Trace, config: SystemConfig):
         """Detect→rollback→re-execute, returning a
         :class:`repro.recovery.rollback.RecoveryOutcome`."""
         from repro.recovery.rollback import detect_and_recover
-        return detect_and_recover(faulty.program, faulty, config)
+        return detect_and_recover(clean, faulty, config)

@@ -2,7 +2,7 @@
 
 Every campaign job over a benchmark needs its *clean* committed trace —
 timing jobs re-time it, fault jobs compare the faulty run against it and
-re-execute its program, recovery jobs roll back to states derived from
+re-execute its program, recovery jobs judge their re-executions by
 it.  The functional execution that produces it is a pure function of the
 built program, so it is worth computing exactly once per (benchmark,
 scale, program-content) **across all worker processes and hosts**, not

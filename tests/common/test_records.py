@@ -6,7 +6,6 @@ import json
 import pytest
 
 from repro.common.records import (
-    BaselineRecord,
     CoverageRecord,
     FaultBatchRecord,
     RecoveryRecord,
@@ -48,12 +47,6 @@ class TestRoundTrips:
     def test_run_record(self):
         record = make_run_record()
         assert record_from_dict(record_to_dict(record)) == record
-        assert record_from_json(record_to_json(record)) == record
-
-    def test_baseline_record(self):
-        record = BaselineRecord("stream", "small", "cd" * 32,
-                                cycles=900, instructions=800,
-                                system_cycles=900)
         assert record_from_json(record_to_json(record)) == record
 
     def test_coverage_record_with_nones(self):

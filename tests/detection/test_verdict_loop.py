@@ -19,7 +19,9 @@ traces of every suite workload:
 * the run's timed spans follow the rows the look-ahead names, back to
   back from the fork seq, and the run stops only by the loop's three
   rules, with the verdict of the complete report and of the reference
-  path, under real and ideal checkers.
+  path;
+* ideal checkers, which check nothing, time no row of the faulty trace
+  for that verdict.
 """
 
 from __future__ import annotations
@@ -250,22 +252,20 @@ def test_commit_tick_past_the_first_detect_tick_stops_the_run():
 
 
 @pytest.mark.parametrize("workload", SUITE)
-def test_ideal_checkers_time_every_failing_close(workload):
-    """Ideal checkers check nothing and so record no event, but the
-    look-ahead still checks: the run never narrows its window, and times
-    through the close of every segment that a run with real checkers
-    fails, one span each, until a look-ahead names no row or the
-    termination row is timed."""
+def test_ideal_checkers_time_no_faulty_row(workload):
+    """Ideal checkers check nothing and so record no event, although
+    real checkers detect the same faults: the look-ahead from the fork
+    names no row at once, and the run times no row of the faulty trace,
+    for a verdict of not detected that equals the complete report's and
+    the reference path's."""
     faults = [mid_trace_fault(workload, "result"), last_write_fault(workload)]
     faulty = forked(workload, faults)
-    failing = {event.error.segment_index for event in
-               run_with_detection(faulty, default_config()).report.events}
+    assert run_with_detection(faulty, default_config(),
+                              verdict_only=True).detected
     config = default_config().with_ideal_checkers(True)
     verdict, looks, spans = traced_verdict(faulty, config)
-    total = len(faulty)
-    assert all(bound == total for _, bound, _ in looks)
-    assert stop_of(looks, spans, total) in ("look-ahead", "termination")
-    assert len(spans) == len(failing)
+    assert looks == [(faulty.fork_seq, len(faulty), None)]
+    assert not spans
     assert not verdict.detected
     complete = run_with_detection(faulty, config).report
     assert verdict == DetectionVerdict.of(complete) == \

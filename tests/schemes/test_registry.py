@@ -98,7 +98,7 @@ class TestCapabilities:
         for scheme in iter_schemes():
             if not scheme.supports_recovery:
                 with pytest.raises(ValueError, match="does not support"):
-                    scheme.recover(None, cfg)
+                    scheme.recover(None, None, cfg)
 
 
 class TestJobSpecScheme:
