@@ -10,9 +10,8 @@ timed:
   with the fault injector attached (``REPRO_FORK_INJECTION=0``);
 * ``forked`` — the fork-point path, one ``fault`` job (a one-fault
   cell) per fault: reconstruct state at the fault from the golden
-  trace's keyframes, splice the golden columnar prefix, execute only
-  from the fork seq, and let the checker verify pre-fork segments by
-  column comparison;
+  trace's keyframes, splice the golden columnar prefix, and execute
+  only from the fork seq;
 * ``batch`` — the fork-point path amortised: the whole fault cell as a
   single ``fault-batch`` job sharing one fork cursor over one golden
   trace, so the golden columns are replayed once per cell instead of

@@ -64,11 +64,6 @@ class AreaBreakdown:
         """Relative to core + L2 (paper: ≈16 %)."""
         return self.detection_added_mm2 / (self.main_core_mm2 + self.l2_mm2)
 
-    @property
-    def lockstep_overhead_vs_core(self) -> float:
-        """Dual-core lockstep doubles the core."""
-        return 1.0
-
 
 def added_sram_kib(config: SystemConfig) -> float:
     """SRAM the detection scheme adds, in KiB.

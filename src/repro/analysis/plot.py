@@ -41,16 +41,3 @@ def ascii_density(series: dict[str, list[tuple[float, float]]],
                      f"{min(xs):.0f} .. {max(xs):.0f}")
     return "\n".join(lines)
 
-
-def ascii_bars(data: dict[str, float], width: int = 40,
-               fmt: str = "{:.3f}") -> str:
-    """Horizontal bar chart for per-benchmark scalars (e.g. slowdowns)."""
-    if not data:
-        return "(no data)"
-    name_width = max(len(name) for name in data) + 2
-    peak = max(data.values())
-    lines = []
-    for name, value in data.items():
-        bar = "#" * max(1, int(width * value / peak)) if peak > 0 else ""
-        lines.append(f"{name:<{name_width}}{fmt.format(value):>8} {bar}")
-    return "\n".join(lines)

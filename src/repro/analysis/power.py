@@ -37,11 +37,6 @@ class PowerBreakdown:
         an upper bound since the checker figure is unscaled 40 nm)."""
         return self.checker_cores_mw / self.main_core_mw
 
-    @property
-    def lockstep_overhead(self) -> float:
-        """Dual-core lockstep runs a second identical core."""
-        return 1.0
-
 
 def power_model(config: SystemConfig) -> PowerBreakdown:
     """Evaluate the §VI-C power model for ``config``."""

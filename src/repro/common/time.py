@@ -77,17 +77,9 @@ class Clock:
             )
         return cls(freq_mhz=freq_mhz, period_ticks=period_int)
 
-    def cycles_to_ticks(self, cycles: int) -> int:
-        """Number of ticks spanned by ``cycles`` clock cycles."""
-        return cycles * self.period_ticks
-
     def ticks_to_cycles_ceil(self, ticks: int) -> int:
         """Smallest cycle count covering ``ticks`` ticks."""
         return -(-ticks // self.period_ticks)
-
-    def next_edge(self, ticks: int) -> int:
-        """The first clock edge at or after absolute time ``ticks``."""
-        return -(-ticks // self.period_ticks) * self.period_ticks
 
 
 #: The main core's clock (Table I: 3.2 GHz).

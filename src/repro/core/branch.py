@@ -117,9 +117,6 @@ class TournamentPredictor:
         if len(self._ras) > self.config.ras_entries:
             self._ras.pop(0)
 
-    def predict_return(self) -> int | None:
-        return self._ras[-1] if self._ras else None
-
     def pop_return(self) -> int | None:
         return self._ras.pop() if self._ras else None
 

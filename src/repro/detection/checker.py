@@ -28,20 +28,10 @@ from dataclasses import dataclass, field
 from repro.common.errors import ExecutionError, ReproError
 from repro.detection.lslog import Segment
 from repro.isa.blocks import STATS, block_exec_enabled, block_table
-from repro.isa.executor import LOAD, Machine, NONDET, STORE, Trace, bound_handlers
+from repro.isa.executor import LOAD, Machine, NONDET, STORE, bound_handlers
 from repro.isa.instructions import Opcode
 from repro.isa.memory_image import MemoryImage, bits_to_float, float_to_bits
 from repro.isa.program import Program
-
-
-def _columns_equal(a, b, start: int, stop: int) -> bool:
-    """Whole-slice equality of two trace columns.
-
-    Columns may be ``array`` objects (live executions) or memoryviews
-    over a mapped golden envelope; slices of either compare by value,
-    element by element, in C.
-    """
-    return a[start:stop] == b[start:stop]
 
 
 class ErrorKind(enum.Enum):
@@ -103,7 +93,12 @@ class _LogMismatch(ReproError):
 
 
 class SegmentChecker:
-    """Replays and validates load-store-log segments for one program."""
+    """Replays and validates load-store-log segments for one program.
+
+    A checker is fixed when it is built: :meth:`check` builds its ports
+    and :class:`Machine` per call and only reads the handler table and
+    the checker faults, so forked detection hooks share one checker.
+    """
 
     def __init__(self, program: Program,
                  checker_faults: list | None = None) -> None:
@@ -116,110 +111,9 @@ class SegmentChecker:
         self._faults_by_seq: dict[int, list] = {}
         for fault in checker_faults or ():
             self._faults_by_seq.setdefault(fault.seq, []).append(fault)
-        # columnar fast-path context (fork-point fault jobs only)
-        self._trace: Trace | None = None
-        self._golden: Trace | None = None
-        self._fork_seq = 0
-        # (start_seq, end_seq) -> passing pre-fork CheckResult, shared by
-        # reference across the forks of one timing-splice cursor so a
-        # batch cell compares each golden segment range exactly once
-        self._prefix_memo: dict | None = None
-
-    def bind_fork(self, trace: Trace, golden: Trace, fork_seq: int) -> None:
-        """Enable the columnar fast path for ``trace``'s pre-fork rows.
-
-        ``trace`` is the run being checked, whose rows ``[0, fork_seq)``
-        were spliced from ``golden``.  A segment lying entirely before
-        the fork seq can then be verified by a whole-slice comparison of
-        the spliced columns against the golden columns — one equality
-        sweep instead of a per-instruction Python replay.  Segments at
-        or after the fork (and any segment a CHECKER-site fault strikes)
-        keep the full replay path.
-        """
-        self._trace = trace
-        self._golden = golden
-        self._fork_seq = fork_seq
-
-    def enable_prefix_memo(self) -> None:
-        """Start memoising passing pre-fork columnar results.
-
-        Only the timing-splice cursor turns this on: its forks all check
-        the same golden prefix, segmented at the same boundaries, so the
-        whole-slice comparisons (and the steps list built from the golden
-        columns) are identical across faults in a batch cell.  A cached
-        result is only served when the segment index matches, and any
-        segment that fails the columnar gate still takes the replay path.
-        """
-        if self._prefix_memo is None:
-            self._prefix_memo = {}
-
-    def clone(self) -> "SegmentChecker":
-        """Copy for a forked continuation (fork support).
-
-        The program, handler table, trace bindings, and prefix memo are
-        shared — all either immutable or append-only caches whose entries
-        are valid for every fork of the same golden run.  The fault map is
-        copied (its lists are never mutated after construction).
-        """
-        twin = SegmentChecker.__new__(SegmentChecker)
-        twin.program = self.program
-        twin._steps = self._steps
-        twin._faults_by_seq = dict(self._faults_by_seq)
-        twin._trace = self._trace
-        twin._golden = self._golden
-        twin._fork_seq = self._fork_seq
-        twin._prefix_memo = self._prefix_memo
-        return twin
-
-    def _check_columnar(self, segment: Segment) -> CheckResult | None:
-        """The pre-fork fast path; None means \"use the replay path\".
-
-        This is still a *real comparison*, not an oracle: every column
-        the replay would reproduce (pcs, writebacks, branch outcomes)
-        and the memory-operation CSR block, which the segment's log
-        entries are a view of, are compared against the golden trace.
-        Any mismatch falls back to the replay path, which classifies the
-        error exactly as it would have without the fast path.
-        """
-        trace, golden = self._trace, self._golden
-        start, end = segment.start_seq, segment.end_seq
-        lo, hi = trace.mem_off[start], trace.mem_off[end]
-        if not (_columns_equal(trace.pcs, golden.pcs, start, end)
-                and _columns_equal(trace.takens, golden.takens, start, end)
-                and trace.dsts[start:end] == golden.dsts[start:end]
-                and _columns_equal(trace.mem_off, golden.mem_off,
-                                   start, end + 1)
-                and _columns_equal(trace.mem_kind, golden.mem_kind, lo, hi)
-                and _columns_equal(trace.mem_addr, golden.mem_addr, lo, hi)
-                and _columns_equal(trace.mem_value, golden.mem_value,
-                                   lo, hi)
-                and _columns_equal(trace.mem_used, golden.mem_used,
-                                   lo, hi)):
-            return None
-        result = CheckResult(segment_index=segment.index, ok=True)
-        result.steps = list(zip(golden.pcs[start:end],
-                                map((1).__eq__, golden.takens[start:end])))
-        result.entries_checked = hi - lo
-        result.instructions_executed = end - start
-        return result
 
     def check(self, segment: Segment) -> CheckResult:
         """Replay ``segment`` and run every hardware comparison."""
-        if (self._golden is not None
-                and segment.end_seq <= self._fork_seq
-                and not any(segment.start_seq <= seq < segment.end_seq
-                            for seq in self._faults_by_seq)):
-            memo = self._prefix_memo
-            if memo is not None:
-                cached = memo.get((segment.start_seq, segment.end_seq))
-                if (cached is not None
-                        and cached.segment_index == segment.index):
-                    return cached
-            result = self._check_columnar(segment)
-            if result is not None:
-                if memo is not None:
-                    memo[(segment.start_seq, segment.end_seq)] = result
-                return result
         start = segment.start_checkpoint
         end = segment.end_checkpoint
         lo, size = segment.lo, segment.hi - segment.lo

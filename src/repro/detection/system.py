@@ -134,6 +134,13 @@ class DetectionReport:
         )
 
 
+def _empty_report(num_cores: int) -> DetectionReport:
+    return DetectionReport(
+        closes_by_reason={r.value: 0 for r in CloseReason},
+        checker_busy_ticks=[0] * num_cores,
+    )
+
+
 class ParallelErrorDetection(CommitHook):
     """Co-simulation hook implementing the paper's detection scheme."""
 
@@ -196,10 +203,7 @@ class ParallelErrorDetection(CommitHook):
         self.next_row = 0
         self._synced = 0
 
-        self.report = DetectionReport(
-            closes_by_reason={r.value: 0 for r in CloseReason},
-            checker_busy_ticks=[0] * num_cores,
-        )
+        self.report = _empty_report(num_cores)
 
     # -- checkpointing -------------------------------------------------------
 
@@ -218,16 +222,6 @@ class ParallelErrorDetection(CommitHook):
         the per-commit callbacks below are pure column reads.  Rows
         skipped under the previous binding are applied first."""
         self._catch_up()
-        if trace.fork_of is not None and not self._checkpoint_faults:
-            # fork-point run: segments entirely before the fork seq are
-            # clean golden splices — let the checker verify them by
-            # column comparison instead of replay.  Corrupted-checkpoint
-            # experiments must keep full replay: a flipped checkpoint
-            # bit is only caught by the register comparison the fast
-            # path elides (CHECKER faults are guarded per segment by the
-            # checker itself).
-            self.segment_checker.bind_fork(trace, trace.fork_of,
-                                           trace.fork_seq)
         self._pcs = trace.pcs
         self._dsts = trace.dsts
         self._mem_off = trace.mem_off
@@ -249,15 +243,12 @@ class ParallelErrorDetection(CommitHook):
     def clone_shared(self) -> tuple:
         """Immutable structure :meth:`OoOCore.fork` aliases into timing
         snapshots instead of deep-copying: the configuration, program and
-        metadata, the program-wide handler table, the bound trace columns
-        (mmap-backed memoryviews cannot be deep-copied at all), and the
-        checker's trace bindings.  Everything else on the hook is mutable
-        per-run state and *is* copied."""
-        checker = self.segment_checker
-        shared = [self.config, self.program, self.metas, checker.program,
-                  checker._steps]
-        shared.extend(obj for obj in (checker._trace, checker._golden)
-                      if obj is not None)
+        metadata, the segment checker (nothing writes it after it is
+        built), and the bound trace columns (mmap-backed memoryviews
+        cannot be deep-copied at all).  Everything else on the hook is
+        mutable per-run state and *is* copied."""
+        shared = [self.config, self.program, self.metas,
+                  self.segment_checker]
         for name in ("_pcs", "_dsts", "_mem_off", "_mem_kind", "_mem_addr",
                      "_values"):
             column = getattr(self, name, None)
@@ -269,21 +260,38 @@ class ParallelErrorDetection(CommitHook):
         """Overwrite this hook with an independent copy of ``src``.
 
         Immutable structure (config, program, metadata, trace columns,
-        the checker's handler table and bindings) is aliased — exactly
-        the set :meth:`clone_shared` declares; every mutable co-simulated
+        the segment checker) is aliased — exactly the set
+        :meth:`clone_shared` declares; every mutable co-simulated
         structure is copied via its own flat ``snapshot``/``clone``.
         ``src`` first applies the rows it skipped.
         """
-        src._catch_up()
+        self._restore_closes(src)
         self.config = src.config
         self.program = src.program
         self.metas = src.metas
-        self.num_cores = src.num_cores
-        self.main_period = src.main_period
         self.checker_period = src.checker_period
-        self.ckpt_cycles = src.ckpt_cycles
         self.ideal = src.ideal
         self.use_lfu = src.use_lfu
+        self.icaches = src.icaches.snapshot()
+        # the in-order models are stateless (all timing state lives in
+        # the icaches), so fresh instances over the copied icaches are
+        # exact replacements
+        self.core_models = [
+            InOrderCoreModel(src.config.checker, self.icaches, core_id)
+            for core_id in range(src.num_cores)
+        ]
+        self.report = src.report.snapshot()
+
+    def _restore_closes(self, src: "ParallelErrorDetection") -> None:
+        """Copy from ``src`` what closing and checking segments read:
+        the state ``pre_commit``, ``post_commit``, ``finish`` and
+        ``_close`` use, but not the report, nor the checker I-caches and
+        in-order models ``_dispatch`` times checks on.  ``src`` first
+        applies the rows it skipped."""
+        src._catch_up()
+        self.num_cores = src.num_cores
+        self.main_period = src.main_period
+        self.ckpt_cycles = src.ckpt_cycles
         self.capacity = src.capacity
         self.timeout = src.timeout
         self.arch = src.arch.clone()
@@ -294,15 +302,7 @@ class ParallelErrorDetection(CommitHook):
         self._reason = src._reason
         self._close_row = src._close_row
         self._on_commit = src._on_commit
-        self.segment_checker = src.segment_checker.clone()
-        self.icaches = src.icaches.snapshot()
-        # the in-order models are stateless (all timing state lives in
-        # the icaches), so fresh instances over the copied icaches are
-        # exact replacements
-        self.core_models = [
-            InOrderCoreModel(src.config.checker, self.icaches, core_id)
-            for core_id in range(src.num_cores)
-        ]
+        self.segment_checker = src.segment_checker
         self.slot_free_tick = src.slot_free_tick[:]
         self._commit_gate_tick = src._commit_gate_tick
         self._checkpoint_faults = dict(src._checkpoint_faults)
@@ -312,7 +312,6 @@ class ParallelErrorDetection(CommitHook):
         self.skipped_commits = []
         self.next_row = src.next_row
         self._synced = src._synced
-        self.report = src.report.snapshot()
         for name in ("_pcs", "_dsts", "_mem_off", "_mem_kind", "_mem_addr",
                      "_values", "_total", "_final_next_pc"):
             if hasattr(src, name):
@@ -585,11 +584,8 @@ class _TimingSpliceCursor:
 
     * pre-fork rows of a forked trace are splices of the golden columns,
       so timing them on the golden trace reproduces the faulty run's
-      timing;
-    * the cursor binds the checker's columnar fast path against the
-      golden trace itself, which takes exactly the code path (and yields
-      exactly the per-segment check results and checker-core timings)
-      that pre-fork segments of a forked run take;
+      timing, and replaying its segments reproduces the faulty run's
+      per-segment check results and checker-core timings;
     * ``run_rows`` chunk boundaries are timing-transparent, so stopping
       at a fork seq perturbs nothing.
 
@@ -603,17 +599,11 @@ class _TimingSpliceCursor:
         self.golden = golden
         self.config = config
         self._lock = threading.Lock()
-        total = len(golden)
-        self.interval = max(SPLICE_SNAPSHOT_MIN_INTERVAL, -(-total // 16))
+        self.interval = max(SPLICE_SNAPSHOT_MIN_INTERVAL,
+                            -(-len(golden) // 16))
         self.core = OoOCore(config)
         self.hook = ParallelErrorDetection(config, golden.program)
         self.hook.begin(golden)
-        # a golden run is its own fork prefix: let every segment take the
-        # checker's columnar path, exactly like a forked run's prefix
-        self.hook.segment_checker.bind_fork(golden, golden, total + 1)
-        # memoise the passing pre-fork column comparisons; every fork of
-        # this cursor shares the memo by reference
-        self.hook.segment_checker.enable_prefix_memo()
         self.state = self.core.start_state()
         self._snapshots = {0: self.core.fork(self.state, self.hook)}
 
@@ -678,6 +668,15 @@ class _CheckOnlyDetection(ParallelErrorDetection):
 
     failed = False
 
+    @classmethod
+    def of(cls, hook: ParallelErrorDetection) -> "_CheckOnlyDetection":
+        """A copy of what ``hook``'s segment closes read, with a fresh
+        report: no checker I-caches, in-order models or delay samples."""
+        probe = cls.__new__(cls)
+        probe._restore_closes(hook)
+        probe.report = _empty_report(hook.num_cores)
+        return probe
+
     def _dispatch(self, segment: Segment, close_tick: int) -> None:
         if not self.segment_checker.check(segment).ok:
             self.failed = True
@@ -735,8 +734,7 @@ def _first_failing_row(hook: ParallelErrorDetection, row: int,
     """
     if hook.ideal:
         return None
-    probe = _CheckOnlyDetection.__new__(_CheckOnlyDetection)
-    probe.restore(hook)
+    probe = _CheckOnlyDetection.of(hook)
     skipped = probe.skipped_commits
     while row < bound:
         event_row = min(probe.next_row, bound)
@@ -774,8 +772,8 @@ def _spliced_detection_run(trace: Trace, config: SystemConfig,
     """
     cursor = _splice_cursor(trace.fork_of, config)
     core, state, hook = cursor.bundle(trace.fork_seq)
-    # rebinding is all ``begin`` does: column refs plus the checker's
-    # fork binding (now golden vs faulty, from the faulty trace's seam)
+    # rebinding is all ``begin`` does: column refs, and the open
+    # segment's close planned on the faulty trace
     hook.begin(trace)
     total = len(trace)
     if not verdict_only:

@@ -1398,8 +1398,9 @@ def execute_forked(
     how the default fork seq (the injector's earliest fault) is chosen.
     Rows before the fork are spliced golden columns; the live machine
     starts from the reconstructed fork state.  The returned trace
-    carries ``fork_of``/``fork_seq`` so the detection side can verify
-    pre-fork segments by column comparison instead of replay.
+    carries ``fork_of``/``fork_seq``, so detection can resume the
+    golden run's timing at the fork and recovery can roll back to a
+    pre-fork state on the golden trace.
 
     ``state_source`` substitutes the fork-state producer — a callable
     with :func:`fork_state`'s signature returning an equal state, e.g.

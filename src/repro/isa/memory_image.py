@@ -60,9 +60,6 @@ class MemoryImage:
     def load_float(self, addr: int) -> float:
         return bits_to_float(self.load(addr))
 
-    def store_float(self, addr: int, value: float) -> None:
-        self.store(addr, float_to_bits(value))
-
     def copy(self) -> "MemoryImage":
         clone = MemoryImage()
         clone._words = dict(self._words)

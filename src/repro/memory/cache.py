@@ -160,14 +160,3 @@ class CacheModel:
         ways[line] = 0
         if ready:
             self._outstanding[line] = ready
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    def miss_rate(self) -> float:
-        total = self.accesses
-        return self.misses / total if total else 0.0
-
-    def reset_stats(self) -> None:
-        self.hits = self.misses = self.mshr_stalls = 0

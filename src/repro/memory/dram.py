@@ -76,6 +76,3 @@ class DRAMModel:
         self._bank_free[bank] = done
         self._open_rows[bank] = row
         return done
-
-    def reset_stats(self) -> None:
-        self.row_hits = self.row_misses = self.row_conflicts = 0

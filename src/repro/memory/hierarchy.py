@@ -89,11 +89,6 @@ class MemoryHierarchy:
         self.l1i.fill(addr, miss_start, fill_done)
         return max(now + self.l1i.config.hit_latency_cycles, fill_done)
 
-    def warm_l2_line(self, addr: int) -> None:
-        """Install a line into the L2 without timing (used to model the
-        instruction stream already touched by the main core)."""
-        self.l2.install(addr)
-
 
 class CheckerICaches:
     """Instruction-fetch timing for the set of checker cores.

@@ -12,8 +12,9 @@ replacement deployments the paper targets would:
    again, which callers can observe and escalate — e.g. retire the core).
 
 Every step runs on shared machinery: a verdict-only detection run, the
-rolled-back state rebuilt from the faulty trace's columns by
-:func:`~repro.isa.executor.fork_state`, and a re-run through
+rolled-back state rebuilt by :func:`~repro.isa.executor.fork_state` from
+the faulty trace's columns (or, below a forked run's fork seq, from the
+golden trace it was forked from), and a re-run through
 :func:`~repro.isa.executor.execute_program`'s commit loop.  The re-run
 is then compared with the fault-free run.
 """
@@ -67,8 +68,12 @@ def detect_and_recover(clean: Trace, faulty: Trace,
 
     failing_segment = verdict.first_error_position[0]
     rollback_seq = _segment_starts(faulty, config)[failing_segment]
+    # a forked run's rows below its fork seq are spliced golden rows, so
+    # the golden trace (and its keyframes) holds the state there
+    source = (faulty.fork_of if faulty.fork_of is not None
+              and rollback_seq <= faulty.fork_seq else faulty)
     rerun = execute_program(faulty.program,
-                            start=fork_state(faulty, rollback_seq))
+                            start=fork_state(source, rollback_seq))
     recovered = same_final_registers(rerun, clean)
     state_correct = recovered and all(
         rerun.memory.load(addr) == value

@@ -31,8 +31,8 @@ fed from the store is byte-identical to one that re-executed every
 clean trace.  Loading maps the file read-only and exposes the numeric
 columns as zero-copy memoryviews over the mapping: workers on one host
 share the page cache instead of each re-parsing JSON, and whole-column
-operations (checker fast path, fork-state replay) slice the mapped
-columns directly.
+operations (a forked run's golden prefix, fork-state replay) slice the
+mapped columns directly.
 
 The header also carries the **golden timing** of the trace: one
 :class:`~repro.core.ooo_core.CoreResult` per system configuration that

@@ -36,9 +36,6 @@ class TestArea:
         a3 = area_model(cfg.with_checker_cores(3))
         assert a3.detection_added_mm2 < a12.detection_added_mm2
 
-    def test_lockstep_reference(self):
-        assert area_model(default_config()).lockstep_overhead_vs_core == 1.0
-
 
 class TestPower:
     def test_paper_headline_number(self):
@@ -62,6 +59,3 @@ class TestPower:
         assert energy_overhead_per_run(1.0, 0.16) == pytest.approx(0.16)
         # slowdown compounds
         assert energy_overhead_per_run(1.10, 0.16) > 0.16
-
-    def test_lockstep_reference(self):
-        assert power_model(default_config()).lockstep_overhead == 1.0

@@ -1,6 +1,6 @@
 """Tests for the ASCII plot renderers."""
 
-from repro.analysis.plot import ascii_bars, ascii_density
+from repro.analysis.plot import ascii_density
 
 
 class TestAsciiDensity:
@@ -33,17 +33,3 @@ class TestAsciiDensity:
         large_row = next(l for l in lines if l.startswith("large"))
         assert small_row.split("|")[1] == large_row.split("|")[1]
 
-
-class TestAsciiBars:
-    def test_bars_proportional(self):
-        text = ascii_bars({"a": 1.0, "b": 2.0}, width=10)
-        a_bar = text.splitlines()[0].count("#")
-        b_bar = text.splitlines()[1].count("#")
-        assert b_bar == 2 * a_bar
-
-    def test_empty(self):
-        assert "(no data)" in ascii_bars({})
-
-    def test_minimum_one_glyph(self):
-        text = ascii_bars({"tiny": 0.001, "huge": 100.0}, width=10)
-        assert "#" in text.splitlines()[0]

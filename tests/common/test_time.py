@@ -55,22 +55,11 @@ class TestClock:
         with pytest.raises(ConfigError):
             Clock.from_mhz(-100)
 
-    def test_cycles_to_ticks(self):
-        clock = Clock.from_mhz(1000.0)
-        assert clock.cycles_to_ticks(10) == 160
-
     def test_ticks_to_cycles_ceil(self):
         clock = Clock.from_mhz(1000.0)
         assert clock.ticks_to_cycles_ceil(16) == 1
         assert clock.ticks_to_cycles_ceil(17) == 2
         assert clock.ticks_to_cycles_ceil(0) == 0
-
-    def test_next_edge(self):
-        clock = Clock.from_mhz(1000.0)
-        assert clock.next_edge(0) == 0
-        assert clock.next_edge(1) == 16
-        assert clock.next_edge(16) == 16
-        assert clock.next_edge(17) == 32
 
     def test_frozen(self):
         clock = Clock.from_mhz(1000.0)

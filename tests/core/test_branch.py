@@ -77,7 +77,6 @@ class TestRAS:
         p = predictor()
         p.push_return(10)
         p.push_return(20)
-        assert p.predict_return() == 20
         assert p.pop_return() == 20
         assert p.pop_return() == 10
         assert p.pop_return() is None

@@ -29,6 +29,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.config import default_config
+from repro.common.stats import Samples
+from repro.core.inorder_core import InOrderCoreModel
 from repro.core.timing import TIMING_SPLICE_ENV
 from repro.detection import system
 from repro.detection.faults import (
@@ -47,8 +49,10 @@ from repro.harness.figures import FREQUENCIES_MHZ
 from repro.isa.executor import execute_forked, execute_program
 from repro.isa.instructions import MASK64, Opcode
 from repro.isa.program import ProgramBuilder
+from repro.memory.hierarchy import CheckerICaches
 from repro.workloads.suite import benchmark_trace
 
+from tests.conftest import tripwire
 from tests.core.timing_pins import report_fields, stress_config
 from tests.detection.test_hook_skip_property import detection_draw, make_config
 from tests.isa.test_block_property import (
@@ -302,3 +306,26 @@ def test_look_ahead_leaves_the_hook_alone(reordered, certified):
     assert answers[0] == answers[1]
     assert (answers[0] is None) == certified
     assert hook_state(hook) == before
+
+
+def test_look_ahead_copies_no_timing_state():
+    """The look-ahead's probe copies only what closing and checking
+    segments read: no checker I-cache snapshot, no in-order core model
+    and no copy of the report's delay samples, whichever row it names."""
+    golden = benchmark_trace("stream", "small")
+    fault = TransientFault(FaultSite.RESULT, seq=len(golden) // 2, bit=4)
+    faulty = execute_forked(golden, FaultInjector([fault]))
+    _, state, hook = _TimingSpliceCursor(golden, default_config()).bundle(
+        faulty.fork_seq)
+    hook.begin(faulty)
+    total = len(faulty)
+    named = system._first_failing_row(hook, state.next_row, total)
+    assert named is not None
+    with mock.patch.object(CheckerICaches, "snapshot",
+                           tripwire("CheckerICaches.snapshot")), \
+            mock.patch.object(InOrderCoreModel, "__init__",
+                              tripwire("InOrderCoreModel.__init__")), \
+            mock.patch.object(Samples, "snapshot",
+                              tripwire("Samples.snapshot")):
+        assert system._first_failing_row(hook, state.next_row,
+                                         total) == named

@@ -67,9 +67,9 @@ class TestFloatBits:
         assert math.isnan(bits_to_float(bits))
         assert float_to_bits(bits_to_float(bits)) == bits
 
-    def test_store_load_float(self):
+    def test_load_float(self):
         m = MemoryImage()
-        m.store_float(0x200, 2.718)
+        m.store(0x200, float_to_bits(2.718))
         assert m.load_float(0x200) == 2.718
 
     def test_negative_zero_preserved(self):

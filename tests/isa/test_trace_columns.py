@@ -15,11 +15,7 @@ from repro.isa.executor import (
 from repro.isa.instructions import CONTROL_OPS, MASK64, Opcode
 from repro.isa.memory_image import float_to_bits
 from repro.isa.program import HANDLER_INDEX, ProgramBuilder, predecode
-from repro.workloads.suite import (
-    BENCHMARK_ORDER,
-    benchmark_trace,
-    build_benchmark,
-)
+from repro.workloads.suite import BENCHMARK_ORDER, build_benchmark
 from repro.workloads.trace_store import TraceStore
 
 

@@ -52,9 +52,3 @@ class TestBankSerialisation:
         t1 = d.access(0x10000, 0)
         t2 = d.access(0x10000 + cfg.row_bytes, 0)  # next bank
         assert t2 == t1  # identical latency, no serialisation
-
-    def test_stats_reset(self):
-        d = model()
-        d.access(0x10000, 0)
-        d.reset_stats()
-        assert d.row_misses == 0

@@ -66,12 +66,6 @@ class TestInstrPath:
         assert warm - (cold + 10) == 2
         assert cold > 2
 
-    def test_warm_l2_line(self):
-        h = hierarchy()
-        h.warm_l2_line(0x400000)
-        t = h.access_instr(0x400000, 0)
-        assert t <= 20  # L1I miss + L2 hit only
-
 
 class TestCheckerICaches:
     def test_private_l0_per_core(self):

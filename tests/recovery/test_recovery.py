@@ -9,14 +9,21 @@ from repro.detection.checker import SegmentChecker
 from repro.detection.faults import FaultInjector, FaultSite, TransientFault
 from repro.detection.system import run_with_detection
 from repro.harness.campaign import JobSpec, execute_job
-from repro.isa.executor import NONDET, execute_program, fork_state
+from repro.isa import executor
+from repro.isa.executor import (
+    NONDET,
+    execute_forked,
+    execute_program,
+    fork_state,
+)
 from repro.isa.instructions import Opcode
 from repro.isa.memory_image import float_to_bits
 from repro.isa.program import ProgramBuilder
 from repro.recovery import rollback
 from repro.recovery.rollback import _segment_starts, detect_and_recover
+from repro.workloads.suite import BENCHMARK_ORDER, benchmark_trace
 
-from tests.conftest import build_rmw_loop, tripwire
+from tests.conftest import build_rmw_loop, mid_trace_faults, tripwire
 
 #: rmw-loop fault seqs: the store of iteration 200, the load-add of 150
 STORE_SEQ = 3 + 8 * 200 + 5
@@ -149,6 +156,57 @@ class TestDetectAndRecover:
         assert outcome.rollback_seq == starts[failing]
         assert states == [state_form(fork_state(clean, starts[failing]))]
         assert outcome.state_correct
+
+    @pytest.mark.parametrize("fault", [
+        TransientFault(FaultSite.STORE_VALUE, seq=STORE_SEQ, bit=4),
+        TransientFault(FaultSite.RESULT, seq=RESULT_SEQ, bit=9),
+    ])
+    def test_forked_run_rolls_back_on_the_clean_trace(self, clean, fault):
+        """A forked run's rows below its fork seq are the clean run's, so
+        the rolled-back state is taken from the clean trace: no keyframes
+        are built over the faulty trace, and the state is the one the
+        faulty trace's columns give."""
+        faulty = execute_forked(clean, FaultInjector([fault]))
+        build = executor.build_keyframes
+
+        def guarded(trace, *args, **kwargs):
+            assert trace is not faulty, "keyframes of a faulty trace"
+            return build(trace, *args, **kwargs)
+
+        with mock.patch.object(executor, "build_keyframes", guarded):
+            outcome = detect_and_recover(clean, faulty, default_config())
+        assert outcome.detected and outcome.state_correct
+        seq = outcome.rollback_seq
+        assert 0 < seq <= faulty.fork_seq
+        assert state_form(fork_state(clean, seq)) == \
+            state_form(fork_state(faulty, seq))
+
+    @pytest.mark.parametrize("workload", BENCHMARK_ORDER)
+    def test_forked_recovery_equals_complete_recovery(self, workload):
+        """On every suite workload a forked run recovers exactly as the
+        complete faulty run does, and a detected fault rolls back at or
+        before the fork seq on a state no keyframes of the forked trace
+        were built for."""
+        clean = benchmark_trace(workload, "small")
+        config = default_config()
+        build = executor.build_keyframes
+
+        def guarded(trace, *args, **kwargs):
+            assert trace.fork_of is None, "keyframes of a forked trace"
+            return build(trace, *args, **kwargs)
+
+        detected = 0
+        for fault in mid_trace_faults(workload):
+            complete = detect_and_recover(
+                clean, faulty_run(clean.program, fault), config)
+            forked = execute_forked(clean, FaultInjector([fault]))
+            with mock.patch.object(executor, "build_keyframes", guarded):
+                outcome = detect_and_recover(clean, forked, config)
+            assert outcome == complete
+            if outcome.detected:
+                detected += 1
+                assert outcome.rollback_seq <= forked.fork_seq
+        assert detected
 
     def test_fault_free_run_reports_clean(self, program, clean):
         with mock.patch.object(rollback, "execute_program",

@@ -31,6 +31,7 @@ from repro.common.config import default_config
 from repro.common.records import canonical_json
 from repro.core.ooo_core import OoOCore
 from repro.core.timing import TIMING_SPLICE_ENV
+from repro.detection.checker import SegmentChecker
 from repro.detection.faults import (
     EXECUTION_SITES,
     FaultInjector,
@@ -213,6 +214,49 @@ class TestSnapshotForkIdentity:
         assert fcore.hierarchy is not core.hierarchy
         assert fstate is not state
         assert fhook.report is not hook.report
+
+    def test_forks_and_probes_share_one_segment_checker(self, monkeypatch):
+        """Nothing writes a segment checker after it is built: a fork and
+        the look-ahead's probe check with their source's checker, and
+        checks, one a checker fault strikes included, leave its fields
+        as they were."""
+        golden = benchmark_trace("stream", "small")
+        config = default_config()
+        mid = len(golden) // 2
+        # a row past the fork that writes an integer register other than
+        # x0: the checker fault flips that write in the segment's replay
+        seq = next(row for row in range(mid, len(golden))
+                   if any(not is_fp and idx
+                          for is_fp, idx, _ in golden.dsts[row][:1]))
+        core = OoOCore(config)
+        hook = ParallelErrorDetection(
+            config, golden.program,
+            checker_faults=[TransientFault(FaultSite.CHECKER, seq=seq,
+                                           bit=3)])
+        hook.begin(golden)
+        state = core.start_state()
+        core.run_rows(golden, hook, state, mid)
+        checker = hook.segment_checker
+        fields = dict(vars(checker))
+        faults = {at: list(struck)
+                  for at, struck in checker._faults_by_seq.items()}
+        checkers = []
+        check = SegmentChecker.check
+
+        def spy(self, segment):
+            checkers.append(self)
+            return check(self, segment)
+
+        monkeypatch.setattr(SegmentChecker, "check", spy)
+        _, fstate, fhook = core.fork(state, hook)
+        assert fhook.segment_checker is checker
+        assert detection_system._first_failing_row(
+            hook, state.next_row, len(golden)) is not None
+        core.run_rows(golden, fhook, fstate, len(golden))
+        assert fhook.report.events
+        assert checkers and all(c is checker for c in checkers)
+        assert vars(checker) == fields
+        assert checker._faults_by_seq == faults
 
 
 class TestCursorRegistry:

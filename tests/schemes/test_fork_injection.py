@@ -12,7 +12,6 @@ import pytest
 
 from repro.common.config import default_config
 from repro.common.records import canonical_json
-from repro.detection.checker import SegmentChecker
 from repro.detection.faults import FaultInjector, FaultSite, TransientFault
 from repro.detection.system import run_with_detection
 from repro.harness.campaign import JobSpec, execute_job
@@ -255,88 +254,14 @@ class TestDetectionReportIdentity:
              b.log_full_stall_cycles, b.checkpoint_stall_cycles,
              b.all_checks_done_tick)
 
-    def test_fast_path_actually_engages(self, monkeypatch):
-        # splice off: this test pins the full re-timing path, where every
-        # pre-fork segment must be checked columnar (with the splice on, a
-        # warm cursor already checked them during its one golden walk)
-        from repro.core.timing import TIMING_SPLICE_ENV
-        monkeypatch.setenv(TIMING_SPLICE_ENV, "0")
-        golden = benchmark_trace("bitcount", "small")
-        fault = TransientFault(FaultSite.RESULT, seq=len(golden) - 90, bit=7)
-        hits = []
-        original = SegmentChecker._check_columnar
-
-        def spy(self, segment):
-            result = original(self, segment)
-            hits.append(result is not None)
-            return result
-
-        monkeypatch.setattr(SegmentChecker, "_check_columnar", spy)
-        run_with_detection(
-            execute_forked(golden, FaultInjector([fault])), default_config())
-        assert hits and all(hits), \
-            "pre-fork segments must take the columnar fast path"
-
-    def test_full_execution_never_uses_fast_path(self, monkeypatch):
-        golden = benchmark_trace("bitcount", "small")
-        fault = TransientFault(FaultSite.RESULT, seq=len(golden) - 90, bit=7)
-
-        def bomb(self, segment):
-            raise AssertionError("fast path without fork metadata")
-
-        monkeypatch.setattr(SegmentChecker, "_check_columnar", bomb)
-        run_with_detection(
-            execute_program(golden.program,
-                            fault_injector=FaultInjector([fault])),
-            default_config())
-
-    def test_checkpoint_fault_disables_fast_path(self, monkeypatch):
+    def test_forked_checkpoint_fault_detected(self):
         """A corrupted checkpoint is only caught by the register
-        comparison the fast path elides — fork runs carrying checkpoint
-        faults must stay on full replay, and still detect."""
+        comparison of a segment's replay: a forked run carrying a
+        checkpoint fault detects it."""
         golden = benchmark_trace("bitcount", "small")
         fault = TransientFault(FaultSite.CHECKPOINT, seq=2, reg="x3", bit=5)
-
-        def bomb(self, segment):
-            raise AssertionError("fast path despite checkpoint fault")
-
-        monkeypatch.setattr(SegmentChecker, "_check_columnar", bomb)
         forked = execute_forked(golden, FaultInjector([fault]))
         result = run_with_detection(forked, default_config(),
                                     checkpoint_faults=[fault])
         assert result.report.detected
 
-
-class TestCheckerFastPathEquivalence:
-    def test_fast_result_equals_replay_result(self):
-        """The columnar fast path must return the same CheckResult the
-        replay path computes for the same clean pre-fork segment."""
-        golden = benchmark_trace("stream", "small")
-        fault = TransientFault(FaultSite.RESULT, seq=len(golden) - 30, bit=3)
-        forked = execute_forked(golden, FaultInjector([fault]))
-        hook_segments = []
-
-        original = SegmentChecker.check
-
-        def capture(self, segment):
-            hook_segments.append(segment)
-            return original(self, segment)
-
-        import unittest.mock as mock
-        with mock.patch.object(SegmentChecker, "check", capture):
-            run_with_detection(forked, default_config())
-        pre_fork = [s for s in hook_segments
-                    if s.end_seq is not None and s.end_seq <= forked.fork_seq]
-        assert pre_fork, "late fault leaves plenty of pre-fork segments"
-
-        fast = SegmentChecker(golden.program)
-        fast.bind_fork(forked, golden, forked.fork_seq)
-        plain = SegmentChecker(golden.program)
-        for segment in pre_fork:
-            a = fast.check(segment)
-            b = plain.check(segment)
-            assert a.ok and b.ok
-            assert a.steps == b.steps
-            assert a.entries_checked == b.entries_checked
-            assert a.instructions_executed == b.instructions_executed
-            assert a.errors == b.errors == []
