@@ -176,8 +176,11 @@ def _fork_suffixes(golden, faults) -> tuple[list, int, int, float]:
         faulty = execute_forked(golden, injector, max_instructions=cap,
                                 state_source=cursor.state)
         elapsed += time.perf_counter() - t0
-        # the injector's own row commits before its inert point
-        injected = min(len(faulty), fault.seq + 1) - faulty.fork_seq
+        # the injector's own row commits before its inert point (a fault
+        # that never fires hands back ``golden``, whose ``fork_seq`` is
+        # not this fork's)
+        injected = (min(len(faulty), fault.seq + 1)
+                    - injector.fork_seq(len(golden)))
         block_rows += STATS.block_instrs - blocks0
         suffix_rows += STATS.total_instrs - rows0 - injected
         outcomes.append((faulty.to_payload(), injector.activations))

@@ -128,6 +128,17 @@ def earliest_fault_seq(faults: list[TransientFault | HardFault]) -> int | None:
     return min(seqs) if seqs else None
 
 
+def fork_seq_of(faults: list[TransientFault | HardFault],
+                trace_len: int) -> int:
+    """The last safe commit seq before the earliest of ``faults``:
+    golden rows ``[0, fork_seq)`` are provably clean, so a fork-point
+    execution may splice them (clamped to ``trace_len`` for faults
+    targeting seqs past the end of the golden trace, and for faults that
+    never touch execution)."""
+    earliest = earliest_fault_seq(faults)
+    return trace_len if earliest is None else min(earliest, trace_len)
+
+
 class FaultInjector:
     """Applies fault specs during main-core functional execution.
 
@@ -175,12 +186,8 @@ class FaultInjector:
         return max(self.transients, default=-1)
 
     def fork_seq(self, trace_len: int) -> int:
-        """The last safe commit seq before this injector's earliest
-        fault: golden rows ``[0, fork_seq)`` are provably clean, so a
-        fork-point execution may splice them (clamped to ``trace_len``
-        for faults targeting seqs past the end of the golden trace)."""
-        earliest = earliest_fault_seq(self.faults)
-        return trace_len if earliest is None else min(earliest, trace_len)
+        """This injector's fork seq (see :func:`fork_seq_of`)."""
+        return fork_seq_of(self.faults, trace_len)
 
     # -- executor integration ------------------------------------------------
 

@@ -845,9 +845,15 @@ def _commit_loop(machine: Machine, fault_injector, max_instructions: int,
     ``stop_seq`` ends commitment (without halting or crashing) once
     ``seq`` reaches it — for callers like activation-only fault
     verdicts that provably never read the trace past that point, and
-    for :func:`execute_forked`, which pauses at the injector's inert
-    point and then either splices the golden tail or calls the loop
-    again to resume from the same ``seq`` and counters.
+    for :func:`execute_forked`, whose window pauses at the injector's
+    inert point; the fork path then either returns the golden trace or
+    calls the loop again on the spliced columns to resume from the same
+    ``seq`` and counters.  The window's columns start at the fork seq:
+    they begin empty, with row ``seq`` at index 0, while ``mem_off``
+    starts at the golden prefix's entry count.  The block-trap path
+    below slices the columns by absolute seq, so it would misread them;
+    a window never reaches it, because every window row is at or below
+    ``inject_until`` and goes through ``FaultInjector.step``.
 
     Rows up to the injector's last fault seq go through
     :meth:`~repro.detection.faults.FaultInjector.step`.  Every later row
@@ -1347,38 +1353,21 @@ def fork_cursor(golden: Trace) -> ForkCursor:
         return cursor
 
 
-def _column_slice(col, stop: int, typecode: str) -> array:
-    """Mutable ``array`` copy of ``col[:stop]``.
+def _column_slice(col, stop: int, window: array) -> array:
+    """Mutable ``array`` holding ``col[:stop]`` followed by ``window``.
 
     Golden columns are ``array`` objects for in-process traces but
     read-only memory-mapped views for traces loaded from the binary
     store; the commit loop appends to the spliced columns, so the fork
-    path always splices into a real ``array``.
+    path always splices into a real ``array`` (of the window's type).
     """
     if isinstance(col, array):
-        return col[:stop]
-    out = array(typecode)
-    out.frombytes(bytes(col[:stop]))
+        out = col[:stop]
+    else:
+        out = array(window.typecode)
+        out.frombytes(bytes(col[:stop]))
+    out += window
     return out
-
-
-def _extend_golden_tail(golden: Trace, seq: int, columns: tuple) -> None:
-    """Append ``golden``'s rows ``[seq, end)`` to a faulty run's columns,
-    whose first ``seq`` rows equal the golden ones.  Each numeric column
-    is one bulk copy, from an ``array`` or a memory-mapped view alike;
-    writeback rows are immutable tuples and are shared."""
-    pcs, dsts_col, takens, mem_off, mem_kind, mem_addr, mem_value, \
-        mem_used = columns
-    entry = golden.mem_off[seq]
-    for out, col, start in ((pcs, golden.pcs, seq),
-                            (takens, golden.takens, seq),
-                            (mem_off, golden.mem_off, seq + 1),
-                            (mem_kind, golden.mem_kind, entry),
-                            (mem_addr, golden.mem_addr, entry),
-                            (mem_value, golden.mem_value, entry),
-                            (mem_used, golden.mem_used, entry)):
-        out.frombytes(memoryview(col)[start:].cast("B"))
-    dsts_col.extend(golden.dsts[seq:])
 
 
 def execute_forked(
@@ -1393,14 +1382,12 @@ def execute_forked(
     fork point.
 
     The result is byte-identical to
-    ``execute_program(golden.program, fault_injector)`` whenever every
-    injected fault strikes at or after ``fork_seq`` — which is exactly
-    how the default fork seq (the injector's earliest fault) is chosen.
-    Rows before the fork are spliced golden columns; the live machine
-    starts from the reconstructed fork state.  The returned trace
-    carries ``fork_of``/``fork_seq``, so detection can resume the
-    golden run's timing at the fork and recovery can roll back to a
-    pre-fork state on the golden trace.
+    ``execute_program(golden.program, fault_injector, max_instructions,
+    stop_seq)`` whenever every injected fault strikes at or after
+    ``fork_seq`` — which is exactly how the default fork seq (the
+    injector's earliest fault) is chosen — except that a run no fault
+    perturbed is ``golden`` itself (below).  The live machine starts
+    from the reconstructed fork state.
 
     ``state_source`` substitutes the fork-state producer — a callable
     with :func:`fork_state`'s signature returning an equal state, e.g.
@@ -1408,18 +1395,28 @@ def execute_forked(
     — and must be semantically identical to it; the default is
     :func:`fork_state` itself.
 
-    Live execution runs only up to the injector's inert point, the seq
-    after :meth:`~repro.detection.faults.FaultInjector.last_execution_seq`.
-    If no fault has fired by then, the machine is in the golden state
-    there, so the rest of the run is the golden tail: its columns, final
-    registers, a copy of its final memory image and its counts are
-    spliced instead of executed.  Otherwise execution resumes to the
-    end.  Either way the trace is the one a full execution commits.
+    Live execution first runs the *window*: from the fork seq to the
+    injector's inert point, the seq after
+    :meth:`~repro.detection.faults.FaultInjector.last_execution_seq`
+    (to the end for hard faults, which have none; never past
+    ``stop_seq``), on fresh columns that start at the fork seq.  If no
+    fault fired in it and the run did not crash, the machine is in the
+    golden state there, so the run is the golden run and ``golden``
+    itself is returned: no column is copied and no trace is built.
+    That includes an empty window (a job with only CHECKPOINT/CHECKER
+    faults, or faults past the golden end).  Callers tell it apart by
+    identity, or by ``fork_of`` being None, and must not mutate it.
+
+    Otherwise the golden prefix ``[0, fork_seq)`` is spliced in front
+    of the window's rows and execution resumes to the end (or to
+    ``stop_seq``).  The new trace carries ``fork_of``/``fork_seq``, so
+    detection can resume the golden run's timing at the fork and
+    recovery can roll back to a pre-fork state on the golden trace.
 
     ``stop_seq`` ends live execution once that seq commits, for callers
     whose verdict provably never reads the trace past it (activation-only
-    schemes, which stop at the inert point themselves); the returned
-    trace is then truncated and un-halted, and no tail is spliced.
+    schemes, which stop at the inert point themselves); a perturbed run
+    is then truncated and un-halted.
     """
     if not golden.halted or golden.crashed:
         raise ExecutionError(
@@ -1430,11 +1427,12 @@ def execute_forked(
         fork_seq = (fault_injector.fork_seq(total)
                     if fault_injector is not None else total)
     fork_seq = min(max(fork_seq, 0), total)
-    inert = None
-    if fault_injector is not None and stop_seq is None:
+    window_stop = stop_seq
+    if fault_injector is not None:
         last = fault_injector.last_execution_seq()
         if last is not None:
             inert = max(last + 1, fork_seq)
+            window_stop = inert if stop_seq is None else min(inert, stop_seq)
 
     state = (state_source if state_source is not None
              else fork_state)(golden, fork_seq)
@@ -1445,48 +1443,42 @@ def execute_forked(
     if fault_injector is not None:
         fault_injector.attach(machine)
 
-    # splice the golden prefix (array/list slices: bulk C-level copies)
-    pcs = _column_slice(golden.pcs, fork_seq, "Q")
-    dsts_col = list(golden.dsts[:fork_seq])
-    takens = _column_slice(golden.takens, fork_seq, "b")
-    mem_off = _column_slice(golden.mem_off, fork_seq + 1, "Q")
-    entries = mem_off[-1]
-    mem_kind = _column_slice(golden.mem_kind, entries, "b")
-    mem_addr = _column_slice(golden.mem_addr, entries, "Q")
-    mem_value = _column_slice(golden.mem_value, entries, "Q")
-    mem_used = _column_slice(golden.mem_used, entries, "Q")
-    columns = (pcs, dsts_col, takens,
-               mem_off, mem_kind, mem_addr, mem_value, mem_used)
+    # the window's columns: rows numbered from the fork seq, entry
+    # offsets continuing the golden prefix's (see _commit_loop)
+    window = (array("Q"), [], array("b"),
+              array("Q", (golden.mem_off[fork_seq],)),
+              array("b"), array("Q"), array("Q"), array("Q"))
+    uops, loads, stores, crashed = _commit_loop(
+        machine, fault_injector, max_instructions, *window,
+        seq=fork_seq, uops=state.uops, loads=state.loads,
+        stores=state.stores, stop_seq=window_stop)
+    if (not crashed and total <= max_instructions
+            and (fault_injector is None or not fault_injector.activations)):
+        # unperturbed up to the inert point (or halted at the golden
+        # end): nothing later can diverge, and a run under the same
+        # instruction cap completes like the golden one did
+        return golden
 
-    uops, loads, stores = state.uops, state.loads, state.stores
-    crashed = golden_tail = False
-    if inert is not None:
+    # a fault fired or the run crashed: splice the golden prefix in
+    # front of the window (array/list slices: bulk C-level copies)
+    w_pcs, w_dsts, w_takens, w_off, w_kind, w_addr, w_value, w_used = window
+    entries = w_off[0]
+    pcs = _column_slice(golden.pcs, fork_seq, w_pcs)
+    dsts_col = golden.dsts[:fork_seq]
+    dsts_col += w_dsts
+    takens = _column_slice(golden.takens, fork_seq, w_takens)
+    mem_off = _column_slice(golden.mem_off, fork_seq, w_off)
+    mem_kind = _column_slice(golden.mem_kind, entries, w_kind)
+    mem_addr = _column_slice(golden.mem_addr, entries, w_addr)
+    mem_value = _column_slice(golden.mem_value, entries, w_value)
+    mem_used = _column_slice(golden.mem_used, entries, w_used)
+    if not crashed:
         uops, loads, stores, crashed = _commit_loop(
-            machine, fault_injector, max_instructions, *columns,
-            seq=fork_seq, uops=uops, loads=loads, stores=stores,
-            stop_seq=inert)
-        # still running, the loop stopped at the inert point; a run the
-        # injector left unperturbed up to there is in the golden state
-        # (and a full run under the same instruction cap would complete
-        # like the golden one did)
-        golden_tail = (not machine.halted and not crashed
-                       and not fault_injector.activations
-                       and total <= max_instructions)
-    if golden_tail:
-        _extend_golden_tail(golden, inert, columns)
-        final_pc = golden.final_next_pc
-        xregs, fregs = golden.final_xregs, golden.final_fregs
-        memory, halted = golden.memory.copy(), True
-        uops, loads, stores = (golden.uop_count, golden.load_count,
-                               golden.store_count)
-    else:
-        if not crashed:
-            uops, loads, stores, crashed = _commit_loop(
-                machine, fault_injector, max_instructions, *columns,
-                seq=len(pcs), uops=uops, loads=loads, stores=stores,
-                stop_seq=stop_seq)
-        final_pc, xregs, fregs = machine.pc, machine.xregs, machine.fregs
-        memory, halted = state.memory, machine.halted
+            machine, fault_injector, max_instructions,
+            pcs, dsts_col, takens,
+            mem_off, mem_kind, mem_addr, mem_value, mem_used,
+            seq=len(pcs), uops=uops, loads=loads, stores=stores,
+            stop_seq=stop_seq)
 
     trace = Trace(
         program,
@@ -1498,11 +1490,11 @@ def execute_forked(
         mem_addr=mem_addr,
         mem_value=mem_value,
         mem_used=mem_used,
-        final_next_pc=final_pc,
-        final_xregs=list(xregs),
-        final_fregs=list(fregs),
-        memory=memory,
-        halted=halted,
+        final_next_pc=machine.pc,
+        final_xregs=list(machine.xregs),
+        final_fregs=list(machine.fregs),
+        memory=state.memory,
+        halted=machine.halted,
         uop_count=uops,
         load_count=loads,
         store_count=stores,

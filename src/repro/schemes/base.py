@@ -34,7 +34,12 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from repro.common.config import SystemConfig
-from repro.detection.faults import FaultInjector, HardFault, TransientFault
+from repro.detection.faults import (
+    FaultInjector,
+    HardFault,
+    TransientFault,
+    fork_seq_of,
+)
 from repro.isa.executor import (
     Trace,
     execute_forked,
@@ -150,8 +155,11 @@ class ProtectionScheme(abc.ABC):
     #: this False, and injection stops executing once the last fault has
     #: had its chance to strike: the discarded suffix cannot change the
     #: verdict, so the records stay byte-identical.  Schemes that keep
-    #: it True still skip the suffix of a fault that never fired: the
-    #: fork path splices the golden tail there (see ``execute_forked``).
+    #: it True still skip the suffix of a fault that never fired: once
+    #: its injector goes inert unfired, the fork path hands back the
+    #: golden trace itself (see ``execute_forked``).  Every scheme's
+    #: ``classify`` answers ``not_activated`` from the activation list
+    #: before it reads that trace.
     verdict_needs_outcome: bool = True
 
     def _stop_seq(self, injector: FaultInjector) -> int | None:
@@ -166,8 +174,9 @@ class ProtectionScheme(abc.ABC):
         self, clean: Trace, faults: Sequence[TransientFault | HardFault],
     ) -> Iterator[tuple[int, FaultInjector, Trace]]:
         """Execute each of ``faults`` against ``clean``'s program, one at
-        a time in fork-seq order, yielding ``(index into faults,
-        injector, faulty committed trace)``.
+        a time in fork-seq order (:func:`~repro.detection.faults.fork_seq_of`
+        of each fault), yielding ``(index into faults, injector, faulty
+        committed trace)``.
 
         The fork-point path runs unless :data:`FORK_INJECTION_ENV`
         vetoes it; otherwise every fault re-executes the whole program.
@@ -176,18 +185,22 @@ class ProtectionScheme(abc.ABC):
         (:func:`~repro.isa.executor.fork_cursor`), which outlives the
         call: a cell walks it forward once, and one-fault jobs run in
         fork order each replay only the golden rows since the previous
-        job's fork.  The golden prefix is spliced, and the golden tail
-        too when no fault fired before the injector went inert.  Both
-        paths yield byte-identical traces and activation lists, so
-        which one ran is unobservable in any record.  Schemes whose
-        verdict never reads the outcome additionally stop right after
-        the last fault seq (again on both paths, so the identity between
-        them holds).  Each injector is built just before its run: an
-        attached injector keeps its machine and memory image alive.
+        job's fork.  A forked run that no fault perturbed by the time
+        its injector went inert yields ``clean`` itself, with no column
+        copied; any other forked run splices the golden prefix.  Both
+        paths yield byte-identical activation lists, and byte-identical
+        traces for every fault that fired or crashed the run; an
+        unperturbed run's trace equals ``clean`` (or its prefix, when
+        injection stopped early), so which path ran is unobservable in
+        any record.  Schemes whose verdict never reads the outcome
+        additionally stop right after the last fault seq (again on both
+        paths, so the identity between them holds).  Each injector is
+        built just before its run: an attached injector keeps its
+        machine and memory image alive.
         """
         total = len(clean)
-        order = sorted(range(len(faults)), key=lambda i: FaultInjector(
-            [faults[i]]).fork_seq(total))
+        order = sorted(range(len(faults)),
+                       key=lambda i: fork_seq_of((faults[i],), total))
         cursor = fork_cursor(clean) if fork_injection_enabled() else None
         for i in order:
             injector = FaultInjector([faults[i]])

@@ -9,7 +9,7 @@ from repro.common.records import canonical_json
 from repro.core.timing import TIMING_SPLICE_ENV
 from repro.detection.faults import FaultSite, TransientFault
 from repro.isa.blocks import BLOCK_EXEC_ENV
-from repro.isa.executor import LOAD, Trace, execute_program
+from repro.isa.executor import LOAD, STORE, Trace, execute_program
 from repro.isa.instructions import Opcode
 from repro.isa.program import Program, ProgramBuilder
 from repro.schemes.base import FORK_INJECTION_ENV
@@ -118,6 +118,36 @@ def never_firing_faults(golden: Trace, start: int) -> list[TransientFault]:
                       if golden.takens[i] == -1)
     return [TransientFault(FaultSite.LOAD_ADDR, seq=non_load, bit=5),
             TransientFault(FaultSite.BRANCH, seq=non_branch)]
+
+
+def never_firing_faults_every_site(golden: Trace,
+                                   start: int) -> list[TransientFault]:
+    """One fault per site that never fires on ``golden``.  Execution
+    sites strike a row at or after ``start`` that they cannot change:
+    RESULT a row writing no register, the load sites a row without a
+    load, the store sites a row without a store, BRANCH a row that is
+    no conditional branch.  A PC fault changes any row it strikes, so
+    it targets a seq past the golden end.  CHECKPOINT and CHECKER
+    faults never touch execution."""
+    off, kinds, n = golden.mem_off, golden.mem_kind, len(golden)
+
+    def first_row(keep) -> int:
+        return next(i for i in range(start, n) if keep(i))
+
+    def without(kind):
+        return first_row(lambda i: kind not in kinds[off[i]:off[i + 1]])
+
+    rows = {FaultSite.RESULT: first_row(lambda i: not golden.dsts[i]),
+            FaultSite.LOAD_VALUE: without(LOAD),
+            FaultSite.LOAD_ADDR: without(LOAD),
+            FaultSite.STORE_VALUE: without(STORE),
+            FaultSite.STORE_ADDR: without(STORE),
+            FaultSite.BRANCH: first_row(lambda i: golden.takens[i] == -1),
+            FaultSite.PC: n + 1,
+            FaultSite.CHECKPOINT: 1,
+            FaultSite.CHECKER: start}
+    return [TransientFault(site, seq=seq, bit=5)
+            for site, seq in rows.items()]
 
 
 def tripwire(what: str):

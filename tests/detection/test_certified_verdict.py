@@ -248,9 +248,14 @@ def test_look_ahead_from_the_fork_passes_only_without_events(
     every check passes.  That probe must name no row only if the
     complete report records no event; with real checkers, a named row
     must mean an event (ideal checkers check nothing, so they record
-    none)."""
+    none).  A run no fault perturbed is the golden trace, with no fork."""
     config = config.with_ideal_checkers(data.draw(st.booleans()))
     faulty = faulty_trace(draw, data)
+    if faulty.fork_of is None:
+        # no fault fired: the run is the golden trace itself, which has
+        # no fork to look ahead from and fails no check
+        assert not verdict(faulty, config, "1").detected
+        return
     _, state, hook = _TimingSpliceCursor(faulty.fork_of, config).bundle(
         faulty.fork_seq)
     hook.begin(faulty)

@@ -169,9 +169,16 @@ def test_fork_look_ahead_names_the_close_of_the_first_events(workload,
     no row exactly when the complete run records no event.  Otherwise
     timing the rows before the named row records no event, and timing
     that row records the complete run's first events, all from one
-    segment."""
+    segment.  A fault that never fires gets the golden trace back."""
     config = default_config()
-    faulty = forked(workload, [mid_trace_fault(workload, site)])
+    golden = benchmark_trace(workload, "small")
+    injector = FaultInjector([mid_trace_fault(workload, site)])
+    faulty = execute_forked(golden, injector)
+    if not injector.activations:
+        # a fault that never fired hands back the golden trace itself,
+        # which has no fork to resume timing from
+        assert faulty is golden and faulty.fork_of is None
+        return
     core, state, hook = resumed(faulty, config)
     total = len(faulty)
     named = _first_failing_row(hook, state.next_row, total)

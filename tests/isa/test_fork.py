@@ -310,6 +310,9 @@ def assert_owns_its_state(faulty: Trace, golden: Trace) -> None:
 
 class TestExecuteForked:
     def _assert_identical(self, program_or_trace, faults, **kwargs):
+        """A forked run equals the full one; it is the golden trace
+        itself when nothing fired or crashed, and otherwise a new trace
+        that owns its state."""
         golden = (program_or_trace if isinstance(program_or_trace, Trace)
                   else execute_program(program_or_trace))
         full_inj = FaultInjector(list(faults))
@@ -319,13 +322,16 @@ class TestExecuteForked:
         forked = execute_forked(golden, fork_inj, **kwargs)
         assert full.to_payload() == forked.to_payload()
         assert full_inj.activations == fork_inj.activations
-        assert forked.fork_of is golden
-        assert_owns_its_state(forked, golden)
+        if fork_inj.activations or forked.crashed:
+            assert forked.fork_of is golden
+            assert_owns_its_state(forked, golden)
+        else:
+            assert forked is golden
         return forked
 
     @pytest.mark.parametrize("name", BENCHMARK_ORDER)
     def test_byte_identical_every_site_uniform_seqs(self, name):
-        """Faults that never fire take the golden-tail splice, the rest
+        """Faults that never fire get the golden trace back, the rest
         resume execution: both must match a full faulty execution."""
         golden = benchmark_trace(name, "small")
         n = len(golden)
@@ -337,12 +343,10 @@ class TestExecuteForked:
                 fired += forked.dsts != golden.dsts
         assert fired, "some sweep fault must change the trace"
 
-    def test_never_fired_faults_splice_golden_tail(self):
+    def test_never_fired_faults_return_golden(self):
         golden = benchmark_trace("stream", "small")
         for fault in never_firing_faults(golden, len(golden) // 2):
-            forked = self._assert_identical(golden, [fault])
-            assert forked.to_payload() == golden.to_payload()
-            assert forked.fork_seq == fault.seq
+            assert self._assert_identical(golden, [fault]) is golden
 
     def test_never_fired_fault_executes_only_its_own_row(self):
         """The engage pin: live execution stops at the inert point."""
@@ -374,10 +378,14 @@ class TestExecuteForked:
         faults = never_firing_faults(golden, n // 2) + [
             TransientFault(FaultSite.RESULT, seq=n // 2, bit=7),
             TransientFault(FaultSite.STORE_VALUE, seq=n // 4, bit=3)]
+        fired = 0
         for fault in faults:
             forked = self._assert_identical(golden, [fault])
-            assert isinstance(forked.pcs, array)
-            assert isinstance(forked.mem_addr, array)
+            if forked is not golden:
+                fired += 1
+                assert isinstance(forked.pcs, array)
+                assert isinstance(forked.mem_addr, array)
+        assert fired, "some fault must splice the memory-mapped columns"
 
     @settings(max_examples=60, deadline=None)
     @given(program_draw, st.sampled_from(FAULT_SITES),
@@ -395,12 +403,55 @@ class TestExecuteForked:
         fault = TransientFault(site, seq=int(where * len(golden)), bit=bit)
         self._assert_identical(golden, [fault], max_instructions=2000)
 
+    @settings(max_examples=60, deadline=None)
+    @given(program_draw,
+           st.lists(st.floats(min_value=0.0, max_value=1.2),
+                    min_size=len(FAULT_SITES), max_size=len(FAULT_SITES)),
+           st.integers(min_value=0, max_value=63),
+           st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.2)))
+    def test_golden_back_exactly_when_nothing_fired(self, draw, wheres, bit,
+                                                    stop):
+        """Random programs, a uniform seq at every execution site, with
+        and without ``stop_seq``: the forked run is ``golden`` itself
+        exactly when the full run records no activation and does not
+        crash, and otherwise equals the full run byte for byte."""
+        try:
+            golden = execute_program(build_program(draw),
+                                     max_instructions=2000)
+        except ExecutionError:
+            assume(False)  # the clean program itself traps: no golden
+        n = len(golden)
+        stop_seq = None if stop is None else int(stop * n)
+        for site, where in zip(FAULT_SITES, wheres):
+            fault = TransientFault(site, seq=int(where * n), bit=bit)
+            full_inj = FaultInjector([fault])
+            full = execute_program(golden.program, fault_injector=full_inj,
+                                   max_instructions=2000, stop_seq=stop_seq)
+            fork_inj = FaultInjector([fault])
+            forked = execute_forked(golden, fork_inj, max_instructions=2000,
+                                    stop_seq=stop_seq)
+            assert fork_inj.activations == full_inj.activations
+            quiet = not full_inj.activations and not full.crashed
+            assert (forked is golden) == quiet, fault
+            if quiet:
+                # the full run is the golden run, up to where it stopped
+                if stop_seq is None:
+                    assert full.to_payload() == golden.to_payload()
+                assert list(full.pcs) == list(golden.pcs[:len(full)])
+                continue
+            assert forked.to_payload() == full.to_payload(), fault
+            assert forked.fork_of is golden
+            assert_owns_its_state(forked, golden)
+
     @pytest.mark.parametrize("name", BENCHMARK_ORDER)
     def test_byte_identical_late_result_fault_all_workloads(self, name):
         golden = benchmark_trace(name, "small")
         fault = TransientFault(FaultSite.RESULT, seq=len(golden) - 40, bit=3)
         forked = self._assert_identical(golden, [fault])
-        assert forked.fork_seq == fault.seq
+        if forked is golden:  # a row that writes no register
+            assert not golden.dsts[fault.seq]
+        else:
+            assert forked.fork_seq == fault.seq
 
     def test_byte_identical_across_sites(self):
         golden = benchmark_trace("stream", "small")
@@ -416,11 +467,13 @@ class TestExecuteForked:
         ]:
             self._assert_identical(golden, [fault])
 
-    def test_detection_side_fault_splices_whole_golden(self):
+    def test_detection_side_fault_returns_golden(self):
         golden = benchmark_trace("bitcount", "small")
         fault = TransientFault(FaultSite.CHECKER, seq=7)
-        forked = self._assert_identical(golden, [fault])
-        assert forked.fork_seq == len(golden)
+        before = STATS.total_instrs
+        assert self._assert_identical(golden, [fault]) is golden
+        # the full run executes every row, the forked one none
+        assert STATS.total_instrs - before == len(golden)
 
     def test_unaligned_trap_crash_identical(self):
         # same shape as the columnar crash pin: a RESULT fault flips the

@@ -8,19 +8,34 @@ in any output.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.common.config import default_config
 from repro.common.records import canonical_json
-from repro.detection.faults import FaultInjector, FaultSite, TransientFault
+from repro.detection.faults import (
+    EXECUTION_SITES,
+    FaultInjector,
+    FaultSite,
+    TransientFault,
+)
 from repro.detection.system import run_with_detection
 from repro.harness.campaign import JobSpec, execute_job
 from repro.harness.manifest import CampaignManifest
 from repro.harness.orchestrator import CampaignWorker, collect
+from repro.isa import executor
 from repro.isa.executor import execute_forked, execute_program
 from repro.schemes import get_scheme
 from repro.schemes.base import FORK_INJECTION_ENV, fork_injection_enabled
-from repro.workloads.suite import benchmark_trace, configure_trace_store
+from repro.schemes.registry import iter_schemes
+from repro.workloads.suite import (
+    BENCHMARK_ORDER,
+    benchmark_trace,
+    configure_trace_store,
+)
+
+from tests.conftest import never_firing_faults_every_site, tripwire
 
 
 @pytest.fixture()
@@ -56,13 +71,19 @@ class TestEnvironmentSwitch:
                   TransientFault(FaultSite.BRANCH, seq=len(clean) - 300))
         scheme = get_scheme("lockstep")
         monkeypatch.setenv(FORK_INJECTION_ENV, "1")
-        forked = [faulty for _, _, faulty in scheme.faulty_runs(clean, faults)]
+        forked = list(scheme.faulty_runs(clean, faults))
         assert len(forked) == 2
-        assert all(faulty.fork_of is clean for faulty in forked)
+        # a run whose fault fired is forked from ``clean``; a run whose
+        # fault never fired is ``clean`` itself
+        assert all(faulty.fork_of is clean if injector.activations
+                   else faulty is clean
+                   for _, injector, faulty in forked)
+        assert any(injector.activations for _, injector, _ in forked)
         monkeypatch.setenv(FORK_INJECTION_ENV, "0")
         full = [faulty for _, _, faulty in scheme.faulty_runs(clean, faults)]
         assert len(full) == 2
-        assert all(faulty.fork_of is None for faulty in full)
+        assert all(faulty.fork_of is None and faulty is not clean
+                   for faulty in full)
 
 
 class TestCoverageRecordIdentity:
@@ -138,8 +159,11 @@ class TestFaultBatchIdentity:
         assert sorted(i for _, i in order) == list(range(len(faults)))
         assert all(injector.faults == [faults[i]]
                    for i, injector, _ in runs)
+        # forked runs whose fault never fired are ``clean`` itself
         assert all((faulty.fork_of is clean) == (fork == "1")
-                   for _, _, faulty in runs)
+                   if injector.activations
+                   else (faulty is clean) == (fork == "1")
+                   for _, injector, faulty in runs)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_batch_records_byte_identical_to_fault_jobs(self, scheme,
@@ -190,6 +214,55 @@ class TestFaultBatchIdentity:
             configure_trace_store(None)
         assert stats.executed == 1 and stats.failed == 0
         assert merged.records_json() == canonical_json([serial])
+
+
+class TestGoldenBack:
+    """A forked run that no fault perturbed is the golden trace itself:
+    no column is copied, and classifying it leaves it as it was."""
+
+    @pytest.mark.parametrize("workload", BENCHMARK_ORDER)
+    def test_never_firing_faults_slice_no_column(self, workload,
+                                                 monkeypatch):
+        monkeypatch.setenv(FORK_INJECTION_ENV, "1")
+        monkeypatch.setattr(executor, "_column_slice",
+                            tripwire("_column_slice"))
+        golden = benchmark_trace(workload, "small")
+        faults = tuple(never_firing_faults_every_site(golden,
+                                                      len(golden) // 2))
+        payload = golden.to_payload()
+        config = default_config()
+        for scheme in iter_schemes():
+            runs = list(scheme.faulty_runs(golden, faults))
+            assert len(runs) == len(faults)
+            for i, injector, faulty in runs:
+                assert faulty is golden and not injector.activations
+                verdict = scheme.classify(golden, config, faults[i],
+                                          injector, faulty)
+                if faults[i].site in EXECUTION_SITES:
+                    assert verdict.outcome == "not_activated", faults[i]
+            assert golden.to_payload() == payload, scheme.name
+
+    @pytest.mark.parametrize("site", [FaultSite.CHECKPOINT,
+                                      FaultSite.CHECKER])
+    def test_detection_side_fault_keeps_its_record(self, site,
+                                                   verdict_paths,
+                                                   monkeypatch):
+        """A CHECKPOINT or CHECKER fault never fires in execution: the
+        fork path hands the detection scheme the golden trace, whose
+        detection record equals the one from a full re-execution."""
+        clean = benchmark_trace("stream", "small")
+        # a checkpoint fault's seq is a checkpoint index
+        seq = {FaultSite.CHECKPOINT: 1, FaultSite.CHECKER: len(clean) // 2}
+        fault = TransientFault(site, seq=seq[site], bit=4)
+        monkeypatch.setenv(FORK_INJECTION_ENV, "1")
+        (_, injector, faulty), = get_scheme("detection").faulty_runs(
+            clean, (fault,))
+        assert faulty is clean and not injector.activations
+        spec = JobSpec("fault", "stream", "small", fault=fault,
+                       scheme="detection")
+        fast, unspliced, reference = verdict_paths(lambda: execute_job(spec))
+        assert fast == unspliced == reference
+        assert json.loads(fast)["outcome"] == "detected"
 
 
 class TestNaNStateMasking:
