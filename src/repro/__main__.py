@@ -119,8 +119,7 @@ def _build_grid(args: argparse.Namespace, names: list[str]):
 
 def cmd_campaign(args: argparse.Namespace) -> int:
     from repro.common.records import canonical_json
-    from repro.harness.orchestrator import (
-        manifest_status, run_campaign, summarize_result)
+    from repro.harness.campaign import summarize_result
     from repro.workloads.suite import BENCHMARK_ORDER, BENCHMARKS
 
     names = (list(BENCHMARK_ORDER) if args.benchmark == "all"
@@ -165,6 +164,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     status = None
     if args.manifest is not None:
         from repro.harness.manifest import CampaignManifest, ManifestError
+        from repro.harness.orchestrator import manifest_status, run_campaign
         try:
             manifest = CampaignManifest.create(
                 args.manifest, grid, kind=args.kind, scheme=args.scheme,

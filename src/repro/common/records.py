@@ -224,13 +224,14 @@ _FIELD_NAMES = {cls: tuple(f.name for f in fields(cls))
                 for cls in _RECORD_TYPES.values()}
 
 
-def frozen_record(cls, **values):
+def frozen_record(cls, values: dict):
     """``cls(**values)`` for a frozen record class, without the
     generated ``__init__``, which pays one ``object.__setattr__`` per
-    field (most of a per-fault job's own framing time): the fresh
-    keyword dict becomes the instance dict.  ``values`` must name every
-    field, defaulted ones included; the record then compares, hashes
-    and converts exactly like the constructed one."""
+    field (most of a per-fault job's own framing time): ``values``
+    itself becomes the instance dict, so pass a fresh dict the caller
+    no longer holds.  It must name every field, defaulted ones
+    included; the record then compares, hashes and converts exactly
+    like the constructed one."""
     record = object.__new__(cls)
     object.__setattr__(record, "__dict__", values)
     return record

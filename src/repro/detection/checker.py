@@ -75,10 +75,6 @@ class CheckResult:
     entries_checked: int = 0
     instructions_executed: int = 0
 
-    @property
-    def first_error(self) -> CheckError | None:
-        return self.errors[0] if self.errors else None
-
 
 #: Shared placeholder memory for replay machines (never accessed).
 _NO_MEMORY = MemoryImage()

@@ -1,106 +1,21 @@
 """Experiment harness: campaign engine, manifest orchestration, runners,
-sweeps, and per-figure entry points."""
+sweeps, and per-figure entry points.
 
-from repro.harness.campaign import (
-    CAMPAIGN_SITES,
-    CampaignEngine,
-    CampaignGrid,
-    CampaignResult,
-    JobSpec,
-    RunCache,
-    config_fingerprint,
-    detection_grid,
-    execute_job,
-    fault_grid,
-    recovery_grid,
-    scheme_grid,
-)
-from repro.harness.experiment import (
-    DetectionRunView,
-    ExperimentRunner,
-    RunSummary,
-    bench_scale,
-    default_runner,
-)
-from repro.harness.manifest import (
-    DEFAULT_LEASE_TTL,
-    CampaignManifest,
-    ManifestError,
-    ManifestJob,
-    campaign_id,
-    spec_from_description,
-)
-from repro.harness.orchestrator import (
-    CampaignWorker,
-    WorkerStats,
-    collect,
-    manifest_status,
-    run_campaign,
-    summarize_result,
-)
-from repro.harness.figures import (
-    CORE_SWEEP,
-    FREQUENCIES_MHZ,
-    LOG_SWEEP,
-    LOG_SWEEP_FIG12,
-    fig1_comparison,
-    fig7,
-    fig8,
-    fig9,
-    fig10,
-    fig11,
-    fig12,
-    fig13,
-    sec6b_area,
-    sec6c_power,
-    table1,
-    table2,
-)
+The package exports nothing itself; import the submodule you run, so a
+campaign process loads neither the manifest layer nor
+``multiprocessing`` unless it uses them:
 
-__all__ = [
-    "CAMPAIGN_SITES",
-    "CORE_SWEEP",
-    "CampaignEngine",
-    "CampaignGrid",
-    "CampaignManifest",
-    "CampaignResult",
-    "CampaignWorker",
-    "DEFAULT_LEASE_TTL",
-    "ManifestError",
-    "ManifestJob",
-    "WorkerStats",
-    "campaign_id",
-    "collect",
-    "manifest_status",
-    "run_campaign",
-    "spec_from_description",
-    "summarize_result",
-    "DetectionRunView",
-    "ExperimentRunner",
-    "JobSpec",
-    "RunCache",
-    "config_fingerprint",
-    "detection_grid",
-    "execute_job",
-    "fault_grid",
-    "recovery_grid",
-    "scheme_grid",
-    "FREQUENCIES_MHZ",
-    "LOG_SWEEP",
-    "LOG_SWEEP_FIG12",
-    "RunSummary",
-    "bench_scale",
-    "default_runner",
-    "fig1_comparison",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "sec6b_area",
-    "sec6c_power",
-    "table1",
-    "table2",
-]
+* :mod:`~repro.harness.campaign` — job specs and grids, the run cache,
+  :func:`~repro.harness.campaign.execute_job` and the
+  :class:`~repro.harness.campaign.CampaignEngine`;
+* :mod:`~repro.harness.experiment` — :class:`ExperimentRunner`, the
+  figures' run memo over the engine;
+* :mod:`~repro.harness.figures` — one entry point per paper table and
+  figure;
+* :mod:`~repro.harness.bigger_cores` — §VI-D, scaling to bigger main
+  cores;
+* :mod:`~repro.harness.manifest` — on-disk campaign manifests and job
+  leases;
+* :mod:`~repro.harness.orchestrator` — work-stealing
+  ``campaign-worker`` processes, merge and status over a manifest.
+"""

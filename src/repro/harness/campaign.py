@@ -42,7 +42,6 @@ import fcntl
 import hashlib
 import itertools
 import json
-import multiprocessing
 import os
 import socket
 import threading
@@ -304,23 +303,22 @@ def _coverage_record(spec: JobSpec, scheme: ProtectionScheme,
                      verdict) -> CoverageRecord:
     """One classified trial as a record — shared verbatim by the
     per-fault and batch executors, so their records cannot drift."""
-    return frozen_record(
-        CoverageRecord,
-        scheme=scheme.name,
-        benchmark=spec.benchmark,
-        scale=spec.scale,
-        config_key=config_key,
+    return frozen_record(CoverageRecord, {
+        "benchmark": spec.benchmark,
+        "scale": spec.scale,
+        "config_key": config_key,
         # the member's value, read without ``Enum.value``'s Python-level
         # descriptor (this runs once per fault job)
-        site=fault.site._value_,
-        seq=fault.seq,
-        bit=fault.bit,
-        activated=verdict.activated,
-        outcome=verdict.outcome,
-        detect_latency_us=verdict.detect_latency_us,
-        first_error_segment=verdict.first_error_segment,
-        first_error_entry=verdict.first_error_entry,
-    )
+        "site": fault.site._value_,
+        "seq": fault.seq,
+        "bit": fault.bit,
+        "activated": verdict.activated,
+        "outcome": verdict.outcome,
+        "detect_latency_us": verdict.detect_latency_us,
+        "first_error_segment": verdict.first_error_segment,
+        "first_error_entry": verdict.first_error_entry,
+        "scheme": scheme.name,
+    })
 
 
 def _fault_record(spec: JobSpec, scheme: ProtectionScheme,
@@ -409,11 +407,10 @@ def execute_job(spec: JobSpec) -> dict:
     trace caches in the suite registry keep repeated jobs on the same
     benchmark cheap within one worker.
     """
-    try:
-        executor = _KIND_EXECUTORS[spec.kind]
-    except KeyError:
+    executor = _KIND_EXECUTORS.get(spec.kind)
+    if executor is None:
         raise ValueError(f"unknown job kind {spec.kind!r}; "
-                         f"one of {JOB_KINDS} expected") from None
+                         f"one of {JOB_KINDS} expected")
     scheme = get_scheme(spec.scheme)
     config_key = config_fingerprint(spec.config)
     return record_to_dict(executor(spec, scheme, config_key))
@@ -914,6 +911,86 @@ class CampaignResult:
         return canonical_json(list(self.records))
 
 
+@dataclass
+class ResultSummary:
+    """One-pass aggregation of a campaign result, shared by the human,
+    ``--json``, and status output paths."""
+
+    summary: dict = field(default_factory=dict)
+    #: SDC trials (``outcome == "escaped"``) — the nonzero-exit signal
+    escaped: int = 0
+
+
+def summarize_result(kind: str, result: CampaignResult,
+                     benchmarks: list[str]) -> ResultSummary:
+    """Aggregate ``result`` for ``kind`` in a single pass over records.
+
+    Timing kinds (``baseline``/``detection``) yield mean slowdown and
+    detection latency; injection kinds (``fault``/``recovery``) yield
+    activation/detection counts, the outcome histogram, and latency.
+    """
+    base = {
+        "benchmarks": benchmarks,
+        "jobs": len(result),
+        "executed": result.executed,
+        "cached": result.cached,
+    }
+    if kind in ("baseline", "detection"):
+        slowdowns: list[float] = []
+        latencies: list[float] = []
+        for record in result.records:
+            if record["record_type"] == "SchemeRunResult":
+                slowdowns.append(record["slowdown"])
+                if record["detection_latency_ns"] is not None:
+                    latencies.append(record["detection_latency_ns"])
+            else:  # RunRecord: rich detection run, no baseline to norm by
+                delays = record["delays_ns"]
+                if delays:
+                    latencies.append(sum(delays) / len(delays))
+        base.update({
+            "mean_slowdown": (
+                sum(slowdowns) / len(slowdowns) if slowdowns else None),
+            "mean_detection_latency_ns": (
+                sum(latencies) / len(latencies) if latencies else None),
+        })
+        return ResultSummary(summary=base)
+
+    outcomes: dict[str, int] = {}
+    detect_latencies: list[float] = []
+    activated = detected = 0
+    records: list[dict] = []
+    for record in result.records:
+        if record.get("record_type") == "FaultBatchRecord":
+            # a batch job is just its per-fault records, flattened
+            records.extend(record["records"])
+        else:
+            records.append(record)
+    for record in records:
+        if "outcome" in record:
+            outcome = record["outcome"]
+        elif not record.get("activated"):
+            outcome = "not_activated"
+        else:
+            outcome = ("recovered" if record.get("state_correct")
+                       else "not_recovered")
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        if record.get("activated"):
+            activated += 1
+        if outcome == "detected" or record.get("detected"):
+            detected += 1
+        if record.get("detect_latency_us") is not None:
+            detect_latencies.append(record["detect_latency_us"])
+    base.update({
+        "activated": activated,
+        "detected": detected,
+        "outcomes": outcomes,
+        "mean_detect_latency_us": (
+            sum(detect_latencies) / len(detect_latencies)
+            if detect_latencies else None),
+    })
+    return ResultSummary(summary=base, escaped=outcomes.get("escaped", 0))
+
+
 def _fork_order(specs: Sequence[JobSpec],
                 unique: list[tuple[int, str]]) -> list[tuple[int, str]]:
     """``unique`` (pairs of a spec's position and key) grouped by golden
@@ -1004,6 +1081,9 @@ class CampaignEngine:
             shards = [(self.trace_store_dir, indexed[w::self.workers])
                       for w in range(self.workers)]
             shards = [s for s in shards if s[1]]
+            # imported here, its only use: a serial campaign process
+            # never loads it
+            import multiprocessing
             with multiprocessing.Pool(len(shards)) as pool:
                 outputs = [item for shard_out
                            in pool.map(_execute_shard, shards)

@@ -18,10 +18,11 @@ drive one campaign to completion together:
   cache, yielding the one merged result set — byte-identical to a
   serial run of the same grid, because every job is a pure function of
   its spec and every record is stored in canonical form.
-* :func:`manifest_status` and :func:`summarize_result` are the single
-  source of truth for progress and summary numbers: the CLI's human
-  output, its ``--json`` output, and ``campaign-status`` all read the
-  same one-pass aggregation, so they can never disagree on job counts.
+* :func:`manifest_status` is the single source of truth for progress
+  numbers, and :func:`~repro.harness.campaign.summarize_result` for
+  summary numbers: the CLI's human output, its ``--json`` output, and
+  ``campaign-status`` all read the same one-pass aggregation, so they
+  can never disagree on job counts.
 
 Crash tolerance comes from lease expiry (see
 :mod:`repro.harness.manifest`): a dead worker's jobs return to the
@@ -35,7 +36,7 @@ import multiprocessing
 import os
 import socket
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.harness.campaign import (
     TRACE_STORE_DIRNAME,
@@ -245,7 +246,7 @@ def run_campaign(manifest: CampaignManifest, processes: int = 1,
     return collect(manifest, workers=max(1, int(processes))), stats
 
 
-# -- status / summaries (one pass, one source of truth) ----------------------
+# -- status (one pass, one source of truth) ---------------------------------
 
 def manifest_status(manifest: CampaignManifest) -> dict:
     """The ``campaign-status`` payload: per-state counts, per-scheme and
@@ -289,83 +290,3 @@ def manifest_status(manifest: CampaignManifest) -> dict:
         ],
         "complete": states["done"] == unique,
     }
-
-
-@dataclass
-class ResultSummary:
-    """One-pass aggregation of a campaign result, shared by the human,
-    ``--json``, and status output paths."""
-
-    summary: dict = field(default_factory=dict)
-    #: SDC trials (``outcome == "escaped"``) — the nonzero-exit signal
-    escaped: int = 0
-
-
-def summarize_result(kind: str, result: CampaignResult,
-                     benchmarks: list[str]) -> ResultSummary:
-    """Aggregate ``result`` for ``kind`` in a single pass over records.
-
-    Timing kinds (``baseline``/``detection``) yield mean slowdown and
-    detection latency; injection kinds (``fault``/``recovery``) yield
-    activation/detection counts, the outcome histogram, and latency.
-    """
-    base = {
-        "benchmarks": benchmarks,
-        "jobs": len(result),
-        "executed": result.executed,
-        "cached": result.cached,
-    }
-    if kind in ("baseline", "detection"):
-        slowdowns: list[float] = []
-        latencies: list[float] = []
-        for record in result.records:
-            if record["record_type"] == "SchemeRunResult":
-                slowdowns.append(record["slowdown"])
-                if record["detection_latency_ns"] is not None:
-                    latencies.append(record["detection_latency_ns"])
-            else:  # RunRecord: rich detection run, no baseline to norm by
-                delays = record["delays_ns"]
-                if delays:
-                    latencies.append(sum(delays) / len(delays))
-        base.update({
-            "mean_slowdown": (
-                sum(slowdowns) / len(slowdowns) if slowdowns else None),
-            "mean_detection_latency_ns": (
-                sum(latencies) / len(latencies) if latencies else None),
-        })
-        return ResultSummary(summary=base)
-
-    outcomes: dict[str, int] = {}
-    detect_latencies: list[float] = []
-    activated = detected = 0
-    records: list[dict] = []
-    for record in result.records:
-        if record.get("record_type") == "FaultBatchRecord":
-            # a batch job is just its per-fault records, flattened
-            records.extend(record["records"])
-        else:
-            records.append(record)
-    for record in records:
-        if "outcome" in record:
-            outcome = record["outcome"]
-        elif not record.get("activated"):
-            outcome = "not_activated"
-        else:
-            outcome = ("recovered" if record.get("state_correct")
-                       else "not_recovered")
-        outcomes[outcome] = outcomes.get(outcome, 0) + 1
-        if record.get("activated"):
-            activated += 1
-        if outcome == "detected" or record.get("detected"):
-            detected += 1
-        if record.get("detect_latency_us") is not None:
-            detect_latencies.append(record["detect_latency_us"])
-    base.update({
-        "activated": activated,
-        "detected": detected,
-        "outcomes": outcomes,
-        "mean_detect_latency_us": (
-            sum(detect_latencies) / len(detect_latencies)
-            if detect_latencies else None),
-    })
-    return ResultSummary(summary=base, escaped=outcomes.get("escaped", 0))

@@ -57,9 +57,6 @@ class MemoryImage:
         self._check(addr)
         self._words[addr] = value & ((1 << 64) - 1)
 
-    def load_float(self, addr: int) -> float:
-        return bits_to_float(self.load(addr))
-
     def copy(self) -> "MemoryImage":
         clone = MemoryImage()
         clone._words = dict(self._words)

@@ -175,7 +175,7 @@ class TestDirectConversion:
 class TestFrozenRecord:
     def test_equals_the_constructed_record(self):
         built = coverage_record()
-        fast = frozen_record(CoverageRecord, **dataclasses.asdict(built))
+        fast = frozen_record(CoverageRecord, dataclasses.asdict(built))
         assert type(fast) is CoverageRecord
         assert fast == built and hash(fast) == hash(built)
         assert repr(fast) == repr(built)

@@ -119,8 +119,8 @@ class TestComparisonFailures:
                            addr=segment.addrs[segment.lo + i] ^ 0x40)
         result = SegmentChecker(rmw_program).check(segment)
         assert not result.ok
-        assert result.first_error.kind is ErrorKind.LOAD_ADDR_MISMATCH
-        assert result.first_error.entry_index == i
+        assert result.errors[0].kind is ErrorKind.LOAD_ADDR_MISMATCH
+        assert result.errors[0].entry_index == i
 
     def test_store_value_mismatch(self, rmw_program, rmw_trace):
         segment = build_segment(rmw_trace, 40, 200)
@@ -129,8 +129,8 @@ class TestComparisonFailures:
                            value=segment.values[segment.lo + i] ^ 1)
         result = SegmentChecker(rmw_program).check(segment)
         assert not result.ok
-        assert result.first_error.kind is ErrorKind.STORE_VALUE_MISMATCH
-        assert result.first_error.entry_index == i
+        assert result.errors[0].kind is ErrorKind.STORE_VALUE_MISMATCH
+        assert result.errors[0].entry_index == i
 
     def test_store_addr_mismatch(self, rmw_program, rmw_trace):
         segment = build_segment(rmw_trace, 40, 200)
@@ -139,8 +139,8 @@ class TestComparisonFailures:
                            addr=segment.addrs[segment.lo + i] ^ 0x40)
         result = SegmentChecker(rmw_program).check(segment)
         assert not result.ok
-        assert result.first_error.kind is ErrorKind.STORE_ADDR_MISMATCH
-        assert result.first_error.entry_index == i
+        assert result.errors[0].kind is ErrorKind.STORE_ADDR_MISMATCH
+        assert result.errors[0].entry_index == i
 
     def test_doctored_copy_leaves_the_trace_alone(self, rmw_program,
                                                   rmw_trace):
@@ -161,7 +161,7 @@ class TestComparisonFailures:
             "x2", 0)
         result = SegmentChecker(rmw_program).check(segment)
         assert not result.ok
-        assert result.first_error.kind is ErrorKind.CHECKPOINT_MISMATCH
+        assert result.errors[0].kind is ErrorKind.CHECKPOINT_MISMATCH
 
     def test_corrupt_dead_register_checkpoint_over_detects(
             self, rmw_program, rmw_trace):
@@ -173,7 +173,7 @@ class TestComparisonFailures:
             "x29", 0)  # x29 is unused by the rmw loop
         result = SegmentChecker(rmw_program).check(segment)
         assert not result.ok
-        assert result.first_error.kind is ErrorKind.CHECKPOINT_MISMATCH
+        assert result.errors[0].kind is ErrorKind.CHECKPOINT_MISMATCH
 
 
 class TestDivergence:
@@ -181,16 +181,16 @@ class TestDivergence:
         segment = resized(build_segment(rmw_trace, 40, 200), -3)
         result = SegmentChecker(rmw_program).check(segment)
         assert not result.ok
-        assert result.first_error.kind is ErrorKind.LOG_DIVERGENCE
-        assert result.first_error.detail == (
+        assert result.errors[0].kind is ErrorKind.LOG_DIVERGENCE
+        assert result.errors[0].detail == (
             "log segment exhausted before replay finished")
 
     def test_leftover_entries(self, rmw_program, rmw_trace):
         segment = resized(build_segment(rmw_trace, 40, 200), 1)
         result = SegmentChecker(rmw_program).check(segment)
         assert not result.ok
-        assert result.first_error.kind is ErrorKind.LOG_DIVERGENCE
-        assert result.first_error.detail.startswith(
+        assert result.errors[0].kind is ErrorKind.LOG_DIVERGENCE
+        assert result.errors[0].detail.startswith(
             "1 log entries left unchecked")
 
     def test_wrong_kind(self, rmw_program, rmw_trace):
@@ -199,9 +199,9 @@ class TestDivergence:
         segment = doctored(segment, i, kind=STORE)
         result = SegmentChecker(rmw_program).check(segment)
         assert not result.ok
-        assert result.first_error.kind is ErrorKind.LOG_DIVERGENCE
-        assert result.first_error.entry_index == i
-        assert result.first_error.detail.startswith(
+        assert result.errors[0].kind is ErrorKind.LOG_DIVERGENCE
+        assert result.errors[0].entry_index == i
+        assert result.errors[0].detail.startswith(
             "replayed a load but log holds store @")
 
 
@@ -270,7 +270,7 @@ class TestLoadForwarding:
         # the replay loads the good value: the main core's store of the
         # corrupted sum differs from the replayed one
         assert not result.ok
-        assert result.first_error.kind is ErrorKind.STORE_VALUE_MISMATCH
+        assert result.errors[0].kind is ErrorKind.STORE_VALUE_MISMATCH
 
     def test_register_file_value_lets_the_fault_escape(self, rmw_program):
         trace = self.faulty(rmw_program)

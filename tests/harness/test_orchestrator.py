@@ -24,6 +24,7 @@ from repro.harness.campaign import (
     JobSpec,
     fault_grid,
     scheme_grid,
+    summarize_result,
 )
 from repro.harness.manifest import (
     CampaignManifest,
@@ -36,7 +37,6 @@ from repro.harness.orchestrator import (
     collect,
     manifest_status,
     run_campaign,
-    summarize_result,
 )
 
 

@@ -6,6 +6,7 @@ from repro.common.errors import AssemblyError
 from repro.isa.assembler import assemble, field_space
 from repro.isa.executor import Machine, execute_program
 from repro.isa.instructions import Opcode
+from repro.isa.memory_image import bits_to_float
 
 
 def run(source):
@@ -82,7 +83,7 @@ class TestBasicSyntax:
             HALT
         """)
         assert m.fregs[3] == 4.0
-        assert m.memory.load_float(0x3010) == 4.0
+        assert bits_to_float(m.memory.load(0x3010)) == 4.0
 
     def test_fmovi_float_immediate(self):
         m = run("FMOVI f1, 3.25\nHALT")
