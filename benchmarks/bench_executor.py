@@ -14,7 +14,7 @@ path (:mod:`repro.isa.blocks`) and once with ``REPRO_BLOCK_EXEC=0``
 forcing the per-instruction handlers — and reports both, plus the block
 engine's dynamic coverage (fraction of committed instructions that went
 through generated code) and the mean instructions committed per generated
-call (self-loop fusion makes this exceed the static block length).  The
+call (the mean dynamic block length: each call commits one block).  The
 block-mode and handler-mode traces are asserted byte-identical before any
 timing, so the numbers can never come from divergent executions.
 

@@ -167,7 +167,6 @@ class FaultInjector:
             else:  # pragma: no cover - enum is closed
                 raise FaultSpecError(f"unhandled fault site {fault.site}")
         self.activations: list[tuple[int, FaultSite]] = []
-        self._machine: Machine | None = None
         self._memop_counter = 0
 
     def last_execution_seq(self) -> int | None:
@@ -193,7 +192,6 @@ class FaultInjector:
 
     def attach(self, machine: Machine) -> None:
         """Wrap the machine's memory ports with fault application."""
-        self._machine = machine
         original_load = machine.load_port
         original_store = machine.store_port
 

@@ -144,16 +144,15 @@ def _trap_commit(loc: dict, rows: tuple, flush: tuple) -> None:
 
     Called from the generated ``except ExecutionError`` clause with the
     function's ``locals()``: ``_k`` is the trapping row's index and
-    ``seq`` the seq of the block's first row (of the current trip, in a
-    loop-fused run).  ``rows`` holds each row's pc, its writebacks as
-    ``(is_fp, reg, ref)`` and its memory entries as ``(kind, addr_ref,
-    value_ref)``, where a ref names a local or is the constant itself.
-    Rows ``[0, _k)`` are appended to the columns as the handlers would
-    have committed them; every register local the block has assigned is
-    written back (a loop-fused run flushes only after its loop, so
-    completed trips' registers still live in locals, and a local that
-    holds a register's entry value writes back that same value); then
-    ``m.pc`` and ``m.instr_count`` name the trapping row.
+    ``seq`` the seq of the block's first row.  ``rows`` holds each row's
+    pc, its writebacks as ``(is_fp, reg, ref)`` and its memory entries
+    as ``(kind, addr_ref, value_ref)``, where a ref names a local or is
+    the constant itself.  Rows ``[0, _k)`` are appended to the columns
+    as the handlers would have committed them; every register local the
+    block has assigned is written back (the run variant flushes only at
+    block end, and a local that holds a register's entry value writes
+    back that same value); then ``m.pc`` and ``m.instr_count`` name the
+    trapping row.
     """
     k = loc["_k"]
     pcs, dsts, takens, mem_off = (loc["pcs"], loc["dsts"], loc["takens"],
@@ -245,8 +244,7 @@ class Block:
 
     def __init__(self, leader: int, n: int, run, replay) -> None:
         self.leader = leader
-        #: dynamic instructions the block commits (one trip of a
-        #: loop-fused run)
+        #: instructions the block commits per run
         self.n = n
         self.run = run
         self.replay = replay
@@ -403,17 +401,15 @@ def _compile_block(program: Program, decoded, leader: int, uops_table) -> Block:
             taken_codes.append(-1)
             step_taken.append(False)
 
-    # build the branch condition *before* snapshot/flush so any register
-    # load it introduces lands in the body snapshot (hoistable)
+    # the branch condition may load its operands: build it among the row
+    # lines, ahead of the flush
     d_last = rows[-1]
     branch = last_op in BRANCH_OPS
     cond = ""
     if branch:
         cond = _BRANCH_COND[last_op].format(
             a=gen.read_x(d_last.rs1), b=gen.read_x(d_last.rs2))
-    #: row lines only (no flush/epilogue) — the loop-fused run variant
-    #: re-assembles these inside a while loop
-    body_lines = list(gen.lines)
+    body_end = len(gen.lines)  # row lines end here
     gen.flush()
     # only the misaligned-address slow paths of memory rows can raise
     traps = "lp" in gen.needs or "sp" in gen.needs
@@ -494,105 +490,13 @@ def _compile_block(program: Program, decoded, leader: int, uops_table) -> Block:
     #: loop's fast path needs no per-call attribute walks
     consts["_BS"] = (n, n_uops, n_loads, n_stores)
 
-    src = gen.render(len(body_lines), traps)
+    src = gen.render(body_end, traps)
     code = compile(src, f"<block {program.name}@{leader}>", "exec")
     ns = dict(_HELPERS)
     ns.update(consts)
     exec(code, ns)
-
-    run = ns["__block_run__"]
-    if branch and d_last.target == leader:
-        # self-loop: the branch targets its own leader, so the run
-        # variant iterates *inside* the generated function — registers
-        # stay in locals across iterations and the caller pays dispatch
-        # once per loop, not once per trip.  ``safe`` bounds the fused
-        # iterations (default 0: exactly one trip, like the plain
-        # variant).
-        loop_src = _render_loop_run(gen, body_lines, dst_exprs, mem_entries,
-                                    mem_delta, cond, leader, d_last.pc + 1,
-                                    n, n_uops, n_loads, n_stores, traps)
-        loop_code = compile(loop_src,
-                            f"<block {program.name}@{leader} loop>", "exec")
-        exec(loop_code, ns)
-        run = ns["__block_loop_run__"]
-
-    return Block(leader=leader, n=n, run=run, replay=ns["__block_replay__"])
-
-
-def _render_loop_run(gen: "_Emitter", body_lines, dst_exprs, mem_entries,
-                     mem_delta, cond: str, leader: int, fall_pc: int,
-                     n: int, n_uops: int, n_loads: int, n_stores: int,
-                     traps: bool) -> str:
-    """Render the loop-fused run variant for a self-loop block.
-
-    Register loads are hoisted above the ``while``: a load line is only
-    ever emitted for a register whose first access is a read, and
-    cross-iteration values live in the same locals the writes update,
-    so re-loading per trip would be both redundant and (after the first
-    write) wrong.  The register file is flushed once, after the loop;
-    a mid-trip trap flushes it from the locals instead (see
-    :func:`_trap_commit`), since the trips before it have already
-    committed their columns.
-    """
-    out = ["def __block_loop_run__(m, seq, pcs, dsts, takens, mem_off, "
-           "mem_kind, mem_addr, mem_value, mem_used, safe=0):"]
-    pro = []
-    if "x" in gen.needs:
-        pro.append("x = m.xregs")
-    if "f" in gen.needs:
-        pro.append("f = m.fregs")
-    if "lp" in gen.needs:
-        pro.append("lp = m.load_port")
-    if "sp" in gen.needs:
-        pro.append("sp = m.store_port")
-    if "lp" in gen.needs or "sp" in gen.needs:
-        pro.append("_mw = m.memory._words")
-    if "lp" in gen.needs:
-        pro.append("_mg = _mw.get")
-    pro.extend(t for t, mode in body_lines if mode == "load")
-    pro.append("_i = 0")
-    out.extend(f"    {t}" for t in pro)
-    loop = ["while True:"]
-    body = [t for t, mode in body_lines if mode in ("both", "exec")]
-    body.append(f"seq += {n}")
-    body.append("_i += 1")
-    body.append(f"if {cond}:")
-    body.append("    _tk = _TK1")
-    body.append("else:")
-    body.append("    _tk = _TK0")
-    body.append("pcs.extend(_PCS)")
-    body.append(f"dsts.extend(({', '.join(dst_exprs)},))")
-    body.append("takens.extend(_tk)")
-    body.append("_e = mem_off[-1]")
-    if mem_entries:
-        offs = ", ".join("_e" if delta == 0 else f"_e + {delta}"
-                         for delta in mem_delta)
-        body.append(f"mem_off.extend(({offs},))")
-        body.append("mem_kind.extend(_MK)")
-        addrs = ", ".join(str(a) for _k, a, _v in mem_entries)
-        values = ", ".join(str(v) for _k, _a, v in mem_entries)
-        body.append(f"mem_addr.extend(({addrs},))")
-        body.append(f"_mv = ({values},)")
-        body.append("mem_value.extend(_mv)")
-        body.append("mem_used.extend(_mv)")
-    else:
-        body.append(f"mem_off.extend((_e,) * {n})")
-    body.append("if _tk is _TK1:")
-    body.append("    if seq <= safe:")
-    body.append("        continue")
-    body.append(f"    m.pc = {leader}")
-    body.append("else:")
-    body.append(f"    m.pc = {fall_pc}")
-    body.append("break")
-    loop.extend(f"    {t}" for t in body)
-    out.extend(f"    {t}" for t in (_guard_traps(loop) if traps else loop))
-    epi = [f"x[{reg}] = x{reg}" for reg in sorted(gen.written_x)]
-    epi.extend(f"f[{reg}] = f{reg}" for reg in sorted(gen.written_f))
-    epi.append("m.instr_count = seq")
-    epi.append(f"return (_i * {n}, _i * {n_uops}, _i * {n_loads}, "
-               f"_i * {n_stores})")
-    out.extend(f"    {t}" for t in epi)
-    return "\n".join(out) + "\n"
+    return Block(leader=leader, n=n, run=ns["__block_run__"],
+                 replay=ns["__block_replay__"])
 
 
 def _guard_traps(lines: list[str]) -> list[str]:
@@ -667,17 +571,14 @@ class _Emitter:
             return "0"
         self.needs.add("x")
         if reg not in self.avail_x:
-            # tagged "load" so the loop-fused variant can hoist it out
-            # of the iteration body (safe: a load line is only emitted
-            # for a register whose first access is a read)
-            self.line(f"x{reg} = x[{reg}]", mode="load")
+            self.line(f"x{reg} = x[{reg}]")
             self.avail_x.add(reg)
         return f"x{reg}"
 
     def read_f(self, reg: int) -> str:
         self.needs.add("f")
         if reg not in self.avail_f:
-            self.line(f"f{reg} = f[{reg}]", mode="load")
+            self.line(f"f{reg} = f[{reg}]")
             self.avail_f.add(reg)
         return f"f{reg}"
 
@@ -735,17 +636,17 @@ class _Emitter:
             prologue.append(("_mg = _mw.get", "exec"))
 
         def exec_lines(lines):
-            return [t for t, mode in lines if mode in ("both", "exec", "load")]
+            return [t for t, mode in lines if mode != "replay"]
 
         body = exec_lines(self.lines[:body_end])
         exec_body = (exec_lines(prologue)
                      + (_guard_traps(body) if traps else body)
                      + exec_lines(self.lines[body_end:]))
         replay_body = [t for t, mode in prologue + self.lines
-                       if mode in ("both", "replay", "load")]
+                       if mode != "exec"]
 
         out = ["def __block_run__(m, seq, pcs, dsts, takens, mem_off, "
-               "mem_kind, mem_addr, mem_value, mem_used, safe=0):"]
+               "mem_kind, mem_addr, mem_value, mem_used):"]
         out.extend(f"    {t}" for t in exec_body)
         out.append("")
         out.append("def __block_replay__(m, steps):")

@@ -764,8 +764,8 @@ class Machine:
         self,
         program: Program,
         memory: MemoryImage | None = None,
-        load_port: Callable[[int], int] | None = None,
-        store_port: Callable[[int, int], None] | None = None,
+        load_port: Callable[[int], tuple[int, int]] | None = None,
+        store_port: Callable[[int, int], tuple[int, int]] | None = None,
         nondet_port: Callable[[Opcode], int] | None = None,
         pc: int | None = None,
     ) -> None:
@@ -935,7 +935,7 @@ def _commit_loop(machine: Machine, fault_injector, max_instructions: int,
                 while True:
                     dn, du, dl, ds = fn(machine, seq, pcs, dsts_col, takens,
                                         mem_off, mem_kind, mem_addr,
-                                        mem_value, mem_used, safe)
+                                        mem_value, mem_used)
                     seq += dn
                     uops += du
                     loads += dl
@@ -1372,9 +1372,8 @@ def _column_slice(col, stop: int, window: array) -> array:
 
 def execute_forked(
     golden: Trace,
-    fault_injector=None,
+    fault_injector,
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-    fork_seq: int | None = None,
     state_source=None,
     stop_seq: int | None = None,
 ) -> Trace:
@@ -1383,11 +1382,11 @@ def execute_forked(
 
     The result is byte-identical to
     ``execute_program(golden.program, fault_injector, max_instructions,
-    stop_seq)`` whenever every injected fault strikes at or after
-    ``fork_seq`` — which is exactly how the default fork seq (the
-    injector's earliest fault) is chosen — except that a run no fault
-    perturbed is ``golden`` itself (below).  The live machine starts
-    from the reconstructed fork state.
+    stop_seq)``, except that a run no fault perturbed is ``golden``
+    itself (below).  The live machine starts from the state at the
+    injector's fork seq (its earliest fault, see
+    :meth:`~repro.detection.faults.FaultInjector.fork_seq`),
+    reconstructed from ``golden``.
 
     ``state_source`` substitutes the fork-state producer — a callable
     with :func:`fork_state`'s signature returning an equal state, e.g.
@@ -1423,16 +1422,12 @@ def execute_forked(
             "can only fork a clean, completely executed golden trace")
     program = golden.program
     total = len(golden)
-    if fork_seq is None:
-        fork_seq = (fault_injector.fork_seq(total)
-                    if fault_injector is not None else total)
-    fork_seq = min(max(fork_seq, 0), total)
+    fork_seq = fault_injector.fork_seq(total)
     window_stop = stop_seq
-    if fault_injector is not None:
-        last = fault_injector.last_execution_seq()
-        if last is not None:
-            inert = max(last + 1, fork_seq)
-            window_stop = inert if stop_seq is None else min(inert, stop_seq)
+    last = fault_injector.last_execution_seq()
+    if last is not None:
+        inert = max(last + 1, fork_seq)
+        window_stop = inert if stop_seq is None else min(inert, stop_seq)
 
     state = (state_source if state_source is not None
              else fork_state)(golden, fork_seq)
@@ -1440,8 +1435,7 @@ def execute_forked(
     machine.set_registers(state.xregs, state.fregs)
     machine.instr_count = fork_seq
     machine.halted = fork_seq == total
-    if fault_injector is not None:
-        fault_injector.attach(machine)
+    fault_injector.attach(machine)
 
     # the window's columns: rows numbered from the fork seq, entry
     # offsets continuing the golden prefix's (see _commit_loop)
@@ -1453,7 +1447,7 @@ def execute_forked(
         seq=fork_seq, uops=state.uops, loads=state.loads,
         stores=state.stores, stop_seq=window_stop)
     if (not crashed and total <= max_instructions
-            and (fault_injector is None or not fault_injector.activations)):
+            and not fault_injector.activations):
         # unperturbed up to the inert point (or halted at the golden
         # end): nothing later can diverge, and a run under the same
         # instruction cap completes like the golden one did

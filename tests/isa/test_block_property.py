@@ -2,8 +2,8 @@
 
 Hypothesis generates short randomized programs mixing ALU, FP, memory
 (including the cracked pair ops), forward branches, a counted backward
-loop (exercising self-loop fusion), and nondet reads — plus trap edges
-via deliberately misaligned addresses.  Every generated program must
+loop (a self-loop block), and nondet reads — plus trap edges via
+deliberately misaligned addresses.  Every generated program must
 execute byte-identically under both modes: same trace payload, same
 final architectural state (registers, memory words, next pc, halt
 flag), or the same trap.  With an execution-site fault injected, the
@@ -140,8 +140,8 @@ def build_program(draw: dict):
     for i, fseed in enumerate(draw["fseeds"]):
         b.emit(Opcode.FMOVI, rd=i, imm=fseed)
 
-    # counted backward loop — the self-loop fusion path when the body
-    # has no terminator inside
+    # counted backward loop — a self-loop block, entered once per trip,
+    # when the body has no terminator inside
     b.emit(Opcode.MOVI, rd=11, imm=draw["loop_iters"])
     b.label("loop")
     for spec in draw["loop_body"]:

@@ -158,7 +158,7 @@ class TestFaultPathIdentity:
         assert block.to_payload() == handler.to_payload()
 
     def test_trap_in_self_loop_identical(self, monkeypatch):
-        # a fused self-loop whose load eventually goes misaligned must
+        # a self-loop block whose load eventually goes misaligned must
         # trap exactly like the handler path (non-inject: the error
         # propagates, no trace is observable)
         b = ProgramBuilder("looptrap")
@@ -321,6 +321,33 @@ class TestCompileSites:
         assert len(record["records"]) == len(faults)
         assert compiled == []
 
+    def test_one_source_per_block_on_suite(self, monkeypatch):
+        # a block compiles one source holding its run and replay
+        # functions, and a self-loop block installs the same run
+        # function as any other.  (Fails when a block compiles a second
+        # source or installs another run function.)
+        monkeypatch.delenv(BLOCK_EXEC_ENV, raising=False)
+        sources: list[str] = []
+
+        def spy_compile(source, filename, mode):
+            sources.append(filename)
+            return compile(source, filename, mode)
+
+        monkeypatch.setattr(blocks, "compile", spy_compile, raising=False)
+        compiled = spy_compiles(monkeypatch)
+        counts, run_names = {}, set()
+        for name in BENCHMARK_ORDER:
+            program = build_benchmark(name, "small")
+            first_source, first_block = len(sources), len(compiled)
+            execute_program(program)
+            leaders = compiled[first_block:]
+            counts[name] = (len(sources) - first_source, len(leaders))
+            runs = block_table(program).runs
+            run_names.update(runs[pc].__name__ for pc in leaders)
+        total = tuple(map(sum, zip(*counts.values())))
+        assert total[0] == total[1], (total, counts)
+        assert run_names == {"__block_run__"}
+
 
 def empty_columns():
     return (array("Q"), [], array("b"), array("Q", (0,)), array("b"),
@@ -358,14 +385,14 @@ def setup_machine(program, xregs: dict[int, int], seq: int) -> Machine:
     return machine
 
 
-def assert_trap_precise(program, xregs, committed: int, safe: int = 0):
+def assert_trap_precise(program, xregs, committed: int):
     """The block at pc 0 traps after ``committed`` rows, leaving the
     columns and machine exactly as the handlers do."""
     block = block_table(program).build(0)
     machine = setup_machine(program, xregs, seq=100)
     columns = empty_columns()
     with pytest.raises(ExecutionError):
-        block.run(machine, 100, *columns, safe)
+        block.run(machine, 100, *columns)
     reference = setup_machine(program, xregs, seq=100)
     assert columns == handler_columns(reference, committed)
     assert machine.xregs == reference.xregs
@@ -406,23 +433,57 @@ class TestTrapPrecision:
                                                 10: 0x2003}, committed=4)
         assert block.run.__name__ == "__block_run__"
 
-    @pytest.mark.parametrize("trips_before", [0, 1])
-    def test_loop_fused_variant(self, trips_before):
-        # x1 steps by 4, so the load at row 3 is misaligned every other
-        # trip; after a completed trip, registers that only rows past
-        # the trapping one write still live in the loop's locals
-        b = ProgramBuilder("trap-loop")
-        b.label("loop")
-        b.emit(Opcode.ST, rs2=2, rs1=9, imm=0)        # a store first
-        b.emit(Opcode.ADDI, rd=2, rs1=2, imm=1)
-        b.emit(Opcode.FADD, rd=3, rs1=3, rs2=3)
-        b.emit(Opcode.LD, rd=5, rs1=1, imm=0)         # row 3 traps
-        b.emit(Opcode.ADDI, rd=1, rs1=1, imm=4)
-        b.emit(Opcode.ADDI, rd=11, rs1=11, imm=-1)
-        b.emit(Opcode.BNE, rs1=11, rs2=0, target="loop")
-        b.emit(Opcode.HALT)
-        xregs = {1: 0x2004 - 4 * trips_before, 2: 7, 9: 0x1000, 11: 5}
-        block = assert_trap_precise(b.build(), xregs,
-                                    committed=7 * trips_before + 3,
-                                    safe=10 ** 6)
-        assert block.run.__name__ == "__block_loop_run__"
+    def test_self_loop_block(self):
+        # a block whose branch targets its own leader runs one trip per
+        # call, like any other block
+        program = emit_trap_loop(ProgramBuilder("trap-loop"))
+        block = assert_trap_precise(program, {1: 0x2004, 2: 7, 9: 0x1000,
+                                              11: 5}, committed=3)
+        assert block.run.__name__ == "__block_run__"
+
+    def test_second_trip_trap_in_commit_loop(self, monkeypatch):
+        # the first trip commits whole; the second traps at row 3,
+        # before the rows that write x1 and x11, so both must keep what
+        # the first trip left (x1's local holds the value row 3 loaded
+        # for its address).  The fault is on a MOVI row (no load to
+        # strike), so it cannot fire, and every loop row commits
+        # through the block loop.
+        b = ProgramBuilder("trap-loop-run")
+        b.emit(Opcode.MOVI, rd=1, imm=0x2000)
+        b.emit(Opcode.MOVI, rd=2, imm=7)
+        b.emit(Opcode.MOVI, rd=9, imm=0x1000)
+        b.emit(Opcode.FMOVI, rd=3, imm=2.5)
+        b.emit(Opcode.MOVI, rd=11, imm=5)
+        program = emit_trap_loop(b)
+
+        def run():
+            injector = FaultInjector(
+                [TransientFault(FaultSite.LOAD_ADDR, seq=4, bit=3)])
+            trace = execute_program(program, fault_injector=injector)
+            assert not injector.activations
+            return trace
+
+        monkeypatch.setenv(BLOCK_EXEC_ENV, "1")
+        before = STATS.block_instrs
+        block = run()
+        assert STATS.block_instrs - before == 7 + 3
+        monkeypatch.setenv(BLOCK_EXEC_ENV, "0")
+        handler = run()
+        assert block.crashed and handler.crashed
+        assert len(block) == 5 + 7 + 3
+        assert block.to_payload() == handler.to_payload()
+
+
+def emit_trap_loop(b: ProgramBuilder):
+    """A self-loop block whose load (row 3) is misaligned whenever x1,
+    which steps by 4, is; rows past it write x1 and x11."""
+    b.label("loop")
+    b.emit(Opcode.ST, rs2=2, rs1=9, imm=0)        # a store first
+    b.emit(Opcode.ADDI, rd=2, rs1=2, imm=1)
+    b.emit(Opcode.FADD, rd=3, rs1=3, rs2=3)
+    b.emit(Opcode.LD, rd=5, rs1=1, imm=0)         # row 3 traps
+    b.emit(Opcode.ADDI, rd=1, rs1=1, imm=4)
+    b.emit(Opcode.ADDI, rd=11, rs1=11, imm=-1)
+    b.emit(Opcode.BNE, rs1=11, rs2=0, target="loop")
+    b.emit(Opcode.HALT)
+    return b.build()
