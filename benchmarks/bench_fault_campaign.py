@@ -32,7 +32,10 @@ timing is spliced from a shared cursor, resumed at exactly the fault's
 fork seq, and only the post-fork suffix is re-timed).
 ``splice_speedup`` is the ratio of the two, and the
 ``mean_detection_*`` headline metrics gate the full detection pipeline
-the way ``mean_forked_fps`` gates pure execution.
+the way ``mean_forked_fps`` gates pure execution.  With the fork path
+and the splice on, a fired one-transient detection fault is executed
+only until the log segment holding its row has closed, and completed
+only when nothing was detected; with either switch off it runs whole.
 
 Since schema 4 the ``detection`` cell is also measured through the
 ``fault-batch`` path (one job per cell, shared timing-splice cursor,

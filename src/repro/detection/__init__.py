@@ -14,7 +14,12 @@ from repro.detection.faults import (
     HardFault,
     TransientFault,
 )
-from repro.detection.lslog import CloseReason, Segment, segment_close
+from repro.detection.lslog import (
+    CloseReason,
+    Segment,
+    segment_close,
+    segment_starts,
+)
 from repro.detection.system import (
     DetectionEvent,
     DetectionReport,
@@ -47,4 +52,5 @@ __all__ = [
     "run_unprotected",
     "run_with_detection",
     "segment_close",
+    "segment_starts",
 ]

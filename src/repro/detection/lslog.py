@@ -26,8 +26,9 @@ A segment closes when:
 The rule reads entry counts, the timeout and the next interrupt, never
 time.  The detection hook (:mod:`repro.detection.system`) closes its
 segments by it and adds time (stalls, checkpoint pauses, checker
-dispatch); rollback recovery (:mod:`repro.recovery.rollback`) iterates
-it to find the segment boundaries again.
+dispatch); :func:`segment_starts` iterates it to find the segment
+boundaries again, for rollback recovery (:mod:`repro.recovery.rollback`)
+and for the detection scheme's fault path.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.common.config import SystemConfig
 from repro.common.errors import ConfigError
 from repro.detection.checkpoint import RegisterCheckpoint
-from repro.isa.executor import LOAD, NONDET, STORE
+from repro.isa.executor import LOAD, NONDET, STORE, Trace
 
 
 class CloseReason(enum.Enum):
@@ -100,6 +102,24 @@ def segment_close(mem_off: Sequence[int], start: int, total: int,
         if at < end or (at == end and not on_commit):
             end, reason, on_commit = at, CloseReason.INTERRUPT, True
     return end, reason, on_commit
+
+
+def segment_starts(trace: Trace, config: SystemConfig) -> list[int]:
+    """The first row of each segment the detection system closes on
+    ``trace`` under ``config``, without interrupts: :func:`segment_close`
+    iterated from row 0.  Rollback recovery rolls back to one of them;
+    the detection scheme's fault path stops a faulty run where the
+    segment holding its fault closes."""
+    capacity = config.detection.segment_entries(config.checker.num_cores)
+    timeout = config.detection.instruction_timeout
+    total = len(trace)
+    starts = []
+    start = 0
+    while start < total:
+        starts.append(start)
+        start = segment_close(trace.mem_off, start, total, capacity,
+                              timeout)[0]
+    return starts
 
 
 _KIND_NAMES = {LOAD: "load", STORE: "store", NONDET: "nondet"}

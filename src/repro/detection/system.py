@@ -235,6 +235,7 @@ class ParallelErrorDetection(CommitHook):
         self._values = trace.mem_value if self.use_lfu else trace.mem_used
         self._total = len(trace)
         self._final_next_pc = trace.final_next_pc
+        self._last_fault_seq = trace.last_fault_seq
         # the open segment may have opened on another trace (a timing
         # splice forks golden into faulty): plan its close on this one
         self._plan()
@@ -313,7 +314,8 @@ class ParallelErrorDetection(CommitHook):
         self.next_row = src.next_row
         self._synced = src._synced
         for name in ("_pcs", "_dsts", "_mem_off", "_mem_kind", "_mem_addr",
-                     "_values", "_total", "_final_next_pc"):
+                     "_values", "_total", "_final_next_pc",
+                     "_last_fault_seq"):
             if hasattr(src, name):
                 setattr(self, name, getattr(src, name))
 
@@ -695,7 +697,11 @@ def _first_failing_row(hook: ParallelErrorDetection, row: int,
 
     The copy runs without timing: it is fed a dummy commit cycle (0)
     per row, the way the core feeds a hook, and stops at the first
-    failure.  ``hook`` itself only applies its skipped rows.
+    failure.  It also stops, naming no row, once its open segment
+    starts after the bound trace's ``last_fault_seq`` (the last row a
+    fault perturbed; None on a trace no fault touched), and it checks
+    the termination segment only if that segment starts at or before
+    that row.  ``hook`` itself only applies its skipped rows.
 
     Why :func:`_spliced_detection_run` may stop where this look-ahead
     says, for a run that has committed the rows below ``row``, the last
@@ -721,9 +727,19 @@ def _first_failing_row(hook: ParallelErrorDetection, row: int,
       so ``first_error_position`` cannot move.  Every segment still to
       close closes at or after ``now``, so once ``now`` reaches ``T``
       the verdict is final;
-    * before that, at most ``commit_width`` rows commit per cycle, so
-      only rows below ``row + commit_width * ceil((T - now) / period)``
-      can commit before ``T``.  A FULL or TIMEOUT close happens at its
+    * a segment that starts after ``last_fault_seq`` passes its check.
+      This is the paper's strong induction over segments (§IV): the
+      segment's start checkpoint is the faulty run's own register state
+      at its first row (the hook's tracked registers), and its rows are
+      a fault-free execution of that state, since no fault strikes
+      them.  The checker replays the same instructions from that
+      checkpoint on the values the log holds, so every entry and the
+      end checkpoint match.  So a single transient can fail only the
+      segment holding its row: a one-transient verdict checks exactly
+      that segment, and a look-ahead after its event checks none;
+    * until ``now`` reaches ``T``, at most ``commit_width`` rows commit
+      per cycle, so only rows below ``row + commit_width * ceil((T -
+      now) / period)`` can commit before ``T``.  A FULL or TIMEOUT close happens at its
       row's commit; a macro-op overflow closes in the next row's
       ``pre_commit``, at a tick no earlier than the previous row's
       commit.  So with ``bound = row + 1 + commit_width * ceil((T -
@@ -735,8 +751,11 @@ def _first_failing_row(hook: ParallelErrorDetection, row: int,
     if hook.ideal:
         return None
     probe = _CheckOnlyDetection.of(hook)
+    last = probe._last_fault_seq
     skipped = probe.skipped_commits
     while row < bound:
+        if last is not None and probe._start > last:
+            return None
         event_row = min(probe.next_row, bound)
         skipped.extend([0] * (event_row - row))
         if event_row == bound:
@@ -746,7 +765,7 @@ def _first_failing_row(hook: ParallelErrorDetection, row: int,
         if probe.failed:
             return event_row
         row = event_row + 1
-    if bound == probe._total:
+    if bound == probe._total and (last is None or probe._start <= last):
         probe.finish(0)
         if probe.failed:
             return bound
@@ -769,6 +788,14 @@ def _spliced_detection_run(trace: Trace, config: SystemConfig,
     main core's commit tick reaches ``T``.  So a run whose every check
     passes times no row of the faulty trace, and a detected run times
     its fork to its first failing close in one ``run_rows`` call.
+
+    The look-ahead checks no segment that starts after the trace's
+    ``last_fault_seq``: none can fail.  So a one-transient verdict
+    checks only the segment holding the fault's row, and reads no row
+    past that segment's close.  Its trace may therefore be a prefix of
+    the complete faulty run that ends there: the detection scheme's
+    fault path stops executing such a fault once that segment has
+    closed.  A run without ``verdict_only`` needs the complete trace.
     """
     cursor = _splice_cursor(trace.fork_of, config)
     core, state, hook = cursor.bundle(trace.fork_seq)
@@ -829,9 +856,11 @@ def run_with_detection(
     next.  It stops when no failing segment is left that could detect
     sooner than the earliest detection tick recorded, or once the main
     core's commit tick reaches that tick; a run whose every check passes
-    is not timed at all.  Every other path runs in full and reads its
-    verdict off the complete report, so ``REPRO_TIMING_SPLICE=0`` also
-    turns the early stop and the look-ahead off.
+    is not timed at all.  The look-ahead checks no segment that starts
+    after the last row a fault perturbed (``trace.last_fault_seq``).
+    Every other path runs in full and reads its verdict off the
+    complete report, so ``REPRO_TIMING_SPLICE=0`` also turns the early
+    stop and the look-ahead off.
     """
     if (trace.fork_of is not None
             and timing_splice_enabled()

@@ -611,7 +611,8 @@ class Trace:
         "mem_off", "mem_kind", "mem_addr", "mem_value", "mem_used",
         "final_next_pc", "final_xregs", "final_fregs", "memory", "halted",
         "uop_count", "load_count", "store_count", "crashed",
-        "fork_of", "fork_seq", "_keyframes", "timings", "store_ref",
+        "fork_of", "fork_seq", "last_fault_seq", "_keyframes", "timings",
+        "store_ref",
     )
 
     def __init__(self, program: Program, *, pcs, dsts, takens,
@@ -648,6 +649,10 @@ class Trace:
         #: serialised (see :func:`execute_forked`)
         self.fork_of: Trace | None = None
         self.fork_seq: int = 0
+        #: the last row a fault perturbed on a forked trace (None on
+        #: golden and stored traces): no row after it differs from a
+        #: fault-free execution of the state before it
+        self.last_fault_seq: int | None = None
         self._keyframes: "Keyframes | None" = None
         #: golden timing, one CoreResult per config key (see
         #: repro.core.timing); process-local memo, hydrated from store
@@ -835,6 +840,7 @@ def _commit_loop(machine: Machine, fault_injector, max_instructions: int,
                  mem_off, mem_kind, mem_addr, mem_value, mem_used,
                  seq: int, uops: int, loads: int, stores: int,
                  stop_seq: int | None = None,
+                 stop_entries: int | None = None,
                  ) -> tuple[int, int, int, bool]:
     """The one commit loop shared by :func:`execute_program` and
     :func:`execute_forked`: run ``machine`` until halt or crash,
@@ -848,7 +854,11 @@ def _commit_loop(machine: Machine, fault_injector, max_instructions: int,
     for :func:`execute_forked`, whose window pauses at the injector's
     inert point; the fork path then either returns the golden trace or
     calls the loop again on the spliced columns to resume from the same
-    ``seq`` and counters.  The window's columns start at the fork seq:
+    ``seq`` and counters.  ``stop_entries`` likewise ends commitment
+    once the columns hold that many log entries.  It is checked per row
+    on handlers and per block in the block loop, so the run may end up
+    to one block past the row whose entries reach it.  The window's
+    columns start at the fork seq:
     they begin empty, with row ``seq`` at index 0, while ``mem_off``
     starts at the golden prefix's entry count.  The block-trap path
     below slices the columns by absolute seq, so it would misread them;
@@ -904,6 +914,8 @@ def _commit_loop(machine: Machine, fault_injector, max_instructions: int,
 
     limit = (max_instructions if stop_seq is None
              else min(stop_seq, max_instructions))
+    # no "Q" offset column reaches 1 << 64 entries
+    entry_limit = 1 << 64 if stop_entries is None else stop_entries
     entries = mem_off[-1]
     crashed = False
     seq0 = seq
@@ -923,6 +935,8 @@ def _commit_loop(machine: Machine, fault_injector, max_instructions: int,
             raise ExecutionError(
                 f"{program.name}: exceeded {max_instructions} instructions "
                 f"(infinite loop?)")
+        if entries >= entry_limit:
+            break  # stop_entries reached: the caller needs nothing more
         pc = machine.pc
         if inject_until < seq <= safe and pc < tlen and runs[pc] is not None:
             # the block loop: every block commits whole, so the
@@ -941,7 +955,8 @@ def _commit_loop(machine: Machine, fault_injector, max_instructions: int,
                     loads += dl
                     stores += ds
                     block_calls += 1
-                    if machine.halted or seq > safe:
+                    if (machine.halted or seq > safe
+                            or mem_off[-1] >= entry_limit):
                         break
                     pc = machine.pc
                     if pc >= tlen:
@@ -1376,6 +1391,7 @@ def execute_forked(
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
     state_source=None,
     stop_seq: int | None = None,
+    stop_entries: int | None = None,
 ) -> Trace:
     """Re-run ``golden``'s program with faults, executing only from the
     fork point.
@@ -1398,7 +1414,8 @@ def execute_forked(
     injector's inert point, the seq after
     :meth:`~repro.detection.faults.FaultInjector.last_execution_seq`
     (to the end for hard faults, which have none; never past
-    ``stop_seq``), on fresh columns that start at the fork seq.  If no
+    ``stop_seq`` or ``stop_entries``), on fresh columns that start at
+    the fork seq.  If no
     fault fired in it and the run did not crash, the machine is in the
     golden state there, so the run is the golden run and ``golden``
     itself is returned: no column is copied and no trace is built.
@@ -1407,15 +1424,24 @@ def execute_forked(
     identity, or by ``fork_of`` being None, and must not mutate it.
 
     Otherwise the golden prefix ``[0, fork_seq)`` is spliced in front
-    of the window's rows and execution resumes to the end (or to
-    ``stop_seq``).  The new trace carries ``fork_of``/``fork_seq``, so
+    of the window's rows and execution resumes to the end (or to a
+    stop).  The new trace carries ``fork_of``/``fork_seq``, so
     detection can resume the golden run's timing at the fork and
-    recovery can roll back to a pre-fork state on the golden trace.
+    recovery can roll back to a pre-fork state on the golden trace,
+    and ``last_fault_seq``, the largest seq in the injector's
+    activation list (None when nothing fired): a transient's row, or
+    the last row a hard fault struck.  Every later row is a fault-free
+    execution of the state before it, which is what lets detection's
+    look-ahead stop at the log segment holding that row.
 
-    ``stop_seq`` ends live execution once that seq commits, for callers
-    whose verdict provably never reads the trace past it (activation-only
-    schemes, which stop at the inert point themselves); a perturbed run
-    is then truncated and un-halted.
+    ``stop_seq`` ends live execution once that seq commits, and
+    ``stop_entries`` once the columns hold that many log entries (up to
+    one block later, see :func:`_commit_loop`), for callers whose
+    verdict provably never reads the trace past the stop: activation-
+    only schemes stop at the inert point, and the detection scheme where
+    the log segment holding a one-transient fault's row closes.  A
+    perturbed run is then truncated and un-halted, a prefix of the
+    complete run.
     """
     if not golden.halted or golden.crashed:
         raise ExecutionError(
@@ -1445,7 +1471,7 @@ def execute_forked(
     uops, loads, stores, crashed = _commit_loop(
         machine, fault_injector, max_instructions, *window,
         seq=fork_seq, uops=state.uops, loads=state.loads,
-        stores=state.stores, stop_seq=window_stop)
+        stores=state.stores, stop_seq=window_stop, stop_entries=stop_entries)
     if (not crashed and total <= max_instructions
             and not fault_injector.activations):
         # unperturbed up to the inert point (or halted at the golden
@@ -1472,7 +1498,7 @@ def execute_forked(
             pcs, dsts_col, takens,
             mem_off, mem_kind, mem_addr, mem_value, mem_used,
             seq=len(pcs), uops=uops, loads=loads, stores=stores,
-            stop_seq=stop_seq)
+            stop_seq=stop_seq, stop_entries=stop_entries)
 
     trace = Trace(
         program,
@@ -1496,4 +1522,6 @@ def execute_forked(
     )
     trace.fork_of = golden
     trace.fork_seq = fork_seq
+    trace.last_fault_seq = max(
+        (seq for seq, _ in fault_injector.activations), default=None)
     return trace

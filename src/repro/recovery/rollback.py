@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.config import SystemConfig
-from repro.detection.lslog import segment_close
+from repro.detection.lslog import segment_starts
 from repro.detection.system import run_with_detection
 from repro.isa.executor import (
     Trace,
@@ -67,7 +67,7 @@ def detect_and_recover(clean: Trace, faulty: Trace,
             recovered=same, state_correct=same)
 
     failing_segment = verdict.first_error_position[0]
-    rollback_seq = _segment_starts(faulty, config)[failing_segment]
+    rollback_seq = segment_starts(faulty, config)[failing_segment]
     # a forked run's rows below its fork seq are spliced golden rows, so
     # the golden trace (and its keyframes) holds the state there
     source = (faulty.fork_of if faulty.fork_of is not None
@@ -82,24 +82,3 @@ def detect_and_recover(clean: Trace, faulty: Trace,
         detected=True, rollback_seq=rollback_seq,
         replayed_instructions=len(rerun), recovered=recovered,
         state_correct=state_correct)
-
-
-def _segment_starts(trace: Trace, config: SystemConfig) -> list[int]:
-    """Commit seqs at which the detection system opened each segment it
-    dispatched.
-
-    Iterates :func:`repro.detection.lslog.segment_close`, the one rule
-    the detection hook closes its segments by, from row 0 over the
-    committed stream.  Recovery runs take no interrupts, so neither does
-    this.
-    """
-    capacity = config.detection.segment_entries(config.checker.num_cores)
-    timeout = config.detection.instruction_timeout
-    total = len(trace)
-    starts = []
-    start = 0
-    while start < total:
-        starts.append(start)
-        start = segment_close(trace.mem_off, start, total, capacity,
-                              timeout)[0]
-    return starts

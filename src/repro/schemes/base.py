@@ -152,26 +152,35 @@ class ProtectionScheme(abc.ABC):
     #: (final state, length, crash flag).  Schemes that classify from
     #: the activation list alone — lockstep and RMT detect any committed
     #: divergence at the comparator, long before the program ends — set
-    #: this False, and injection stops executing once the last fault has
-    #: had its chance to strike: the discarded suffix cannot change the
-    #: verdict, so the records stay byte-identical.  Schemes that keep
-    #: it True still skip the suffix of a fault that never fired: once
-    #: its injector goes inert unfired, the fork path hands back the
-    #: golden trace itself (see ``execute_forked``).  Every scheme's
-    #: ``classify`` answers ``not_activated`` from the activation list
-    #: before it reads that trace.
+    #: this False, and the base :meth:`_stop` stops injection once the
+    #: last fault has had its chance to strike: the discarded suffix
+    #: cannot change the verdict, so the records stay byte-identical.
+    #: Schemes that keep it True run to completion unless they override
+    #: :meth:`_stop` (the detection scheme stops a one-transient run
+    #: where its log segment closes, and completes it only when nothing
+    #: was detected).  They still skip the suffix of a fault that never
+    #: fired: once its injector goes inert unfired, the fork path hands
+    #: back the golden trace itself (see ``execute_forked``).  Every
+    #: scheme's ``classify`` answers ``not_activated`` from the
+    #: activation list before it reads that trace.
     verdict_needs_outcome: bool = True
 
-    def _stop_seq(self, injector: FaultInjector) -> int | None:
-        """Earliest seq injection may stop at without changing this
-        scheme's verdict, or None when it must run to completion."""
+    def _stop(self, clean: Trace, injector: FaultInjector,
+              config: SystemConfig | None,
+              ) -> tuple[int | None, int | None]:
+        """Where injecting ``injector`` into ``clean``'s program may stop
+        without changing this scheme's verdict under ``config`` (None: a
+        caller that needs the complete run), as ``(stop_seq,
+        stop_entries)`` for :func:`~repro.isa.executor.execute_forked`;
+        None for either means no such bound."""
         if self.verdict_needs_outcome:
-            return None
+            return None, None
         last = injector.last_execution_seq()
-        return None if last is None else last + 1
+        return (None if last is None else last + 1), None
 
     def faulty_runs(
         self, clean: Trace, faults: Sequence[TransientFault | HardFault],
+        config: SystemConfig | None = None,
     ) -> Iterator[tuple[int, FaultInjector, Trace]]:
         """Execute each of ``faults`` against ``clean``'s program, one at
         a time in fork-seq order (:func:`~repro.detection.faults.fork_seq_of`
@@ -192,11 +201,16 @@ class ProtectionScheme(abc.ABC):
         traces for every fault that fired or crashed the run; an
         unperturbed run's trace equals ``clean`` (or its prefix, when
         injection stopped early), so which path ran is unobservable in
-        any record.  Schemes whose verdict never reads the outcome
-        additionally stop right after the last fault seq (again on both
-        paths, so the identity between them holds).  Each injector is
-        built just before its run: an attached injector keeps its
-        machine and memory image alive.
+        any record.  Each run stops where the scheme's :meth:`_stop`
+        says, given the ``config`` its verdict is classified under:
+        schemes whose verdict never reads the outcome right after the
+        last fault seq (on both paths, so the identity between them
+        holds), and the detection scheme where a one-transient fault's
+        log segment closes (on the fork path only).  A caller without a
+        config, like recovery, which re-executes from the run, gets
+        complete detection runs.  Each injector is built just before its
+        run: an attached injector keeps its machine and memory image
+        alive.
         """
         total = len(clean)
         order = sorted(range(len(faults)),
@@ -204,9 +218,10 @@ class ProtectionScheme(abc.ABC):
         cursor = fork_cursor(clean) if fork_injection_enabled() else None
         for i in order:
             injector = FaultInjector([faults[i]])
-            stop_seq = self._stop_seq(injector)
+            stop_seq, stop_entries = self._stop(clean, injector, config)
             if cursor is not None:
                 faulty = execute_forked(clean, injector, stop_seq=stop_seq,
+                                        stop_entries=stop_entries,
                                         state_source=cursor.state)
             else:
                 faulty = execute_program(clean.program,
@@ -237,7 +252,10 @@ class ProtectionScheme(abc.ABC):
         own trial.
         """
         verdicts: list[FaultVerdict | None] = [None] * len(faults)
-        for i, injector, faulty in self.faulty_runs(trace, faults):
+        # the spliced verdict, which is what lets a run stop early, never
+        # takes interrupts
+        for i, injector, faulty in self.faulty_runs(
+                trace, faults, None if interrupt_seqs else config):
             verdicts[i] = self.classify(trace, config, faults[i], injector,
                                         faulty, interrupt_seqs)
         return verdicts

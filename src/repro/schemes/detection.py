@@ -10,15 +10,20 @@ surface through checker replay, never an oracle — and the only one with
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from repro.analysis.area import area_model
 from repro.analysis.power import energy_overhead_per_run, power_model
 from repro.common.config import SystemConfig
 from repro.common.time import ticks_to_us
+from repro.core.timing import timing_splice_enabled
 from repro.detection.faults import (
     EXECUTION_SITES,
+    FaultInjector,
     TransientFault,
     system_faults,
 )
+from repro.detection.lslog import segment_starts
 from repro.detection.system import run_unprotected, run_with_detection
 from repro.isa.executor import Trace
 from repro.schemes.base import (
@@ -27,6 +32,7 @@ from repro.schemes.base import (
     SchemeSummary,
     SchemeTiming,
     architecturally_masked,
+    fork_injection_enabled,
 )
 from repro.schemes.registry import register_scheme
 
@@ -55,6 +61,39 @@ class ParallelDetectionScheme(ProtectionScheme):
             detection_latency_ns=result.report.mean_delay_ns(),
         )
 
+    def _stop(self, clean: Trace, injector: FaultInjector,
+              config: SystemConfig | None,
+              ) -> tuple[int | None, int | None]:
+        """Stop a one-transient run once the log segment holding its row
+        has closed: a single transient can fail only that segment (see
+        :func:`repro.detection.system._first_failing_row`), and the
+        spliced verdict reads no row past its close.
+
+        Only when the fork path and the timing splice are both on (the
+        spliced verdict is what reads a forked trace that far and no
+        further), and the injector holds no hard fault and its
+        execution-site transients sit on one seq inside the golden
+        trace.  The segment holding that seq opens at the same
+        row ``start`` on the golden and the faulty trace (every earlier
+        row is a golden row), and on the faulty trace it closes by row
+        ``start + timeout`` or once the log holds ``mem_off[start] +
+        capacity`` entries: those are the stop.
+        """
+        seqs = set(injector.transients)
+        if (config is None or injector.hard_faults or len(seqs) != 1
+                or not fork_injection_enabled()
+                or not timing_splice_enabled()):
+            return None, None
+        seq, = seqs
+        if seq >= len(clean):
+            return None, None
+        starts = segment_starts(clean, config)
+        start = starts[bisect_right(starts, seq) - 1]
+        timeout = config.detection.instruction_timeout
+        capacity = config.detection.segment_entries(config.checker.num_cores)
+        return (None if timeout is None else start + timeout,
+                clean.mem_off[start] + capacity)
+
     def classify(self, clean: Trace, config: SystemConfig,
                  fault: TransientFault, injector, faulty: Trace,
                  interrupt_seqs: tuple[int, ...] = ()) -> FaultVerdict:
@@ -80,6 +119,11 @@ class ParallelDetectionScheme(ProtectionScheme):
                 detect_latency_us=ticks_to_us(
                     event.detect_tick - event.segment_close_tick),
                 first_error_segment=segment, first_error_entry=entry)
+        if not (faulty.halted or faulty.crashed):
+            # the run stopped where its fault's segment closed (see
+            # _stop), which passed: masked or escaped needs the whole
+            # run.  The fork cursor still stands at its seq
+            _, _, faulty = next(self.faulty_runs(clean, (fault,)))
         if architecturally_masked(clean, faulty):
             return FaultVerdict(activated=True, outcome="masked")
         return FaultVerdict(activated=True, outcome="escaped")

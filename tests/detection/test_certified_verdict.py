@@ -58,16 +58,9 @@ from tests.detection.test_hook_skip_property import detection_draw, make_config
 from tests.isa.test_block_property import (
     FAULTY_CAP,
     build_program,
-    program_draw,
+    long_program_draw,
 )
 from tests.schemes.test_timing_splice import REORDERED_FAULTS
-
-#: random programs without the trap edge (a trapping golden run has
-#: nothing to fork from), whose counted loop runs long enough to span
-#: several log segments
-long_program_draw = st.tuples(
-    program_draw, st.integers(min_value=1, max_value=150),
-).map(lambda pair: {**pair[0], "loop_iters": pair[1], "misalign": None})
 
 #: the hook-skip property's detection configs (without interrupts) at a
 #: checker frequency of the Figure 9 sweep, and the stress config

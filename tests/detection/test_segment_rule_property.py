@@ -21,10 +21,13 @@ from hypothesis import given, settings
 
 from repro.core.ooo_core import OoOCore
 from repro.detection.faults import FaultInjector
-from repro.detection.lslog import CloseReason, segment_close
+from repro.detection.lslog import (
+    CloseReason,
+    segment_close,
+    segment_starts,
+)
 from repro.detection.system import ParallelErrorDetection
 from repro.isa.executor import execute_program
-from repro.recovery.rollback import _segment_starts
 
 from tests.detection.test_hook_skip_property import detection_draw, make_config
 from tests.isa.test_block_property import build_program, program_draw
@@ -112,4 +115,4 @@ def test_hook_closes_segments_by_the_rule(draw, detection):
     # recovery runs take no interrupts
     closed = dispatched(trace, config, [])
     assert closed == rule_plan(trace, capacity, timeout, [])
-    assert _segment_starts(trace, config) == [start for start, _, _ in closed]
+    assert segment_starts(trace, config) == [start for start, _, _ in closed]

@@ -21,7 +21,11 @@ traces of every suite workload:
   rules, with the verdict of the complete report and of the reference
   path;
 * ideal checkers, which check nothing, time no row of the faulty trace
-  for that verdict.
+  for that verdict;
+* the detection scheme's fault path stops a detected fault's run up to
+  a block past the close of the one segment it fails, and the verdict
+  checks that segment alone; a masked fault's stopped run is completed
+  and classified from the whole run.
 """
 
 from __future__ import annotations
@@ -35,22 +39,30 @@ from repro.common.config import default_config
 from repro.core.ooo_core import OoOCore
 from repro.core.timing import TIMING_SPLICE_ENV
 from repro.detection import system
+from repro.detection.checker import SegmentChecker
 from repro.detection.faults import FaultInjector, FaultSite, TransientFault
+from repro.detection.lslog import segment_starts
 from repro.detection.system import (
     DetectionVerdict,
     _first_failing_row,
     _TimingSpliceCursor,
     run_with_detection,
 )
+from repro.isa.blocks import MAX_BLOCK_LEN
 from repro.isa.executor import execute_forked, execute_program
+from repro.schemes import base as schemes_base
+from repro.schemes import get_scheme
 from repro.workloads.suite import BENCHMARK_ORDER, benchmark_trace
 
-from tests.conftest import REFERENCE_PATH_ENV, mid_trace_faults
+from tests.conftest import MASKED_FAULT, REFERENCE_PATH_ENV, mid_trace_faults
 
 SUITE = tuple(BENCHMARK_ORDER)
 
 #: the sites of :func:`tests.conftest.mid_trace_faults`
 MID_TRACE_SITES = ("result", "store_value", "branch")
+
+#: Every fast-path switch on: the fault path the campaigns run.
+FAST_PATH_ENV = {key: "1" for key in REFERENCE_PATH_ENV}
 
 
 def mid_trace_fault(workload: str, site: str) -> TransientFault:
@@ -277,3 +289,103 @@ def test_ideal_checkers_time_no_faulty_row(workload):
     complete = run_with_detection(faulty, config).report
     assert verdict == DetectionVerdict.of(complete) == \
         reference_verdict(workload, faults, config)
+
+
+def checked_looks(faulty, config):
+    """The verdict of a verdict-only spliced run, and for each look-ahead
+    it made: the segments it checked and the row it named."""
+    looks = []
+    look_ahead = system._first_failing_row
+    check = SegmentChecker.check
+    checks = []
+
+    def look_spy(hook, row, bound):
+        before = len(checks)
+        named = look_ahead(hook, row, bound)
+        looks.append((len(checks) - before, named))
+        return named
+
+    def check_spy(checker, segment):
+        checks.append(segment.index)
+        return check(checker, segment)
+
+    with mock.patch.object(system, "_first_failing_row", look_spy), \
+            mock.patch.object(SegmentChecker, "check", check_spy), \
+            mock.patch.dict(os.environ, FAST_PATH_ENV):
+        verdict = run_with_detection(faulty, config, verdict_only=True)
+    return verdict, looks
+
+
+def fault_path_runs(golden, fault, config):
+    """The verdict of ``fault`` through the detection scheme's
+    ``inject_batch`` with every fast path on, and each trace the fault
+    path executed for it, with the ``stop_entries`` it was run with."""
+    runs = []
+    forked = schemes_base.execute_forked
+
+    def spy(*args, **kwargs):
+        trace = forked(*args, **kwargs)
+        runs.append((kwargs.get("stop_entries"), trace))
+        return trace
+
+    with mock.patch.object(schemes_base, "execute_forked", spy), \
+            mock.patch.dict(os.environ, FAST_PATH_ENV):
+        verdict, = get_scheme("detection").inject_batch(golden, config,
+                                                        (fault,))
+    return verdict, runs
+
+
+@pytest.mark.parametrize("workload", SUITE)
+def test_detected_fault_stops_at_its_segment_close(workload):
+    """At the detected mid-trace sites, the fault path stops the run
+    where the one segment it fails has closed: it holds every row of
+    that segment and at most a block more, a prefix of the whole run.
+    The verdict's first look-ahead checks that segment alone and names
+    its close; a look-ahead after the event checks none.  The verdict
+    is the whole run's complete report's."""
+    config = default_config()
+    golden = benchmark_trace(workload, "small")
+    detected = 0
+    for fault in mid_trace_faults(workload):
+        whole = execute_forked(golden, FaultInjector([fault]))
+        complete = run_with_detection(whole, config).report
+        if not complete.events:
+            continue
+        detected += 1
+        failing = {event.error.segment_index for event in complete.events}
+        assert len(failing) == 1
+        starts = segment_starts(whole, config) + [len(whole)]
+        close = starts[failing.pop() + 1]
+        verdict, runs = fault_path_runs(golden, fault, config)
+        (stop_entries, stopped), = runs
+        assert stop_entries is not None
+        assert close <= len(stopped) <= close + MAX_BLOCK_LEN
+        assert list(stopped.pcs) == list(whole.pcs[:len(stopped)])
+        assert verdict.outcome == "detected"
+        early, looks = checked_looks(stopped, config)
+        (first_checks, named), *after = looks
+        assert first_checks == 1 and named is not None
+        assert all(checks == 0 and row is None for checks, row in after)
+        assert early == DetectionVerdict.of(complete)
+    assert detected
+
+
+def test_masked_fault_is_completed_from_the_whole_run():
+    """The masked ``bitcount`` fault: the fault path stops its run where
+    its segment closes, that segment passes, and the scheme completes
+    the run from the same fork to read masked off the whole run, the
+    reference path's verdict."""
+    workload, fault = MASKED_FAULT
+    golden = benchmark_trace(workload, "small")
+    config = default_config()
+    verdict, runs = fault_path_runs(golden, fault, config)
+    (stop_entries, stopped), (none, whole) = runs
+    assert stop_entries is not None and none is None
+    assert not (stopped.halted or stopped.crashed)
+    assert len(stopped) < len(whole) and whole.halted
+    assert list(stopped.pcs) == list(whole.pcs[:len(stopped)])
+    assert verdict.outcome == "masked"
+    with mock.patch.dict(os.environ, REFERENCE_PATH_ENV):
+        reference, = get_scheme("detection").inject_batch(golden, config,
+                                                          (fault,))
+    assert verdict == reference

@@ -130,6 +130,14 @@ program_draw = st.fixed_dictionaries({
 })
 
 
+#: random programs without the trap edge (a trapping golden run has
+#: nothing to fork from), whose counted loop runs long enough to span
+#: several log segments
+long_program_draw = st.tuples(
+    program_draw, st.integers(min_value=1, max_value=150),
+).map(lambda pair: {**pair[0], "loop_iters": pair[1], "misalign": None})
+
+
 def build_program(draw: dict):
     b = ProgramBuilder("prop-block")
     for i, word in enumerate(draw["words"]):

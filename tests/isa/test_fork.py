@@ -8,8 +8,10 @@ must produce exactly the trace a full faulty execution produces.
 
 from __future__ import annotations
 
+import os
 import threading
 from array import array
+from bisect import bisect_left
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -24,7 +26,7 @@ from repro.detection.faults import (
     earliest_fault_seq,
 )
 from repro.isa import executor
-from repro.isa.blocks import STATS
+from repro.isa.blocks import BLOCK_EXEC_ENV, MAX_BLOCK_LEN, STATS
 from repro.isa.executor import (
     ForkCursor,
     Machine,
@@ -44,8 +46,16 @@ from repro.workloads.suite import (
 )
 from repro.workloads.trace_store import TraceStore
 
-from tests.conftest import build_rmw_loop, never_firing_faults
-from tests.isa.test_block_property import build_program, program_draw
+from tests.conftest import (
+    build_rmw_loop,
+    mid_trace_faults,
+    never_firing_faults,
+)
+from tests.isa.test_block_property import (
+    build_program,
+    long_program_draw,
+    program_draw,
+)
 
 FAULT_SITES = sorted(EXECUTION_SITES, key=lambda site: site.value)
 
@@ -512,3 +522,102 @@ class TestExecuteForked:
         crashed = execute_program(b.build(), fault_injector=injector)
         with pytest.raises(ExecutionError):
             execute_forked(crashed, FaultInjector([]))
+
+
+def assert_stopped_prefix(stopped: Trace, whole: Trace, bound: int,
+                          blocks: bool) -> None:
+    """``stopped``, run with ``stop_entries=bound``, is a byte-identical
+    prefix of ``whole``: every row up to the first whose entries reach
+    ``bound`` (all of ``whole`` when none does), and on the block path
+    up to one block more, with the state ``whole`` had after its last
+    row.  A run that halts or traps before the bound is ``whole``; one
+    that stops may hold every row of a ``whole`` that trapped on the
+    next row, which the stopped run never tries."""
+    n, total = len(stopped), len(whole)
+    reach = min(bisect_left(whole.mem_off, bound, 1), total)
+    assert reach <= n <= (reach + MAX_BLOCK_LEN - 1 if blocks else reach)
+    if stopped.halted or stopped.crashed:
+        assert stopped.to_payload() == whole.to_payload()
+        return
+    part, full = stopped.to_payload(), whole.to_payload()
+    for name in ("pcs", "dsts", "takens"):
+        assert part[name] == full[name][:n], name
+    assert part["mem_off"] == full["mem_off"][:n + 1]
+    entries = part["mem_off"][-1]
+    assert entries >= bound
+    for name in ("mem_kind", "mem_addr", "mem_value", "mem_used"):
+        assert part[name] == full[name][:entries], name
+    assert stopped.final_next_pc == whole.next_pc_of(n - 1)
+    state = fork_state(whole, n)
+    assert stopped.final_xregs == state.xregs
+    assert [float_to_bits(v) for v in stopped.final_fregs] == \
+        [float_to_bits(v) for v in state.fregs]
+    assert dict(stopped.memory.items()) == dict(state.memory.items())
+    assert (stopped.uop_count, stopped.load_count, stopped.store_count) == \
+        (state.uops, state.loads, state.stores)
+
+
+class TestStopEntries:
+    """``stop_entries`` ends a forked run once its columns hold that
+    many log entries: the detection scheme's stop where a fault's log
+    segment closes.  The stopped run is a byte-identical prefix of the
+    whole run, on the handler path exactly through the first row whose
+    entries reach the bound, on the block path up to one block later."""
+
+    @pytest.mark.parametrize("blocks", (False, True))
+    @pytest.mark.parametrize("name", BENCHMARK_ORDER)
+    def test_prefix_of_the_whole_run_all_workloads(self, name, blocks,
+                                                   monkeypatch):
+        monkeypatch.setenv(BLOCK_EXEC_ENV, "1" if blocks else "0")
+        golden = benchmark_trace(name, "small")
+        fired = 0
+        for fault in mid_trace_faults(name):
+            whole = execute_forked(golden, FaultInjector([fault]))
+            if whole is golden:
+                continue  # never fired
+            fired += 1
+            base = golden.mem_off[fault.seq]
+            for extra in (1, 7, 40, 300):
+                stopped = execute_forked(golden, FaultInjector([fault]),
+                                         stop_entries=base + extra)
+                assert stopped.fork_of is golden
+                assert stopped.last_fault_seq == whole.last_fault_seq == \
+                    fault.seq
+                assert_stopped_prefix(stopped, whole, base + extra, blocks)
+        assert fired
+
+    @settings(max_examples=100, deadline=None)
+    @given(long_program_draw,
+           st.sampled_from((FaultSite.RESULT, FaultSite.PC)),
+           st.floats(min_value=0.0, max_value=1.0),
+           st.integers(min_value=0, max_value=63),
+           st.integers(min_value=1, max_value=40), st.booleans())
+    def test_prefix_of_the_whole_run_random_programs(self, draw, site,
+                                                      where, bit, extra,
+                                                      blocks):
+        """Random programs (loops, nondet, FP), a fault at a site that
+        strikes most rows and a bound past the entries before its row:
+        whether the whole run halts, traps or runs away, the stopped run
+        is its prefix, and the golden trace itself when the fault never
+        fires."""
+        golden = execute_program(build_program(draw), max_instructions=2000)
+        fault = TransientFault(site, seq=int(where * (len(golden) - 1)),
+                               bit=bit)
+        previous = os.environ.get(BLOCK_EXEC_ENV)
+        os.environ[BLOCK_EXEC_ENV] = "1" if blocks else "0"
+        try:
+            whole = execute_forked(golden, FaultInjector([fault]),
+                                   max_instructions=2000)
+            bound = golden.mem_off[fault.seq] + extra
+            stopped = execute_forked(golden, FaultInjector([fault]),
+                                     max_instructions=2000,
+                                     stop_entries=bound)
+        finally:
+            if previous is None:
+                del os.environ[BLOCK_EXEC_ENV]
+            else:
+                os.environ[BLOCK_EXEC_ENV] = previous
+        if whole is golden:
+            assert stopped is golden
+            return
+        assert_stopped_prefix(stopped, whole, bound, blocks)

@@ -7,6 +7,7 @@ import pytest
 from repro.common.config import default_config
 from repro.detection.checker import SegmentChecker
 from repro.detection.faults import FaultInjector, FaultSite, TransientFault
+from repro.detection.lslog import segment_starts
 from repro.detection.system import run_with_detection
 from repro.harness.campaign import JobSpec, execute_job
 from repro.isa import executor
@@ -20,7 +21,7 @@ from repro.isa.instructions import Opcode
 from repro.isa.memory_image import float_to_bits
 from repro.isa.program import ProgramBuilder
 from repro.recovery import rollback
-from repro.recovery.rollback import _segment_starts, detect_and_recover
+from repro.recovery.rollback import detect_and_recover
 from repro.workloads.suite import BENCHMARK_ORDER, benchmark_trace
 
 from tests.conftest import build_rmw_loop, mid_trace_faults, tripwire
@@ -68,7 +69,7 @@ def build_rdcycle_loop(iterations: int = 300):
 class TestResume:
     @pytest.mark.parametrize("pick", [0, 1, "middle", -1])
     def test_rerun_from_segment_start_matches(self, program, clean, pick):
-        starts = _segment_starts(clean, default_config())
+        starts = segment_starts(clean, default_config())
         seq = starts[len(starts) // 2 if pick == "middle" else pick]
         rerun = execute_program(program, start=fork_state(clean, seq))
         assert len(rerun) == len(clean) - seq
