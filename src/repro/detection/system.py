@@ -134,13 +134,6 @@ class DetectionReport:
         )
 
 
-def _empty_report(num_cores: int) -> DetectionReport:
-    return DetectionReport(
-        closes_by_reason={r.value: 0 for r in CloseReason},
-        checker_busy_ticks=[0] * num_cores,
-    )
-
-
 class ParallelErrorDetection(CommitHook):
     """Co-simulation hook implementing the paper's detection scheme."""
 
@@ -203,7 +196,10 @@ class ParallelErrorDetection(CommitHook):
         self.next_row = 0
         self._synced = 0
 
-        self.report = _empty_report(num_cores)
+        self.report = DetectionReport(
+            closes_by_reason={r.value: 0 for r in CloseReason},
+            checker_busy_ticks=[0] * num_cores,
+        )
 
     # -- checkpointing -------------------------------------------------------
 
@@ -235,7 +231,6 @@ class ParallelErrorDetection(CommitHook):
         self._values = trace.mem_value if self.use_lfu else trace.mem_used
         self._total = len(trace)
         self._final_next_pc = trace.final_next_pc
-        self._last_fault_seq = trace.last_fault_seq
         # the open segment may have opened on another trace (a timing
         # splice forks golden into faulty): plan its close on this one
         self._plan()
@@ -266,33 +261,16 @@ class ParallelErrorDetection(CommitHook):
         structure is copied via its own flat ``snapshot``/``clone``.
         ``src`` first applies the rows it skipped.
         """
-        self._restore_closes(src)
+        src._catch_up()
         self.config = src.config
         self.program = src.program
         self.metas = src.metas
-        self.checker_period = src.checker_period
-        self.ideal = src.ideal
-        self.use_lfu = src.use_lfu
-        self.icaches = src.icaches.snapshot()
-        # the in-order models are stateless (all timing state lives in
-        # the icaches), so fresh instances over the copied icaches are
-        # exact replacements
-        self.core_models = [
-            InOrderCoreModel(src.config.checker, self.icaches, core_id)
-            for core_id in range(src.num_cores)
-        ]
-        self.report = src.report.snapshot()
-
-    def _restore_closes(self, src: "ParallelErrorDetection") -> None:
-        """Copy from ``src`` what closing and checking segments read:
-        the state ``pre_commit``, ``post_commit``, ``finish`` and
-        ``_close`` use, but not the report, nor the checker I-caches and
-        in-order models ``_dispatch`` times checks on.  ``src`` first
-        applies the rows it skipped."""
-        src._catch_up()
         self.num_cores = src.num_cores
         self.main_period = src.main_period
+        self.checker_period = src.checker_period
         self.ckpt_cycles = src.ckpt_cycles
+        self.ideal = src.ideal
+        self.use_lfu = src.use_lfu
         self.capacity = src.capacity
         self.timeout = src.timeout
         self.arch = src.arch.clone()
@@ -304,6 +282,14 @@ class ParallelErrorDetection(CommitHook):
         self._close_row = src._close_row
         self._on_commit = src._on_commit
         self.segment_checker = src.segment_checker
+        self.icaches = src.icaches.snapshot()
+        # the in-order models are stateless (all timing state lives in
+        # the icaches), so fresh instances over the copied icaches are
+        # exact replacements
+        self.core_models = [
+            InOrderCoreModel(src.config.checker, self.icaches, core_id)
+            for core_id in range(src.num_cores)
+        ]
         self.slot_free_tick = src.slot_free_tick[:]
         self._commit_gate_tick = src._commit_gate_tick
         self._checkpoint_faults = dict(src._checkpoint_faults)
@@ -313,9 +299,9 @@ class ParallelErrorDetection(CommitHook):
         self.skipped_commits = []
         self.next_row = src.next_row
         self._synced = src._synced
+        self.report = src.report.snapshot()
         for name in ("_pcs", "_dsts", "_mem_off", "_mem_kind", "_mem_addr",
-                     "_values", "_total", "_final_next_pc",
-                     "_last_fault_seq"):
+                     "_values", "_total", "_final_next_pc"):
             if hasattr(src, name):
                 setattr(self, name, getattr(src, name))
 
@@ -660,142 +646,31 @@ def _splice_cursor(golden: Trace,
         return cursor
 
 
-class _CheckOnlyDetection(ParallelErrorDetection):
-    """A detection hook that only checks the segments it closes.
-
-    Dispatch replays each closed segment on the checker and notes
-    whether it failed; no in-order timing runs, and no slot tick or
-    event is touched.  Used by :func:`_first_failing_row`.
-    """
-
-    failed = False
-
-    @classmethod
-    def of(cls, hook: ParallelErrorDetection) -> "_CheckOnlyDetection":
-        """A copy of what ``hook``'s segment closes read, with a fresh
-        report: no checker I-caches, in-order models or delay samples."""
-        probe = cls.__new__(cls)
-        probe._restore_closes(hook)
-        probe.report = _empty_report(hook.num_cores)
-        return probe
-
-    def _dispatch(self, segment: Segment, close_tick: int) -> None:
-        if not self.segment_checker.check(segment).ok:
-            self.failed = True
-
-
-def _first_failing_row(hook: ParallelErrorDetection, row: int,
-                       bound: int) -> int | None:
-    """The row on whose commit the first failing segment closes, among
-    the segments a copy of ``hook`` closes on rows ``[row, bound)``:
-    the row whose ``pre_commit`` (a macro-op overflow) or
-    ``post_commit`` closes it.  ``len(trace)`` when only the termination
-    segment fails (it is checked when ``bound`` is the trace end), and
-    None when every segment passes.  Always None with ideal checkers:
-    they check nothing, so their timed runs record no event whatever
-    the segments hold.
-
-    The copy runs without timing: it is fed a dummy commit cycle (0)
-    per row, the way the core feeds a hook, and stops at the first
-    failure.  It also stops, naming no row, once its open segment
-    starts after the bound trace's ``last_fault_seq`` (the last row a
-    fault perturbed; None on a trace no fault touched), and it checks
-    the termination segment only if that segment starts at or before
-    that row.  ``hook`` itself only applies its skipped rows.
-
-    Why :func:`_spliced_detection_run` may stop where this look-ahead
-    says, for a run that has committed the rows below ``row``, the last
-    at tick ``now``:
-
-    * the copy closes and checks exactly the segments the timed run
-      would, with the same results.  Which rows close segments is
-      decided by the log's closure rule
-      (:func:`repro.detection.lslog.segment_close`) from entry counts,
-      the timeout and interrupts (the spliced path takes no
-      interrupts); commit cycles never enter that decision, and
-      ``_schedule`` makes every such row an event row whatever the
-      commit gate does.  Entry kinds, addresses and values, the
-      checkpoints, and :meth:`SegmentChecker.check`'s result never read
-      commit ticks.  Events come only from failing checks, so with no
-      event recorded yet and ``bound`` at the trace end, None means that
-      no event occurs;
-    * once the first event is recorded at tick ``T``, a segment that
-      closes at or after ``T`` cannot change the verdict.  Its events
-      come from a check that starts no earlier than its close plus the
-      checkpoint copy, so they tie or trail ``T`` (``first_event`` keeps
-      the earliest-recorded of equal ticks), and its index is higher,
-      so ``first_error_position`` cannot move.  Every segment still to
-      close closes at or after ``now``, so once ``now`` reaches ``T``
-      the verdict is final;
-    * a segment that starts after ``last_fault_seq`` passes its check.
-      This is the paper's strong induction over segments (§IV): the
-      segment's start checkpoint is the faulty run's own register state
-      at its first row (the hook's tracked registers), and its rows are
-      a fault-free execution of that state, since no fault strikes
-      them.  The checker replays the same instructions from that
-      checkpoint on the values the log holds, so every entry and the
-      end checkpoint match.  So a single transient can fail only the
-      segment holding its row: a one-transient verdict checks exactly
-      that segment, and a look-ahead after its event checks none;
-    * until ``now`` reaches ``T``, at most ``commit_width`` rows commit
-      per cycle, so only rows below ``row + commit_width * ceil((T -
-      now) / period)`` can commit before ``T``.  A FULL or TIMEOUT close happens at its
-      row's commit; a macro-op overflow closes in the next row's
-      ``pre_commit``, at a tick no earlier than the previous row's
-      commit.  So with ``bound = row + 1 + commit_width * ceil((T -
-      now) / period)`` (capped at the trace end), every segment that
-      can close before ``T`` closes on a row below ``bound``, the
-      termination segment only if the trace ends before ``bound``, and
-      None means the verdict is final.
-    """
-    if hook.ideal:
-        return None
-    probe = _CheckOnlyDetection.of(hook)
-    last = probe._last_fault_seq
-    skipped = probe.skipped_commits
-    while row < bound:
-        if last is not None and probe._start > last:
-            return None
-        event_row = min(probe.next_row, bound)
-        skipped.extend([0] * (event_row - row))
-        if event_row == bound:
-            break
-        probe.pre_commit(event_row, 0)
-        probe.post_commit(event_row, 0)
-        if probe.failed:
-            return event_row
-        row = event_row + 1
-    if bound == probe._total and (last is None or probe._start <= last):
-        probe.finish(0)
-        if probe.failed:
-            return bound
-    return None
-
-
 def _spliced_detection_run(trace: Trace, config: SystemConfig,
                            verdict_only: bool = False,
                            ) -> DetectionRunResult | DetectionVerdict:
     """Re-time only the post-fork suffix of a forked faulty trace.
 
-    With ``verdict_only``, timing stops as soon as the verdict is final,
-    by one rule driven by the look-ahead :func:`_first_failing_row`
-    (whose docstring holds the argument).  The look-ahead names the row
-    on whose commit the next failing segment closes, and the run times
-    through exactly that row.  Until an event is recorded it looks as
-    far as the trace end; after one at tick ``T``, only over the rows
-    that can still commit before ``T``.  The run stops when the
-    look-ahead names no row, after the termination row, or once the
-    main core's commit tick reaches ``T``.  So a run whose every check
-    passes times no row of the faulty trace, and a detected run times
-    its fork to its first failing close in one ``run_rows`` call.
+    With ``verdict_only``, timing stops at the close of the log segment
+    that holds ``trace.last_fault_seq``, the last row a fault perturbed:
+    the commit (or, for a macro-op overflow, the pre-commit) of the row
+    the hook plans that close on, or the end of the run when the
+    termination segment holds the row.  A checker replays its segment
+    from the segment's start checkpoint, so a segment whose rows all
+    follow that row is a fault-free execution of the state it starts
+    from and passes its check: the paper's strong induction over
+    segments (§IV).  Every failing segment therefore starts at or
+    before that row and has closed by that point, and a segment's
+    events are recorded when it closes, so all events are recorded by
+    that close and the verdict equals the complete report's.  A run
+    with ideal checkers, which check nothing, or on a trace no fault
+    perturbed, records no event and times no row.
 
-    The look-ahead checks no segment that starts after the trace's
-    ``last_fault_seq``: none can fail.  So a one-transient verdict
-    checks only the segment holding the fault's row, and reads no row
-    past that segment's close.  Its trace may therefore be a prefix of
-    the complete faulty run that ends there: the detection scheme's
-    fault path stops executing such a fault once that segment has
-    closed.  A run without ``verdict_only`` needs the complete trace.
+    So a one-transient verdict reads no row past the close of the
+    segment holding its row, and its trace may be a prefix of the
+    complete faulty run that ends there: the detection scheme's fault
+    path stops executing such a fault once that segment has closed.  A
+    run without ``verdict_only`` needs the complete trace.
     """
     cursor = _splice_cursor(trace.fork_of, config)
     core, state, hook = cursor.bundle(trace.fork_seq)
@@ -807,24 +682,16 @@ def _spliced_detection_run(trace: Trace, config: SystemConfig,
         core.run_rows(trace, hook, state, total)
         return DetectionRunResult(core=core.finish_run(trace, hook, state),
                                   report=hook.report)
-    report = hook.report
-    period = hook.main_period
-    width = config.main_core.commit_width
-    bound = total
-    while (row := _first_failing_row(hook, state.next_row, bound)) is not None:
-        core.run_rows(trace, hook, state, min(row + 1, total))
-        if row == total:
-            # the termination segment fails: close the run
+    last = trace.last_fault_seq
+    if last is None or hook.ideal:
+        return DetectionVerdict.of(hook.report)
+    while hook._start <= last:
+        if state.next_row >= total:
+            # the termination segment holds the row
             core.finish_run(trace, hook, state)
             break
-        if report.events:
-            now = state.last_commit_cycle * period
-            first = report.first_event.detect_tick
-            if now >= first:
-                break
-            bound = min(total, state.next_row + 1
-                        + width * -(-(first - now) // period))
-    return DetectionVerdict.of(report)
+        core.run_rows(trace, hook, state, min(hook._close_row + 1, total))
+    return DetectionVerdict.of(hook.report)
 
 
 def run_with_detection(
@@ -849,18 +716,15 @@ def run_with_detection(
     ``REPRO_TIMING_SPLICE=0``; see :mod:`repro.core.timing`).
 
     ``verdict_only=True`` returns a :class:`DetectionVerdict` instead of
-    the full result.  On the spliced path its timing then stops as soon
-    as the verdict is final (see :func:`_spliced_detection_run`): a
-    timing-free look-ahead names the row on whose commit the next
-    failing segment closes, and the run times from one such row to the
-    next.  It stops when no failing segment is left that could detect
-    sooner than the earliest detection tick recorded, or once the main
-    core's commit tick reaches that tick; a run whose every check passes
-    is not timed at all.  The look-ahead checks no segment that starts
-    after the last row a fault perturbed (``trace.last_fault_seq``).
-    Every other path runs in full and reads its verdict off the
+    the full result.  On the spliced path its timing then stops at the
+    close of the log segment holding the last row a fault perturbed
+    (``trace.last_fault_seq``; see :func:`_spliced_detection_run`): a
+    segment that starts after that row replays a fault-free execution
+    of its start checkpoint and passes, so all events are recorded by
+    that close.  With ideal checkers, which check nothing, no row is
+    timed.  Every other path runs in full and reads its verdict off the
     complete report, so ``REPRO_TIMING_SPLICE=0`` also turns the early
-    stop and the look-ahead off.
+    stop off.
     """
     if (trace.fork_of is not None
             and timing_splice_enabled()

@@ -1431,8 +1431,9 @@ def execute_forked(
     and ``last_fault_seq``, the largest seq in the injector's
     activation list (None when nothing fired): a transient's row, or
     the last row a hard fault struck.  Every later row is a fault-free
-    execution of the state before it, which is what lets detection's
-    look-ahead stop at the log segment holding that row.
+    execution of the state before it, which is what lets a detection
+    verdict stop timing at the close of the log segment holding that
+    row.
 
     ``stop_seq`` ends live execution once that seq commits, and
     ``stop_entries`` once the columns hold that many log entries (up to

@@ -65,9 +65,9 @@ class ParallelDetectionScheme(ProtectionScheme):
               config: SystemConfig | None,
               ) -> tuple[int | None, int | None]:
         """Stop a one-transient run once the log segment holding its row
-        has closed: a single transient can fail only that segment (see
-        :func:`repro.detection.system._first_failing_row`), and the
-        spliced verdict reads no row past its close.
+        has closed: a single transient can fail only that segment, and
+        the spliced verdict times through its close and reads no row
+        past it (see :func:`repro.detection.system._spliced_detection_run`).
 
         Only when the fork path and the timing splice are both on (the
         spliced verdict is what reads a forked trace that far and no

@@ -3,11 +3,12 @@
 A checker replays its log segment from the segment's start checkpoint,
 so a segment whose rows are a fault-free execution of the state it
 starts from passes its check: the paper's strong induction over
-segments (§IV).  Two fast paths rest on it.  The spliced verdict's
-look-ahead checks no segment that starts after a trace's
-``last_fault_seq``, and the detection scheme's fault path stops a
-one-transient run once the segment holding its row has closed,
-completing the run only when nothing was detected.  Pinned here:
+segments (§IV).  Two fast paths rest on it.  The spliced verdict
+times a run through the close of the segment holding a trace's
+``last_fault_seq`` and stops there, and the detection scheme's fault
+path stops a one-transient run once the segment holding its row has
+closed, completing the run only when nothing was detected.  Pinned
+here:
 
 * over random programs, the default config, random detection configs
   and the stress config, and random faults (one transient at any execution site, a

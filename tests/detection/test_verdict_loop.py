@@ -1,31 +1,30 @@
-"""The verdict loop's look-ahead and stops on the nine suite workloads.
+"""The verdict-only timing rule on the nine suite workloads.
 
-A verdict-only spliced detection run times from one failing log segment
-to the next (:func:`repro.detection.system._spliced_detection_run`).
-Its look-ahead, :func:`~repro.detection.system._first_failing_row`,
-gives one of three answers: the row on whose commit the first failing
-segment closes, ``len(trace)`` when only the termination segment fails,
-and None when every segment passes.  The properties of
-``test_certified_verdict`` draw random programs; these pins hold each
-answer, and the loop built on it, against complete runs of faulty
-traces of every suite workload:
+A verdict-only spliced detection run times from its fork seq through
+the close of the log segment that holds the trace's ``last_fault_seq``
+and stops (:func:`repro.detection.system._spliced_detection_run`): no
+later segment can fail, so every event is recorded by that close.  The
+properties of ``test_certified_verdict`` draw random programs; these
+pins hold the rule against complete runs of faulty traces of every
+suite workload:
 
-* from the fork seq, the look-ahead names no row exactly when the
-  complete run records no event, and otherwise the row whose commit
-  records the complete run's first events;
+* at the three mid-trace sites and on a segment's first row, the run
+  times the faulty trace in one ``run_rows`` call from the fork seq
+  through the row ``c`` whose commit closes the fault's segment, as
+  :func:`repro.detection.lslog.segment_close` places it, and checks
+  that segment alone; timing the rows before ``c`` records no event,
+  and timing ``c`` records the complete run's events;
 * a fault in the last row that writes a register fails only the
-  termination segment, which the look-ahead names by the trace length,
-  and checks only when it looks as far as the trace end;
-* the run's timed spans follow the rows the look-ahead names, back to
-  back from the fork seq, and the run stops only by the loop's three
-  rules, with the verdict of the complete report and of the reference
-  path;
-* ideal checkers, which check nothing, time no row of the faulty trace
-  for that verdict;
+  termination segment, so the run times every row and finishes;
+* a pair of faults is timed back to back through the close of the later
+  fault's segment;
+* ideal checkers, which check nothing, time no row of the faulty trace;
 * the detection scheme's fault path stops a detected fault's run up to
   a block past the close of the one segment it fails, and the verdict
   checks that segment alone; a masked fault's stopped run is completed
   and classified from the whole run.
+
+Every verdict equals the complete report's and the reference path's.
 """
 
 from __future__ import annotations
@@ -37,14 +36,11 @@ import pytest
 
 from repro.common.config import default_config
 from repro.core.ooo_core import OoOCore
-from repro.core.timing import TIMING_SPLICE_ENV
-from repro.detection import system
 from repro.detection.checker import SegmentChecker
 from repro.detection.faults import FaultInjector, FaultSite, TransientFault
 from repro.detection.lslog import segment_starts
 from repro.detection.system import (
     DetectionVerdict,
-    _first_failing_row,
     _TimingSpliceCursor,
     run_with_detection,
 )
@@ -55,6 +51,11 @@ from repro.schemes import get_scheme
 from repro.workloads.suite import BENCHMARK_ORDER, benchmark_trace
 
 from tests.conftest import MASKED_FAULT, REFERENCE_PATH_ENV, mid_trace_faults
+from tests.detection.test_certified_verdict import (
+    covered,
+    fault_close_row,
+    fault_span,
+)
 
 SUITE = tuple(BENCHMARK_ORDER)
 
@@ -80,6 +81,16 @@ def last_write_fault(workload: str) -> TransientFault:
     return TransientFault(FaultSite.RESULT, seq=last, bit=3)
 
 
+def segment_start_fault(workload: str) -> TransientFault:
+    """A RESULT fault on the first row, past the middle of the golden
+    trace, of a log segment whose first row writes a register: the
+    fault's row is where its segment opens."""
+    golden = benchmark_trace(workload, "small")
+    start = next(row for row in segment_starts(golden, default_config())
+                 if row >= len(golden) // 2 and golden.dsts[row])
+    return TransientFault(FaultSite.RESULT, seq=start, bit=4)
+
+
 def three_quarters_fault(workload: str) -> TransientFault:
     """A RESULT fault three quarters into the golden trace."""
     n = len(benchmark_trace(workload, "small"))
@@ -96,13 +107,18 @@ def forked(workload: str, faults):
                           FaultInjector(list(faults)))
 
 
-def resumed(faulty, config):
-    """A (core, state, hook) timed to exactly the fork seq of
-    ``faulty`` and bound to it, as a spliced run starts."""
+def events_through(faulty, config, row: int) -> list:
+    """The events a run resumed at the fork seq of ``faulty``, as a
+    spliced run starts, records by timing its rows through ``row``
+    (none when ``row`` is below the fork seq); the whole run's,
+    finished, when ``row`` is the trace length."""
     core, state, hook = _TimingSpliceCursor(faulty.fork_of, config).bundle(
         faulty.fork_seq)
     hook.begin(faulty)
-    return core, state, hook
+    core.run_rows(faulty, hook, state, min(row + 1, len(faulty)))
+    if row == len(faulty):
+        core.finish_run(faulty, hook, state)
+    return hook.report.events
 
 
 def reference_verdict(workload: str, faults, config):
@@ -116,204 +132,138 @@ def reference_verdict(workload: str, faults, config):
 
 
 def traced_verdict(faulty, config):
-    """The verdict of a verdict-only spliced run; the look-aheads it
-    made, as ``(row, bound, named row)``; and its timed spans, as
-    ``(first row, stop, last commit tick, first detect tick or None)``
-    read when the span returns."""
-    looks, spans = [], []
-    look_ahead = system._first_failing_row
-    run_rows = OoOCore.run_rows
-
-    def look_spy(hook, row, bound):
-        looks.append((row, bound, look_ahead(hook, row, bound)))
-        return looks[-1][2]
+    """The verdict of a verdict-only run with every fast path on; the
+    ``(first row, stop)`` of each ``OoOCore.run_rows`` call it made over
+    ``faulty``; how often it finished ``faulty``'s run; and the
+    ``(start_seq, end_seq)`` of each segment it checked that closed
+    while its hook was bound to ``faulty``, whose log columns such a
+    segment views."""
+    spans, finished, checked = [], [], []
+    run_rows, finish_run = OoOCore.run_rows, OoOCore.finish_run
+    check = SegmentChecker.check
 
     def rows_spy(core, trace, hook, state, stop):
-        start = state.next_row
-        run_rows(core, trace, hook, state, stop)
         if trace is faulty:
-            first = hook.report.first_event
-            spans.append((start, stop,
-                          state.last_commit_cycle * hook.main_period,
-                          first and first.detect_tick))
+            spans.append((state.next_row, stop))
+        return run_rows(core, trace, hook, state, stop)
 
-    with mock.patch.object(system, "_first_failing_row", look_spy), \
-            mock.patch.object(OoOCore, "run_rows", rows_spy), \
-            mock.patch.dict(os.environ, {TIMING_SPLICE_ENV: "1"}):
+    def finish_spy(core, trace, hook, state):
+        if trace is faulty:
+            finished.append(trace)
+        return finish_run(core, trace, hook, state)
+
+    def check_spy(checker, segment):
+        if segment.kinds is faulty.mem_kind:
+            checked.append((segment.start_seq, segment.end_seq))
+        return check(checker, segment)
+
+    with mock.patch.object(OoOCore, "run_rows", rows_spy), \
+            mock.patch.object(OoOCore, "finish_run", finish_spy), \
+            mock.patch.object(SegmentChecker, "check", check_spy), \
+            mock.patch.dict(os.environ, FAST_PATH_ENV):
         verdict = run_with_detection(faulty, config, verdict_only=True)
-    return verdict, looks, spans
+    return verdict, spans, len(finished), checked
 
 
-def stop_of(looks, spans, total: int) -> str:
-    """Check that the spans follow the look-aheads, starting at the
-    first look-ahead's row and each timing through the row the
-    look-ahead before it named, and that only the last span meets a
-    stop; return the stop the run took: ``"look-ahead"`` (a look-ahead
-    named no row), ``"termination"`` (the termination row was timed)
-    or ``"tick"`` (the commit tick reached the earliest detect tick)."""
-    def meets_stop(named, span) -> bool:
-        _, _, now, first_tick = span
-        return named == total or (first_tick is not None
-                                  and now >= first_tick)
-
-    row = looks[0][0]
-    for (start, _, named), span in zip(looks, spans):
-        assert start == row and named is not None
-        row = min(named + 1, total)
-        assert span[:2] == (start, row)
-    for (_, _, named), span in zip(looks, spans[:-1]):
-        assert not meets_stop(named, span)
-    if len(looks) == len(spans) + 1:
-        assert looks[-1][2] is None
-        assert not spans or not meets_stop(looks[-2][2], spans[-1])
-        return "look-ahead"
-    assert len(looks) == len(spans)
-    named = looks[-1][2]
-    assert meets_stop(named, spans[-1])
-    return "termination" if named == total else "tick"
-
-
-@pytest.mark.parametrize("site", MID_TRACE_SITES)
+@pytest.mark.parametrize("site", MID_TRACE_SITES + ("segment-start",))
 @pytest.mark.parametrize("workload", SUITE)
-def test_fork_look_ahead_names_the_close_of_the_first_events(workload,
-                                                            site):
-    """Looking from the fork seq to the trace end, the look-ahead names
-    no row exactly when the complete run records no event.  Otherwise
-    timing the rows before the named row records no event, and timing
-    that row records the complete run's first events, all from one
-    segment.  A fault that never fires gets the golden trace back."""
+def test_mid_trace_fault_is_timed_through_its_segment_close(workload, site):
+    """One span from the fork seq through the row ``c`` whose commit
+    closes the fault's segment, checking that segment alone.  The
+    segment-start fault's segment is the termination segment on
+    ``bitcount``, ``blackscholes``, ``bodytrack`` and ``randacc`` (where
+    the fault ends the run early): its span reaches the trace end and
+    the run is finished.  Timing the rows before ``c`` records no
+    event, and timing ``c`` records the complete run's events.  A
+    fault that never fires gets the golden trace back."""
     config = default_config()
     golden = benchmark_trace(workload, "small")
-    injector = FaultInjector([mid_trace_fault(workload, site)])
+    fault = (segment_start_fault(workload) if site == "segment-start"
+             else mid_trace_fault(workload, site))
+    injector = FaultInjector([fault])
     faulty = execute_forked(golden, injector)
     if not injector.activations:
         # a fault that never fired hands back the golden trace itself,
         # which has no fork to resume timing from
         assert faulty is golden and faulty.fork_of is None
         return
-    core, state, hook = resumed(faulty, config)
-    total = len(faulty)
-    named = _first_failing_row(hook, state.next_row, total)
+    verdict, spans, finished, checked = traced_verdict(faulty, config)
+    close = fault_close_row(faulty, config)
+    assert spans == [(faulty.fork_seq, min(close + 1, len(faulty)))]
+    assert finished == (close == len(faulty))
+    (start, end), = checked
+    assert start <= faulty.fork_seq < end
     complete = run_with_detection(faulty, config).report
-    assert (named is None) == (not complete.events)
-    if named is None:
-        return
-    assert faulty.fork_seq <= named < total
-    core.run_rows(faulty, hook, state, named)
-    assert not hook.report.events
-    core.run_rows(faulty, hook, state, named + 1)
-    events = hook.report.events
-    assert events and events == complete.events[:len(events)]
-    assert {event.error.segment_index for event in events} == \
-        {complete.events[0].error.segment_index}
+    assert not events_through(faulty, config, close - 1)
+    assert events_through(faulty, config, close) == complete.events
+    assert verdict == DetectionVerdict.of(complete) == \
+        reference_verdict(workload, [fault], config)
 
 
 @pytest.mark.parametrize("workload", SUITE)
 def test_only_the_termination_segment_fails(workload):
-    """The last-write fault fails only the termination segment.  The
-    look-ahead names the trace length when it looks as far as the trace
-    end, and no row when it stops one row short.  Timing every row
-    records no event; finishing the run records the complete run's."""
+    """The last-write fault fails only the termination segment, which
+    holds its row: the run times every row from the fork seq and
+    finishes.  Timing every row records no event; finishing the run
+    records the complete run's."""
     config = default_config()
-    faulty = forked(workload, [last_write_fault(workload)])
-    core, state, hook = resumed(faulty, config)
+    fault = last_write_fault(workload)
+    faulty = forked(workload, [fault])
     total = len(faulty)
-    assert _first_failing_row(hook, state.next_row, total) == total
-    assert _first_failing_row(hook, state.next_row, total - 1) is None
-    core.run_rows(faulty, hook, state, total)
-    assert not hook.report.events
-    core.finish_run(faulty, hook, state)
+    assert fault_close_row(faulty, config) == total
+    verdict, spans, finished, _ = traced_verdict(faulty, config)
+    assert spans == [(faulty.fork_seq, total)] and finished == 1
+    assert not events_through(faulty, config, total - 1)
     complete = run_with_detection(faulty, config).report
-    assert complete.events and hook.report.events == complete.events
+    assert complete.events and \
+        events_through(faulty, config, total) == complete.events
     assert complete.closes_by_reason["termination"] == 1
     assert {event.error.segment_index for event in complete.events} == \
         {complete.segments_checked - 1}
+    assert verdict == DetectionVerdict.of(complete) == \
+        reference_verdict(workload, [fault], config)
 
 
 @pytest.mark.parametrize("second", SECOND_FAULTS)
 @pytest.mark.parametrize("workload", SUITE)
-def test_verdict_loop_stops_only_by_its_rules(workload, second):
+def test_pair_is_timed_through_its_later_segment_close(workload, second):
     """The mid-trace RESULT fault and a later one.  Where both fire, two
     segments fail; on some workloads the later segment detects first,
-    and on some the later segment closes after the earlier one's event.
-    The run looks ahead first from its fork seq to the trace end; its
-    spans follow the named rows and it stops by one of the loop's rules,
-    with the verdict of the complete report and of the reference path."""
+    and on some it closes after the earlier one's event.  The run times
+    back to back from the fork seq through the close of the later
+    fault's segment, finishing the run when that is the termination
+    segment, and records the complete run's events by then."""
     config = default_config()
     faults = [mid_trace_fault(workload, "result"),
               SECOND_FAULTS[second](workload)]
     faulty = forked(workload, faults)
-    verdict, looks, spans = traced_verdict(faulty, config)
-    assert looks[0][:2] == (faulty.fork_seq, len(faulty))
-    stop_of(looks, spans, len(faulty))
+    verdict, spans, finished, _ = traced_verdict(faulty, config)
+    close = fault_close_row(faulty, config)
+    assert covered(spans) == fault_span(faulty, config)
+    assert finished == (close == len(faulty))
     complete = run_with_detection(faulty, config).report
+    assert events_through(faulty, config, close) == complete.events
     assert verdict == DetectionVerdict.of(complete) == \
         reference_verdict(workload, faults, config)
-
-
-def test_commit_tick_past_the_first_detect_tick_stops_the_run():
-    """On ``stream``, the three-quarters fault fails a segment that the
-    window after the first event reaches but that closes after that
-    event's tick: timing through its close takes the commit tick past
-    the earliest detect tick, and the run stops there, with no further
-    look-ahead and the earlier segment's verdict."""
-    config = default_config()
-    faulty = forked("stream", [mid_trace_fault("stream", "result"),
-                               three_quarters_fault("stream")])
-    verdict, looks, spans = traced_verdict(faulty, config)
-    assert stop_of(looks, spans, len(faulty)) == "tick"
-    assert len(spans) == 2
-    complete = run_with_detection(faulty, config).report
-    first, second = complete.events
-    assert first is complete.first_event
-    assert second.segment_close_tick > first.detect_tick
-    assert verdict == DetectionVerdict.of(complete)
 
 
 @pytest.mark.parametrize("workload", SUITE)
 def test_ideal_checkers_time_no_faulty_row(workload):
     """Ideal checkers check nothing and so record no event, although
-    real checkers detect the same faults: the look-ahead from the fork
-    names no row at once, and the run times no row of the faulty trace,
-    for a verdict of not detected that equals the complete report's and
-    the reference path's."""
+    real checkers detect the same faults: the run times no row of the
+    faulty trace, for a verdict of not detected that equals the
+    complete report's and the reference path's."""
     faults = [mid_trace_fault(workload, "result"), last_write_fault(workload)]
     faulty = forked(workload, faults)
     assert run_with_detection(faulty, default_config(),
                               verdict_only=True).detected
     config = default_config().with_ideal_checkers(True)
-    verdict, looks, spans = traced_verdict(faulty, config)
-    assert looks == [(faulty.fork_seq, len(faulty), None)]
-    assert not spans
+    verdict, spans, finished, checked = traced_verdict(faulty, config)
+    assert not (spans or finished or checked)
     assert not verdict.detected
     complete = run_with_detection(faulty, config).report
     assert verdict == DetectionVerdict.of(complete) == \
         reference_verdict(workload, faults, config)
-
-
-def checked_looks(faulty, config):
-    """The verdict of a verdict-only spliced run, and for each look-ahead
-    it made: the segments it checked and the row it named."""
-    looks = []
-    look_ahead = system._first_failing_row
-    check = SegmentChecker.check
-    checks = []
-
-    def look_spy(hook, row, bound):
-        before = len(checks)
-        named = look_ahead(hook, row, bound)
-        looks.append((len(checks) - before, named))
-        return named
-
-    def check_spy(checker, segment):
-        checks.append(segment.index)
-        return check(checker, segment)
-
-    with mock.patch.object(system, "_first_failing_row", look_spy), \
-            mock.patch.object(SegmentChecker, "check", check_spy), \
-            mock.patch.dict(os.environ, FAST_PATH_ENV):
-        verdict = run_with_detection(faulty, config, verdict_only=True)
-    return verdict, looks
 
 
 def fault_path_runs(golden, fault, config):
@@ -340,9 +290,9 @@ def test_detected_fault_stops_at_its_segment_close(workload):
     """At the detected mid-trace sites, the fault path stops the run
     where the one segment it fails has closed: it holds every row of
     that segment and at most a block more, a prefix of the whole run.
-    The verdict's first look-ahead checks that segment alone and names
-    its close; a look-ahead after the event checks none.  The verdict
-    is the whole run's complete report's."""
+    The verdict times the stopped run through that segment's close in
+    one span and checks that segment alone, once.  The verdict is the
+    whole run's complete report's."""
     config = default_config()
     golden = benchmark_trace(workload, "small")
     detected = 0
@@ -354,18 +304,20 @@ def test_detected_fault_stops_at_its_segment_close(workload):
         detected += 1
         failing = {event.error.segment_index for event in complete.events}
         assert len(failing) == 1
+        index = failing.pop()
         starts = segment_starts(whole, config) + [len(whole)]
-        close = starts[failing.pop() + 1]
+        close = starts[index + 1]
         verdict, runs = fault_path_runs(golden, fault, config)
         (stop_entries, stopped), = runs
         assert stop_entries is not None
         assert close <= len(stopped) <= close + MAX_BLOCK_LEN
         assert list(stopped.pcs) == list(whole.pcs[:len(stopped)])
         assert verdict.outcome == "detected"
-        early, looks = checked_looks(stopped, config)
-        (first_checks, named), *after = looks
-        assert first_checks == 1 and named is not None
-        assert all(checks == 0 and row is None for checks, row in after)
+        early, spans, finished, checked = traced_verdict(stopped, config)
+        assert spans == [(stopped.fork_seq,
+                          fault_close_row(stopped, config) + 1)]
+        assert not finished
+        assert checked == [(starts[index], close)]
         assert early == DetectionVerdict.of(complete)
     assert detected
 

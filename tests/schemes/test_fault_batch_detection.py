@@ -44,6 +44,7 @@ from repro.detection.system import (
     ParallelErrorDetection,
     _splice_cursor,
     _TimingSpliceCursor,
+    run_with_detection,
 )
 from repro.harness.campaign import JobSpec, execute_job, fault_grid
 from repro.harness.manifest import CampaignManifest
@@ -215,11 +216,10 @@ class TestSnapshotForkIdentity:
         assert fstate is not state
         assert fhook.report is not hook.report
 
-    def test_forks_and_probes_share_one_segment_checker(self, monkeypatch):
-        """Nothing writes a segment checker after it is built: a fork and
-        the look-ahead's probe check with their source's checker, and
-        checks, one a checker fault strikes included, leave its fields
-        as they were."""
+    def test_forks_share_one_segment_checker(self, monkeypatch):
+        """Nothing writes a segment checker after it is built: a fork
+        checks with its source's checker, and checks, one a checker
+        fault strikes included, leave its fields as they were."""
         golden = benchmark_trace("stream", "small")
         config = default_config()
         mid = len(golden) // 2
@@ -228,11 +228,12 @@ class TestSnapshotForkIdentity:
         seq = next(row for row in range(mid, len(golden))
                    if any(not is_fp and idx
                           for is_fp, idx, _ in golden.dsts[row][:1]))
+        checker_faults = [TransientFault(FaultSite.CHECKER, seq=seq, bit=3)]
+        assert run_with_detection(golden, config,
+                                  checker_faults=checker_faults).report.events
         core = OoOCore(config)
-        hook = ParallelErrorDetection(
-            config, golden.program,
-            checker_faults=[TransientFault(FaultSite.CHECKER, seq=seq,
-                                           bit=3)])
+        hook = ParallelErrorDetection(config, golden.program,
+                                      checker_faults=checker_faults)
         hook.begin(golden)
         state = core.start_state()
         core.run_rows(golden, hook, state, mid)
@@ -250,8 +251,6 @@ class TestSnapshotForkIdentity:
         monkeypatch.setattr(SegmentChecker, "check", spy)
         _, fstate, fhook = core.fork(state, hook)
         assert fhook.segment_checker is checker
-        assert detection_system._first_failing_row(
-            hook, state.next_row, len(golden)) is not None
         core.run_rows(golden, fhook, fstate, len(golden))
         assert fhook.report.events
         assert checkers and all(c is checker for c in checkers)

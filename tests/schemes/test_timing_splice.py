@@ -21,10 +21,10 @@ from repro.common.config import default_config
 from repro.common.records import canonical_json
 from repro.core.ooo_core import OoOCore
 from repro.core.timing import TIMING_SPLICE_ENV, timing_splice_enabled
+from repro.detection.checker import SegmentChecker
 from repro.detection.faults import FaultInjector, FaultSite, TransientFault
 from repro.detection.system import (
     DetectionVerdict,
-    _first_failing_row,
     _TimingSpliceCursor,
     run_with_detection,
 )
@@ -41,6 +41,7 @@ from repro.workloads.suite import (
 
 from tests.conftest import MASKED_FAULT, mid_trace_faults
 from tests.core.timing_pins import stress_config
+from tests.detection.test_certified_verdict import fault_close_row
 
 SUITE = tuple(BENCHMARK_ORDER)
 
@@ -310,8 +311,8 @@ class TestVerdictOnlyTiming:
         reference = run_with_detection(full, config, verdict_only=True)
         assert spliced == unspliced == reference == \
             DetectionVerdict.of(report)
-        # the later segment fails the look-ahead, so the run keeps timing
-        # past the span in which its first event was recorded
+        # the later fault's segment closes after the earlier one's event
+        # is recorded, so the run keeps timing through its close
         spans = detecting_spans(monkeypatch, faulty)
         monkeypatch.setenv(TIMING_SPLICE_ENV, "1")
         run_with_detection(faulty, config, verdict_only=True)
@@ -356,19 +357,15 @@ class TestVerdictOnlyTiming:
 
     def test_detected_fault_is_timed_to_its_first_failing_close(
             self, monkeypatch):
-        """The look-ahead from the fork names the row on whose commit the
-        first failing segment closes.  A fault that no later segment
-        detects sooner is timed in exactly one span, from its fork seq
-        through that row, and the span records its first event."""
+        """A one-transient run is timed in exactly one span, from its
+        fork seq through the row on whose commit the segment holding its
+        row closes, and the span records its first event."""
         golden = benchmark_trace("stream", "small")
         fault = TransientFault(FaultSite.RESULT, seq=len(golden) // 2, bit=4)
         faulty = execute_forked(golden, FaultInjector([fault]))
         config = default_config()
-        _, state, hook = _TimingSpliceCursor(golden, config).bundle(
-            faulty.fork_seq)
-        hook.begin(faulty)
-        row = _first_failing_row(hook, state.next_row, len(faulty))
-        assert row is not None and faulty.fork_seq <= row < len(faulty)
+        row = fault_close_row(faulty, config)
+        assert faulty.fork_seq <= row < len(faulty)
         spans = timed_spans(monkeypatch, faulty)
         detecting = detecting_spans(monkeypatch, faulty)
         monkeypatch.setenv(TIMING_SPLICE_ENV, "1")
@@ -376,21 +373,35 @@ class TestVerdictOnlyTiming:
         assert spans == [(faulty.fork_seq, row + 1)]
         assert detecting == [True]
 
-    def test_undetected_fault_times_no_faulty_row(self, monkeypatch):
-        """Every check of a masked fault's run passes, which the look-ahead
-        from its fork seq shows without timing: no row of the faulty
-        trace is timed for its verdict, while a run asked for its full
-        result still times to the end."""
+    def test_undetected_fault_is_timed_through_its_segment_close(
+            self, monkeypatch):
+        """Every check of a masked fault's run passes.  Its verdict times
+        one span, from its fork seq through the close of the segment
+        holding its row, and checks that segment once, while a run asked
+        for its full result still times to the end."""
         workload, fault = MASKED_FAULT
         golden = benchmark_trace(workload, "small")
         faulty = execute_forked(golden, FaultInjector([fault]))
+        config = default_config()
+        row = fault_close_row(faulty, config)
         spans = timed_spans(monkeypatch, faulty)
+        checked = []
+        check = SegmentChecker.check
+
+        def spy(checker, segment):
+            # a segment views the log columns of the trace its hook was
+            # bound to when it closed
+            if segment.kinds is faulty.mem_kind:
+                checked.append(segment.start_seq)
+            return check(checker, segment)
+
+        monkeypatch.setattr(SegmentChecker, "check", spy)
         monkeypatch.setenv(TIMING_SPLICE_ENV, "1")
-        verdict = run_with_detection(faulty, default_config(),
-                                     verdict_only=True)
+        verdict = run_with_detection(faulty, config, verdict_only=True)
         assert not verdict.detected
-        assert spans == []
-        full = run_with_detection(faulty, default_config())
-        assert spans[0][0] <= faulty.fork_seq
+        assert spans == [(faulty.fork_seq, row + 1)]
+        assert len(checked) == 1 and checked[0] <= faulty.fork_seq
+        full = run_with_detection(faulty, config)
+        assert spans[1][0] <= faulty.fork_seq
         assert spans[-1][1] == len(faulty)
         assert verdict == DetectionVerdict.of(full.report)
